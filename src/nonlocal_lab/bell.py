@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import expectation_joint, obs_from_bloch
-from .qmat import PAULIS, tensor
+from .measure import trace_table, unit_bloch
+from .qmat import PAULIS
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
@@ -25,10 +25,7 @@ class ChshSettings:
 
     def __post_init__(self) -> None:
         for name in ("x", "x2", "y", "y2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(f"setting {name} must be a unit vector")
-            setattr(self, name, v)
+            setattr(self, name, unit_bloch(getattr(self, name), f"setting {name}"))
 
     def to_dict(self) -> dict:
         return {
@@ -65,29 +62,18 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m)."""
+    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m), as one contraction."""
     _require_two_qubits(rho)
-    t = np.empty((3, 3))
-    for n, sn in enumerate(PAULIS):
-        for m, sm in enumerate(PAULIS):
-            val = np.trace(rho.mat @ tensor(sn, sm))
-            t[n, m] = val.real
+    t = trace_table(rho, PAULIS, PAULIS).real
     if np.max(np.abs(t)) > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t
 
 
 def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
-    """E(x,y) + E(x',y) + E(x',y') - E(x,y') for spin observables."""
-    _require_two_qubits(rho)
-    oa = {k: obs_from_bloch(v) for k, v in (("x", s.x), ("x2", s.x2))}
-    ob = {k: obs_from_bloch(v) for k, v in (("y", s.y), ("y2", s.y2))}
-    return (
-        expectation_joint(rho, oa["x"], ob["y"])
-        + expectation_joint(rho, oa["x2"], ob["y"])
-        + expectation_joint(rho, oa["x2"], ob["y2"])
-        - expectation_joint(rho, oa["x"], ob["y2"])
-    )
+    """E(x,y) + E(x',y) + E(x',y') - E(x,y') for spin observables, with
+    E(a, b) = a.T T b read off the correlation matrix."""
+    return chsh_value_from_t(correlation_matrix(rho), s)
 
 
 def chsh_value_from_t(t: np.ndarray, s: ChshSettings) -> float:

@@ -45,6 +45,8 @@ def _parse_bloch(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated components, got {text!r}")
     v = np.array(parts)
+    if not np.isfinite(v).all():
+        raise ValueError(f"direction components must be finite, got {text!r}")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("direction must be nonzero")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import JointTable, McEstimate, run_batched
-from .measure import Povm, ProjectiveMeasurement, povm_refine
+from .measure import Povm, ProjectiveMeasurement, povm_refine, unit_bloch
 from .states import DensityMatrix, rho_g
 
 __all__ = [
@@ -201,13 +201,6 @@ def simplex_integral_mc(
     return McEstimate.from_sums(float(s[0]), float(s2[0]), n, seed)
 
 
-def _unit3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return v
-
-
 def _pm_cells(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
     idx = 2 * (~a_plus).astype(int) + (~b_plus).astype(int)
     return np.bincount(idx, minlength=4).astype(float)
@@ -216,7 +209,7 @@ def _pm_cells(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
     """Choice-method simulation of the singlet with the accepted index
     communicated: E(AB) -> -x.y, vanishing marginals."""
-    x, y = _unit3(x), _unit3(y)
+    x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
@@ -255,7 +248,7 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
     E(AB) -> -(x.y)/2. Also verifies on every sample that Alice's output
     equals -sign(x . (lambda0 + lambda1)).
     """
-    x, y = _unit3(x), _unit3(y)
+    x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
@@ -300,7 +293,7 @@ def simulate_hirsch_projective(
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
-    x, y = _unit3(x), _unit3(y)
+    x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
     p = 2.0 * q
 
     def kernel(rng: np.random.Generator, m: int):

@@ -61,11 +61,8 @@ def flip(d: int) -> np.ndarray:
     """Swap operator V|ij> = |ji> on C^d (x) C^d. Hermitian, V^2 = I."""
     if d < 2:
         raise ValueError(f"flip requires d >= 2, got {d}")
-    v = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            v[j * d + i, i * d + j] = 1.0
-    return v
+    # V[(j, i), (i, j)] = 1: the identity with its two row factors swapped
+    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -70,10 +70,15 @@ class TestChshValue:
         assert abs(chsh_value(rho, rand_settings())) <= 4 + 1e-9
 
     def test_fast_path_matches_probability_sum(self):
+        # chsh_value reads T; the reference sums label-weighted Born tables
+        from nonlocal_lab.measure import expectation_joint, obs_from_bloch
+
         for _ in range(5):
             rho = states.random_density(2, 2, rng)
             s = rand_settings()
-            assert np.isclose(chsh_value(rho, s), chsh_value_from_t(correlation_matrix(rho), s), atol=1e-10)
+            e = lambda a, b: expectation_joint(rho, obs_from_bloch(a), obs_from_bloch(b))
+            by_probabilities = e(s.x, s.y) + e(s.x2, s.y) + e(s.x2, s.y2) - e(s.x, s.y2)
+            assert np.isclose(chsh_value(rho, s), by_probabilities, atol=1e-10)
 
     def test_relabeling_invariance(self):
         # swapping the parties conjugates by the flip and transposes T
@@ -88,6 +93,12 @@ class TestChshValue:
     def test_rejects_wrong_dimensions(self):
         with pytest.raises(ValueError):
             chsh_value(states.rho_e(0.5), rand_settings())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_settings_reject_non_finite(self, bad):
+        e = np.eye(3)
+        with pytest.raises(ValueError, match="finite"):
+            ChshSettings(np.array([bad, 0.0, 1.0]), e[0], e[1], e[2])
 
 
 class TestCorrelationMatrix:
@@ -107,6 +118,14 @@ class TestCorrelationMatrix:
         bloch_a = np.array([np.trace(a @ s).real for s in PAULIS])
         bloch_b = np.array([np.trace(b @ s).real for s in PAULIS])
         assert np.allclose(correlation_matrix(rho), np.outer(bloch_a, bloch_b), atol=1e-12)
+
+    def test_matches_pauli_trace_formula(self):
+        from nonlocal_lab.qmat import PAULIS
+
+        for _ in range(10):
+            rho = states.random_density(2, 2, rng)
+            t = np.array([[np.trace(rho.mat @ np.kron(sn, sm)).real for sm in PAULIS] for sn in PAULIS])
+            assert np.max(np.abs(correlation_matrix(rho) - t)) < 1e-12
 
 
 class TestHorodecki:

@@ -1,13 +1,17 @@
 import json
 
 import numpy as np
+import pytest
 
 from nonlocal_lab import states
 from nonlocal_lab.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -94,6 +98,12 @@ class TestChsh:
         assert code == 2
         assert "two-qubit" in err
 
+    def test_rejects_non_finite_setting(self, capsys):
+        code, out, err = run(capsys, "chsh", "singlet", "--x=nan,0,1", "--x2=1,0,0", "--y=0,0,1", "--y2=1,0,0")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "NaN" not in out
+
 
 class TestSimulate:
     def test_werner_within_five_sigma(self, capsys):
@@ -136,6 +146,29 @@ class TestSimulate:
     def test_barrett_runs(self, capsys):
         code, out, _ = run(capsys, "simulate", "barrett", "--d", "2", "--n", "1e5", "--seed", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("model", ["werner", "barrett"])
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_rejects_too_small_dimension(self, capsys, model, d):
+        code, out, err = run(capsys, "simulate", model, "--d", d, "--n", "1e3")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_rejects_non_finite_direction(self, capsys):
+        code, out, err = run(capsys, "simulate", "epr1bit", "--x=nan,0,1", "--n", "1e3")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "NaN" not in out
+
+    @pytest.mark.parametrize("model", ["werner", "barrett"])
+    def test_large_dimension(self, capsys, model):
+        code, out, _ = run(capsys, "simulate", model, "--d", "32", "--n", "1e4", "--seed", "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_sigma"] <= 5
+        assert abs(np.sum(payload["oracle"]) - 1.0) < 1e-9
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

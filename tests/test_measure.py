@@ -6,6 +6,7 @@ from nonlocal_lab.measure import (
     Observable,
     Povm,
     ProjectiveMeasurement,
+    bloch_vector,
     born_joint,
     born_table,
     coarse_grain,
@@ -54,6 +55,13 @@ class TestObsFromBloch:
         with pytest.raises(ValueError):
             obs_from_bloch([0, 0, 2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            obs_from_bloch([bad, 0, 1])
+        with pytest.raises(ValueError):
+            bloch_vector(bad, 0, 1)
+
 
 class TestBornJoint:
     def test_singlet_perfect_anticorrelation(self):
@@ -86,6 +94,42 @@ class TestBornJoint:
         with pytest.raises(ValueError):
             born_joint(states.singlet(), np.eye(3), np.eye(2))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            born_joint(states.singlet(), np.full((2, 2), np.nan), np.eye(2))
+
+
+def kron_table(rho, elements_a, elements_b):
+    # reference: one Kronecker product and full trace per cell
+    return np.array([[np.trace(rho.mat @ np.kron(a, b)).real for b in elements_b] for a in elements_a])
+
+
+class TestBornTable:
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)])
+    def test_matches_kron_reference(self, d_a, d_b):
+        for _ in range(3):
+            rho = states.random_density(d_a, d_b, rng)
+            ma = random_povm(3, d_a, rng).elements
+            nb = random_povm(4, d_b, rng).elements
+            table = born_table(rho, ma, nb)
+            assert table.shape == (3, 4)
+            assert np.max(np.abs(table - kron_table(rho, ma, nb))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "elements_a,elements_b,match",
+        [
+            ([np.eye(2) / 2, np.full((2, 2), np.nan)], [np.eye(2)], "not finite"),
+            ([np.eye(2)], [np.eye(2) / 2, np.full((2, 2), np.inf)], "not finite"),
+            ([1j * np.eye(2)], [np.eye(2)], "non-real"),
+            ([2 * np.eye(2)], [np.eye(2)], "outside"),
+            ([np.eye(2) / 2, np.eye(3)], [np.eye(2)], "do not match state"),
+            ([np.eye(2)], [np.eye(2), np.eye(4)], "do not match state"),
+        ],
+    )
+    def test_rejects_invalid_tables(self, elements_a, elements_b, match):
+        with pytest.raises(ValueError, match=match):
+            born_table(states.singlet(), elements_a, elements_b)
+
 
 class TestExpectationJoint:
     def test_singlet_gives_minus_cosine(self):
@@ -115,6 +159,17 @@ class TestExpectationJoint:
             a, b = obs_from_bloch(rand_unit3()), obs_from_bloch(rand_unit3())
             direct = np.trace(rho.mat @ tensor(a.matrix, b.matrix)).real
             assert np.isclose(expectation_joint(rho, a, b), direct, atol=1e-10)
+
+    def test_degenerate_observable(self):
+        # diag(1, 1, -1) merges a rank-2 projector; the label sum must still
+        # reproduce tr(rho A (x) B)
+        a = Observable(np.diag([1.0, 1.0, -1.0]).astype(complex))
+        assert len(a.measurement().projectors) == 2
+        for _ in range(5):
+            rho = states.random_density(3, 2, rng)
+            b = obs_from_bloch(rand_unit3())
+            direct = np.trace(rho.mat @ tensor(a.matrix, b.matrix)).real
+            assert np.isclose(expectation_joint(rho, a, b), direct, atol=1e-12)
 
 
 class TestPostMeasurement:
@@ -204,6 +259,12 @@ class TestValidation:
         p = projector(haar_ket(2, rng))
         with pytest.raises(ValueError):
             ProjectiveMeasurement([p, p], [1, -1])
+
+    def test_empty_measurements_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ProjectiveMeasurement([], [])
+        with pytest.raises(ValueError, match="at least one"):
+            Povm([])
 
     def test_povm_rejects_incomplete(self):
         with pytest.raises(ValueError):

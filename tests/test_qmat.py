@@ -84,6 +84,14 @@ class TestFlip:
         with pytest.raises(ValueError):
             flip(1)
 
+    def test_matches_elementwise_construction(self):
+        for d in range(2, 9):
+            v = np.zeros((d * d, d * d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    v[j * d + i, i * d + j] = 1.0
+            assert np.array_equal(flip(d), v)
+
 
 class TestPartialTrace:
     def test_singlet_reduced_is_maximally_mixed(self):
