@@ -298,22 +298,17 @@ def _response_validity(seed: int, n_lambda: int) -> tuple[bool, str]:
         pa = random_projective(d, rng)
         kets, _ = lhv._refine_projective(pa)
         lam = lhv.sample_sphere_cd(rng, d, n_lambda)
-        u = np.abs(lam @ kets.conj().T) ** 2
-        row_sums = u.sum(axis=1)
-        ok = ok and np.max(np.abs(row_sums - 1)) <= 1e-12
+        col_sums = lhv._overlaps(lhv._overlap_rows(kets), lam).sum(axis=0)
+        ok = ok and np.max(np.abs(col_sums - 1)) <= 1e-12
         # minimizer response: exactly one outcome fires by construction
         ma = random_povm(3, d, rng)
         ref, _ = measure.povm_refine(ma)
         xw, mk = lhv._rank1_weights(ref)
-        ua = np.abs(lam @ mk.conj().T) ** 2
-        mw = ua * xw
-        chi = (ua - 1.0 / d) >= 0
-        s = (mw * chi).sum(axis=1)
-        p_alice = mw * chi + (1.0 - s)[:, None] * (xw / d)
-        p_bob = (xw * (1.0 - ua)) / (d - 1)
+        ua = lhv._overlaps(lhv._overlap_rows(mk), lam)
+        p_alice, p_bob = lhv._barrett_responses(ua, xw, ua, xw, d)
         for name, p in (("threshold", p_alice), ("inverted", p_bob)):
             neg = float(p.min())
-            norm_err = float(np.max(np.abs(p.sum(axis=1) - 1)))
+            norm_err = float(np.max(np.abs(p.sum(axis=0) - 1)))
             ok = ok and neg >= -1e-12 and norm_err <= 1e-12
             msgs.append(f"d={d} {name}: min {neg:.1e}, norm err {norm_err:.1e}")
     return ok, "; ".join(msgs)

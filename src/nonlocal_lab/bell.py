@@ -78,7 +78,11 @@ def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
 
 def chsh_value_from_t(t: np.ndarray, s: ChshSettings) -> float:
     """Same combination evaluated through the correlation matrix (E = a.T b)."""
-    return float(s.x @ t @ s.y + s.x2 @ t @ s.y + s.x2 @ t @ s.y2 - s.x @ t @ s.y2)
+    return _chsh_from_t(t, s.x, s.x2, s.y, s.y2)
+
+
+def _chsh_from_t(t, x, x2, y, y2) -> float:
+    return float(x @ t @ y + x2 @ t @ y + x2 @ t @ y2 - x @ t @ y2)
 
 
 def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
@@ -123,13 +127,17 @@ def optimal_settings(rho: DensityMatrix) -> ChshSettings:
     The residual orientation freedom is resolved by trying the four sign
     choices for (z, z') and keeping the best.
     """
-    t = correlation_matrix(rho)
-    u = t.T @ t
-    vals, vecs = np.linalg.eigh(u)
+    return _optimal_settings_from_t(correlation_matrix(rho))[0]
+
+
+def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, np.ndarray]:
+    """optimal_settings for the correlation matrix t, with the ascending
+    eigenvalues of T^T T it was built from."""
+    vals, vecs = np.linalg.eigh(t.T @ t)
     z, zp = vecs[:, 2], vecs[:, 1]
     if np.linalg.norm(t @ z) < _RANK_TOL and np.linalg.norm(t @ zp) < _RANK_TOL:
-        return _canonical_settings()
-    best: tuple[float, ChshSettings] | None = None
+        return _canonical_settings(), vals
+    best: tuple[float, tuple] | None = None
     fallback = np.array([1.0, 0.0, 0.0])
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
@@ -139,22 +147,19 @@ def optimal_settings(rho: DensityMatrix) -> ChshSettings:
             xa = ta / na if na > _RANK_TOL else fallback
             xb = tb / nb if nb > _RANK_TOL else fallback
             theta = np.arctan2(nb, na)
-            y = np.cos(theta) * za + np.sin(theta) * zb
-            y2 = np.cos(theta) * za - np.sin(theta) * zb
-            cand = ChshSettings(xb, xa, y, y2)
-            val = chsh_value_from_t(t, cand)
+            cand = (xb, xa, np.cos(theta) * za + np.sin(theta) * zb, np.cos(theta) * za - np.sin(theta) * zb)
+            val = _chsh_from_t(t, *cand)
             if best is None or val > best[0]:
                 best = (val, cand)
     assert best is not None
-    return best[1]
+    return ChshSettings(*best[1]), vals
 
 
 def horodecki_m(rho: DensityMatrix) -> ChshResult:
     """M(rho) = sum of the two largest eigenvalues of T^T T, together with
     settings that attain the maximal CHSH value 2 sqrt(M(rho))."""
     t = correlation_matrix(rho)
-    vals = np.linalg.eigvalsh(t.T @ t)
+    settings, vals = _optimal_settings_from_t(t)
     u, u_tilde = float(vals[2]), float(vals[1])
-    settings = optimal_settings(rho)
     value = chsh_value_from_t(t, settings)
     return ChshResult(value=value, m_rho=u + u_tilde, settings=settings, eigen_pair=(u, u_tilde))

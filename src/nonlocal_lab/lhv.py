@@ -18,7 +18,6 @@ from .states import DensityMatrix, rho_g
 __all__ = [
     "sample_sphere_r3",
     "sample_sphere_cd",
-    "sign_pm",
     "werner_response_a",
     "werner_response_b",
     "gd_choice",
@@ -38,22 +37,24 @@ __all__ = [
 ]
 
 
-def sign_pm(z: np.ndarray) -> np.ndarray:
-    """Sign with sign(0) = +1."""
-    return np.where(np.asarray(z) >= 0, 1.0, -1.0)
-
-
 def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform point(s) on S^2 as normalized 3-component Gaussian draws."""
+    """Uniform point(s) on S^2 as normalized 3-component Gaussian draws,
+    normalised in place with the squared norm summed as np.linalg.norm does."""
     v = rng.standard_normal(3 if n is None else (n, 3))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    r = v[..., 0] * v[..., 0]
+    r += v[..., 1] * v[..., 1]
+    r += v[..., 2] * v[..., 2]
+    v /= np.sqrt(r)[..., None]
+    return v
 
 
 def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> np.ndarray:
-    """Haar-uniform unit vector(s) in C^d as normalized complex Gaussians."""
+    """Haar-uniform unit vector(s) in C^d as normalized complex Gaussians: the
+    (..., d, 2) real/imaginary normals, normalised in place, viewed as complex."""
     z = rng.standard_normal((d, 2) if n is None else (n, d, 2))
-    lam = z[..., 0] + 1j * z[..., 1]
-    return lam / np.linalg.norm(lam, axis=-1, keepdims=True)
+    flat = z.reshape(-1, 2 * d)
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    return z.view(np.complex128)[..., 0]
 
 
 # -- response functions (scalar reference versions) ------------------------
@@ -130,10 +131,49 @@ def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[in
 
 
 def _group_matrix(back_map: list[int], k: int) -> np.ndarray:
-    g = np.zeros((len(back_map), k))
-    for i, a in enumerate(back_map):
-        g[i, a] = 1.0
+    """(k, k_refined) 0/1 matrix summing refined outcome rows into coarse ones."""
+    g = np.zeros((k, len(back_map)))
+    g[back_map, np.arange(len(back_map))] = 1.0
     return g
+
+
+def _overlap_rows(kets: np.ndarray) -> np.ndarray:
+    """Real (2k, 2d) form of k kets: against the interleaved floats of a
+    sample, rows :k give Re <k|lam> and rows k: give Im <k|lam>."""
+    return np.concatenate([kets, 1j * kets]).view(float)
+
+
+def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """|<k|lam>|^2 for the kets of w, outcome-major (k, m): one real GEMM on
+    the float view of the (m, d) samples, squared and summed as re^2 + im^2."""
+    p = w @ lam.view(float).T
+    p *= p
+    k = len(p) // 2
+    p[:k] += p[k:]
+    return p[:k]
+
+
+def _argmin_rows(u: np.ndarray) -> np.ndarray:
+    """Row index of each column's minimum; ties go to the lowest index."""
+    idx = np.zeros(u.shape[1], dtype=np.intp)
+    best = u[0]
+    for i in range(1, len(u)):
+        lower = u[i] < best
+        idx[lower] = i
+        best = np.minimum(best, u[i])
+    return idx
+
+
+def _barrett_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold and inverted responses as (k, m) rows from overlaps
+    u, v = |<k|lam>|^2 of the refined POVMs {xw_k P_k} and {yw_j Q_j}.
+
+    Alice: x_k u_k where u_k clears 1/d, plus the leftover weight
+    redistributed proportionally to x_k / d. Bob: y_j (1 - v_j) / (d - 1).
+    """
+    pa = np.where(u >= 1.0 / d, u * xw[:, None], 0.0)
+    pa += (1.0 - pa.sum(axis=0)) * (xw / d)[:, None]
+    return pa, (1.0 - v) * (yw / (d - 1))[:, None]
 
 
 def simulate_werner(
@@ -156,19 +196,17 @@ def simulate_werner(
     kets_a, bm_a = _refine_projective(proj_a)
     kets_b, bm_b = _refine_projective(proj_b)
     ka, kb = len(proj_a.projectors), len(proj_b.projectors)
+    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     gb = _group_matrix(bm_b, kb)
     bm_a_arr = np.asarray(bm_a)
 
     def kernel(rng: np.random.Generator, m: int):
-        lam = sample_sphere_cd(rng, d, m)
-        u_a = np.abs(lam @ kets_a.conj().T) ** 2
-        u_b = np.abs(lam @ kets_b.conj().T) ** 2
-        a_star = bm_a_arr[np.argmin(u_a, axis=1)]
-        v_b = u_b @ gb
-        sums = np.zeros((ka, kb))
-        sumsq = np.zeros((ka, kb))
-        np.add.at(sums, a_star, v_b)
-        np.add.at(sumsq, a_star, v_b**2)
+        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+        a_star = bm_a_arr[_argmin_rows(u[: len(kets_a)])]
+        sums, sumsq = np.empty((ka, kb)), np.empty((ka, kb))
+        for b, v in enumerate(gb @ u[len(kets_a) :]):
+            sums[:, b] = np.bincount(a_star, weights=v, minlength=ka)
+            sumsq[:, b] = np.bincount(a_star, weights=v * v, minlength=ka)
         return sums, sumsq
 
     sums, sumsq = run_batched(n, seed, f"werner:d={d}", kernel, workers)
@@ -189,21 +227,25 @@ def simplex_integral_mc(
         raise ValueError("measurement dimension must equal d")
     if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.projectors):
         raise ValueError("simplex integral requires a rank-1 measurement")
-    kets, _ = _refine_projective(proj)
+    w = _overlap_rows(_refine_projective(proj)[0])
 
     def kernel(rng: np.random.Generator, m: int):
-        lam = sample_sphere_cd(rng, d, m)
-        u = np.abs(lam @ kets.conj().T) ** 2
-        c = np.where(np.argmin(u, axis=1) == a, u[:, a], 0.0)
-        return np.array([c.sum()]), np.array([(c**2).sum()])
+        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+        c = np.where(_argmin_rows(u) == a, u[a], 0.0)
+        return np.array([c.sum()]), np.array([c @ c])
 
     s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", kernel, workers)
     return McEstimate.from_sums(float(s[0]), float(s2[0]), n, seed)
 
 
-def _pm_cells(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
-    idx = 2 * (~a_plus).astype(int) + (~b_plus).astype(int)
-    return np.bincount(idx, minlength=4).astype(float)
+def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint counts [++, +-, -+, --] of two +-1 outputs given as "is +1"
+    flags, and the sums of ab, a and b; integer counts keep them exact."""
+    m = len(a_plus)
+    na, nb = np.count_nonzero(a_plus), np.count_nonzero(b_plus)
+    nab = np.count_nonzero(a_plus & b_plus)
+    cells = np.array([nab, na - nab, nb - nab, m - na - nb + nab], dtype=float)
+    return cells, np.array([m - 2 * (na + nb - 2 * nab), 2 * na - m, 2 * nb - m], dtype=float)
 
 
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
@@ -214,11 +256,12 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
         l1 = sample_sphere_r3(rng, m)
-        pick0 = np.abs(l0 @ x) > np.abs(l1 @ x)
-        ls = np.where(pick0[:, None], l0, l1)
-        a = -sign_pm(ls @ x)
-        b = sign_pm(ls @ y)
-        return np.array([(a * b).sum(), a.sum(), b.sum()]), np.full(3, float(m))
+        x0, x1 = l0 @ x, l1 @ x
+        pick0 = np.abs(x0) > np.abs(x1)
+        # a = -sign(x . l) is +1 iff x . l < 0; b = sign(y . l) is +1 iff y . l >= 0
+        a_plus = np.where(pick0, x0, x1) < 0
+        _, sums = _pm_counts(a_plus, np.where(pick0, l0 @ y, l1 @ y) >= 0)
+        return sums, np.full(3, float(m))
 
     s, s2 = run_batched(n, seed, "epr1bit", kernel, workers)
     return {
@@ -253,13 +296,11 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
         l1 = sample_sphere_r3(rng, m)
-        pick0 = np.abs(l0 @ x) > np.abs(l1 @ x)
-        ls = np.where(pick0[:, None], l0, l1)
-        a = -sign_pm(ls @ x)
-        b = sign_pm(l0 @ y)
-        cells = _pm_cells(a > 0, b > 0)
-        mism = float(np.sum(a != -sign_pm((l0 + l1) @ x)))
-        return cells, np.array([(a * b).sum(), a.sum(), b.sum()]), np.array([mism])
+        x0, x1 = l0 @ x, l1 @ x
+        a_plus = np.where(np.abs(x0) > np.abs(x1), x0, x1) < 0
+        cells, sums = _pm_counts(a_plus, l0 @ y >= 0)
+        mism = np.count_nonzero(a_plus != ((l0 + l1) @ x < 0))
+        return cells, sums, np.array([float(mism)])
 
     cells, s, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
@@ -294,21 +335,16 @@ def simulate_hirsch_projective(
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
-    p = 2.0 * q
+    p, up = 2.0 * q, (1 + x[2]) / 2
 
     def kernel(rng: np.random.Generator, m: int):
         lam = sample_sphere_r3(rng, m)
-        r = rng.random(m)
-        u1 = rng.random(m)
-        u2 = rng.random(m)
+        r, u1, u2 = rng.random((3, m))
         xl = lam @ x
         mix = r < p
         acc = mix & (u1 < np.abs(xl))
-        a = np.where(acc, -sign_pm(xl), np.where(u2 < (1 + x[2]) / 2, 1.0, -1.0))
-        b = sign_pm(lam @ y)
-        cells = _pm_cells(a > 0, b > 0)
-        sums = np.array([(a * b).sum(), a.sum(), b.sum()])
-        return cells, sums, np.array([float(acc.sum()), float(mix.sum())])
+        cells, sums = _pm_counts(np.where(acc, xl < 0, u2 < up), lam @ y >= 0)
+        return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(mix)], dtype=float)
 
     cells, s, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
@@ -350,9 +386,8 @@ class HirschModel:
     def alice_hit(self, v: np.ndarray, shared, rng: np.random.Generator) -> np.ndarray:
         """Outcome +1 indicator for the dichotomic measurement along rows of v."""
         lam, r = shared
-        m = lam.shape[0]
-        u1 = rng.random(m)
-        u2 = rng.random(m)
+        u1, u2 = rng.random((2, lam.shape[0]))
+        # another summation order can move vl by an ulp and flip the compares below
         vl = np.einsum("ij,ij->i", v, lam)
         acc = (r < 2.0 * self.q) & (u1 < np.abs(vl))
         return np.where(acc, vl < 0, u2 < (1 + v[:, 2]) / 2)
@@ -380,9 +415,16 @@ class LiftResult:
 
 
 def _choice_cdf(weights: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(weights)
-    cdf[-1] = max(cdf[-1], 1.0)
-    return cdf
+    """Inner cumulative weights; the last outcome takes any rounding shortfall."""
+    return np.cumsum(weights)[:-1]
+
+
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcomes drawn by uniforms u: the count of _choice_cdf entries <= u."""
+    idx = np.zeros(len(u), dtype=np.intp)
+    for c in cdf:
+        idx += c <= u
+    return idx
 
 
 def simulate_povm_lift(
@@ -426,23 +468,17 @@ def simulate_povm_lift(
 
     def kernel(rng: np.random.Generator, m: int):
         shared = base.shared(rng, m)
-        ua_choice = rng.random(m)
-        a_idx = np.searchsorted(cdf_pick_a, ua_choice, side="right")
-        hit_a = base.alice_hit(bloch_a[a_idx], shared, rng)
-        ua4 = rng.random(m)
-        a_out = np.where(hit_a, a_idx, np.searchsorted(cdf4_a, ua4, side="right"))
-        ub_choice = rng.random(m)
-        b_idx = np.searchsorted(cdf_pick_b, ub_choice, side="right")
-        hit_b = base.bob_hit(bloch_b[b_idx], shared, rng)
-        ub4 = rng.random(m)
-        b_out = np.where(hit_b, b_idx, np.searchsorted(cdf4_b, ub4, side="right"))
-        ao, bo = bm_a_arr[a_out], bm_b_arr[b_out]
-        cells = np.bincount(ao * kb + bo, minlength=ka * kb).astype(float)
-        both = hit_a & hit_b
-        cells_hit = np.bincount(
-            bm_a_arr[a_idx[both]] * kb + bm_b_arr[b_idx[both]], minlength=ka * kb
-        ).astype(float)
-        miss = np.array([float((~hit_a).sum()), float((~hit_b).sum())])
+        a_idx = _pick(cdf_pick_a, rng.random(m))
+        hit_a = base.alice_hit(np.take(bloch_a, a_idx, axis=0), shared, rng)
+        a_out = np.where(hit_a, a_idx, _pick(cdf4_a, rng.random(m)))
+        b_idx = _pick(cdf_pick_b, rng.random(m))
+        hit_b = base.bob_hit(np.take(bloch_b, b_idx, axis=0), shared, rng)
+        b_out = np.where(hit_b, b_idx, _pick(cdf4_b, rng.random(m)))
+        # where both parties hit, the outputs are the picked indices
+        out = bm_a_arr[a_out] * kb + bm_b_arr[b_out]
+        cells = np.bincount(out, minlength=ka * kb).astype(float)
+        cells_hit = np.bincount(out, weights=hit_a & hit_b, minlength=ka * kb)
+        miss = np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
         return cells, cells_hit, miss
 
     label = f"povmlift:q={base.q!r}"
@@ -483,22 +519,15 @@ def simulate_barrett(
     ref_b, bm_b = povm_refine(povm_b)
     xw, kets_a = _rank1_weights(ref_a)
     yw, kets_b = _rank1_weights(ref_b)
+    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     ga = _group_matrix(bm_a, len(povm_a.elements))
     gb = _group_matrix(bm_b, len(povm_b.elements))
 
     def kernel(rng: np.random.Generator, m: int):
-        lam = sample_sphere_cd(rng, d, m)
-        u = np.abs(lam @ kets_a.conj().T) ** 2
-        mw = u * xw
-        chi = (u - 1.0 / d) >= 0
-        s = (mw * chi).sum(axis=1)
-        pa = mw * chi + (1.0 - s)[:, None] * (xw / d)
-        v = np.abs(lam @ kets_b.conj().T) ** 2
-        pb = (yw * (1.0 - v)) / (d - 1)
-        pac, pbc = pa @ ga, pb @ gb
-        sums = np.einsum("ni,nj->ij", pac, pbc)
-        sumsq = np.einsum("ni,nj->ij", pac**2, pbc**2)
-        return sums, sumsq
+        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+        pa, pb = _barrett_responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
+        pa, pb = ga @ pa, gb @ pb
+        return pa @ pb.T, (pa * pa) @ (pb * pb).T
 
     sums, sumsq = run_batched(n, seed, f"barrett:d={d}", kernel, workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

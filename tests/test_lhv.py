@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonlocal_lab import lhv, states
+from nonlocal_lab import lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
     ProjectiveMeasurement,
@@ -13,6 +15,7 @@ from nonlocal_lab.measure import (
     random_projective,
 )
 from nonlocal_lab.qmat import basis_ket, haar_ket, haar_unitary, projector
+from nonlocal_lab.mc import JointTable, McEstimate
 from nonlocal_lab.states import rho_g, werner_local, werner_local_phi
 
 rng = np.random.default_rng(31337)
@@ -371,3 +374,135 @@ class TestDeterminism:
         b = lhv.simulate_hirsch_projective(0.3, x, y, 100_000, 8, workers=3)
         assert a.e_ab == b.e_ab
         assert np.array_equal(a.table.means, b.table.means)
+
+
+def _leaves(result):
+    """Every array and scalar of a simulator result, in a fixed order."""
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in _leaves(getattr(result, f.name))]
+    if isinstance(result, dict):
+        return [x for k in sorted(result) for x in _leaves(result[k])]
+    return [np.asarray(result)]
+
+
+def _simulators():
+    gen = np.random.default_rng(2024)
+    x, y = gen.standard_normal((2, 3))
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    basis = haar_unitary(3, gen)
+    coarse = ProjectiveMeasurement([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
+    fine = random_projective(3, gen)
+    ma, mb = random_povm(3, 3, gen), random_povm(4, 3, gen)
+    pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
+    sigma = projector(basis_ket(2, 0))
+    return {
+        "werner": lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w),
+        "simplex": lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w),
+        "epr1bit": lambda n, w: lhv.simulate_epr_one_bit(x, y, n, 3, workers=w),
+        "gd": lambda n, w: lhv.simulate_gd_w2x2(x, y, n, 4, workers=w),
+        "hirsch": lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w),
+        "povm_lift": lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
+        "barrett": lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w),
+    }
+
+
+@pytest.mark.parametrize("model", sorted(_simulators()))
+def test_every_simulator_identical_across_workers(model):
+    n = 3 * mc.BATCH_SIZE + 1234  # three full batches and a partial one
+    run = _simulators()[model]
+    one, two = _leaves(run(n, 1)), _leaves(run(n, 2))
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
+
+
+class TestStreamConsumption:
+    """One batch of each rewritten kernel against a test-side recomputation
+    from the public samplers on the same Philox stream and the scalar
+    reference responses."""
+
+    def test_r3_sampler_matches_norm_formula(self):
+        for n in (None, 1, 7, 50_000):
+            z = np.random.default_rng(5).standard_normal(3 if n is None else (n, 3))
+            expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
+            assert np.array_equal(lhv.sample_sphere_r3(np.random.default_rng(5), n), expected)
+
+    def test_cd_sampler_matches_complex_formula(self):
+        for d in (1, 2, 3, 24):
+            for n in (None, 1, 5_000):
+                z = np.random.default_rng(d).standard_normal((d, 2) if n is None else (n, d, 2))
+                lam = z[..., 0] + 1j * z[..., 1]
+                expected = lam / np.linalg.norm(lam, axis=-1, keepdims=True)
+                got = lhv.sample_sphere_cd(np.random.default_rng(d), d, n)
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_werner_and_simplex(self, d):
+        gen = np.random.default_rng(40 + d)
+        pa, pb = random_projective(d, gen), random_projective(d, gen)
+        n, seed = 1500, 9
+        lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"werner:d={d}", 0), d, n)
+        resp_a = np.array([[lhv.werner_response_a(a, v, pa) for a in range(d)] for v in lam])
+        resp_b = np.array([[lhv.werner_response_b(b, v, pb) for b in range(d)] for v in lam])
+        ref = JointTable.from_sums(resp_a.T @ resp_b, resp_a.T @ resp_b**2, n, seed, pa.labels, pb.labels)
+        table = lhv.simulate_werner(d, pa, pb, n, seed)
+        assert np.max(np.abs(table.means - ref.means)) <= 1e-12
+        assert np.max(np.abs(table.stderrs - ref.stderrs)) <= 1e-12
+
+        a = d - 1
+        lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"simplex:d={d}:a={a}", 0), d, n)
+        c = np.array([lhv.werner_response_a(a, v, pa) * lhv.werner_response_b(a, v, pa) for v in lam])
+        ref = McEstimate.from_sums(c.sum(), (c * c).sum(), n, seed)
+        est = lhv.simplex_integral_mc(d, a, pa, n, seed)
+        assert abs(est.mean - ref.mean) <= 1e-12 and abs(est.stderr - ref.stderr) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_barrett(self, d):
+        gen = np.random.default_rng(50 + d)
+        ma, mb = random_povm(3, d, gen), random_povm(2, d, gen)
+        ref_a, bm_a = povm_refine(ma)
+        ref_b, bm_b = povm_refine(mb)
+        n, seed = 300, 10
+        lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"barrett:d={d}", 0), d, n)
+        pa = np.zeros((n, len(ma.elements)))
+        pb = np.zeros((n, len(mb.elements)))
+        for s, v in enumerate(lam):
+            for i, a in enumerate(bm_a):
+                pa[s, a] += lhv.barrett_response_a(i, v, ref_a)
+            for j, b in enumerate(bm_b):
+                pb[s, b] += lhv.barrett_response_b(j, v, ref_b)
+        ref = JointTable.from_sums(pa.T @ pb, (pa**2).T @ pb**2, n, seed, ma.labels, mb.labels)
+        table = lhv.simulate_barrett(d, ma, mb, n, seed)
+        assert np.max(np.abs(table.means - ref.means)) <= 1e-12
+        assert np.max(np.abs(table.stderrs - ref.stderrs)) <= 1e-12
+
+    def _choice_pairs(self, label, n, seed, x):
+        rng = mc.batch_rng(seed, label, 0)
+        l0 = lhv.sample_sphere_r3(rng, n)
+        l1 = lhv.sample_sphere_r3(rng, n)
+        ls = np.array([lhv.gd_choice(p, q, x) for p, q in zip(l0, l1)])
+        return l0, l1, ls
+
+    def test_epr_one_bit(self):
+        x, y, n, seed = unit3(), unit3(), 20_000, 11
+        _, _, ls = self._choice_pairs("epr1bit", n, seed, x)
+        a = np.where(ls @ x >= 0, -1.0, 1.0)
+        b = np.where(ls @ y >= 0, 1.0, -1.0)
+        res = lhv.simulate_epr_one_bit(x, y, n, seed)
+        assert res["E_AB"] == McEstimate.from_sums((a * b).sum(), float(n), n, seed)
+        assert res["E_A"] == McEstimate.from_sums(a.sum(), float(n), n, seed)
+        assert res["E_B"] == McEstimate.from_sums(b.sum(), float(n), n, seed)
+
+    def test_gd(self):
+        x, y, n, seed = unit3(), unit3(), 20_000, 12
+        l0, l1, ls = self._choice_pairs("gd_w2x2", n, seed, x)
+        a = np.where(ls @ x >= 0, -1.0, 1.0)
+        b = np.where(l0 @ y >= 0, 1.0, -1.0)
+        cells = np.array([[np.sum((a == sa) & (b == sb)) for sb in (1, -1)] for sa in (1, -1)], dtype=float)
+        res = lhv.simulate_gd_w2x2(x, y, n, seed)
+        assert res.e_ab == McEstimate.from_sums((a * b).sum(), float(n), n, seed)
+        assert res.e_a == McEstimate.from_sums(a.sum(), float(n), n, seed)
+        assert res.e_b == McEstimate.from_sums(b.sum(), float(n), n, seed)
+        assert np.array_equal(res.table.means, cells / n)
+        assert res.rewrite_mismatches == np.sum(a != np.where((l0 + l1) @ x >= 0, -1.0, 1.0))
