@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import JointTable, McEstimate, run_batched
+from .mc import JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, ProjectiveMeasurement, povm_refine, unit_bloch
 from .states import DensityMatrix, rho_g
 
@@ -60,12 +60,13 @@ def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> 
 # -- response functions (scalar reference versions) ------------------------
 
 def werner_response_a(a: int, lam: np.ndarray, proj: ProjectiveMeasurement) -> int:
-    """1 iff <lam|P_a|lam> is the minimum of the overlaps, else 0.
+    """1 iff outcome a holds the refined rank-1 ket whose overlap |<k|lam>|^2
+    is the minimum, else 0.
 
-    Ties go to the lowest index among the minimizers (a measure-zero set).
+    Ties go to the lowest refined index among the minimizers (a measure-zero set).
     """
-    u = np.array([np.vdot(lam, p @ lam).real for p in proj.projectors])
-    return int(int(np.argmin(u)) == a)
+    kets, back_map = _refine_projective(proj)
+    return int(back_map[int(np.argmin(np.abs(kets.conj() @ lam) ** 2))] == a)
 
 
 def werner_response_b(b: int, lam: np.ndarray, proj: ProjectiveMeasurement) -> float:
@@ -137,6 +138,25 @@ def _group_matrix(back_map: list[int], k: int) -> np.ndarray:
     return g
 
 
+# Sample columns per block of an overlap kernel. Each block's GEMM is then
+# small enough (at d <= 3) that OpenBLAS runs it on the calling thread rather
+# than waking its own threads, which would spin on the cores the mc worker
+# pool uses, and the per-block temporaries are a sixteenth of a batch's.
+_BLOCK = 2048
+
+
+def _overlap_kernel(d: int, block):
+    """Batch kernel drawing m Haar samples in C^d in one call, so the stream
+    is unchanged, then summing the tuples block(samples) over column blocks
+    of width _BLOCK in block order."""
+
+    def kernel(rng: np.random.Generator, m: int):
+        lam = sample_sphere_cd(rng, d, m)
+        return ordered_sum(block(lam[s : s + _BLOCK]) for s in range(0, m, _BLOCK))
+
+    return kernel
+
+
 def _overlap_rows(kets: np.ndarray) -> np.ndarray:
     """Real (2k, 2d) form of k kets: against the interleaved floats of a
     sample, rows :k give Re <k|lam> and rows k: give Im <k|lam>."""
@@ -200,8 +220,8 @@ def simulate_werner(
     gb = _group_matrix(bm_b, kb)
     bm_a_arr = np.asarray(bm_a)
 
-    def kernel(rng: np.random.Generator, m: int):
-        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+    def block(lam: np.ndarray):
+        u = _overlaps(w, lam)
         a_star = bm_a_arr[_argmin_rows(u[: len(kets_a)])]
         sums, sumsq = np.empty((ka, kb)), np.empty((ka, kb))
         for b, v in enumerate(gb @ u[len(kets_a) :]):
@@ -209,7 +229,7 @@ def simulate_werner(
             sumsq[:, b] = np.bincount(a_star, weights=v * v, minlength=ka)
         return sums, sumsq
 
-    sums, sumsq = run_batched(n, seed, f"werner:d={d}", kernel, workers)
+    sums, sumsq = run_batched(n, seed, f"werner:d={d}", _overlap_kernel(d, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, proj_a.labels, proj_b.labels)
 
 
@@ -229,13 +249,22 @@ def simplex_integral_mc(
         raise ValueError("simplex integral requires a rank-1 measurement")
     w = _overlap_rows(_refine_projective(proj)[0])
 
-    def kernel(rng: np.random.Generator, m: int):
-        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+    def block(lam: np.ndarray):
+        u = _overlaps(w, lam)
         c = np.where(_argmin_rows(u) == a, u[a], 0.0)
         return np.array([c.sum()]), np.array([c @ c])
 
-    s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", kernel, workers)
+    s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", _overlap_kernel(d, block), workers)
     return McEstimate.from_sums(float(s[0]), float(s2[0]), n, seed)
+
+
+def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Dot product of each row of the (m, 3) array v with x, given as one
+    3-vector or as (m, 3) rows. einsum's own loop, not BLAS, keeps the
+    kernels off OpenBLAS's threads, and every caller sums the three products
+    in one order: another order can move a dot product by an ulp and flip a
+    sign or accept compare."""
+    return np.einsum("ij,ij->i", v, np.broadcast_to(x, v.shape))
 
 
 def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,11 +285,11 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
         l1 = sample_sphere_r3(rng, m)
-        x0, x1 = l0 @ x, l1 @ x
+        x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
         pick0 = np.abs(x0) > np.abs(x1)
         # a = -sign(x . l) is +1 iff x . l < 0; b = sign(y . l) is +1 iff y . l >= 0
         a_plus = np.where(pick0, x0, x1) < 0
-        _, sums = _pm_counts(a_plus, np.where(pick0, l0 @ y, l1 @ y) >= 0)
+        _, sums = _pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0)
         return sums, np.full(3, float(m))
 
     s, s2 = run_batched(n, seed, "epr1bit", kernel, workers)
@@ -296,10 +325,10 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
         l1 = sample_sphere_r3(rng, m)
-        x0, x1 = l0 @ x, l1 @ x
+        x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
         a_plus = np.where(np.abs(x0) > np.abs(x1), x0, x1) < 0
-        cells, sums = _pm_counts(a_plus, l0 @ y >= 0)
-        mism = np.count_nonzero(a_plus != ((l0 + l1) @ x < 0))
+        cells, sums = _pm_counts(a_plus, _dot_rows(l0, y) >= 0)
+        mism = np.count_nonzero(a_plus != (_dot_rows(l0 + l1, x) < 0))
         return cells, sums, np.array([float(mism)])
 
     cells, s, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
@@ -340,10 +369,10 @@ def simulate_hirsch_projective(
     def kernel(rng: np.random.Generator, m: int):
         lam = sample_sphere_r3(rng, m)
         r, u1, u2 = rng.random((3, m))
-        xl = lam @ x
+        xl = _dot_rows(lam, x)
         mix = r < p
         acc = mix & (u1 < np.abs(xl))
-        cells, sums = _pm_counts(np.where(acc, xl < 0, u2 < up), lam @ y >= 0)
+        cells, sums = _pm_counts(np.where(acc, xl < 0, u2 < up), _dot_rows(lam, y) >= 0)
         return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(mix)], dtype=float)
 
     cells, s, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
@@ -387,14 +416,13 @@ class HirschModel:
         """Outcome +1 indicator for the dichotomic measurement along rows of v."""
         lam, r = shared
         u1, u2 = rng.random((2, lam.shape[0]))
-        # another summation order can move vl by an ulp and flip the compares below
-        vl = np.einsum("ij,ij->i", v, lam)
+        vl = _dot_rows(v, lam)
         acc = (r < 2.0 * self.q) & (u1 < np.abs(vl))
         return np.where(acc, vl < 0, u2 < (1 + v[:, 2]) / 2)
 
     def bob_hit(self, w: np.ndarray, shared, rng: np.random.Generator) -> np.ndarray:
         lam, _ = shared
-        return np.einsum("ij,ij->i", w, lam) >= 0
+        return _dot_rows(w, lam) >= 0
 
 
 def _bloch_rows(kets: np.ndarray) -> np.ndarray:
@@ -523,11 +551,11 @@ def simulate_barrett(
     ga = _group_matrix(bm_a, len(povm_a.elements))
     gb = _group_matrix(bm_b, len(povm_b.elements))
 
-    def kernel(rng: np.random.Generator, m: int):
-        u = _overlaps(w, sample_sphere_cd(rng, d, m))
+    def block(lam: np.ndarray):
+        u = _overlaps(w, lam)
         pa, pb = _barrett_responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
         pa, pb = ga @ pa, gb @ pb
         return pa @ pb.T, (pa * pa) @ (pb * pb).T
 
-    sums, sumsq = run_batched(n, seed, f"barrett:d={d}", kernel, workers)
+    sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

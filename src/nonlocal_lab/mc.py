@@ -5,6 +5,11 @@ its own Philox stream keyed by (seed, label, j), so the value of every
 sample depends only on (seed, n) and never on scheduling. Per-batch
 partial sums are reduced in batch order, which makes results bit-identical
 across worker counts.
+
+Batches run on a thread pool with one worker per usable core by default;
+numpy releases the GIL in the Philox draws and array arithmetic. The lhv
+kernels keep their BLAS products small enough to run on the calling
+thread, so the pool's workers, not BLAS threads, occupy the cores.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -24,10 +29,24 @@ Kernel = Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Requested worker count; NONLOCAL_LAB_THREADS caps the default of 1."""
+    """Worker count: `workers` if given, else NONLOCAL_LAB_THREADS, else one
+    per usable core (the CPU affinity set, or os.cpu_count() where the
+    platform has none). The count never changes a result."""
     if workers is not None:
         return max(1, int(workers))
-    return max(1, int(os.environ.get("NONLOCAL_LAB_THREADS", "1")))
+    env = os.environ.get("NONLOCAL_LAB_THREADS")
+    if env is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"NONLOCAL_LAB_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def batch_rng(seed: int, label: str, batch: int) -> np.random.Generator:
@@ -59,13 +78,17 @@ def run_batched(
 
     nw = worker_count(workers)
     if nw == 1 or len(counts) == 1:
-        parts = [one(j) for j in range(len(counts))]
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(one, range(len(counts))))
+        return ordered_sum(one(j) for j in range(len(counts)))
+    with ThreadPoolExecutor(max_workers=nw) as pool:
+        return ordered_sum(pool.map(one, range(len(counts))))
 
-    acc = [np.array(a, dtype=float, copy=True) for a in parts[0]]
-    for part in parts[1:]:
+
+def ordered_sum(parts: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Elementwise sum of equally shaped tuples of float arrays, taken in
+    iteration order so that the rounding never depends on scheduling."""
+    it = iter(parts)
+    acc = [np.array(a, dtype=float, copy=True) for a in next(it)]
+    for part in it:
         for a, p in zip(acc, part):
             a += p
     return tuple(acc)

@@ -33,6 +33,14 @@ class DensityMatrix:
                 f"dimension mismatch: matrix is {self.mat.shape[0]}-dimensional, dA*dB = {self.d_a * self.d_b}"
             )
 
+    @classmethod
+    def _trusted(cls, mat: np.ndarray, d_a: int, d_b: int) -> "DensityMatrix":
+        """A closed-form state that is a density matrix by construction; skips
+        the eigensolve that checks matrices from outside (O(dim^3))."""
+        rho = object.__new__(cls)
+        rho.mat, rho.d_a, rho.d_b = np.asarray(mat, dtype=complex), d_a, d_b
+        return rho
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -60,7 +68,7 @@ class DensityMatrix:
 def singlet() -> DensityMatrix:
     """|Psi-><Psi-| with |Psi-> = (|01> - |10>)/sqrt(2)."""
     psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
-    return DensityMatrix(projector(psi), 2, 2)
+    return DensityMatrix._trusted(projector(psi), 2, 2)
 
 
 def singlet_ket(d_a: int = 2, d_b: int = 2) -> np.ndarray:
@@ -84,7 +92,7 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
         raise ValueError(f"phi must lie in [-1, 1], got {phi}")
     v = flip(d)
     w = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d**3 - d)
-    return DensityMatrix(w, d, d)
+    return DensityMatrix._trusted(w, d, d)
 
 
 def werner_local_phi(d: int) -> float:
@@ -102,7 +110,7 @@ def werner2x2(alpha: float) -> DensityMatrix:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     w = alpha * singlet().mat + (1 - alpha) * np.eye(4) / 4
-    return DensityMatrix(w, 2, 2)
+    return DensityMatrix._trusted(w, 2, 2)
 
 
 def antisymmetric_projector(d: int) -> np.ndarray:
@@ -125,7 +133,7 @@ def barrett_state(d: int) -> DensityMatrix:
     alpha = barrett_alpha(d)
     anti = antisymmetric_projector(d)
     w = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
-    return DensityMatrix(w, d, d)
+    return DensityMatrix._trusted(w, d, d)
 
 
 def rho_g(q: float) -> DensityMatrix:
@@ -133,7 +141,7 @@ def rho_g(q: float) -> DensityMatrix:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     noise = tensor(projector(basis_ket(2, 0)), np.eye(2) / 2)
-    return DensityMatrix(q * singlet().mat + (1 - q) * noise, 2, 2)
+    return DensityMatrix._trusted(q * singlet().mat + (1 - q) * noise, 2, 2)
 
 
 def rho_e(q: float) -> DensityMatrix:
@@ -146,7 +154,7 @@ def rho_e(q: float) -> DensityMatrix:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     psi = singlet_ket(3, 2)
     noise = tensor(projector(basis_ket(3, 2)), np.eye(2) / 2)
-    return DensityMatrix(q * projector(psi) + (1 - q) * noise, 3, 2)
+    return DensityMatrix._trusted(q * projector(psi) + (1 - q) * noise, 3, 2)
 
 
 def _local_state(sigma, d: int) -> np.ndarray:

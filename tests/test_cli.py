@@ -156,6 +156,15 @@ class TestSimulate:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_rejects_bad_thread_count(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NONLOCAL_LAB_THREADS", value)
+        code, out, err = run(capsys, "simulate", "epr1bit", "--n", "1e3")
+        assert code == 2
+        assert err.startswith("error: NONLOCAL_LAB_THREADS must be a positive integer")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_rejects_non_finite_direction(self, capsys):
         code, out, err = run(capsys, "simulate", "epr1bit", "--x=nan,0,1", "--n", "1e3")
         assert code == 2

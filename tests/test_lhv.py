@@ -410,16 +410,35 @@ def _simulators():
 def test_every_simulator_identical_across_workers(model):
     n = 3 * mc.BATCH_SIZE + 1234  # three full batches and a partial one
     run = _simulators()[model]
-    one, two = _leaves(run(n, 1)), _leaves(run(n, 2))
-    assert len(one) == len(two)
-    for a, b in zip(one, two):
-        assert np.array_equal(a, b)
+    one = _leaves(run(n, 1))
+    for workers in (2, None):  # None: one worker per usable core
+        other = _leaves(run(n, workers))
+        assert len(one) == len(other)
+        for a, b in zip(one, other):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("model", ["werner", "simplex", "barrett"])
+def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
+    """Column blocks of the real width against one block per batch, over
+    two batches that each end in a partial block."""
+    n = mc.BATCH_SIZE + 3 * lhv._BLOCK + 77
+    run = _simulators()[model]
+    blocked = _leaves(run(n, 1))
+    monkeypatch.setattr(lhv, "_BLOCK", mc.BATCH_SIZE)
+    whole = _leaves(run(n, 1))
+    assert len(blocked) == len(whole)
+    for a, b in zip(blocked, whole):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestStreamConsumption:
     """One batch of each rewritten kernel against a test-side recomputation
     from the public samplers on the same Philox stream and the scalar
-    reference responses."""
+    reference responses. The overlap kernels run with narrow column blocks,
+    so each batch spans several blocks and ends in a partial one."""
+
+    BLOCK = 128
 
     def test_r3_sampler_matches_norm_formula(self):
         for n in (None, 1, 7, 50_000):
@@ -438,10 +457,11 @@ class TestStreamConsumption:
                 assert np.max(np.abs(got - expected)) <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_werner_and_simplex(self, d):
+    def test_werner_and_simplex(self, d, monkeypatch):
+        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
         gen = np.random.default_rng(40 + d)
         pa, pb = random_projective(d, gen), random_projective(d, gen)
-        n, seed = 1500, 9
+        n, seed = 700, 9
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"werner:d={d}", 0), d, n)
         resp_a = np.array([[lhv.werner_response_a(a, v, pa) for a in range(d)] for v in lam])
         resp_b = np.array([[lhv.werner_response_b(b, v, pb) for b in range(d)] for v in lam])
@@ -457,8 +477,30 @@ class TestStreamConsumption:
         est = lhv.simplex_integral_mc(d, a, pa, n, seed)
         assert abs(est.mean - ref.mean) <= 1e-12 and abs(est.stderr - ref.stderr) <= 1e-12
 
+    def test_werner_rank2_projector(self, monkeypatch):
+        """Alice's reference response takes the argmin over the refined
+        rank-1 kets and maps the winner back, as the kernel does; here P_0
+        has rank 2 and P_1 rank 1, where the coarse argmin would disagree."""
+        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
+        gen = np.random.default_rng(61)
+        basis = haar_unitary(3, gen)
+        pa = ProjectiveMeasurement([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
+        pb = random_projective(3, gen)
+        n, seed = 800, 13
+        lam = lhv.sample_sphere_cd(mc.batch_rng(seed, "werner:d=3", 0), 3, n)
+        resp_a = np.array([[lhv.werner_response_a(a, v, pa) for a in range(2)] for v in lam])
+        assert np.array_equal(resp_a.sum(axis=1), np.ones(n))
+        resp_b = np.array([[lhv.werner_response_b(b, v, pb) for b in range(3)] for v in lam])
+        ref = JointTable.from_sums(resp_a.T @ resp_b, resp_a.T @ resp_b**2, n, seed, pa.labels, pb.labels)
+        table = lhv.simulate_werner(3, pa, pb, n, seed)
+        assert np.max(np.abs(table.means - ref.means)) <= 1e-12
+        assert np.max(np.abs(table.stderrs - ref.stderrs)) <= 1e-12
+        # the rank-2 outcome holds two of the three refined kets
+        assert abs(table.marginal_a()[0] - 2 / 3) < 0.08
+
     @pytest.mark.parametrize("d", [2, 3])
-    def test_barrett(self, d):
+    def test_barrett(self, d, monkeypatch):
+        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
         gen = np.random.default_rng(50 + d)
         ma, mb = random_povm(3, d, gen), random_povm(2, d, gen)
         ref_a, bm_a = povm_refine(ma)

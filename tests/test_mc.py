@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from nonlocal_lab.mc import BATCH_SIZE, JointTable, McEstimate, batch_rng, run_batched, worker_count
+from nonlocal_lab.mc import BATCH_SIZE, JointTable, McEstimate, batch_rng, ordered_sum, run_batched, worker_count
 
 
 def bernoulli_kernel(rng, m):
@@ -45,7 +46,23 @@ class TestRunBatched:
         assert worker_count() == 3
         assert worker_count(2) == 2
         monkeypatch.delenv("NONLOCAL_LAB_THREADS")
-        assert worker_count() == 1
+        assert worker_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1.5"])
+    def test_env_var_rejects_non_positive_integers(self, monkeypatch, value):
+        monkeypatch.setenv("NONLOCAL_LAB_THREADS", value)
+        with pytest.raises(ValueError, match="NONLOCAL_LAB_THREADS"):
+            worker_count()
+        assert worker_count(2) == 2
+        with pytest.raises(ValueError, match="NONLOCAL_LAB_THREADS"):
+            run_batched(10, 1, "t", bernoulli_kernel)
+
+    def test_ordered_sum_follows_iteration_order(self):
+        parts = [(np.array([1e16]), np.array([1.0, 2.0])), (np.array([1.0]), np.array([3.0, 4.0])), (np.array([-1e16]), np.array([0.5, 0.5]))]
+        s, t = ordered_sum(iter(parts))
+        assert s[0] == (1e16 + 1.0) - 1e16
+        assert np.array_equal(t, [4.5, 6.5])
+        assert parts[0][1].tolist() == [1.0, 2.0]  # the first part is copied, not summed into
 
 
 class TestMcEstimate:

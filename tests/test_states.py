@@ -255,3 +255,32 @@ class TestValidation:
     def test_restrict_block_rejects_empty(self):
         with pytest.raises(ValueError):
             states.restrict_block(rho_e(1.0), (2,), (0, 1))
+
+
+def _closed_form_states():
+    """Every closed-form constructor that skips the eigensolve check, over a
+    grid of its parameters up to d=24."""
+    grid = [("singlet", singlet())]
+    for d in (2, 3, 5, 8, 16, 24):
+        grid += [(f"werner_phi(d={d}, phi={phi})", werner_phi(d, phi)) for phi in (-1.0, -0.5, 0.0, 0.7, 1.0)]
+        grid += [(f"werner_local({d})", werner_local(d)), (f"barrett_state({d})", barrett_state(d))]
+    for t in (0.0, 0.25, 1 / 3, 0.5, 1.0):
+        grid += [(f"werner2x2({t})", werner2x2(t)), (f"rho_g({t})", rho_g(t)), (f"rho_e({t})", rho_e(t))]
+    return grid
+
+
+@pytest.mark.parametrize("rho", [pytest.param(rho, id=name) for name, rho in _closed_form_states()])
+def test_closed_form_states_are_density_matrices(rho):
+    assert is_density(rho.mat)
+    assert rho.mat.dtype == complex
+    assert rho.mat.shape == (rho.d_a * rho.d_b, rho.d_a * rho.d_b)
+
+
+def test_caller_supplied_matrices_keep_the_check():
+    bad = -states.werner_phi(2, 0.0).mat
+    with pytest.raises(ValueError, match="not a density matrix"):
+        DensityMatrix(bad, 2, 2)
+    with pytest.raises(ValueError, match="not a density matrix"):
+        DensityMatrix.from_json(DensityMatrix(np.eye(4) / 4, 2, 2).to_json().replace("0.25", "-0.25", 1))
+    with pytest.raises(ValueError, match="sigma is not a valid state"):
+        lift_state(rho_g(0.3), -np.eye(2) / 2, np.eye(2) / 2)
