@@ -167,7 +167,7 @@ def _table_report(table, oracle, fmt: str, out: str | None, extra: dict | None =
     max_sigma = table.max_sigma(oracle)
     passed = max_sigma <= SIGMA
     if fmt == "json":
-        payload = json.loads(table.to_json())
+        payload = table.to_dict()
         payload["oracle"] = [[float(v) for v in row] for row in np.asarray(oracle)]
         payload["max_sigma"] = max_sigma
         payload["within_5_sigma"] = passed

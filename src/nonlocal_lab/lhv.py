@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import JointTable, McEstimate, ordered_sum, run_batched
-from .measure import Povm, ProjectiveMeasurement, povm_refine, unit_bloch
+from .measure import Povm, ProjectiveMeasurement, outcome_sum, povm_refine, unit_bloch
 from .states import DensityMatrix, rho_g
 
 __all__ = [
@@ -131,18 +131,24 @@ def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[in
     return kets, back_map
 
 
-def _group_matrix(back_map: list[int], k: int) -> np.ndarray:
-    """(k, k_refined) 0/1 matrix summing refined outcome rows into coarse ones."""
-    g = np.zeros((k, len(back_map)))
-    g[back_map, np.arange(len(back_map))] = 1.0
-    return g
-
-
-# Sample columns per block of an overlap kernel. Each block's GEMM is then
-# small enough (at d <= 3) that OpenBLAS runs it on the calling thread rather
-# than waking its own threads, which would spin on the cores the mc worker
-# pool uses, and the per-block temporaries are a sixteenth of a batch's.
+# Sample columns per block of an overlap kernel: blocks bound memory, so the
+# per-block temporaries are a sixteenth of a batch's. The BLAS products of a
+# block are further cut into sample slices of at most _SLICE_MACS each.
 _BLOCK = 2048
+
+# Multiply-adds (m * n * k) per matrix product that OpenBLAS runs on the
+# calling thread. With OpenBLAS 0.3.31 on a 2-core x86 VM, products of up to
+# 2^19 multiply-adds were measured (process CPU time over wall time, one
+# shape per fresh process) to stay on one thread, and products of 2^20 and
+# more to wake OpenBLAS's own threads, which then compete with the mc pool's
+# workers for the same cores; 2^18 leaves a factor-2 margin below that.
+_SLICE_MACS = 1 << 18
+
+
+def _slice_width(macs_per_sample: int) -> int:
+    """Largest power-of-two count of samples whose product costs at most
+    _SLICE_MACS multiply-adds (at least one sample)."""
+    return 1 << max((_SLICE_MACS // macs_per_sample).bit_length() - 1, 0)
 
 
 def _overlap_kernel(d: int, block):
@@ -164,13 +170,41 @@ def _overlap_rows(kets: np.ndarray) -> np.ndarray:
 
 
 def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """|<k|lam>|^2 for the kets of w, outcome-major (k, m): one real GEMM on
-    the float view of the (m, d) samples, squared and summed as re^2 + im^2."""
-    p = w @ lam.view(float).T
+    """|<k|lam>|^2 for the kets of w, outcome-major (k, m): a real GEMM on the
+    float view of the (m, d) samples, squared and summed as re^2 + im^2.
+
+    Past one slice of samples the GEMM is one stacked matmul over slices of
+    _slice_width columns, written into the columns of one output, plus a
+    plain product for the remainder."""
+    x = lam.view(float)
+    m, s = len(x), _slice_width(w.size)
+    if s >= m:
+        p = w @ x.T
+    else:
+        p = np.empty((len(w), m))
+        q = m - m % s
+        stacked = x[:q].reshape(-1, s, x.shape[1]).transpose(0, 2, 1)
+        np.matmul(w, stacked, out=p[:, :q].reshape(len(w), -1, s).transpose(1, 0, 2))
+        np.matmul(w, x[q:].T, out=p[:, q:])
     p *= p
     k = len(p) // 2
     p[:k] += p[k:]
     return p[:k]
+
+
+def _sample_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for outcome-major (k, m) rows, whose contraction axis is the
+    samples: one stacked matmul over slices of _slice_width samples, summed
+    in slice order, plus a plain product for the remainder."""
+    m, s = a.shape[1], _slice_width(len(a) * len(b))
+    if s >= m:
+        return a @ b.T
+    q = m - m % s
+    out = np.matmul(
+        a[:, :q].reshape(len(a), -1, s).transpose(1, 0, 2), b[:, :q].reshape(len(b), -1, s).transpose(1, 2, 0)
+    ).sum(axis=0)
+    out += a[:, q:] @ b[:, q:].T
+    return out
 
 
 def _argmin_rows(u: np.ndarray) -> np.ndarray:
@@ -217,14 +251,14 @@ def simulate_werner(
     kets_b, bm_b = _refine_projective(proj_b)
     ka, kb = len(proj_a.projectors), len(proj_b.projectors)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
-    gb = _group_matrix(bm_b, kb)
+    sum_b = outcome_sum(bm_b, kb)
     bm_a_arr = np.asarray(bm_a)
 
     def block(lam: np.ndarray):
         u = _overlaps(w, lam)
         a_star = bm_a_arr[_argmin_rows(u[: len(kets_a)])]
         sums, sumsq = np.empty((ka, kb)), np.empty((ka, kb))
-        for b, v in enumerate(gb @ u[len(kets_a) :]):
+        for b, v in enumerate(sum_b(u[len(kets_a) :])):
             sums[:, b] = np.bincount(a_star, weights=v, minlength=ka)
             sumsq[:, b] = np.bincount(a_star, weights=v * v, minlength=ka)
         return sums, sumsq
@@ -548,14 +582,14 @@ def simulate_barrett(
     xw, kets_a = _rank1_weights(ref_a)
     yw, kets_b = _rank1_weights(ref_b)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
-    ga = _group_matrix(bm_a, len(povm_a.elements))
-    gb = _group_matrix(bm_b, len(povm_b.elements))
+    sum_a = outcome_sum(bm_a, len(povm_a.elements))
+    sum_b = outcome_sum(bm_b, len(povm_b.elements))
 
     def block(lam: np.ndarray):
         u = _overlaps(w, lam)
         pa, pb = _barrett_responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
-        pa, pb = ga @ pa, gb @ pb
-        return pa @ pb.T, (pa * pa) @ (pb * pb).T
+        pa, pb = sum_a(pa), sum_b(pb)
+        return _sample_products(pa, pb), _sample_products(pa * pa, pb * pb)
 
     sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

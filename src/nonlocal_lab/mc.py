@@ -8,8 +8,10 @@ across worker counts.
 
 Batches run on a thread pool with one worker per usable core by default;
 numpy releases the GIL in the Philox draws and array arithmetic. The lhv
-kernels keep their BLAS products small enough to run on the calling
-thread, so the pool's workers, not BLAS threads, occupy the cores.
+kernels keep every BLAS product on the calling thread at any d: blocks of
+samples bound memory, and sample slices bound each product below the size
+at which OpenBLAS starts its own threads, so the pool's workers, not BLAS
+threads, occupy the cores.
 """
 
 from __future__ import annotations
@@ -155,13 +157,17 @@ class JointTable:
             return float("inf")
         return float(ratios.max())
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON payload: one {a, b, mean, stderr} cell per outcome pair, n and seed."""
         cells = [
             {"a": self.labels_a[i], "b": self.labels_b[j], "mean": float(self.means[i, j]), "stderr": float(self.stderrs[i, j])}
             for i in range(self.means.shape[0])
             for j in range(self.means.shape[1])
         ]
-        return json.dumps({"cells": cells, "n": self.n, "seed": self.seed})
+        return {"cells": cells, "n": self.n, "seed": self.seed}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def to_csv(self, oracle: np.ndarray | None = None) -> str:
         lines = ["a,b,mean,stderr,oracle,abs_diff,sigma_ratio"]

@@ -53,15 +53,15 @@ class ProjectiveMeasurement:
             raise ValueError("a measurement needs at least one projector")
         if len(self.projectors) != len(self.labels):
             raise ValueError("one label per projector required")
-        d = self.projectors[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(self.projectors):
-            for j, q in enumerate(self.projectors):
-                expect = p if i == j else 0.0
-                if np.max(np.abs(p @ q - expect)) > COMPLETENESS_TOL:
-                    raise ValueError(f"projectors {i},{j} are not orthogonal idempotents")
-            total += p
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+        stack = np.array(self.projectors)
+        for i, p in enumerate(stack):
+            # P_i P_j against P_i for j = i and 0 otherwise, all j in one matmul
+            prod = np.matmul(p, stack)
+            prod[i] -= p
+            bad = np.flatnonzero(np.abs(prod).max(axis=(1, 2)) > COMPLETENESS_TOL)
+            if bad.size:
+                raise ValueError(f"projectors {i},{bad[0]} are not orthogonal idempotents")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(len(stack[0])))) > COMPLETENESS_TOL:
             raise ValueError("projectors do not sum to the identity")
 
     @property
@@ -196,6 +196,8 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     non-finite or non-real values, and values outside [-1e-10, 1 + 1e-10],
     are rejected as invalid input.
     """
+    if not all(np.isfinite(m).all() for m in (*elements_a, *elements_b)):
+        raise ValueError("measurement operator is not finite")
     vals = trace_table(rho, elements_a, elements_b)
     if not np.isfinite(vals).all():
         raise ValueError("joint probability is not finite")
@@ -256,13 +258,39 @@ def povm_refine(povm: Povm) -> tuple[Povm, list[int]]:
     return Povm(elements, labels), back_map
 
 
+def outcome_sum(back_map: list[int], k: int):
+    """Function x, axis -> x summed along axis (0 or 1) from refined outcomes
+    onto the k coarse outcomes of back_map, as povm_refine returns it.
+
+    The pieces of each coarse outcome are added in refined order by one
+    np.add.reduceat over a stable sort of the map, planned here once. A
+    coarse outcome with no refined piece (a zero element or projector) gets
+    zeros; under the identity map the array is returned unchanged.
+    """
+    bm = np.arange(k)[np.asarray(back_map, dtype=np.intp)]
+    if np.array_equal(bm, np.arange(k)):
+        return lambda x, axis=0: x
+    order = np.argsort(bm, kind="stable")
+    present, starts = np.unique(bm[order], return_index=True)
+
+    def summed(x: np.ndarray, axis: int = 0) -> np.ndarray:
+        s = np.add.reduceat(np.take(x, order, axis=axis), starts, axis=axis)
+        if len(present) == k:
+            return s
+        out = np.zeros(s.shape[:axis] + (k,) + s.shape[axis + 1 :], dtype=s.dtype)
+        out[(slice(None),) * axis + (present,)] = s
+        return out
+
+    return summed
+
+
 def coarse_grain(table: np.ndarray, back_map_a: list[int], back_map_b: list[int], ka: int, kb: int) -> np.ndarray:
     """Sum a refined-outcome probability table back onto coarse outcomes."""
-    out = np.zeros((ka, kb))
-    for i, a in enumerate(back_map_a):
-        for j, b in enumerate(back_map_b):
-            out[a, b] += table[i, j]
-    return out
+    table = np.array(table, dtype=float)
+    if table.shape[0] < len(back_map_a) or table.shape[1] < len(back_map_b):
+        raise ValueError(f"table {table.shape} has fewer outcomes than the back-maps")
+    table = table[: len(back_map_a), : len(back_map_b)]
+    return outcome_sum(back_map_b, kb)(outcome_sum(back_map_a, ka)(table, 0), 1)
 
 
 def random_projective(d: int, rng: np.random.Generator) -> ProjectiveMeasurement:

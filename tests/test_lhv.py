@@ -134,6 +134,20 @@ class TestSimulateWerner:
         oracle = born_table(werner_local(3), coarse.projectors, fine.projectors)
         assert table.max_sigma(oracle) < 5
 
+    def test_zero_projector_gets_zero_row_and_column(self):
+        # a zero projector is a valid outcome with no refined ket on either side
+        gen = np.random.default_rng(71)
+        ua, ub = haar_unitary(3, gen), haar_unitary(3, gen)
+        zero = np.zeros((3, 3))
+        pa = ProjectiveMeasurement([projector(ua[:, 0]), zero, projector(ua[:, 1]) + projector(ua[:, 2])], [5, 6, 7])
+        pb = ProjectiveMeasurement([zero, projector(ub[:, 0]), projector(ub[:, 1]), projector(ub[:, 2])], [0, 1, 2, 3])
+        table = lhv.simulate_werner(3, pa, pb, 200_000, 25)
+        assert table.means.shape == table.stderrs.shape == (3, 4)
+        assert table.labels_a == [5, 6, 7] and table.labels_b == [0, 1, 2, 3]
+        assert not table.means[1].any() and not table.means[:, 0].any()
+        assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
+        assert table.max_sigma(born_table(werner_local(3), pa.projectors, pb.projectors)) < 5
+
     def test_implied_phi_is_basis_independent(self):
         # equal-projector cell determines phi; five random bases must agree
         ests = []
@@ -359,6 +373,19 @@ class TestBarrett:
         oracle = born_table(states.barrett_state(3), ma.elements, mb.elements)
         assert table.max_sigma(oracle) < 5
 
+    def test_zero_povm_element_gets_zero_row_and_column(self):
+        gen = np.random.default_rng(94)
+        zero = np.zeros((3, 3))
+        a, b = random_povm(2, 3, gen).elements, random_povm(3, 3, gen).elements
+        ma = Povm([a[0], zero, a[1]], ["x", "y", "z"])
+        mb = Povm([zero, *b])
+        table = lhv.simulate_barrett(3, ma, mb, 200_000, 95)
+        assert table.means.shape == table.stderrs.shape == (3, 4)
+        assert table.labels_a == ["x", "y", "z"] and table.labels_b == [0, 1, 2, 3]
+        assert not table.means[1].any() and not table.means[:, 0].any()
+        assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
+        assert table.max_sigma(born_table(states.barrett_state(3), ma.elements, mb.elements)) < 5
+
 
 class TestDeterminism:
     def test_tables_identical_across_workers(self):
@@ -395,6 +422,8 @@ def _simulators():
     ma, mb = random_povm(3, 3, gen), random_povm(4, 3, gen)
     pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
     sigma = projector(basis_ket(2, 0))
+    pa8, pb8 = random_projective(8, gen), random_projective(8, gen)
+    ma8, mb8 = Povm(list(pa8.projectors)), Povm(list(pb8.projectors))
     return {
         "werner": lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w),
         "simplex": lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w),
@@ -403,6 +432,9 @@ def _simulators():
         "hirsch": lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w),
         "povm_lift": lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
         "barrett": lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w),
+        # d=8: the overlap GEMMs are cut into sample slices
+        "werner_d8": lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w),
+        "barrett_d8": lambda n, w: lhv.simulate_barrett(8, ma8, mb8, n, 9, workers=w),
     }
 
 
@@ -430,6 +462,37 @@ def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
     assert len(blocked) == len(whole)
     for a, b in zip(blocked, whole):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+class TestSlicedProducts:
+    """The overlap GEMM and Barrett's sample-axis accumulations, cut into
+    stacked slices of at most _SLICE_MACS multiply-adds, against one plain
+    product; m covers one slice, exact slices and slices with a remainder."""
+
+    def test_slice_width_stays_within_the_bound(self):
+        assert lhv._SLICE_MACS == 1 << 18
+        for macs in [*range(1, 5000), 4608, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 10**7]:
+            s = lhv._slice_width(macs)
+            assert s > 0 and s & (s - 1) == 0
+            assert s * macs <= lhv._SLICE_MACS or s == 1
+            assert 2 * s * macs > lhv._SLICE_MACS
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 24])
+    @pytest.mark.parametrize("m", [1000, 2047, 2048, 100_000])
+    def test_match_plain_products(self, d, m):
+        gen = np.random.default_rng(1000 * d + m)
+        kets = np.concatenate([haar_unitary(d, gen), haar_unitary(d, gen)])
+        lam = lhv.sample_sphere_cd(gen, d, m)
+        w = lhv._overlap_rows(kets)
+        p = w @ lam.view(float).T
+        p *= p
+        plain = p[: 2 * d] + p[2 * d :]
+        u = lhv._overlaps(w, lam)
+        assert u.shape == (2 * d, m)
+        assert np.max(np.abs(u - plain)) <= 1e-12
+        a, b = u[:d], u[d:] * u[d:]
+        # the accumulations are sums over samples; compare them per sample
+        assert np.max(np.abs(lhv._sample_products(a, b) - a @ b.T)) / m <= 1e-12
 
 
 class TestStreamConsumption:

@@ -126,6 +126,7 @@ class TestBornTable:
             ([np.eye(2)], [np.eye(2), np.eye(4)], "do not match state"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejects_invalid_tables(self, elements_a, elements_b, match):
         with pytest.raises(ValueError, match=match):
             born_table(states.singlet(), elements_a, elements_b)
@@ -237,6 +238,31 @@ class TestPovmRefine:
         coarse = coarse_grain(fine, ba, bb, 3, 2)
         assert np.max(np.abs(coarse - born_table(rho, pa.elements, pb.elements))) < 1e-10
 
+    def test_zero_element_gets_zero_row(self):
+        gen = np.random.default_rng(516)
+        rho = states.random_density(3, 3, gen)
+        a = random_povm(2, 3, gen).elements
+        pa = Povm([a[0], np.zeros((3, 3)), a[1]])
+        pb = Povm([np.zeros((3, 3)), *random_povm(2, 3, gen).elements])
+        ra, ba = povm_refine(pa)
+        rb, bb = povm_refine(pb)
+        assert 1 not in ba and 0 not in bb
+        coarse = coarse_grain(born_table(rho, ra.elements, rb.elements), ba, bb, 3, 3)
+        assert coarse.shape == (3, 3)
+        assert not coarse[1].any() and not coarse[:, 0].any()
+        assert np.max(np.abs(coarse - born_table(rho, pa.elements, pb.elements))) < 1e-10
+
+    def test_unsorted_back_maps(self):
+        # unsorted maps, a negative index and an outcome with no cell, as the loop allowed
+        table = np.random.default_rng(517).random((5, 4))
+        ba, bb = [2, 0, 2, -1, 0], [1, 1, 0, 1]
+        expected = np.zeros((4, 3))
+        for i, a in enumerate(ba):
+            for j, b in enumerate(bb):
+                expected[a, b] += table[i, j]
+        assert np.allclose(coarse_grain(table, ba, bb, 4, 3), expected, rtol=0, atol=1e-15)
+        assert np.array_equal(coarse_grain(table, range(5), range(4), 5, 4), table)
+
 
 class TestSerialization:
     def test_projective_roundtrip(self):
@@ -259,6 +285,18 @@ class TestValidation:
         p = projector(haar_ket(2, rng))
         with pytest.raises(ValueError):
             ProjectiveMeasurement([p, p], [1, -1])
+
+    def test_projective_names_first_failing_pair(self):
+        e = np.eye(3)
+        p = [projector(e[:, k]) for k in range(3)]
+        # the first failing pair in (i, j) order is named
+        with pytest.raises(ValueError, match=r"^projectors 1,1 are not orthogonal idempotents$"):
+            ProjectiveMeasurement([p[0], 2 * p[1], p[2]], [0, 1, 2])
+        v = (e[:, 1] + e[:, 2]) / np.sqrt(2)
+        with pytest.raises(ValueError, match=r"^projectors 1,2 are not orthogonal idempotents$"):
+            ProjectiveMeasurement([p[0], p[1], projector(v)], [0, 1, 2])
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            ProjectiveMeasurement([p[0], p[1]], [0, 1])
 
     def test_empty_measurements_are_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
