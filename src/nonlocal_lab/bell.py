@@ -92,12 +92,9 @@ def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
     vs = rng.standard_normal((4, n_settings, 3))
     vs /= np.linalg.norm(vs, axis=2, keepdims=True)
     x, x2, y, y2 = vs
-    vals = (
-        np.einsum("ni,ij,nj->n", x, t, y)
-        + np.einsum("ni,ij,nj->n", x2, t, y)
-        + np.einsum("ni,ij,nj->n", x2, t, y2)
-        - np.einsum("ni,ij,nj->n", x, t, y2)
-    )
+    # E(x,y) + E(x2,y) + E(x2,y2) - E(x,y2) as (x T).(y - y2) + (x2 T).(y + y2)
+    vals = np.einsum("ij,ij->i", x @ t, y - y2)
+    vals += np.einsum("ij,ij->i", x2 @ t, y + y2)
     return float(vals.max())
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import numpy as np
 from . import acceptance, bell, filters, lhv, measure, states
 from .measure import born_table, obs_from_bloch, random_povm, random_projective
 from .qmat import partial_transpose
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -26,18 +29,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_round12(obj), indent=2)
+    """json.dumps(obj, indent=2) with every float rounded to 12 significant
+    digits, written in one walk: with an indent, json runs its pure-Python
+    encoder, which would walk the payload a second time."""
+    return _json12(obj, "\n")
+
+
+def _json12(obj, pad: str) -> str:
+    """obj as _dump_json writes it on a line that starts with pad (a newline
+    and two spaces per level)."""
+    if isinstance(obj, float):
+        r = float(f"{obj:.12g}")
+        return repr(r) if math.isfinite(r) else json.dumps(r)
+    if type(obj) is int:
+        return repr(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{_encode_str(k)}: {_json12(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([_json12(v, inner) for v in obj]) + pad + "]"
+    return json.dumps(obj)
 
 
 def _parse_bloch(text: str) -> np.ndarray:

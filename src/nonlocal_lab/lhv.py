@@ -11,18 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import JointTable, McEstimate, ordered_sum, run_batched
+from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, ProjectiveMeasurement, outcome_sum, povm_refine, unit_bloch
 from .states import DensityMatrix, rho_g
 
 __all__ = [
     "sample_sphere_r3",
     "sample_sphere_cd",
-    "werner_response_a",
-    "werner_response_b",
-    "gd_choice",
-    "barrett_response_a",
-    "barrett_response_b",
     "simulate_werner",
     "simplex_integral_mc",
     "simulate_epr_one_bit",
@@ -39,12 +34,15 @@ __all__ = [
 
 def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on S^2 as normalized 3-component Gaussian draws,
-    normalised in place with the squared norm summed as np.linalg.norm does."""
+    normalised in place with the squared norm summed as np.linalg.norm does
+    and each column divided by the norm."""
     v = rng.standard_normal(3 if n is None else (n, 3))
     r = v[..., 0] * v[..., 0]
     r += v[..., 1] * v[..., 1]
     r += v[..., 2] * v[..., 2]
-    v /= np.sqrt(r)[..., None]
+    r = np.sqrt(r, out=None if n is None else r)  # a single draw has a 0-d r
+    for i in range(3):
+        v[..., i] /= r
     return v
 
 
@@ -57,29 +55,7 @@ def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> 
     return z.view(np.complex128)[..., 0]
 
 
-# -- response functions (scalar reference versions) ------------------------
-
-def werner_response_a(a: int, lam: np.ndarray, proj: ProjectiveMeasurement) -> int:
-    """1 iff outcome a holds the refined rank-1 ket whose overlap |<k|lam>|^2
-    is the minimum, else 0.
-
-    Ties go to the lowest refined index among the minimizers (a measure-zero set).
-    """
-    kets, back_map = _refine_projective(proj)
-    return int(back_map[int(np.argmin(np.abs(kets.conj() @ lam) ** 2))] == a)
-
-
-def werner_response_b(b: int, lam: np.ndarray, proj: ProjectiveMeasurement) -> float:
-    """Quantum response <lam|Q_b|lam>."""
-    return float(np.vdot(lam, proj.projectors[b] @ lam).real)
-
-
-def gd_choice(lambda0: np.ndarray, lambda1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Keep the sphere point with the larger |x . lambda_i| (ties keep lambda1)."""
-    if abs(np.dot(x, lambda0)) > abs(np.dot(x, lambda1)):
-        return lambda0
-    return lambda1
-
+# -- simulators -------------------------------------------------------------
 
 def _rank1_weights(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
     """Weights and unit kets of a refined POVM (elements alpha |v><v|)."""
@@ -97,31 +73,6 @@ def _rank1_weights(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
     return weights, kets
 
 
-def barrett_response_a(i: int, lam: np.ndarray, refined: Povm) -> float:
-    """Threshold response for Alice's refined POVM {x_k P_k}.
-
-    x_k <lam|P_k|lam> when the overlap clears 1/d, plus the leftover weight
-    redistributed proportionally to x_i/d.
-    """
-    weights, kets = _rank1_weights(refined)
-    d = refined.dim
-    u = np.abs(kets.conj() @ lam) ** 2
-    m = weights * u
-    chi = (u - 1.0 / d) >= 0
-    s = float((m * chi).sum())
-    return float(m[i] * chi[i] + (1.0 - s) * weights[i] / d)
-
-
-def barrett_response_b(j: int, lam: np.ndarray, refined: Povm) -> float:
-    """Inverted quantum response y_j (1 - <lam|Q_j|lam>) / (d - 1)."""
-    weights, kets = _rank1_weights(refined)
-    d = refined.dim
-    u = np.abs(kets.conj() @ lam) ** 2
-    return float(weights[j] * (1.0 - u[j]) / (d - 1))
-
-
-# -- simulators -------------------------------------------------------------
-
 def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[int]]:
     """Rank-1 kets of a projective measurement plus the coarse back-map."""
     refined, back_map = povm_refine(Povm(list(proj.projectors), list(range(len(proj.projectors)))))
@@ -131,10 +82,16 @@ def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[in
     return kets, back_map
 
 
-# Sample columns per block of an overlap kernel: blocks bound memory, so the
-# per-block temporaries are a sixteenth of a batch's. The BLAS products of a
-# block are further cut into sample slices of at most _SLICE_MACS each.
-_BLOCK = 2048
+# Sample columns per block of an overlap kernel. Each block issues a fixed
+# number of numpy calls that hold the GIL, so wider blocks issue fewer per
+# sample, until a block's temporaries outgrow the cache. The width is the
+# largest power of two at which the (2k, width) float overlaps of k refined
+# kets fit in _BLOCK_BYTES, but never below _MIN_BLOCK: 8192 at d = 2, 4096
+# at d = 3 and 2048 from d = 8 on (see the sweep in CHANGES.md). The BLAS
+# products of a block are further cut into sample slices of at most
+# _SLICE_MACS each.
+_BLOCK_BYTES = 1 << 19
+_MIN_BLOCK = 2048
 
 # Multiply-adds (m * n * k) per matrix product that OpenBLAS runs on the
 # calling thread. With OpenBLAS 0.3.31 on a 2-core x86 VM, products of up to
@@ -151,14 +108,23 @@ def _slice_width(macs_per_sample: int) -> int:
     return 1 << max((_SLICE_MACS // macs_per_sample).bit_length() - 1, 0)
 
 
-def _overlap_kernel(d: int, block):
+def _block_width(rows: int) -> int:
+    """Sample columns per block of an overlap kernel with `rows` overlap rows:
+    the largest power of two whose (rows, width) float array fits in
+    _BLOCK_BYTES, at least _MIN_BLOCK and at most BATCH_SIZE."""
+    fit = 1 << max((_BLOCK_BYTES // (8 * rows)).bit_length() - 1, 0)
+    return min(BATCH_SIZE, max(_MIN_BLOCK, fit))
+
+
+def _overlap_kernel(d: int, w: np.ndarray, block):
     """Batch kernel drawing m Haar samples in C^d in one call, so the stream
     is unchanged, then summing the tuples block(samples) over column blocks
-    of width _BLOCK in block order."""
+    of _block_width(len(w)) samples in block order."""
+    width = _block_width(len(w))
 
     def kernel(rng: np.random.Generator, m: int):
         lam = sample_sphere_cd(rng, d, m)
-        return ordered_sum(block(lam[s : s + _BLOCK]) for s in range(0, m, _BLOCK))
+        return ordered_sum(block(lam[s : s + width]) for s in range(0, m, width))
 
     return kernel
 
@@ -185,7 +151,8 @@ def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         q = m - m % s
         stacked = x[:q].reshape(-1, s, x.shape[1]).transpose(0, 2, 1)
         np.matmul(w, stacked, out=p[:, :q].reshape(len(w), -1, s).transpose(1, 0, 2))
-        np.matmul(w, x[q:].T, out=p[:, q:])
+        if q < m:
+            np.matmul(w, x[q:].T, out=p[:, q:])
     p *= p
     k = len(p) // 2
     p[:k] += p[k:]
@@ -203,18 +170,18 @@ def _sample_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.matmul(
         a[:, :q].reshape(len(a), -1, s).transpose(1, 0, 2), b[:, :q].reshape(len(b), -1, s).transpose(1, 2, 0)
     ).sum(axis=0)
-    out += a[:, q:] @ b[:, q:].T
+    if q < m:
+        out += a[:, q:] @ b[:, q:].T
     return out
 
 
 def _argmin_rows(u: np.ndarray) -> np.ndarray:
-    """Row index of each column's minimum; ties go to the lowest index."""
+    """Row index of each column's minimum; ties go to the lowest index, which
+    is written last."""
+    best = np.minimum.reduce(u)
     idx = np.zeros(u.shape[1], dtype=np.intp)
-    best = u[0]
-    for i in range(1, len(u)):
-        lower = u[i] < best
-        idx[lower] = i
-        best = np.minimum(best, u[i])
+    for i in range(len(u) - 1, 0, -1):
+        np.copyto(idx, i, where=u[i] == best)
     return idx
 
 
@@ -225,7 +192,8 @@ def _barrett_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
     Alice: x_k u_k where u_k clears 1/d, plus the leftover weight
     redistributed proportionally to x_k / d. Bob: y_j (1 - v_j) / (d - 1).
     """
-    pa = np.where(u >= 1.0 / d, u * xw[:, None], 0.0)
+    pa = u * xw[:, None]
+    pa *= u >= 1.0 / d  # u and xw are >= 0, so this equals a where(..., 0.0)
     pa += (1.0 - pa.sum(axis=0)) * (xw / d)[:, None]
     return pa, (1.0 - v) * (yw / (d - 1))[:, None]
 
@@ -252,18 +220,20 @@ def simulate_werner(
     ka, kb = len(proj_a.projectors), len(proj_b.projectors)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     sum_b = outcome_sum(bm_b, kb)
-    bm_a_arr = np.asarray(bm_a)
+    # cell[b, i]: flat (a, b) cell of Bob's outcome b when refined ket i is Alice's minimizer
+    cell = np.asarray(bm_a)[None, :] * kb + np.arange(kb)[:, None]
 
     def block(lam: np.ndarray):
         u = _overlaps(w, lam)
-        a_star = bm_a_arr[_argmin_rows(u[: len(kets_a)])]
-        sums, sumsq = np.empty((ka, kb)), np.empty((ka, kb))
-        for b, v in enumerate(sum_b(u[len(kets_a) :])):
-            sums[:, b] = np.bincount(a_star, weights=v, minlength=ka)
-            sumsq[:, b] = np.bincount(a_star, weights=v * v, minlength=ka)
-        return sums, sumsq
+        idx = cell.take(_argmin_rows(u[: len(kets_a)]), axis=1).ravel()
+        v = sum_b(u[len(kets_a) :]).ravel()
+        # one pass per moment: each cell still adds its samples in sample order
+        sums = np.bincount(idx, weights=v, minlength=ka * kb)
+        v *= v
+        sumsq = np.bincount(idx, weights=v, minlength=ka * kb)
+        return sums.reshape(ka, kb), sumsq.reshape(ka, kb)
 
-    sums, sumsq = run_batched(n, seed, f"werner:d={d}", _overlap_kernel(d, block), workers)
+    sums, sumsq = run_batched(n, seed, f"werner:d={d}", _overlap_kernel(d, w, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, proj_a.labels, proj_b.labels)
 
 
@@ -285,20 +255,27 @@ def simplex_integral_mc(
 
     def block(lam: np.ndarray):
         u = _overlaps(w, lam)
-        c = np.where(_argmin_rows(u) == a, u[a], 0.0)
-        return np.array([c.sum()]), np.array([c @ c])
+        c = u[a] * (_argmin_rows(u) == a)  # u >= 0, so this equals a where(..., 0.0)
+        s = c.sum()
+        c *= c  # not c @ c: OpenBLAS runs a dot of over 10^4 elements on its own threads
+        return np.array([s]), np.array([c.sum()])
 
-    s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", _overlap_kernel(d, block), workers)
+    s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", _overlap_kernel(d, w, block), workers)
     return McEstimate.from_sums(float(s[0]), float(s2[0]), n, seed)
 
 
 def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Dot product of each row of the (m, 3) array v with x, given as one
-    3-vector or as (m, 3) rows. einsum's own loop, not BLAS, keeps the
-    kernels off OpenBLAS's threads, and every caller sums the three products
-    in one order: another order can move a dot product by an ulp and flip a
+    3-vector or as (m, 3) rows, as (p0 + p2) + p1 of the products p_i: the
+    order of numpy 2.4's einsum("ij,ij->i"), which the tests pin bit for bit.
+    Elementwise products, not BLAS, keep the kernels off OpenBLAS's threads,
+    and every caller sums in one order: another order, such as
+    (p0 + p1) + p2, moves about 30% of the dots by an ulp, which can flip a
     sign or accept compare."""
-    return np.einsum("ij,ij->i", v, np.broadcast_to(x, v.shape))
+    out = v[:, 0] * x[..., 0]
+    out += v[:, 2] * x[..., 2]
+    out += v[:, 1] * x[..., 1]
+    return out
 
 
 def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -591,5 +568,5 @@ def simulate_barrett(
         pa, pb = sum_a(pa), sum_b(pb)
         return _sample_products(pa, pb), _sample_products(pa * pa, pb * pb)
 
-    sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, block), workers)
+    sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, w, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

@@ -9,9 +9,10 @@ across worker counts.
 Batches run on a thread pool with one worker per usable core by default;
 numpy releases the GIL in the Philox draws and array arithmetic. The lhv
 kernels keep every BLAS product on the calling thread at any d: blocks of
-samples bound memory, and sample slices bound each product below the size
-at which OpenBLAS starts its own threads, so the pool's workers, not BLAS
-threads, occupy the cores.
+samples, sized from a byte budget on their overlaps, bound memory and the
+number of numpy calls per sample, and sample slices bound each product
+below the size at which OpenBLAS starts its own threads, so the pool's
+workers, not BLAS threads, occupy the cores.
 """
 
 from __future__ import annotations

@@ -54,6 +54,8 @@ class ProjectiveMeasurement:
         if len(self.projectors) != len(self.labels):
             raise ValueError("one label per projector required")
         stack = np.array(self.projectors)
+        if not np.isfinite(stack).all():
+            raise ValueError("projectors must be finite")
         for i, p in enumerate(stack):
             # P_i P_j against P_i for j = i and 0 otherwise, all j in one matmul
             prod = np.matmul(p, stack)
@@ -101,6 +103,8 @@ class Povm:
             self.labels = list(range(len(self.elements)))
         if len(self.elements) != len(self.labels):
             raise ValueError("one label per element required")
+        if not np.isfinite(np.array(self.elements)).all():
+            raise ValueError("POVM elements must be finite")
         d = self.elements[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for i, e in enumerate(self.elements):

@@ -225,6 +225,23 @@ class TestOptimalSettings:
             assert chsh_max_random(rho, 10_000, seed=k) <= bound + 1e-9
             assert chsh_value(rho, res.settings) >= bound - 1e-6
 
+    def test_random_search_matches_four_term_reference(self):
+        """The two row dots against the four three-operand einsums they
+        replaced, on the same settings."""
+        for k in range(20):
+            rho = states.random_density(2, 2, rng)
+            vs = np.random.default_rng(k).standard_normal((4, 5_000, 3))
+            vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+            x, x2, y, y2 = vs
+            t = correlation_matrix(rho)
+            ref = (
+                np.einsum("ni,ij,nj->n", x, t, y)
+                + np.einsum("ni,ij,nj->n", x2, t, y)
+                + np.einsum("ni,ij,nj->n", x2, t, y2)
+                - np.einsum("ni,ij,nj->n", x, t, y2)
+            ).max()
+            assert abs(chsh_max_random(rho, 5_000, seed=k) - ref) <= 1e-12
+
     def test_zero_correlation_state(self):
         rho = DensityMatrix(np.eye(4) / 4, 2, 2)
         res = horodecki_m(rho)

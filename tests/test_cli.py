@@ -209,6 +209,59 @@ class TestSimulate:
         assert path.read_text().startswith("a,b,mean,stderr,oracle")
 
 
+def _round12(obj):
+    """Reference rounding: every float to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+class TestDumpJson:
+    """cli._dump_json writes the bytes of json.dumps(_round12(obj), indent=2)."""
+
+    def test_edge_values(self):
+        payload = {
+            "floats": [0.1 + 0.2, -0.0, 1e-300, 2.5e20, 1 / 3, float("nan"), float("inf"), -float("inf")],
+            "numpy": np.float64(2) / 3,
+            "empty": [[], {}, ()],
+            "nested": {"t": (1, 2.0, [True, False, None]), "s": 'quote " é \n', "big": 10**20},
+        }
+        assert cli._dump_json(payload) == json.dumps(_round12(payload), indent=2)
+        for leaf in (1.5, 3, "x", None, [], {}):
+            assert cli._dump_json(leaf) == json.dumps(_round12(leaf), indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["simulate", m, "--d", str(d)] for m in ("werner", "barrett") for d in (2, 3, 8)),
+            *(["simulate", m] for m in ("gd", "epr1bit", "hirsch", "povm-lift")),
+            ["chsh", "singlet", "--optimal"],
+            ["chsh", "rho-g", "--q", "0.3", "--x", "0,0,1", "--x2", "1,0,0", "--y", "0.6,0,0.8", "--y2", "0,1,0"],
+            ["witness", "werner-local", "--d", "3", "--format", "json"],
+            ["witness", "rho-g", "--q", "0.2", "--format", "json"],
+        ],
+    )
+    def test_cli_bytes_match_reference(self, capsys, monkeypatch, argv):
+        if argv[0] == "simulate":
+            argv = argv + ["--n", "3000", "--seed", "5", "--format", "json"]
+        seen = []
+
+        def spy(obj, _real=cli._dump_json):
+            seen.append((obj, _real(obj)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "_dump_json", spy)
+        _, out, _ = run(capsys, *argv)
+        assert len(seen) == 1
+        obj, text = seen[0]
+        assert text == json.dumps(_round12(obj), indent=2)
+        assert out == text + "\n"
+
+
 class TestFilterScan:
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "filter-scan", "rho-g", "--q", "0.25", "--eps-grid", "1e-2,1e-3")

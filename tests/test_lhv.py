@@ -31,6 +31,64 @@ def spin_projs(v):
     return obs_from_bloch(v).measurement().projectors
 
 
+# -- scalar reference responses, one hidden variable at a time ---------------
+# Each measurement is refined once, when its reference is built.
+
+
+def rank1_pieces(refined: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and unit kets of the rank-1 elements alpha |v><v| of a refined POVM."""
+    weights = np.array([np.trace(e).real for e in refined.elements])
+    kets = np.array([np.linalg.eigh(e)[1][:, -1] for e in refined.elements])
+    return weights, kets
+
+
+class WernerRef:
+    """Werner responses for one projective measurement."""
+
+    def __init__(self, proj: ProjectiveMeasurement):
+        refined, self.back_map = povm_refine(Povm(list(proj.projectors)))
+        self.kets = rank1_pieces(refined)[1]
+        self.projectors = proj.projectors
+
+    def a(self, a: int, lam: np.ndarray) -> int:
+        """1 iff outcome a holds the refined ket whose overlap |<k|lam>|^2 is
+        the minimum, else 0; ties go to the lowest refined index."""
+        return int(self.back_map[int(np.argmin(np.abs(self.kets.conj() @ lam) ** 2))] == a)
+
+    def b(self, b: int, lam: np.ndarray) -> float:
+        """Quantum response <lam|Q_b|lam>."""
+        return float(np.vdot(lam, self.projectors[b] @ lam).real)
+
+
+class BarrettRef:
+    """Barrett responses for one refined POVM {x_k P_k}."""
+
+    def __init__(self, refined: Povm):
+        self.weights, self.kets = rank1_pieces(refined)
+        self.d = refined.dim
+
+    def a(self, i: int, lam: np.ndarray) -> float:
+        """x_i <lam|P_i|lam> when the overlap clears 1/d, plus the leftover
+        weight redistributed proportionally to x_i / d."""
+        u = np.abs(self.kets.conj() @ lam) ** 2
+        m = self.weights * u
+        chi = (u - 1.0 / self.d) >= 0
+        s = float((m * chi).sum())
+        return float(m[i] * chi[i] + (1.0 - s) * self.weights[i] / self.d)
+
+    def b(self, j: int, lam: np.ndarray) -> float:
+        """Inverted quantum response y_j (1 - <lam|Q_j|lam>) / (d - 1)."""
+        u = np.abs(self.kets.conj() @ lam) ** 2
+        return float(self.weights[j] * (1.0 - u[j]) / (self.d - 1))
+
+
+def gd_choice(lambda0: np.ndarray, lambda1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Keep the sphere point with the larger |x . lambda_i| (ties keep lambda1)."""
+    if abs(np.dot(x, lambda0)) > abs(np.dot(x, lambda1)):
+        return lambda0
+    return lambda1
+
+
 class TestSphereSampling:
     def test_r3_moments(self):
         lam = lhv.sample_sphere_r3(np.random.default_rng(0), 1_000_000)
@@ -70,25 +128,25 @@ class TestSphereSampling:
 
 class TestWernerResponses:
     def test_eigenvector_gets_zero(self):
-        meas = ProjectiveMeasurement.from_basis(np.eye(2))
+        ref = WernerRef(ProjectiveMeasurement.from_basis(np.eye(2)))
         lam = basis_ket(2, 0)  # overlap 1 with P_0, so P_1 is the minimizer
-        assert lhv.werner_response_a(0, lam, meas) == 0
-        assert lhv.werner_response_a(1, lam, meas) == 1
+        assert ref.a(0, lam) == 0
+        assert ref.a(1, lam) == 1
 
     def test_normalized_over_outcomes(self):
         # scalar responses on a subsample; the vectorized path is exercised by the simulators
         for d in (2, 3):
-            meas = random_projective(d, rng)
+            ref = WernerRef(random_projective(d, rng))
             lam = lhv.sample_sphere_cd(np.random.default_rng(42), d, 200)
             for v in lam:
-                total_a = sum(lhv.werner_response_a(a, v, meas) for a in range(d))
-                total_b = sum(lhv.werner_response_b(b, v, meas) for b in range(d))
+                total_a = sum(ref.a(a, v) for a in range(d))
+                total_b = sum(ref.b(b, v) for b in range(d))
                 assert total_a == 1
                 assert abs(total_b - 1) < 1e-12
 
     def test_quantum_response_eigenvector(self):
-        meas = ProjectiveMeasurement.from_basis(np.eye(3))
-        assert np.isclose(lhv.werner_response_b(2, basis_ket(3, 2), meas), 1.0, atol=1e-12)
+        ref = WernerRef(ProjectiveMeasurement.from_basis(np.eye(3)))
+        assert np.isclose(ref.b(2, basis_ket(3, 2)), 1.0, atol=1e-12)
 
     def test_quantum_response_unitary_symmetry(self):
         d = 3
@@ -98,8 +156,8 @@ class TestWernerResponses:
         rotated = ProjectiveMeasurement([u.conj().T @ p @ u for p in meas.projectors], meas.labels)
         lam = haar_ket(d, rng)
         assert np.isclose(
-            lhv.werner_response_b(1, lam, rotated),
-            lhv.werner_response_b(1, u @ lam, meas),
+            WernerRef(rotated).b(1, lam),
+            WernerRef(meas).b(1, u @ lam),
             atol=1e-12,
         )
 
@@ -191,11 +249,11 @@ class TestGdChoice:
         x = np.array([0.0, 0.0, 1.0])
         l0 = np.array([0.0, 0.6, 0.8])
         l1 = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(lhv.gd_choice(l0, l1, x), l0)
-        assert np.array_equal(lhv.gd_choice(l1, l0, x), l0)
+        assert np.array_equal(gd_choice(l0, l1, x), l0)
+        assert np.array_equal(gd_choice(l1, l0, x), l0)
         # tie keeps the second candidate
         l2 = np.array([0.0, -0.6, -0.8])
-        assert np.array_equal(lhv.gd_choice(l0, l2, x), l2)
+        assert np.array_equal(gd_choice(l0, l2, x), l2)
 
     def test_density_linear_in_overlap(self):
         # |x . lambda_s| is the max of two uniforms: density 2u on [0, 1]
@@ -344,10 +402,11 @@ class TestBarrett:
         d = 3
         refined, _ = povm_refine(random_povm(4, d, rng))
         k = len(refined.elements)
+        ref = BarrettRef(refined)
         for _ in range(50):
             lam = haar_ket(d, rng)
-            pa = [lhv.barrett_response_a(i, lam, refined) for i in range(k)]
-            pb = [lhv.barrett_response_b(j, lam, refined) for j in range(k)]
+            pa = [ref.a(i, lam) for i in range(k)]
+            pb = [ref.b(j, lam) for j in range(k)]
             assert min(pa) >= -1e-12 and min(pb) >= -1e-12
             assert abs(sum(pa) - 1) < 1e-12
             assert abs(sum(pb) - 1) < 1e-12
@@ -452,16 +511,29 @@ def test_every_simulator_identical_across_workers(model):
 
 @pytest.mark.parametrize("model", ["werner", "simplex", "barrett"])
 def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
-    """Column blocks of the real width against one block per batch, over
-    two batches that each end in a partial block."""
-    n = mc.BATCH_SIZE + 3 * lhv._BLOCK + 77
+    """Column blocks of the real width against one block per batch, over a
+    full batch and a partial one that ends in a partial block."""
+    n = mc.BATCH_SIZE + 3 * 4096 + 77
     run = _simulators()[model]
     blocked = _leaves(run(n, 1))
-    monkeypatch.setattr(lhv, "_BLOCK", mc.BATCH_SIZE)
+    monkeypatch.setattr(lhv, "_block_width", lambda rows: mc.BATCH_SIZE)
     whole = _leaves(run(n, 1))
     assert len(blocked) == len(whole)
     for a, b in zip(blocked, whole):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_block_width_fits_the_budget():
+    assert lhv._BLOCK_BYTES == 1 << 19 and lhv._MIN_BLOCK == 2048
+    for rows in range(1, 400):
+        w = lhv._block_width(rows)
+        assert w > 0 and w & (w - 1) == 0
+        assert lhv._MIN_BLOCK <= w <= mc.BATCH_SIZE
+        # the widest such power of two whose (rows, w) floats fit, unless at the floor
+        assert 8 * rows * w <= lhv._BLOCK_BYTES or w == lhv._MIN_BLOCK
+        assert 16 * rows * w > lhv._BLOCK_BYTES or w == mc.BATCH_SIZE
+    # the overlap rows of Werner at d = 2, 3 and of simplex at d = 3
+    assert [lhv._block_width(r) for r in (8, 12, 6, 32, 96)] == [8192, 4096, 8192, 2048, 2048]
 
 
 class TestSlicedProducts:
@@ -504,10 +576,21 @@ class TestStreamConsumption:
     BLOCK = 128
 
     def test_r3_sampler_matches_norm_formula(self):
-        for n in (None, 1, 7, 50_000):
-            z = np.random.default_rng(5).standard_normal(3 if n is None else (n, 3))
-            expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
-            assert np.array_equal(lhv.sample_sphere_r3(np.random.default_rng(5), n), expected)
+        for seed in (5, 6, 7):
+            for n in (None, 1, 7, 50_000):
+                z = np.random.default_rng(seed).standard_normal(3 if n is None else (n, 3))
+                expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
+                assert np.array_equal(lhv.sample_sphere_r3(np.random.default_rng(seed), n), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dot_rows_matches_einsum(self, seed):
+        """The explicit three-term dot sums in einsum's order, bit for bit,
+        for one vector, for row-wise input and for a sum of sphere points."""
+        gen = np.random.default_rng(seed)
+        l0, l1 = lhv.sample_sphere_r3(gen, 50_000), lhv.sample_sphere_r3(gen, 50_000)
+        x = lhv.sample_sphere_r3(gen)
+        for v, w in ((l0, x), (l0, l1), (l0 + l1, x), (gen.standard_normal((999, 3)), gen.standard_normal(3))):
+            assert np.array_equal(lhv._dot_rows(v, w), np.einsum("ij,ij->i", v, np.broadcast_to(w, v.shape)))
 
     def test_cd_sampler_matches_complex_formula(self):
         for d in (1, 2, 3, 24):
@@ -521,13 +604,14 @@ class TestStreamConsumption:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_werner_and_simplex(self, d, monkeypatch):
-        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
+        monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(40 + d)
         pa, pb = random_projective(d, gen), random_projective(d, gen)
         n, seed = 700, 9
+        ref_a, ref_b = WernerRef(pa), WernerRef(pb)
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"werner:d={d}", 0), d, n)
-        resp_a = np.array([[lhv.werner_response_a(a, v, pa) for a in range(d)] for v in lam])
-        resp_b = np.array([[lhv.werner_response_b(b, v, pb) for b in range(d)] for v in lam])
+        resp_a = np.array([[ref_a.a(a, v) for a in range(d)] for v in lam])
+        resp_b = np.array([[ref_b.b(b, v) for b in range(d)] for v in lam])
         ref = JointTable.from_sums(resp_a.T @ resp_b, resp_a.T @ resp_b**2, n, seed, pa.labels, pb.labels)
         table = lhv.simulate_werner(d, pa, pb, n, seed)
         assert np.max(np.abs(table.means - ref.means)) <= 1e-12
@@ -535,7 +619,7 @@ class TestStreamConsumption:
 
         a = d - 1
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"simplex:d={d}:a={a}", 0), d, n)
-        c = np.array([lhv.werner_response_a(a, v, pa) * lhv.werner_response_b(a, v, pa) for v in lam])
+        c = np.array([ref_a.a(a, v) * ref_a.b(a, v) for v in lam])
         ref = McEstimate.from_sums(c.sum(), (c * c).sum(), n, seed)
         est = lhv.simplex_integral_mc(d, a, pa, n, seed)
         assert abs(est.mean - ref.mean) <= 1e-12 and abs(est.stderr - ref.stderr) <= 1e-12
@@ -544,16 +628,17 @@ class TestStreamConsumption:
         """Alice's reference response takes the argmin over the refined
         rank-1 kets and maps the winner back, as the kernel does; here P_0
         has rank 2 and P_1 rank 1, where the coarse argmin would disagree."""
-        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
+        monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(61)
         basis = haar_unitary(3, gen)
         pa = ProjectiveMeasurement([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
         pb = random_projective(3, gen)
         n, seed = 800, 13
+        ref_a, ref_b = WernerRef(pa), WernerRef(pb)
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, "werner:d=3", 0), 3, n)
-        resp_a = np.array([[lhv.werner_response_a(a, v, pa) for a in range(2)] for v in lam])
+        resp_a = np.array([[ref_a.a(a, v) for a in range(2)] for v in lam])
         assert np.array_equal(resp_a.sum(axis=1), np.ones(n))
-        resp_b = np.array([[lhv.werner_response_b(b, v, pb) for b in range(3)] for v in lam])
+        resp_b = np.array([[ref_b.b(b, v) for b in range(3)] for v in lam])
         ref = JointTable.from_sums(resp_a.T @ resp_b, resp_a.T @ resp_b**2, n, seed, pa.labels, pb.labels)
         table = lhv.simulate_werner(3, pa, pb, n, seed)
         assert np.max(np.abs(table.means - ref.means)) <= 1e-12
@@ -563,20 +648,21 @@ class TestStreamConsumption:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_barrett(self, d, monkeypatch):
-        monkeypatch.setattr(lhv, "_BLOCK", self.BLOCK)
+        monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(50 + d)
         ma, mb = random_povm(3, d, gen), random_povm(2, d, gen)
         ref_a, bm_a = povm_refine(ma)
         ref_b, bm_b = povm_refine(mb)
+        resp_a, resp_b = BarrettRef(ref_a), BarrettRef(ref_b)
         n, seed = 300, 10
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"barrett:d={d}", 0), d, n)
         pa = np.zeros((n, len(ma.elements)))
         pb = np.zeros((n, len(mb.elements)))
         for s, v in enumerate(lam):
             for i, a in enumerate(bm_a):
-                pa[s, a] += lhv.barrett_response_a(i, v, ref_a)
+                pa[s, a] += resp_a.a(i, v)
             for j, b in enumerate(bm_b):
-                pb[s, b] += lhv.barrett_response_b(j, v, ref_b)
+                pb[s, b] += resp_b.b(j, v)
         ref = JointTable.from_sums(pa.T @ pb, (pa**2).T @ pb**2, n, seed, ma.labels, mb.labels)
         table = lhv.simulate_barrett(d, ma, mb, n, seed)
         assert np.max(np.abs(table.means - ref.means)) <= 1e-12
@@ -586,7 +672,7 @@ class TestStreamConsumption:
         rng = mc.batch_rng(seed, label, 0)
         l0 = lhv.sample_sphere_r3(rng, n)
         l1 = lhv.sample_sphere_r3(rng, n)
-        ls = np.array([lhv.gd_choice(p, q, x) for p, q in zip(l0, l1)])
+        ls = np.array([gd_choice(p, q, x) for p, q in zip(l0, l1)])
         return l0, l1, ls
 
     def test_epr_one_bit(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,10 @@ class TestSerialization:
             assert np.max(np.abs(p - q)) < 1e-15
 
 
+def _operators_json(ops) -> str:
+    return json.dumps({"labels": list(range(len(ops))), "operators": [[[z.real, z.imag] for z in np.ravel(op).astype(complex)] for op in ops]})
+
+
 class TestValidation:
     def test_projective_rejects_non_orthogonal(self):
         p = projector(haar_ket(2, rng))
@@ -303,6 +309,23 @@ class TestValidation:
             ProjectiveMeasurement([], [])
         with pytest.raises(ValueError, match="at least one"):
             Povm([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_projective_rejects_non_finite(self, bad):
+        ops = [np.full((2, 2), bad), np.eye(2)]
+        with pytest.raises(ValueError, match="^projectors must be finite$"):
+            ProjectiveMeasurement(ops, [0, 1])
+        # json.loads accepts NaN and Infinity, so from_json must reject them too
+        with pytest.raises(ValueError, match="^projectors must be finite$"):
+            ProjectiveMeasurement.from_json(_operators_json(ops))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_povm_rejects_non_finite(self, bad):
+        ops = [np.full((2, 2), bad), np.eye(2)]
+        with pytest.raises(ValueError, match="^POVM elements must be finite$"):
+            Povm(ops)
+        with pytest.raises(ValueError, match="^POVM elements must be finite$"):
+            Povm.from_json(_operators_json(ops))
 
     def test_povm_rejects_incomplete(self):
         with pytest.raises(ValueError):
