@@ -57,26 +57,9 @@ def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> 
 
 # -- simulators -------------------------------------------------------------
 
-def _rank1_weights(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and unit kets of a refined POVM (elements alpha |v><v|)."""
-    weights = np.empty(len(povm.elements))
-    kets = np.empty((len(povm.elements), povm.dim), dtype=complex)
-    for i, el in enumerate(povm.elements):
-        w = np.trace(el).real
-        if w <= 0:
-            raise ValueError(f"element {i} has non-positive weight")
-        vals, vecs = np.linalg.eigh(el)
-        if vals[:-1].max(initial=0.0) > 1e-10:
-            raise ValueError(f"element {i} is not rank 1; refine the POVM first")
-        weights[i] = w
-        kets[i] = vecs[:, -1]
-    return weights, kets
-
-
 def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[int]]:
     """Rank-1 kets of a projective measurement plus the coarse back-map."""
-    refined, back_map = povm_refine(Povm(list(proj.projectors), list(range(len(proj.projectors)))))
-    weights, kets = _rank1_weights(refined)
+    _, back_map, weights, kets = povm_refine(Povm._trusted(proj.projectors, list(range(len(proj.projectors)))))
     if np.max(np.abs(weights - 1.0)) > 1e-9:
         raise ValueError("projective refinement produced non-unit weights")
     return kets, back_map
@@ -87,25 +70,9 @@ def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[in
 # sample, until a block's temporaries outgrow the cache. The width is the
 # largest power of two at which the (2k, width) float overlaps of k refined
 # kets fit in _BLOCK_BYTES, but never below _MIN_BLOCK: 8192 at d = 2, 4096
-# at d = 3 and 2048 from d = 8 on (see the sweep in CHANGES.md). The BLAS
-# products of a block are further cut into sample slices of at most
-# _SLICE_MACS each.
+# at d = 3 and 2048 from d = 8 on (see the sweep in CHANGES.md).
 _BLOCK_BYTES = 1 << 19
 _MIN_BLOCK = 2048
-
-# Multiply-adds (m * n * k) per matrix product that OpenBLAS runs on the
-# calling thread. With OpenBLAS 0.3.31 on a 2-core x86 VM, products of up to
-# 2^19 multiply-adds were measured (process CPU time over wall time, one
-# shape per fresh process) to stay on one thread, and products of 2^20 and
-# more to wake OpenBLAS's own threads, which then compete with the mc pool's
-# workers for the same cores; 2^18 leaves a factor-2 margin below that.
-_SLICE_MACS = 1 << 18
-
-
-def _slice_width(macs_per_sample: int) -> int:
-    """Largest power-of-two count of samples whose product costs at most
-    _SLICE_MACS multiply-adds (at least one sample)."""
-    return 1 << max((_SLICE_MACS // macs_per_sample).bit_length() - 1, 0)
 
 
 def _block_width(rows: int) -> int:
@@ -137,42 +104,12 @@ def _overlap_rows(kets: np.ndarray) -> np.ndarray:
 
 def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """|<k|lam>|^2 for the kets of w, outcome-major (k, m): a real GEMM on the
-    float view of the (m, d) samples, squared and summed as re^2 + im^2.
-
-    Past one slice of samples the GEMM is one stacked matmul over slices of
-    _slice_width columns, written into the columns of one output, plus a
-    plain product for the remainder."""
-    x = lam.view(float)
-    m, s = len(x), _slice_width(w.size)
-    if s >= m:
-        p = w @ x.T
-    else:
-        p = np.empty((len(w), m))
-        q = m - m % s
-        stacked = x[:q].reshape(-1, s, x.shape[1]).transpose(0, 2, 1)
-        np.matmul(w, stacked, out=p[:, :q].reshape(len(w), -1, s).transpose(1, 0, 2))
-        if q < m:
-            np.matmul(w, x[q:].T, out=p[:, q:])
+    float view of the (m, d) samples, squared and summed as re^2 + im^2."""
+    p = w @ lam.view(float).T
     p *= p
     k = len(p) // 2
     p[:k] += p[k:]
     return p[:k]
-
-
-def _sample_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T for outcome-major (k, m) rows, whose contraction axis is the
-    samples: one stacked matmul over slices of _slice_width samples, summed
-    in slice order, plus a plain product for the remainder."""
-    m, s = a.shape[1], _slice_width(len(a) * len(b))
-    if s >= m:
-        return a @ b.T
-    q = m - m % s
-    out = np.matmul(
-        a[:, :q].reshape(len(a), -1, s).transpose(1, 0, 2), b[:, :q].reshape(len(b), -1, s).transpose(1, 2, 0)
-    ).sum(axis=0)
-    if q < m:
-        out += a[:, q:] @ b[:, q:].T
-    return out
 
 
 def _argmin_rows(u: np.ndarray) -> np.ndarray:
@@ -257,7 +194,7 @@ def simplex_integral_mc(
         u = _overlaps(w, lam)
         c = u[a] * (_argmin_rows(u) == a)  # u >= 0, so this equals a where(..., 0.0)
         s = c.sum()
-        c *= c  # not c @ c: OpenBLAS runs a dot of over 10^4 elements on its own threads
+        c *= c  # then summed pairwise like s: a BLAS dot c @ c sums in another order
         return np.array([s]), np.array([c.sum()])
 
     s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", _overlap_kernel(d, w, block), workers)
@@ -268,8 +205,7 @@ def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Dot product of each row of the (m, 3) array v with x, given as one
     3-vector or as (m, 3) rows, as (p0 + p2) + p1 of the products p_i: the
     order of numpy 2.4's einsum("ij,ij->i"), which the tests pin bit for bit.
-    Elementwise products, not BLAS, keep the kernels off OpenBLAS's threads,
-    and every caller sums in one order: another order, such as
+    Every caller sums in this one order: another order, such as
     (p0 + p1) + p2, moves about 30% of the dots by an ulp, which can flip a
     sign or accept compare."""
     out = v[:, 0] * x[..., 0]
@@ -491,10 +427,8 @@ def simulate_povm_lift(
         raise ValueError(f"POVMs must act on dimension {d}")
     sigma_a = np.asarray(sigma_a, dtype=complex)
     sigma_b = np.asarray(sigma_b, dtype=complex)
-    ref_a, bm_a = povm_refine(povm_a)
-    ref_b, bm_b = povm_refine(povm_b)
-    alphas, kets_a = _rank1_weights(ref_a)
-    betas, kets_b = _rank1_weights(ref_b)
+    ref_a, bm_a, alphas, kets_a = povm_refine(povm_a)
+    ref_b, bm_b, betas, kets_b = povm_refine(povm_b)
     bloch_a, bloch_b = _bloch_rows(kets_a), _bloch_rows(kets_b)
     cdf_pick_a = _choice_cdf(alphas / d)
     cdf_pick_b = _choice_cdf(betas / d)
@@ -554,10 +488,8 @@ def simulate_barrett(
         raise ValueError("POVM dimensions must equal d")
     if d < 2:
         raise ValueError("d must be >= 2")
-    ref_a, bm_a = povm_refine(povm_a)
-    ref_b, bm_b = povm_refine(povm_b)
-    xw, kets_a = _rank1_weights(ref_a)
-    yw, kets_b = _rank1_weights(ref_b)
+    _, bm_a, xw, kets_a = povm_refine(povm_a)
+    _, bm_b, yw, kets_b = povm_refine(povm_b)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     sum_a = outcome_sum(bm_a, len(povm_a.elements))
     sum_b = outcome_sum(bm_b, len(povm_b.elements))
@@ -566,7 +498,7 @@ def simulate_barrett(
         u = _overlaps(w, lam)
         pa, pb = _barrett_responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
         pa, pb = sum_a(pa), sum_b(pb)
-        return _sample_products(pa, pb), _sample_products(pa * pa, pb * pb)
+        return pa @ pb.T, (pa * pa) @ (pb * pb).T
 
     sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, w, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

@@ -7,16 +7,18 @@ partial sums are reduced in batch order, which makes results bit-identical
 across worker counts.
 
 Batches run on a thread pool with one worker per usable core by default;
-numpy releases the GIL in the Philox draws and array arithmetic. The lhv
-kernels keep every BLAS product on the calling thread at any d: blocks of
-samples, sized from a byte budget on their overlaps, bound memory and the
-number of numpy calls per sample, and sample slices bound each product
-below the size at which OpenBLAS starts its own threads, so the pool's
-workers, not BLAS threads, occupy the cores.
+numpy releases the GIL in the Philox draws and array arithmetic. Importing
+this module sets numpy's bundled OpenBLAS to one thread for the whole
+process, so the pool's workers, not BLAS threads, occupy the cores: a
+threaded product, such as the complex GEMM of one Born table at d >= 12,
+leaves an OpenBLAS thread spinning for about 135 ms of CPU after it
+returns, which on two cores takes one from the pool.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import os
 import zlib
@@ -29,6 +31,31 @@ import numpy as np
 BATCH_SIZE = 1 << 15
 
 Kernel = Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
+
+
+def _numpy_openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """(set_num_threads, get_num_threads) of the OpenBLAS that numpy's wheel
+    bundles in numpy.libs, or None when there is none (a numpy built
+    against a system BLAS, or a platform that keeps its libraries elsewhere).
+    Loading a library numpy has already loaded returns the same handle."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        # numpy 2.x wheels prefix scipy_ and suffix 64_; numpy 1.x wheels only suffix 64_
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            try:
+                set_n = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get_n = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            set_n.argtypes, set_n.restype, get_n.restype = [ctypes.c_int], None, ctypes.c_int
+            return set_n, get_n
+    return None
+
+
+_OPENBLAS = _numpy_openblas()
+if _OPENBLAS is not None:
+    _OPENBLAS[0](1)
 
 
 def worker_count(workers: int | None = None) -> int:

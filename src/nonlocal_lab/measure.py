@@ -116,6 +116,14 @@ class Povm:
         if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
+    @classmethod
+    def _trusted(cls, elements: list[np.ndarray], labels: list) -> "Povm":
+        """A POVM that is valid by construction, such as the pieces cut from an
+        already validated one; skips the eigensolve per element."""
+        povm = object.__new__(cls)
+        povm.elements, povm.labels = elements, labels
+        return povm
+
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
@@ -241,25 +249,29 @@ def post_measurement_state(rho: DensityMatrix, m: np.ndarray) -> tuple[DensityMa
     return DensityMatrix(unnorm / p, rho.d_a, rho.d_b), float(p)
 
 
-def povm_refine(povm: Povm) -> tuple[Povm, list[int]]:
+def povm_refine(povm: Povm) -> tuple[Povm, list[int], np.ndarray, np.ndarray]:
     """Split every POVM element into weighted rank-1 pieces.
 
     Each refined element is alpha |v><v| with alpha in (0, 1]; eigenvalues
-    below 1e-12 are dropped. The returned back-map sends each refined
-    outcome to the index of its originating coarse outcome, so coarse
-    probabilities are recovered by summation.
+    below 1e-12 are dropped. Returns the refined POVM, the back-map that
+    sends each refined outcome to the index of its originating coarse
+    outcome, so coarse probabilities are recovered by summation, and the
+    weights alpha and unit kets v (as rows) of the pieces.
     """
-    elements: list[np.ndarray] = []
     back_map: list[int] = []
     labels: list = []
+    weights: list[float] = []
+    kets: list[np.ndarray] = []
     for i, e in enumerate(povm.elements):
         vals, vecs = hermitian_eig(e)
         for k, w in enumerate(vals):
             if w > ZERO_WEIGHT_TOL:
-                elements.append(w * projector(vecs[:, k]))
                 back_map.append(i)
                 labels.append(f"{povm.labels[i]}:{k}")
-    return Povm(elements, labels), back_map
+                weights.append(w)
+                kets.append(vecs[:, k])
+    elements = [w * projector(v) for w, v in zip(weights, kets)]
+    return Povm._trusted(elements, labels), back_map, np.array(weights), np.array(kets, dtype=complex)
 
 
 def outcome_sum(back_map: list[int], k: int):

@@ -34,22 +34,10 @@ def basis_ket(d: int, i: int) -> np.ndarray:
     return v
 
 
-def normalize_ket(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
 def projector(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| for a unit vector v."""
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ class WernerRef:
     """Werner responses for one projective measurement."""
 
     def __init__(self, proj: ProjectiveMeasurement):
-        refined, self.back_map = povm_refine(Povm(list(proj.projectors)))
+        refined, self.back_map = povm_refine(Povm(list(proj.projectors)))[:2]
         self.kets = rank1_pieces(refined)[1]
         self.projectors = proj.projectors
 
@@ -400,7 +400,7 @@ class TestPovmLift:
 class TestBarrett:
     def test_scalar_responses_are_distributions(self):
         d = 3
-        refined, _ = povm_refine(random_povm(4, d, rng))
+        refined = povm_refine(random_povm(4, d, rng))[0]
         k = len(refined.elements)
         ref = BarrettRef(refined)
         for _ in range(50):
@@ -537,17 +537,9 @@ def test_block_width_fits_the_budget():
 
 
 class TestSlicedProducts:
-    """The overlap GEMM and Barrett's sample-axis accumulations, cut into
-    stacked slices of at most _SLICE_MACS multiply-adds, against one plain
-    product; m covers one slice, exact slices and slices with a remainder."""
-
-    def test_slice_width_stays_within_the_bound(self):
-        assert lhv._SLICE_MACS == 1 << 18
-        for macs in [*range(1, 5000), 4608, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 10**7]:
-            s = lhv._slice_width(macs)
-            assert s > 0 and s & (s - 1) == 0
-            assert s * macs <= lhv._SLICE_MACS or s == 1
-            assert 2 * s * macs > lhv._SLICE_MACS
+    """The overlap kernel's real GEMM against a test-side product per ket,
+    squared as re^2 + im^2; m covers less than, exactly and more than one
+    block."""
 
     @pytest.mark.parametrize("d", [2, 3, 8, 24])
     @pytest.mark.parametrize("m", [1000, 2047, 2048, 100_000])
@@ -555,16 +547,9 @@ class TestSlicedProducts:
         gen = np.random.default_rng(1000 * d + m)
         kets = np.concatenate([haar_unitary(d, gen), haar_unitary(d, gen)])
         lam = lhv.sample_sphere_cd(gen, d, m)
-        w = lhv._overlap_rows(kets)
-        p = w @ lam.view(float).T
-        p *= p
-        plain = p[: 2 * d] + p[2 * d :]
-        u = lhv._overlaps(w, lam)
+        u = lhv._overlaps(lhv._overlap_rows(kets), lam)
         assert u.shape == (2 * d, m)
-        assert np.max(np.abs(u - plain)) <= 1e-12
-        a, b = u[:d], u[d:] * u[d:]
-        # the accumulations are sums over samples; compare them per sample
-        assert np.max(np.abs(lhv._sample_products(a, b) - a @ b.T)) / m <= 1e-12
+        assert np.max(np.abs(u - np.abs(kets.conj() @ lam.T) ** 2)) <= 1e-12
 
 
 class TestStreamConsumption:
@@ -651,8 +636,8 @@ class TestStreamConsumption:
         monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(50 + d)
         ma, mb = random_povm(3, d, gen), random_povm(2, d, gen)
-        ref_a, bm_a = povm_refine(ma)
-        ref_b, bm_b = povm_refine(mb)
+        ref_a, bm_a = povm_refine(ma)[:2]
+        ref_b, bm_b = povm_refine(mb)[:2]
         resp_a, resp_b = BarrettRef(ref_a), BarrettRef(ref_b)
         n, seed = 300, 10
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"barrett:d={d}", 0), d, n)

@@ -116,3 +116,12 @@ class TestJointTable:
         assert t.max_sigma(oracle) == 0.0
         oracle[0, 0] += 10 * t.stderrs[0, 0]
         assert t.max_sigma(oracle) > 9
+
+
+def test_importing_the_package_pins_numpys_openblas_to_one_thread():
+    import nonlocal_lab  # noqa: F401
+    from nonlocal_lab import mc
+
+    # fails, rather than silently slowing down, when a numpy build moves or renames its OpenBLAS
+    assert mc._OPENBLAS is not None, "numpy's bundled OpenBLAS was not found"
+    assert mc._OPENBLAS[1]() == 1

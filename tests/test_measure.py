@@ -204,14 +204,14 @@ class TestPostMeasurement:
 class TestPovmRefine:
     def test_projective_input_is_fixed_point(self):
         meas = random_projective(3, rng)
-        refined, back = povm_refine(Povm(list(meas.projectors)))
+        refined, back = povm_refine(Povm(list(meas.projectors)))[:2]
         assert back == [0, 1, 2]
         for orig, ref in zip(meas.projectors, refined.elements):
             assert np.max(np.abs(orig - ref)) < 1e-10
 
     def test_coin_flip_povm(self):
         # oracle: eigendecomposition of I/2 gives two half-weight projectors per element
-        refined, back = povm_refine(Povm([np.eye(2) / 2, np.eye(2) / 2]))
+        refined, back = povm_refine(Povm([np.eye(2) / 2, np.eye(2) / 2]))[:2]
         assert len(refined.elements) == 4
         assert back == [0, 0, 1, 1]
         for el in refined.elements:
@@ -223,19 +223,35 @@ class TestPovmRefine:
     def test_weights_sum_to_dimension(self):
         for d in (2, 3):
             povm = random_povm(4, d, rng)
-            refined, _ = povm_refine(povm)
+            refined, _ = povm_refine(povm)[:2]
             weights = [np.trace(el).real for el in refined.elements]
             assert np.isclose(sum(weights), d, atol=1e-10)
             for w, el in zip(weights, refined.elements):
                 assert 0 < w <= 1 + 1e-10
                 assert np.isclose(np.linalg.eigvalsh(el)[-1], w, atol=1e-10)
 
+    def test_weights_and_kets_rebuild_the_pieces(self):
+        # element 0 is 0.7 times a random rank-2 projector: two pieces of weight 0.7
+        ps = random_projective(3, np.random.default_rng(518)).projectors
+        p0 = ps[0] + ps[1]
+        povm = Povm([0.7 * p0, np.eye(3) - 0.7 * p0])
+        refined, back, weights, kets = povm_refine(povm)
+        assert back == [0, 0, 1, 1, 1]
+        assert weights.shape == (5,) and kets.shape == (5, 3)
+        assert np.allclose(weights[:2], 0.7, atol=1e-12)
+        assert np.allclose(np.linalg.norm(kets, axis=1), 1, atol=1e-12)
+        for el, w, v in zip(refined.elements, weights, kets):
+            assert np.max(np.abs(w * np.outer(v, v.conj()) - el)) <= 1e-12
+        for i, e in enumerate(povm.elements):
+            pieces = sum(w * np.outer(v, v.conj()) for w, v, j in zip(weights, kets, back) if j == i)
+            assert np.max(np.abs(pieces - e)) <= 1e-12
+
     def test_coarse_probabilities_preserved(self):
         rho = states.random_density(2, 2, rng)
         pa = random_povm(3, 2, rng)
         pb = random_povm(2, 2, rng)
-        ra, ba = povm_refine(pa)
-        rb, bb = povm_refine(pb)
+        ra, ba = povm_refine(pa)[:2]
+        rb, bb = povm_refine(pb)[:2]
         fine = born_table(rho, ra.elements, rb.elements)
         coarse = coarse_grain(fine, ba, bb, 3, 2)
         assert np.max(np.abs(coarse - born_table(rho, pa.elements, pb.elements))) < 1e-10
@@ -246,8 +262,8 @@ class TestPovmRefine:
         a = random_povm(2, 3, gen).elements
         pa = Povm([a[0], np.zeros((3, 3)), a[1]])
         pb = Povm([np.zeros((3, 3)), *random_povm(2, 3, gen).elements])
-        ra, ba = povm_refine(pa)
-        rb, bb = povm_refine(pb)
+        ra, ba = povm_refine(pa)[:2]
+        rb, bb = povm_refine(pb)[:2]
         assert 1 not in ba and 0 not in bb
         coarse = coarse_grain(born_table(rho, ra.elements, rb.elements), ba, bb, 3, 3)
         assert coarse.shape == (3, 3)
