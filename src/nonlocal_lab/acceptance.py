@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bell, filters, lhv, measure, states
-from .measure import born_table, obs_from_bloch, random_povm, random_projective
+from .measure import random_povm, random_projective
 
 SIGMA = 5.0
 FULL_POWER_N = 1_000_000
@@ -41,10 +41,6 @@ def _seed(master: int, cid: int, k: int = 0) -> int:
 def _unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
-
-
-def _spin_projectors(v: np.ndarray) -> list[np.ndarray]:
-    return obs_from_bloch(v).measurement().projectors
 
 
 def criterion_01(seed: int, n: int) -> CriterionResult:
@@ -80,25 +76,13 @@ def criterion_02(seed: int, n: int) -> CriterionResult:
     )
 
 
-def _werner_formula_table(d: int, pa, pb) -> np.ndarray:
-    phi = states.werner_local_phi(d)
-    out = np.empty((len(pa.projectors), len(pb.projectors)))
-    for i, p in enumerate(pa.projectors):
-        for j, q in enumerate(pb.projectors):
-            tp, tq = np.trace(p).real, np.trace(q).real
-            tpq = np.trace(p @ q).real
-            out[i, j] = ((d - phi) * tp * tq + (d * phi - 1) * tpq) / (d**3 - d)
-    return out
-
-
 def criterion_03(seed: int, n: int, workers=None) -> CriterionResult:
     worst = 0.0
     for d in (2, 3):
         rng = np.random.default_rng(_seed(seed, 3, d))
         for k in range(5):
-            pa, pb = random_projective(d, rng), random_projective(d, rng)
-            table = lhv.simulate_werner(d, pa, pb, n, _seed(seed, 3, 10 * d + k), workers)
-            worst = max(worst, table.max_sigma(_werner_formula_table(d, pa, pb)))
+            _, table, oracle = lhv.werner_trial(d, rng, n, _seed(seed, 3, 10 * d + k), workers)
+            worst = max(worst, table.max_sigma(oracle))
     return CriterionResult(
         3,
         "Werner minimizer model reproduces the closed-form joint table (d=2,3)",
@@ -164,11 +148,10 @@ def criterion_07(seed: int, n: int, workers=None) -> CriterionResult:
     ok = True
     for k, q in enumerate((0.1, 0.3, 0.5)):
         x, y = _unit(rng), _unit(rng)
-        res = lhv.simulate_hirsch_projective(q, x, y, n, _seed(seed, 7, k + 1), workers)
-        oracle = born_table(states.rho_g(q), _spin_projectors(x), _spin_projectors(y))
+        res, table, oracle = lhv.hirsch_trial(q, x, y, n, _seed(seed, 7, k + 1), workers)
         worst = max(
             worst,
-            res.table.max_sigma(oracle),
+            table.max_sigma(oracle),
             abs(res.e_a.sigma_ratio((1 - q) * float(x[2]))),
         )
         x2 = _unit(rng)
@@ -190,17 +173,14 @@ def criterion_07(seed: int, n: int, workers=None) -> CriterionResult:
 
 def criterion_08(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 8))
-    base = lhv.HirschModel(0.4)
-    sigma = np.diag([1.0, 0.0]).astype(complex)
-    target_check = np.max(np.abs(states.rho_g_prime(0.4).mat - states.lift_state(base.rho0, sigma, sigma).mat))
     worst = 0.0
     rate_worst = 0.0
     for k in range(5):
-        ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-        res = lhv.simulate_povm_lift(base, sigma, sigma, ma, mb, n, _seed(seed, 8, k + 1), workers)
-        oracle = born_table(res.target, ma.elements, mb.elements)
-        worst = max(worst, res.table.max_sigma(oracle))
+        res, table, oracle = lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, k + 1), workers)
+        worst = max(worst, table.max_sigma(oracle))
         rate_worst = max(rate_worst, abs(res.step4_a.sigma_ratio(0.5)), abs(res.step4_b.sigma_ratio(0.5)))
+    # every trial lifts rho_g(0.4) with |0><0| on both sides, which is rho_g'(0.4)
+    target_check = np.max(np.abs(res.target.mat - states.rho_g_prime(0.4).mat))
     ok = worst <= SIGMA and rate_worst <= SIGMA and target_check <= 1e-12
     return CriterionResult(
         8,
@@ -341,11 +321,7 @@ def criterion_12(seed: int, n: int, workers=None) -> CriterionResult:
 def criterion_13(seed: int, n: int, workers=None) -> CriterionResult:
     valid, detail = _response_validity(_seed(seed, 13), 100_000)
     rng = np.random.default_rng(_seed(seed, 13, 1))
-    pa, pb = random_projective(2, rng), random_projective(2, rng)
-    ma = measure.Povm(list(pa.projectors))
-    mb = measure.Povm(list(pb.projectors))
-    table = lhv.simulate_barrett(2, ma, mb, 10 * n, _seed(seed, 13, 2), workers)
-    oracle = born_table(states.barrett_state(2), ma.elements, mb.elements)
+    _, table, oracle = lhv.barrett_trial(2, rng, 10 * n, _seed(seed, 13, 2), workers)
     max_sigma = table.max_sigma(oracle)
     findings = [f"threshold-model joint table at d=2, n={10 * n}: max deviation {max_sigma:.2f} sigma"]
     if max_sigma > SIGMA:

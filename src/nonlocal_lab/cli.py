@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -10,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, bell, filters, lhv, measure, states
-from .measure import born_table, obs_from_bloch, random_povm, random_projective
+from . import acceptance, bell, filters, lhv, states
 from .qmat import partial_transpose
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -69,49 +69,28 @@ def _parse_bloch(text: str) -> np.ndarray:
 
 
 def _parse_count(text: str) -> int:
-    n = int(float(text))
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {text!r}")
-    return n
-
-
-_STATE_NAMES = ("singlet", "werner", "werner-local", "werner2x2", "barrett", "rho-g", "rho-g-prime", "rho-e")
+    n = float(text)
+    if not 1 <= n < math.inf:
+        raise ValueError(f"sample count must be a finite number >= 1, got {text!r}")
+    return int(n)
 
 
 def _build_state(args) -> tuple[states.DensityMatrix, str]:
+    """The state of --state-json, or the named state of states.STATES with
+    its parameters taken from the flags of the same names."""
     if args.state_json:
         rho = states.DensityMatrix.from_json(Path(args.state_json).read_text())
         return rho, f"json:{args.state_json}"
     name = args.state
     if name is None:
         raise ValueError("provide a state name or --state-json")
-    if name == "singlet":
-        return states.singlet(), "singlet"
-    if name == "werner":
-        if args.phi is None:
-            raise ValueError("werner requires --phi")
-        return states.werner_phi(args.d, args.phi), f"werner(d={args.d}, phi={args.phi})"
-    if name == "werner-local":
-        return states.werner_local(args.d), f"werner-local(d={args.d})"
-    if name == "werner2x2":
-        if args.alpha is None:
-            raise ValueError("werner2x2 requires --alpha")
-        return states.werner2x2(args.alpha), f"werner2x2(alpha={args.alpha})"
-    if name == "barrett":
-        return states.barrett_state(args.d), f"barrett(d={args.d})"
-    if name == "rho-g":
-        if args.q is None:
-            raise ValueError("rho-g requires --q")
-        return states.rho_g(args.q), f"rho-g(q={args.q})"
-    if name == "rho-g-prime":
-        if args.q is None:
-            raise ValueError("rho-g-prime requires --q")
-        return states.rho_g_prime(args.q), f"rho-g-prime(q={args.q})"
-    if name == "rho-e":
-        if args.q is None:
-            raise ValueError("rho-e requires --q")
-        return states.rho_e(args.q), f"rho-e(q={args.q})"
-    raise ValueError(f"unknown state {name!r}")
+    make = states.STATES[name]
+    params = {p: getattr(args, p) for p in inspect.signature(make).parameters}
+    missing = [p for p, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"{name} requires --{missing[0]}")
+    label = ", ".join(f"{p}={v}" for p, v in params.items())
+    return make(**params), f"{name}({label})" if params else name
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -200,81 +179,45 @@ def _table_report(table, oracle, fmt: str, out: str | None, extra: dict | None =
 
 
 def cmd_simulate(args) -> int:
+    """One model against its oracle: the Born table of its lhv.*_trial, or epr1bit's E(AB) = -x.y."""
     n, seed = args.n, args.seed
+    if args.model == "epr1bit":
+        res = lhv.simulate_epr_one_bit(args.x, args.y, n, seed)
+        target = -float(args.x @ args.y)
+        dev = abs(res["E_AB"].sigma_ratio(target))
+        payload = {k: {"mean": e.mean, "stderr": e.stderr} for k, e in res.items()}
+        payload.update({"E_AB_target": target, "sigma": dev, "n": n, "seed": seed})
+        if args.format == "json":
+            _emit(_dump_json(payload), args.out)
+        else:
+            lines = [f"{k}: {_fmt(e.mean)} +- {_fmt(e.stderr)}" for k, e in res.items()]
+            lines[0] += f" (target {_fmt(target)})"
+            _emit("\n".join([*lines, f"sigma: {_fmt(dev)}"]), args.out)
+        return EXIT_OK if dev <= SIGMA else EXIT_CHECK_FAILED
     rng = np.random.default_rng(seed)
-    if args.model == "werner":
-        pa, pb = random_projective(args.d, rng), random_projective(args.d, rng)
-        table = lhv.simulate_werner(args.d, pa, pb, n, seed)
-        oracle = born_table(states.werner_local(args.d), pa.projectors, pb.projectors)
-        return _table_report(table, oracle, args.format, args.out)
-    if args.model == "gd":
-        res = lhv.simulate_gd_w2x2(args.x, args.y, n, seed)
-        oracle = born_table(
-            states.werner2x2(0.5), _spin_projs(args.x), _spin_projs(args.y)
-        )
+    extra = None
+    if args.model in ("werner", "barrett"):
+        trial = lhv.werner_trial if args.model == "werner" else lhv.barrett_trial
+        res, table, oracle = trial(args.d, rng, n, seed)
+    elif args.model == "gd":
+        res, table, oracle = lhv.gd_trial(args.x, args.y, n, seed)
         extra = {
             "E_AB": res.e_ab.mean,
             "E_AB_target": -float(args.x @ args.y) / 2,
             "rewrite_agreement": res.rewrite_agreement,
         }
-        code = _table_report(res.table, oracle, args.format, args.out, extra)
-        if res.rewrite_mismatches:
-            return EXIT_CHECK_FAILED
-        return code
-    if args.model == "epr1bit":
-        res = lhv.simulate_epr_one_bit(args.x, args.y, n, seed)
-        target = -float(args.x @ args.y)
-        dev = abs(res["E_AB"].sigma_ratio(target))
-        payload = {
-            "E_AB": {"mean": res["E_AB"].mean, "stderr": res["E_AB"].stderr},
-            "E_A": {"mean": res["E_A"].mean, "stderr": res["E_A"].stderr},
-            "E_B": {"mean": res["E_B"].mean, "stderr": res["E_B"].stderr},
-            "E_AB_target": target,
-            "sigma": dev,
-            "n": n,
-            "seed": seed,
-        }
-        if args.format == "json":
-            _emit(_dump_json(payload), args.out)
-        else:
-            _emit(
-                "\n".join(
-                    [
-                        f"E_AB: {_fmt(res['E_AB'].mean)} +- {_fmt(res['E_AB'].stderr)} (target {_fmt(target)})",
-                        f"E_A: {_fmt(res['E_A'].mean)} +- {_fmt(res['E_A'].stderr)}",
-                        f"E_B: {_fmt(res['E_B'].mean)} +- {_fmt(res['E_B'].stderr)}",
-                        f"sigma: {_fmt(dev)}",
-                    ]
-                ),
-                args.out,
-            )
-        return EXIT_OK if dev <= SIGMA else EXIT_CHECK_FAILED
-    if args.model == "hirsch":
-        res = lhv.simulate_hirsch_projective(args.q, args.x, args.y, n, seed)
-        oracle = born_table(states.rho_g(args.q), _spin_projs(args.x), _spin_projs(args.y))
+    elif args.model == "hirsch":
+        res, table, oracle = lhv.hirsch_trial(args.q, args.x, args.y, n, seed)
         extra = {"E_A": res.e_a.mean, "E_A_target": (1 - args.q) * float(args.x[2])}
         if res.accept_rate is not None:
             extra["accept_rate"] = res.accept_rate.mean
-        return _table_report(res.table, oracle, args.format, args.out, extra)
-    if args.model == "povm-lift":
-        base = lhv.HirschModel(args.q)
-        sigma = np.diag([1.0, 0.0]).astype(complex)
-        ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-        res = lhv.simulate_povm_lift(base, sigma, sigma, ma, mb, n, seed)
-        oracle = born_table(res.target, ma.elements, mb.elements)
+    elif args.model == "povm-lift":
+        res, table, oracle = lhv.povm_lift_trial(args.q, rng, n, seed)
         extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
-        return _table_report(res.table, oracle, args.format, args.out, extra)
-    if args.model == "barrett":
-        pa, pb = random_projective(args.d, rng), random_projective(args.d, rng)
-        ma, mb = measure.Povm(list(pa.projectors)), measure.Povm(list(pb.projectors))
-        table = lhv.simulate_barrett(args.d, ma, mb, n, seed)
-        oracle = born_table(states.barrett_state(args.d), ma.elements, mb.elements)
-        return _table_report(table, oracle, args.format, args.out)
-    raise ValueError(f"unknown model {args.model!r}")
-
-
-def _spin_projs(v: np.ndarray) -> list[np.ndarray]:
-    return obs_from_bloch(v).measurement().projectors
+    else:
+        raise ValueError(f"unknown model {args.model!r}")
+    code = _table_report(table, oracle, args.format, args.out, extra)
+    return EXIT_CHECK_FAILED if args.model == "gd" and res.rewrite_mismatches else code
 
 
 def cmd_filter_scan(args) -> int:
@@ -317,7 +260,7 @@ def cmd_reproduce(args) -> int:
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("state", nargs="?", choices=_STATE_NAMES, help="named state family")
+    p.add_argument("state", nargs="?", choices=tuple(states.STATES), help="named state family")
     p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
     p.add_argument("--phi", type=float, default=None, help="flip-trace parameter in [-1, 1]")
     p.add_argument("--alpha", type=float, default=None, help="singlet weight in [0, 1]")
@@ -381,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
 from .qmat import basis_ket, projector, tensor
-from .states import DensityMatrix, restrict_block, rho_g, rho_g_prime, singlet, werner_local
+from .states import STATES, DensityMatrix, restrict_block, singlet, werner_local
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _DEGENERATE_TOL = 1e-12
@@ -29,14 +29,11 @@ class LocalFilter:
     def __post_init__(self) -> None:
         self.k_a = np.asarray(self.k_a, dtype=complex)
         self.k_b = np.asarray(self.k_b, dtype=complex)
-        for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
-            top = np.linalg.eigvalsh(k.conj().T @ k).max()
-            if top > 1 + 1e-10:
-                raise ValueError(f"{name} is not a valid filter: max eigenvalue of K^dag K is {top}")
-
-
-def identity_filter(d_a: int, d_b: int) -> LocalFilter:
-    return LocalFilter(np.eye(d_a), np.eye(d_b))
+        with np.errstate(invalid="ignore"):  # a non-finite K gives a NaN top, rejected below
+            for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
+                top = np.linalg.eigvalsh(k.conj().T @ k).max()
+                if not top <= 1 + 1e-10:
+                    raise ValueError(f"{name} is not a valid filter: max eigenvalue of K^dag K is {top}")
 
 
 @dataclass
@@ -45,10 +42,6 @@ class FilterOutcome:
 
     post_state: DensityMatrix | None
     success_prob: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.post_state is None
 
 
 def apply_filters(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
@@ -72,8 +65,8 @@ def hirsch_filters(epsilon: float, q: float) -> LocalFilter:
     filters are defined up to scale, so the post-state is unchanged and
     only the success probability shifts.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     delta = epsilon / np.sqrt(q)
@@ -145,12 +138,7 @@ class ScanRow:
     chsh_at_optimal: float
 
 
-_FAMILIES = {
-    "rho_g": rho_g,
-    "rho-g": rho_g,
-    "rho_g_prime": rho_g_prime,
-    "rho-g-prime": rho_g_prime,
-}
+_SCAN_FAMILIES = ("rho-g", "rho-g-prime")
 
 
 def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) -> list[ScanRow]:
@@ -161,13 +149,12 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
     settings. As epsilon -> 0 the bound approaches 2 sqrt(1+q) for the base
     family and 2 sqrt(1+q/4) for the lifted one.
     """
-    try:
-        make_state = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(set(_FAMILIES))}")
+    name = family.replace("_", "-")
+    if name not in _SCAN_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {list(_SCAN_FAMILIES)} ('_' may stand for '-')")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    state = make_state(q)
+    state = STATES[name](q)
     rows = []
     for eps in epsilons:
         if q > 0:
@@ -175,7 +162,8 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
         else:
             filt = LocalFilter(np.diag([eps, 1.0]), np.diag([eps, 1.0]))
         outcome = apply_filters(state, filt)
-        assert outcome.post_state is not None
+        if outcome.post_state is None:
+            raise ValueError(f"the filters at epsilon {eps} never succeed on this state")
         res: ChshResult = horodecki_m(outcome.post_state)
         bound = 2 * np.sqrt(res.m_rho)
         at_opt = chsh_value(outcome.post_state, res.settings)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
-from .measure import Povm, ProjectiveMeasurement, outcome_sum, povm_refine, unit_bloch
-from .states import DensityMatrix, rho_g
+from .measure import Povm, ProjectiveMeasurement, born_table, outcome_sum, povm_refine, random_povm
+from .measure import random_projective, spin_projectors, unit_bloch
+from .states import DensityMatrix, barrett_state, lift_state, rho_g, werner2x2, werner_local
 
 __all__ = [
     "sample_sphere_r3",
@@ -25,6 +26,11 @@ __all__ = [
     "simulate_hirsch_projective",
     "simulate_povm_lift",
     "simulate_barrett",
+    "werner_trial",
+    "barrett_trial",
+    "gd_trial",
+    "hirsch_trial",
+    "povm_lift_trial",
     "HirschModel",
     "GdResult",
     "HirschResult",
@@ -308,19 +314,14 @@ def simulate_hirsch_projective(
     Alice accepts the shared sphere point with probability |x . lambda|.
     accept_rate estimates that acceptance frequency (None when q = 0).
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
+    model = HirschModel(q)
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
-    p, up = 2.0 * q, (1 + x[2]) / 2
 
     def kernel(rng: np.random.Generator, m: int):
-        lam = sample_sphere_r3(rng, m)
-        r, u1, u2 = rng.random((3, m))
-        xl = _dot_rows(lam, x)
-        mix = r < p
-        acc = mix & (u1 < np.abs(xl))
-        cells, sums = _pm_counts(np.where(acc, xl < 0, u2 < up), _dot_rows(lam, y) >= 0)
-        return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(mix)], dtype=float)
+        shared = model.shared(rng, m)
+        a_plus, acc = model.alice_hit(x, shared, rng)
+        cells, sums = _pm_counts(a_plus, model.bob_hit(y, shared, rng))
+        return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(shared[1] < 2.0 * q)], dtype=float)
 
     cells, s, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
@@ -338,11 +339,10 @@ def simulate_hirsch_projective(
 
 
 class HirschModel:
-    """Base-model handle: the projective protocol above, exposed per party.
-
-    Used by the POVM-lift driver, which needs to run Alice's and Bob's halves
-    of the dichotomic simulation on per-sample measurement directions while
-    both consume the same shared randomness.
+    """The singlet/|0> mixture model, one party at a time, on the shared
+    randomness of a sphere point and a uniform r (the full protocol when
+    r < 2q). simulate_hirsch_projective runs it on fixed directions, the
+    POVM-lift driver on per-sample directions.
     """
 
     dim = 2
@@ -359,17 +359,18 @@ class HirschModel:
     def shared(self, rng: np.random.Generator, m: int):
         return sample_sphere_r3(rng, m), rng.random(m)
 
-    def alice_hit(self, v: np.ndarray, shared, rng: np.random.Generator) -> np.ndarray:
-        """Outcome +1 indicator for the dichotomic measurement along rows of v."""
+    def alice_hit(self, v: np.ndarray, shared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome +1 indicator along v (one direction or a row per sample),
+        and the mask of samples whose sphere point Alice accepted."""
         lam, r = shared
         u1, u2 = rng.random((2, lam.shape[0]))
-        vl = _dot_rows(v, lam)
+        vl = _dot_rows(lam, v)
         acc = (r < 2.0 * self.q) & (u1 < np.abs(vl))
-        return np.where(acc, vl < 0, u2 < (1 + v[:, 2]) / 2)
+        return np.where(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
 
     def bob_hit(self, w: np.ndarray, shared, rng: np.random.Generator) -> np.ndarray:
         lam, _ = shared
-        return _dot_rows(w, lam) >= 0
+        return _dot_rows(lam, w) >= 0
 
 
 def _bloch_rows(kets: np.ndarray) -> np.ndarray:
@@ -420,8 +421,6 @@ def simulate_povm_lift(
     tr(M_a' sigma). The estimated table targets the Born probabilities of
     lift_state(base.rho0, sigma_a, sigma_b).
     """
-    from .states import lift_state
-
     d = base.dim
     if povm_a.dim != d or povm_b.dim != d:
         raise ValueError(f"POVMs must act on dimension {d}")
@@ -442,7 +441,7 @@ def simulate_povm_lift(
     def kernel(rng: np.random.Generator, m: int):
         shared = base.shared(rng, m)
         a_idx = _pick(cdf_pick_a, rng.random(m))
-        hit_a = base.alice_hit(np.take(bloch_a, a_idx, axis=0), shared, rng)
+        hit_a, _ = base.alice_hit(np.take(bloch_a, a_idx, axis=0), shared, rng)
         a_out = np.where(hit_a, a_idx, _pick(cdf4_a, rng.random(m)))
         b_idx = _pick(cdf_pick_b, rng.random(m))
         hit_b = base.bob_hit(np.take(bloch_b, b_idx, axis=0), shared, rng)
@@ -502,3 +501,46 @@ def simulate_barrett(
 
     sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, w, block), workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
+
+
+# -- trials: the one Born oracle of each table model -------------------------
+# A trial draws the measurements, runs the simulator and returns (result,
+# table, Born table of the target state). Simulators and target states are
+# module globals looked up at call time, so a test or benchmark can swap one.
+
+
+def werner_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
+    """Minimizer model in two Haar-random bases against werner_local(d)."""
+    pa, pb = random_projective(d, rng), random_projective(d, rng)
+    table = simulate_werner(d, pa, pb, n, seed, workers)
+    return table, table, born_table(werner_local(d), pa.projectors, pb.projectors)
+
+
+def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
+    """Threshold model in two Haar-random bases against barrett_state(d)."""
+    pa, pb = random_projective(d, rng), random_projective(d, rng)
+    ma, mb = Povm(list(pa.projectors)), Povm(list(pb.projectors))
+    table = simulate_barrett(d, ma, mb, n, seed, workers)
+    return table, table, born_table(barrett_state(d), ma.elements, mb.elements)
+
+
+def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
+    """Choice-method model on spins along x and y against werner2x2(1/2)."""
+    res = simulate_gd_w2x2(x, y, n, seed, workers)
+    return res, res.table, born_table(werner2x2(0.5), spin_projectors(x), spin_projectors(y))
+
+
+def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
+    """Singlet/|0> mixture model on spins along x and y against rho_g(q)."""
+    res = simulate_hirsch_projective(q, x, y, n, seed, workers)
+    return res, res.table, born_table(rho_g(q), spin_projectors(x), spin_projectors(y))
+
+
+def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
+    """Two random three-outcome qubit POVMs on the lift of rho_g(q) with
+    sigma_A = sigma_B = |0><0|."""
+    base = HirschModel(q)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
+    res = simulate_povm_lift(base, sigma, sigma, ma, mb, n, seed, workers)
+    return res, res.table, born_table(res.target, ma.elements, mb.elements)

@@ -170,12 +170,6 @@ class JointTable:
     def cell(self, a: int, b: int) -> McEstimate:
         return McEstimate(float(self.means[a, b]), float(self.stderrs[a, b]), self.n, self.seed)
 
-    def marginal_a(self) -> np.ndarray:
-        return self.means.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.means.sum(axis=0)
-
     def max_sigma(self, oracle: np.ndarray) -> float:
         """Largest |mean - oracle| / stderr over all cells."""
         se = np.where(self.stderrs > 0, self.stderrs, np.inf)

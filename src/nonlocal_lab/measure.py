@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, hermitian_eig, hermiticity_error, projector
+from .qmat import (
+    PAULIS, I2, HERM_TOL, PSD_TOL, decode_matrix, encode_matrix, hermitian_eig, hermiticity_error, json_fields, projector
+)
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -22,22 +24,6 @@ def unit_bloch(v, what: str = "Bloch vector") -> np.ndarray:
     if v.shape != (3,) or not np.isfinite(n) or abs(n - 1.0) > 1e-12:
         raise ValueError(f"{what} must be a finite unit 3-vector, got {v}")
     return v
-
-
-def bloch_vector(x: float, y: float, z: float) -> np.ndarray:
-    return unit_bloch([x, y, z])
-
-
-def _encode_matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
-
-
-def _decode_matrix(entries) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
-    d = int(round(np.sqrt(flat.size)))
-    if d * d != flat.size:
-        raise ValueError(f"expected a square matrix, got {flat.size} entries")
-    return flat.reshape(d, d)
 
 
 @dataclass
@@ -80,12 +66,12 @@ class ProjectiveMeasurement:
         return cls([projector(vectors[:, i]) for i in range(k)], list(labels))
 
     def to_json(self) -> str:
-        return json.dumps({"labels": list(self.labels), "operators": [_encode_matrix(p) for p in self.projectors]})
+        return json.dumps({"labels": list(self.labels), "operators": [encode_matrix(p) for p in self.projectors]})
 
     @classmethod
     def from_json(cls, text: str) -> "ProjectiveMeasurement":
-        obj = json.loads(text)
-        return cls([_decode_matrix(e) for e in obj["operators"]], obj["labels"])
+        operators, labels = json_fields(text, "operators", "labels")
+        return cls([decode_matrix(e) for e in operators], labels)
 
 
 @dataclass
@@ -129,12 +115,12 @@ class Povm:
         return self.elements[0].shape[0]
 
     def to_json(self) -> str:
-        return json.dumps({"labels": list(self.labels), "operators": [_encode_matrix(e) for e in self.elements]})
+        return json.dumps({"labels": list(self.labels), "operators": [encode_matrix(e) for e in self.elements]})
 
     @classmethod
     def from_json(cls, text: str) -> "Povm":
-        obj = json.loads(text)
-        return cls([_decode_matrix(e) for e in obj["operators"]], obj["labels"])
+        operators, labels = json_fields(text, "operators", "labels")
+        return cls([decode_matrix(e) for e in operators], labels)
 
 
 @dataclass
@@ -147,7 +133,7 @@ class Observable:
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         err = hermiticity_error(self.matrix)
-        if err > HERM_TOL:
+        if not err <= HERM_TOL:
             raise ValueError(f"observable is not Hermitian (max deviation {err:.3e})")
 
     def measurement(self, degeneracy_tol: float = 1e-8) -> ProjectiveMeasurement:
@@ -176,6 +162,11 @@ def obs_from_bloch(v) -> Observable:
     m = sum(float(vi) * s for vi, s in zip(v, PAULIS))
     meas = ProjectiveMeasurement([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
     return Observable(m, meas)
+
+
+def spin_projectors(v) -> list[np.ndarray]:
+    """Projectors (I + v.sigma)/2 and (I - v.sigma)/2 of the spin along v."""
+    return obs_from_bloch(v).measurement().projectors
 
 
 def _rows(ops: list[np.ndarray], d: int) -> np.ndarray:
@@ -298,15 +289,6 @@ def outcome_sum(back_map: list[int], k: int):
         return out
 
     return summed
-
-
-def coarse_grain(table: np.ndarray, back_map_a: list[int], back_map_b: list[int], ka: int, kb: int) -> np.ndarray:
-    """Sum a refined-outcome probability table back onto coarse outcomes."""
-    table = np.array(table, dtype=float)
-    if table.shape[0] < len(back_map_a) or table.shape[1] < len(back_map_b):
-        raise ValueError(f"table {table.shape} has fewer outcomes than the back-maps")
-    table = table[: len(back_map_a), : len(back_map_b)]
-    return outcome_sum(back_map_b, kb)(outcome_sum(back_map_a, ka)(table, 0), 1)
 
 
 def random_projective(d: int, rng: np.random.Generator) -> ProjectiveMeasurement:

@@ -8,6 +8,7 @@ slow index, so ``tensor(A, B) == np.kron(A, B)``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,10 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.
 
 
 def hermiticity_error(m: np.ndarray) -> float:
+    """max |m - m^dag|, NaN for a non-finite m: checks read `not err <= tol`."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(m - m.conj().T)))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +106,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(m, dtype=complex)
     err = hermiticity_error(m)
-    if err > HERM_TOL:
+    if not err <= HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {err:.3e})")
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
@@ -124,15 +127,41 @@ class DensityCheck:
 
 
 def is_density(m: np.ndarray) -> DensityCheck:
-    """Check Hermiticity, positivity (eigenvalues >= -1e-9) and unit trace."""
+    """Check Hermiticity, positivity (eigenvalues >= -1e-9) and unit trace;
+    a matrix that is not Hermitian, or not finite, is checked no further."""
     m = np.asarray(m, dtype=complex)
     herm = hermiticity_error(m)
-    tr_err = abs(np.trace(m) - 1.0)
-    if herm > HERM_TOL:
-        return DensityCheck(False, herm, float("nan"), float(tr_err))
+    if not herm <= HERM_TOL:
+        return DensityCheck(False, herm, float("nan"), float("nan"))
+    tr_err = abs(m.trace() - 1.0)
     min_eig = float(np.linalg.eigvalsh(m).min())
     ok = bool(min_eig >= -PSD_TOL and tr_err <= TRACE_TOL)
     return DensityCheck(ok, herm, min_eig, float(tr_err))
+
+
+def json_fields(text: str, *keys: str) -> list:
+    """Values of keys in the JSON object text; any other text is a ValueError."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
+    return [obj[k] for k in keys]
+
+
+def encode_matrix(m: np.ndarray) -> list[list[float]]:
+    """A matrix as JSON: its entries in row-major order as [re, im] pairs."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
+
+
+def decode_matrix(entries) -> np.ndarray:
+    """The square complex matrix that encode_matrix wrote as entries."""
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError):
+        raise ValueError("matrix entries must be a list of [re, im] number pairs") from None
+    d = int(round(np.sqrt(flat.size)))
+    if d * d != flat.size:
+        raise ValueError(f"expected a square matrix, got {flat.size} entries")
+    return flat.reshape(d, d)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

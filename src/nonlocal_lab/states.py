@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import basis_ket, flip, is_density, ket, partial_trace, projector, tensor
+from .qmat import basis_ket, decode_matrix, encode_matrix, flip, is_density, json_fields, ket, partial_trace, projector, tensor
 
 
 @dataclass
@@ -51,18 +51,15 @@ class DensityMatrix:
         return partial_trace(self.mat, self.d_a, self.d_b, side=traced)
 
     def to_json(self) -> str:
-        entries = [[float(z.real), float(z.imag)] for z in self.mat.reshape(-1)]
-        return json.dumps({"dA": self.d_a, "dB": self.d_b, "entries": entries})
+        return json.dumps({"dA": self.d_a, "dB": self.d_b, "entries": encode_matrix(self.mat)})
 
     @classmethod
     def from_json(cls, text: str) -> "DensityMatrix":
-        obj = json.loads(text)
-        d_a, d_b = int(obj["dA"]), int(obj["dB"])
-        flat = np.array([complex(re, im) for re, im in obj["entries"]])
-        dim = d_a * d_b
-        if flat.size != dim * dim:
-            raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-        return cls(flat.reshape(dim, dim), d_a, d_b)
+        d_a, d_b, entries = json_fields(text, "dA", "dB", "entries")
+        mat = decode_matrix(entries)
+        if type(d_a) is not int or type(d_b) is not int or mat.shape[0] != d_a * d_b:
+            raise ValueError(f"expected integers dA, dB with (dA*dB)^2 entries, got {d_a!r}, {d_b!r}, {mat.size}")
+        return cls(mat, d_a, d_b)
 
 
 def singlet() -> DensityMatrix:
@@ -73,12 +70,8 @@ def singlet() -> DensityMatrix:
 
 def singlet_ket(d_a: int = 2, d_b: int = 2) -> np.ndarray:
     """(|01> - |10>)/sqrt(2), supported on the first two local levels."""
-    psi = (tensor_ket(basis_ket(d_a, 0), basis_ket(d_b, 1)) - tensor_ket(basis_ket(d_a, 1), basis_ket(d_b, 0)))
+    psi = (tensor(basis_ket(d_a, 0), basis_ket(d_b, 1)) - tensor(basis_ket(d_a, 1), basis_ket(d_b, 0)))
     return psi / np.sqrt(2)
-
-
-def tensor_ket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def werner_phi(d: int, phi: float) -> DensityMatrix:
@@ -234,6 +227,20 @@ def twirl(rho: DensityMatrix) -> DensityMatrix:
     """Project onto the span of {I, V}: the Werner state with the same
     trace and the same tr(V .) as the input."""
     return werner_phi(rho.d_a, flip_witness(rho))
+
+
+# The named states of the CLI: each constructor's parameter names are the
+# flags that set them, and a state's label lists their values.
+STATES = {
+    "singlet": singlet,
+    "werner": werner_phi,
+    "werner-local": werner_local,
+    "werner2x2": werner2x2,
+    "barrett": barrett_state,
+    "rho-g": rho_g,
+    "rho-g-prime": rho_g_prime,
+    "rho-e": rho_e,
+}
 
 
 # Random-state generators used by the verification suites.

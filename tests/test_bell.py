@@ -155,8 +155,8 @@ class TestHorodecki:
         for q in (0.25, 0.5):
             sq = np.sqrt(q)
             cross = (
-                projector(states.tensor_ket(basis_ket(2, 0), basis_ket(2, 1)))
-                + projector(states.tensor_ket(basis_ket(2, 1), basis_ket(2, 0)))
+                projector(tensor(basis_ket(2, 0), basis_ket(2, 1)))
+                + projector(tensor(basis_ket(2, 1), basis_ket(2, 0)))
             ) / 2
             rho = DensityMatrix(sq * states.singlet().mat + (1 - sq) * cross, 2, 2)
             assert abs(horodecki_m(rho).m_rho - (1 + q)) < 1e-12

@@ -289,6 +289,59 @@ class TestFilterScan:
         assert "--q" in err
 
 
+class TestBadInput:
+    """Input the CLI rejects with exit 2 and one error line, never a traceback."""
+
+    def check(self, capsys, *argv) -> str:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("n", ["inf", "1e400"])
+    def test_rejects_infinite_count(self, capsys, n):
+        self.check(capsys, "simulate", "werner", "--n", n)
+
+    def test_missing_state_file(self, capsys, tmp_path):
+        assert "absent.json" in self.check(capsys, "witness", "--state-json", str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("field", ["dA", "dB", "entries"])
+    def test_state_file_lacking_a_field(self, capsys, tmp_path, field):
+        obj = json.loads(states.singlet().to_json())
+        del obj[field]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        assert field in self.check(capsys, "witness", "--state-json", str(path))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"dA": 2, "dB": 2, "entries": 5}', '{"dA": null, "dB": 2, "entries": []}'])
+    def test_malformed_state_file(self, capsys, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        self.check(capsys, "witness", "--state-json", str(path))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["witness", "chsh"])
+    def test_state_with_symmetric_infinities(self, capsys, tmp_path, command):
+        mat = np.eye(4, dtype=object) / 4
+        mat[0, 1] = mat[1, 0] = float("inf")
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dA": 2, "dB": 2, "entries": [[v, 0.0] for v in mat.ravel().tolist()]}))
+        extra = ["--optimal"] if command == "chsh" else []
+        assert "not a density matrix" in self.check(capsys, command, "--state-json", str(path), *extra)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("q", ["0.3", "0"])
+    def test_non_finite_epsilon(self, capsys, q, eps):
+        err = self.check(capsys, "filter-scan", "rho-g", "--q", q, "--eps-grid", f"1e-2,{eps}")
+        assert ("epsilon" if q != "0" else "not a valid filter") in err
+
+    def test_filter_that_never_succeeds(self, capsys):
+        assert "never succeed" in self.check(capsys, "filter-scan", "rho-g", "--q", "0", "--eps-grid", "0")
+
+
 class TestReproduce:
     def test_small_run_warns_and_is_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "r1"

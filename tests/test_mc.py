@@ -92,11 +92,6 @@ class TestJointTable:
         t = self.make()
         assert np.isclose(t.means.sum(), 1.0, atol=1e-12)
 
-    def test_marginals(self):
-        t = self.make()
-        assert np.allclose(t.marginal_a(), [0.4, 0.6])
-        assert np.allclose(t.marginal_b(), [0.4, 0.6])
-
     def test_json_schema(self):
         payload = json.loads(self.make().to_json())
         assert set(payload) == {"cells", "n", "seed"}

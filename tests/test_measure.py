@@ -8,20 +8,25 @@ from nonlocal_lab.measure import (
     Observable,
     Povm,
     ProjectiveMeasurement,
-    bloch_vector,
     born_joint,
     born_table,
-    coarse_grain,
     expectation_joint,
     obs_from_bloch,
+    outcome_sum,
     post_measurement_state,
     povm_refine,
     random_povm,
     random_projective,
+    unit_bloch,
 )
 from nonlocal_lab.qmat import SZ, basis_ket, haar_ket, projector, tensor
 
 rng = np.random.default_rng(515)
+
+
+def coarse_grain(table, back_map_a, back_map_b, ka, kb):
+    """A refined-outcome table summed onto coarse outcomes on both axes."""
+    return outcome_sum(back_map_b, kb)(outcome_sum(back_map_a, ka)(np.asarray(table, dtype=float), 0), 1)
 
 
 def rand_unit3():
@@ -62,7 +67,7 @@ class TestObsFromBloch:
         with pytest.raises(ValueError):
             obs_from_bloch([bad, 0, 1])
         with pytest.raises(ValueError):
-            bloch_vector(bad, 0, 1)
+            unit_bloch([bad, 0, 1])
 
 
 class TestBornJoint:
@@ -185,7 +190,7 @@ class TestPostMeasurement:
 
     def test_orthogonal_outcome_is_flagged(self):
         rho = states.DensityMatrix(projector(states.singlet_ket()), 2, 2)
-        psi_plus = (states.tensor_ket(basis_ket(2, 0), basis_ket(2, 1)) + states.tensor_ket(basis_ket(2, 1), basis_ket(2, 0))) / np.sqrt(2)
+        psi_plus = (tensor(basis_ket(2, 0), basis_ket(2, 1)) + tensor(basis_ket(2, 1), basis_ket(2, 0))) / np.sqrt(2)
         post, p = post_measurement_state(rho, projector(psi_plus))
         assert post is None
         assert p == 0.0
@@ -354,6 +359,20 @@ class TestValidation:
     def test_observable_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, np.inf], [np.inf, 0.5]])])
+    def test_observable_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(bad)
+
+    @pytest.mark.parametrize("cls", [ProjectiveMeasurement, Povm])
+    @pytest.mark.parametrize("field", ["operators", "labels"])
+    def test_from_json_lacking_a_field(self, cls, field):
+        obj = json.loads(ProjectiveMeasurement.from_basis(np.eye(2)).to_json())
+        del obj[field]
+        with pytest.raises(ValueError, match=field):
+            cls.from_json(json.dumps(obj))
 
     def test_observable_measurement_merges_degenerate(self):
         meas = Observable(np.diag([1.0, 1.0, -1.0]).astype(complex)).measurement()

@@ -199,6 +199,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, np.inf], [np.inf, 0.5]])])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares false with every tolerance, so the check reads `not err <= tol`
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(bad)
+
 
 class TestIsDensity:
     def test_maximally_mixed(self):
@@ -213,3 +220,12 @@ class TestIsDensity:
         check = is_density(np.eye(2))
         assert not check
         assert check.trace_error > 0.9
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad", [np.full((2, 2), np.nan), np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf])]
+    )
+    def test_non_finite_is_not(self, bad):
+        check = is_density(bad)
+        assert not check
+        assert np.isnan(check.hermiticity_error)

@@ -214,7 +214,7 @@ class TestTwirl:
         assert np.max(np.abs(twirl(rho).mat - werner_phi(3, 0.0).mat)) < 1e-12
 
     def test_aligned_product_gives_phi_one(self):
-        psi = states.tensor_ket(basis_ket(2, 1), basis_ket(2, 1))
+        psi = tensor(basis_ket(2, 1), basis_ket(2, 1))
         rho = DensityMatrix(projector(psi), 2, 2)
         assert np.max(np.abs(twirl(rho).mat - werner_phi(2, 1.0).mat)) < 1e-12
 
