@@ -22,17 +22,7 @@ from .lhv import (
     simplex_integral_mc,
 )
 from .mc import JointTable, McEstimate
-from .measure import (
-    Observable,
-    Povm,
-    ProjectiveMeasurement,
-    born_joint,
-    born_table,
-    expectation_joint,
-    obs_from_bloch,
-    post_measurement_state,
-    povm_refine,
-)
+from .measure import Povm, ProjectiveMeasurement, born_table, obs_from_bloch, povm_refine
 from .qmat import flip, hermitian_eig, is_density, partial_trace, partial_transpose, tensor
 from .states import (
     DensityMatrix,

@@ -1,8 +1,9 @@
 """The reproducible verification suite behind `nonlocal-lab reproduce`.
 
-Each criterion returns a CriterionResult with a pass flag and a one-line
-detail string; MC-backed checks use five-standard-error tolerances and
-fixed per-criterion seeds derived from the master seed.
+Every criterion takes (seed, n, workers) and returns a CriterionResult with
+a pass flag and a one-line detail string; exact checks ignore n and
+workers. MC-backed checks use five-standard-error tolerances and fixed
+per-criterion seeds derived from the master seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def criterion_01(seed: int, n: int) -> CriterionResult:
+def criterion_01(seed: int, n: int, workers=None) -> CriterionResult:
     value = bell.chsh_value(states.singlet(), bell.example_chsh_settings())
     target = 2 * np.sqrt(2)
     err = abs(value - target)
@@ -55,7 +56,7 @@ def criterion_01(seed: int, n: int) -> CriterionResult:
     )
 
 
-def criterion_02(seed: int, n: int) -> CriterionResult:
+def criterion_02(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 2))
     worst_excess = -np.inf
     worst_gap = -np.inf
@@ -190,7 +191,7 @@ def criterion_08(seed: int, n: int, workers=None) -> CriterionResult:
     )
 
 
-def criterion_09(seed: int, n: int) -> CriterionResult:
+def criterion_09(seed: int, n: int, workers=None) -> CriterionResult:
     msgs = []
     artifacts = {}
     ok = True
@@ -227,7 +228,7 @@ def criterion_09(seed: int, n: int) -> CriterionResult:
     )
 
 
-def criterion_10(seed: int, n: int) -> CriterionResult:
+def criterion_10(seed: int, n: int, workers=None) -> CriterionResult:
     ok = True
     worst = 0.0
     for d in range(3, 9):
@@ -247,7 +248,7 @@ def criterion_10(seed: int, n: int) -> CriterionResult:
     )
 
 
-def criterion_11(seed: int, n: int) -> CriterionResult:
+def criterion_11(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 11))
     worst = 0.0
     for q in np.linspace(0, 1, 11):
@@ -358,17 +359,9 @@ CRITERIA = [
     criterion_13,
 ]
 
-_MC_CRITERIA = {3, 4, 5, 6, 7, 8, 12, 13}
-
 
 def run_all(seed: int = 0, n: int = FULL_POWER_N, workers=None) -> list[CriterionResult]:
-    results = []
-    for i, crit in enumerate(CRITERIA, start=1):
-        if i in _MC_CRITERIA:
-            results.append(crit(seed, n, workers))
-        else:
-            results.append(crit(seed, n))
-    return results
+    return [crit(seed, n, workers) for crit in CRITERIA]
 
 
 def write_report(results: list[CriterionResult], out_dir: str | Path, seed: int, n: int) -> Path:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +44,13 @@ class ChshResult:
     settings: ChshSettings
     eigen_pair: tuple[float, float]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "M": self.m_rho,
-                "settings": self.settings.to_dict(),
-                "eigenvalues": [self.eigen_pair[0], self.eigen_pair[1]],
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "M": self.m_rho,
+            "settings": self.settings.to_dict(),
+            "eigenvalues": [self.eigen_pair[0], self.eigen_pair[1]],
+        }
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:

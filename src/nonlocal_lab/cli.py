@@ -153,7 +153,7 @@ def cmd_chsh(args) -> int:
             settings=settings,
             eigen_pair=base.eigen_pair,
         )
-    _emit(_dump_json(json.loads(result.to_json())), args.out)
+    _emit(_dump_json(result.to_dict()), args.out)
     return EXIT_OK
 
 

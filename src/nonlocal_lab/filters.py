@@ -157,11 +157,8 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
     state = STATES[name](q)
     rows = []
     for eps in epsilons:
-        if q > 0:
-            filt = hirsch_filters(eps, q)
-        else:
-            filt = LocalFilter(np.diag([eps, 1.0]), np.diag([eps, 1.0]))
-        outcome = apply_filters(state, filt)
+        # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1
+        outcome = apply_filters(state, hirsch_filters(eps, q if q > 0 else 1.0))
         if outcome.post_state is None:
             raise ValueError(f"the filters at epsilon {eps} never succeed on this state")
         res: ChshResult = horodecki_m(outcome.post_state)

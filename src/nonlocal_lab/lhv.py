@@ -13,7 +13,7 @@ import numpy as np
 
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, ProjectiveMeasurement, born_table, outcome_sum, povm_refine, random_povm
-from .measure import random_projective, spin_projectors, unit_bloch
+from .measure import obs_from_bloch, random_projective, unit_bloch
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, werner2x2, werner_local
 
 __all__ = [
@@ -230,6 +230,14 @@ def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.n
     return cells, np.array([m - 2 * (na + nb - 2 * nab), 2 * na - m, 2 * nb - m], dtype=float)
 
 
+def _pm_results(cells: np.ndarray, sums: np.ndarray, n: int, seed: int):
+    """The joint table over outcomes [1, -1] and the estimates of E(AB), E(A)
+    and E(B) from summed _pm_counts; each +-1 product squares to 1, so every
+    second moment is n."""
+    table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
+    return table, *[McEstimate.from_sums(s, float(n), n, seed) for s in sums]
+
+
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
     """Choice-method simulation of the singlet with the accepted index
     communicated: E(AB) -> -x.y, vanishing marginals."""
@@ -242,15 +250,11 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
         pick0 = np.abs(x0) > np.abs(x1)
         # a = -sign(x . l) is +1 iff x . l < 0; b = sign(y . l) is +1 iff y . l >= 0
         a_plus = np.where(pick0, x0, x1) < 0
-        _, sums = _pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0)
-        return sums, np.full(3, float(m))
+        return _pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0)
 
-    s, s2 = run_batched(n, seed, "epr1bit", kernel, workers)
-    return {
-        "E_AB": McEstimate.from_sums(s[0], s2[0], n, seed),
-        "E_A": McEstimate.from_sums(s[1], s2[1], n, seed),
-        "E_B": McEstimate.from_sums(s[2], s2[2], n, seed),
-    }
+    cells, s = run_batched(n, seed, "epr1bit", kernel, workers)
+    _, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
+    return {"E_AB": e_ab, "E_A": e_a, "E_B": e_b}
 
 
 @dataclass
@@ -285,14 +289,8 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
         return cells, sums, np.array([float(mism)])
 
     cells, s, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
-    table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
-    return GdResult(
-        e_ab=McEstimate.from_sums(s[0], float(n), n, seed),
-        e_a=McEstimate.from_sums(s[1], float(n), n, seed),
-        e_b=McEstimate.from_sums(s[2], float(n), n, seed),
-        table=table,
-        rewrite_mismatches=int(mism[0]),
-    )
+    table, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
+    return GdResult(e_ab=e_ab, e_a=e_a, e_b=e_b, table=table, rewrite_mismatches=int(mism[0]))
 
 
 @dataclass
@@ -324,18 +322,12 @@ def simulate_hirsch_projective(
         return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(shared[1] < 2.0 * q)], dtype=float)
 
     cells, s, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
-    table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
+    table, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
     n_acc, n_mix = counts
     accept = None
     if n_mix > 0:
         accept = McEstimate.from_sums(n_acc, n_acc, int(n_mix), seed)
-    return HirschResult(
-        table=table,
-        e_ab=McEstimate.from_sums(s[0], float(n), n, seed),
-        e_a=McEstimate.from_sums(s[1], float(n), n, seed),
-        e_b=McEstimate.from_sums(s[2], float(n), n, seed),
-        accept_rate=accept,
-    )
+    return HirschResult(table=table, e_ab=e_ab, e_a=e_a, e_b=e_b, accept_rate=accept)
 
 
 class HirschModel:
@@ -527,13 +519,13 @@ def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: 
 def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
     """Choice-method model on spins along x and y against werner2x2(1/2)."""
     res = simulate_gd_w2x2(x, y, n, seed, workers)
-    return res, res.table, born_table(werner2x2(0.5), spin_projectors(x), spin_projectors(y))
+    return res, res.table, born_table(werner2x2(0.5), obs_from_bloch(x).projectors, obs_from_bloch(y).projectors)
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
     """Singlet/|0> mixture model on spins along x and y against rho_g(q)."""
     res = simulate_hirsch_projective(q, x, y, n, seed, workers)
-    return res, res.table, born_table(rho_g(q), spin_projectors(x), spin_projectors(y))
+    return res, res.table, born_table(rho_g(q), obs_from_bloch(x).projectors, obs_from_bloch(y).projectors)
 
 
 def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):

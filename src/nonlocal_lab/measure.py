@@ -1,15 +1,12 @@
-"""Observables, projective measurements, POVMs and Born-rule probabilities."""
+"""Spin measurements, projective measurements, POVMs and Born-rule probabilities."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import (
-    PAULIS, I2, HERM_TOL, PSD_TOL, decode_matrix, encode_matrix, hermitian_eig, hermiticity_error, json_fields, projector
-)
+from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, hermitian_eig, hermiticity_error, projector
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -65,14 +62,6 @@ class ProjectiveMeasurement:
             labels = list(range(k))
         return cls([projector(vectors[:, i]) for i in range(k)], list(labels))
 
-    def to_json(self) -> str:
-        return json.dumps({"labels": list(self.labels), "operators": [encode_matrix(p) for p in self.projectors]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProjectiveMeasurement":
-        operators, labels = json_fields(text, "operators", "labels")
-        return cls([decode_matrix(e) for e in operators], labels)
-
 
 @dataclass
 class Povm:
@@ -114,59 +103,13 @@ class Povm:
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"labels": list(self.labels), "operators": [encode_matrix(e) for e in self.elements]})
 
-    @classmethod
-    def from_json(cls, text: str) -> "Povm":
-        operators, labels = json_fields(text, "operators", "labels")
-        return cls([decode_matrix(e) for e in operators], labels)
-
-
-@dataclass
-class Observable:
-    """Hermitian operator; outcomes are its eigenvalues."""
-
-    matrix: np.ndarray
-    _measurement: ProjectiveMeasurement | None = None
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        err = hermiticity_error(self.matrix)
-        if not err <= HERM_TOL:
-            raise ValueError(f"observable is not Hermitian (max deviation {err:.3e})")
-
-    def measurement(self, degeneracy_tol: float = 1e-8) -> ProjectiveMeasurement:
-        """Spectral measurement, merging eigenvalues closer than degeneracy_tol."""
-        if self._measurement is not None:
-            return self._measurement
-        vals, vecs = hermitian_eig(self.matrix)
-        projectors: list[np.ndarray] = []
-        labels: list[float] = []
-        i = 0
-        while i < len(vals):
-            j = i
-            while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= degeneracy_tol:
-                j += 1
-            block = vecs[:, i : j + 1]
-            projectors.append(block @ block.conj().T)
-            labels.append(float(np.mean(vals[i : j + 1])))
-            i = j + 1
-        self._measurement = ProjectiveMeasurement(projectors, labels)
-        return self._measurement
-
-
-def obs_from_bloch(v) -> Observable:
-    """Spin observable v . sigma with outcomes +-1 and projectors (I +- v.sigma)/2."""
+def obs_from_bloch(v) -> ProjectiveMeasurement:
+    """Measurement of the spin v . sigma: projectors (I +- v.sigma)/2 labelled
+    by its eigenvalues +1 and -1."""
     v = unit_bloch(v)
     m = sum(float(vi) * s for vi, s in zip(v, PAULIS))
-    meas = ProjectiveMeasurement([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
-    return Observable(m, meas)
-
-
-def spin_projectors(v) -> list[np.ndarray]:
-    """Projectors (I + v.sigma)/2 and (I - v.sigma)/2 of the spin along v."""
-    return obs_from_bloch(v).measurement().projectors
+    return ProjectiveMeasurement([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
 
 
 def _rows(ops: list[np.ndarray], d: int) -> np.ndarray:
@@ -212,32 +155,6 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     if outside.size:
         raise ValueError(f"joint probability {outside[0]} outside [0, 1]")
     return np.clip(p, 0.0, 1.0)
-
-
-def born_joint(rho: DensityMatrix, ma: np.ndarray, nb: np.ndarray) -> float:
-    """tr(rho  ma (x) nb): the single cell of born_table, with its checks."""
-    return float(born_table(rho, [ma], [nb])[0, 0])
-
-
-def expectation_joint(rho: DensityMatrix, obs_a: Observable, obs_b: Observable) -> float:
-    """Joint expectation as the label-weighted sum of Born probabilities."""
-    ma, mb = obs_a.measurement(), obs_b.measurement()
-    return float(np.asarray(ma.labels) @ born_table(rho, ma.projectors, mb.projectors) @ np.asarray(mb.labels))
-
-
-def post_measurement_state(rho: DensityMatrix, m: np.ndarray) -> tuple[DensityMatrix | None, float]:
-    """State update rho -> M rho M^dag / p with p = tr(M rho M^dag).
-
-    Returns (None, 0.0) when the outcome probability vanishes.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (rho.dim, rho.dim):
-        raise ValueError(f"measurement operator shape {m.shape} does not match state dimension {rho.dim}")
-    unnorm = m @ rho.mat @ m.conj().T
-    p = np.trace(unnorm).real
-    if p < ZERO_WEIGHT_TOL:
-        return None, 0.0
-    return DensityMatrix(unnorm / p, rho.d_a, rho.d_b), float(p)
 
 
 def povm_refine(povm: Povm) -> tuple[Povm, list[int], np.ndarray, np.ndarray]:

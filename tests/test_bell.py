@@ -12,6 +12,7 @@ from nonlocal_lab.bell import (
     horodecki_m,
     optimal_settings,
 )
+from nonlocal_lab.measure import born_table, obs_from_bloch
 from nonlocal_lab.qmat import basis_ket, flip, haar_unitary, projector, tensor
 from nonlocal_lab.states import DensityMatrix
 
@@ -44,11 +45,10 @@ class TestChshValue:
 
     def test_singlet_standard_settings_term_by_term(self):
         # each of the four expectations contributes 1/sqrt(2) in magnitude
-        from nonlocal_lab.measure import expectation_joint, obs_from_bloch
-
         s = example_chsh_settings()
         rho = states.singlet()
-        e = lambda a, b: expectation_joint(rho, obs_from_bloch(a), obs_from_bloch(b))
+        pm = np.array([1.0, -1.0])  # the spin outcomes, in obs_from_bloch's order
+        e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).projectors, obs_from_bloch(b).projectors) @ pm
         r = 1 / np.sqrt(2)
         assert abs(e(s.x, s.y) - r) < 1e-12
         assert abs(e(s.x2, s.y) - r) < 1e-12
@@ -71,12 +71,11 @@ class TestChshValue:
 
     def test_fast_path_matches_probability_sum(self):
         # chsh_value reads T; the reference sums label-weighted Born tables
-        from nonlocal_lab.measure import expectation_joint, obs_from_bloch
-
+        pm = np.array([1.0, -1.0])  # the spin outcomes, in obs_from_bloch's order
         for _ in range(5):
             rho = states.random_density(2, 2, rng)
             s = rand_settings()
-            e = lambda a, b: expectation_joint(rho, obs_from_bloch(a), obs_from_bloch(b))
+            e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).projectors, obs_from_bloch(b).projectors) @ pm
             by_probabilities = e(s.x, s.y) + e(s.x2, s.y) + e(s.x2, s.y2) - e(s.x, s.y2)
             assert np.isclose(chsh_value(rho, s), by_probabilities, atol=1e-10)
 
@@ -249,9 +248,7 @@ class TestOptimalSettings:
         assert abs(res.value) < 1e-12
 
     def test_result_json_schema(self):
-        import json
-
         res = horodecki_m(states.singlet())
-        payload = json.loads(res.to_json())
+        payload = res.to_dict()
         assert set(payload) == {"value", "M", "settings", "eigenvalues"}
         assert set(payload["settings"]) == {"x", "x'", "y", "y'"}

@@ -283,6 +283,12 @@ class TestFilterScan:
         row = out.strip().splitlines()[1].split(",")
         assert abs(float(row[2]) - 2.0203050891) < 1e-9
 
+    def test_wide_epsilon_at_q_zero(self, capsys):
+        # delta = eps / sqrt(q) > 1 rescales both filters; at q = 0 as at q > 0
+        code, out, _ = run(capsys, "filter-scan", "rho-g", "--q", "0", "--eps-grid", "2")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == "2"
+
     def test_requires_q(self, capsys):
         code, _, err = run(capsys, "filter-scan", "rho-g")
         assert code == 2
@@ -336,10 +342,17 @@ class TestBadInput:
     @pytest.mark.parametrize("q", ["0.3", "0"])
     def test_non_finite_epsilon(self, capsys, q, eps):
         err = self.check(capsys, "filter-scan", "rho-g", "--q", q, "--eps-grid", f"1e-2,{eps}")
-        assert ("epsilon" if q != "0" else "not a valid filter") in err
+        assert "epsilon must be positive and finite" in err
+
+    @pytest.mark.parametrize("eps", ["-0.1", "0"])
+    @pytest.mark.parametrize("q", ["0.3", "0"])
+    def test_non_positive_epsilon(self, capsys, q, eps):
+        err = self.check(capsys, "filter-scan", "rho-g", "--q", q, "--eps-grid", f"1e-2,{eps}")
+        assert "epsilon must be positive and finite" in err
 
     def test_filter_that_never_succeeds(self, capsys):
-        assert "never succeed" in self.check(capsys, "filter-scan", "rho-g", "--q", "0", "--eps-grid", "0")
+        # on rho_g(0) = |0><0| (x) I/2 the success probability is eps^2 (1 + eps^2) / 2
+        assert "never succeed" in self.check(capsys, "filter-scan", "rho-g", "--q", "0", "--eps-grid", "1e-7")
 
 
 class TestReproduce:

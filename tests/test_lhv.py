@@ -11,12 +11,12 @@ from nonlocal_lab.measure import (
     born_table,
     povm_refine,
     random_povm,
+    obs_from_bloch,
     random_projective,
-    spin_projectors,
 )
 from nonlocal_lab.qmat import basis_ket, haar_ket, haar_unitary, projector
 from nonlocal_lab.mc import JointTable, McEstimate
-from nonlocal_lab.states import rho_g, werner_local, werner_local_phi
+from nonlocal_lab.states import werner_local, werner_local_phi
 
 rng = np.random.default_rng(31337)
 N = 400_000
@@ -166,12 +166,6 @@ class TestSimulateWerner:
         cell = table.cell(0, 0)
         assert abs(cell.sigma_ratio((1 + werner_local_phi(2)) / (2 * 3))) < 5  # = 0.125
 
-    def test_d3_against_born_oracle(self):
-        pa, pb = random_projective(3, rng), random_projective(3, rng)
-        table = lhv.simulate_werner(3, pa, pb, N, 22)
-        oracle = born_table(werner_local(3), pa.projectors, pb.projectors)
-        assert table.max_sigma(oracle) < 5
-
     def test_marginals_are_uniform(self):
         pa, pb = random_projective(3, rng), random_projective(3, rng)
         table = lhv.simulate_werner(3, pa, pb, N, 23)
@@ -303,12 +297,6 @@ class TestGdW2x2:
         res = lhv.simulate_gd_w2x2([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], N, 62)
         assert abs(res.e_ab.sigma_ratio(0.0)) < 5
 
-    def test_joint_table_against_born_oracle(self):
-        x, y = unit3(), unit3()
-        res = lhv.simulate_gd_w2x2(x, y, N, 63)
-        oracle = born_table(states.werner2x2(0.5), spin_projectors(x), spin_projectors(y))
-        assert res.table.max_sigma(oracle) < 5
-
     def test_rewrite_identity_holds_on_all_samples(self):
         res = lhv.simulate_gd_w2x2(unit3(), unit3(), N, 64)
         assert res.rewrite_mismatches == 0
@@ -326,14 +314,6 @@ class TestHirsch:
         res = lhv.simulate_hirsch_projective(0.3, x, y, N, 72)
         assert abs(res.e_ab.sigma_ratio(-0.3 * float(x @ y))) < 5
 
-    def test_joint_table_against_born_oracle(self):
-        q = 0.25
-        x, y = unit3(), unit3()
-        res = lhv.simulate_hirsch_projective(q, x, y, N, 73)
-        oracle = born_table(rho_g(q), spin_projectors(x), spin_projectors(y))
-        assert res.table.max_sigma(oracle) < 5
-        assert abs(res.e_b.sigma_ratio(0.0)) < 5
-
     def test_acceptance_rate_half_and_x_independent(self):
         y = unit3()
         r1 = lhv.simulate_hirsch_projective(0.4, unit3(), y, N, 74).accept_rate
@@ -342,12 +322,8 @@ class TestHirsch:
         assert abs(r2.sigma_ratio(0.5)) < 5
         assert abs(r1.mean - r2.mean) < 5 * np.hypot(r1.stderr, r2.stderr)
 
-    def test_q_zero_matches_flagged_noise(self):
-        x, y = unit3(), unit3()
-        res = lhv.simulate_hirsch_projective(0.0, x, y, N, 76)
-        assert res.accept_rate is None
-        oracle = born_table(rho_g(0.0), spin_projectors(x), spin_projectors(y))
-        assert res.table.max_sigma(oracle) < 5
+    def test_no_acceptance_rate_at_q_zero(self):
+        assert lhv.simulate_hirsch_projective(0.0, unit3(), unit3(), 1000, 76).accept_rate is None
 
     def test_rejects_q_above_half(self):
         with pytest.raises(ValueError):
@@ -358,13 +334,6 @@ class TestPovmLift:
     def setup_method(self):
         self.base = lhv.HirschModel(0.4)
         self.sigma = projector(basis_ket(2, 0))
-
-    def test_joint_table_against_born_oracle(self):
-        ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-        res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 81)
-        oracle = born_table(res.target, ma.elements, mb.elements)
-        assert res.table.max_sigma(oracle) < 5
-        assert np.isclose(res.table.means.sum(), 1.0, atol=1e-12)
 
     def test_target_is_lifted_state(self):
         ma, mb = random_povm(2, 2, rng), random_povm(2, 2, rng)
@@ -386,8 +355,8 @@ class TestPovmLift:
     def test_projective_input_matches_projective_model(self):
         # sanity: rank-1 projective POVMs reduce to the plain spin simulation
         x = unit3()
-        ma = Povm(list(spin_projectors(x)))
-        mb = Povm(list(spin_projectors(x)))
+        ma = Povm(list(obs_from_bloch(x).projectors))
+        mb = Povm(list(obs_from_bloch(x).projectors))
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 85)
         oracle = born_table(res.target, ma.elements, mb.elements)
         assert res.table.max_sigma(oracle) < 5
@@ -406,13 +375,6 @@ class TestBarrett:
             assert min(pa) >= -1e-12 and min(pb) >= -1e-12
             assert abs(sum(pa) - 1) < 1e-12
             assert abs(sum(pb) - 1) < 1e-12
-
-    def test_d2_projective_against_born_oracle(self):
-        pa, pb = random_projective(2, rng), random_projective(2, rng)
-        ma, mb = Povm(list(pa.projectors)), Povm(list(pb.projectors))
-        table = lhv.simulate_barrett(2, ma, mb, N, 91)
-        oracle = born_table(states.barrett_state(2), ma.elements, mb.elements)
-        assert table.max_sigma(oracle) < 5
 
     def test_povm_input_coarse_grains(self):
         ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
@@ -442,20 +404,22 @@ class TestBarrett:
         assert table.max_sigma(born_table(states.barrett_state(3), ma.elements, mb.elements)) < 5
 
 
-class TestDeterminism:
-    def test_tables_identical_across_workers(self):
-        pa, pb = random_projective(2, rng), random_projective(2, rng)
-        a = lhv.simulate_werner(2, pa, pb, 100_000, 7, workers=1)
-        b = lhv.simulate_werner(2, pa, pb, 100_000, 7, workers=4)
-        assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.stderrs, b.stderrs)
+# Each table model's trial at that model's inputs, against the Born oracle it returns.
+_TRIALS = {
+    "werner-d3": lambda: lhv.werner_trial(3, rng, N, 22),
+    "barrett-d2": lambda: lhv.barrett_trial(2, rng, N, 91),
+    "gd": lambda: lhv.gd_trial(unit3(), unit3(), N, 63),
+    "hirsch-q0.25": lambda: lhv.hirsch_trial(0.25, unit3(), unit3(), N, 73),
+    "hirsch-q0": lambda: lhv.hirsch_trial(0.0, unit3(), unit3(), N, 76),
+    "povm_lift": lambda: lhv.povm_lift_trial(0.4, rng, N, 81),
+}
 
-    def test_estimates_identical_across_workers(self):
-        x, y = unit3(), unit3()
-        a = lhv.simulate_hirsch_projective(0.3, x, y, 100_000, 8, workers=1)
-        b = lhv.simulate_hirsch_projective(0.3, x, y, 100_000, 8, workers=3)
-        assert a.e_ab == b.e_ab
-        assert np.array_equal(a.table.means, b.table.means)
+
+@pytest.mark.parametrize("case", list(_TRIALS))
+def test_trial_table_against_its_born_oracle(case):
+    _, table, oracle = _TRIALS[case]()
+    assert table.max_sigma(oracle) < 5
+    assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
 
 
 # -- negative controls on the trials' Born oracles --------------------------
@@ -536,7 +500,7 @@ def _simulators():
         "hirsch": lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w),
         "povm_lift": lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
         "barrett": lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w),
-        # d=8: the overlap GEMMs are cut into sample slices
+        # d=8: blocks of the narrowest width, _MIN_BLOCK samples, as at large d
         "werner_d8": lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w),
         "barrett_d8": lambda n, w: lhv.simulate_barrett(8, ma8, mb8, n, 9, workers=w),
     }

@@ -1,25 +1,19 @@
-import json
-
 import numpy as np
 import pytest
 
 from nonlocal_lab import states
 from nonlocal_lab.measure import (
-    Observable,
     Povm,
     ProjectiveMeasurement,
-    born_joint,
     born_table,
-    expectation_joint,
     obs_from_bloch,
     outcome_sum,
-    post_measurement_state,
     povm_refine,
     random_povm,
     random_projective,
     unit_bloch,
 )
-from nonlocal_lab.qmat import SZ, basis_ket, haar_ket, projector, tensor
+from nonlocal_lab.qmat import PAULIS, SZ, basis_ket, haar_ket, projector, tensor
 
 rng = np.random.default_rng(515)
 
@@ -34,27 +28,31 @@ def rand_unit3():
     return v / np.linalg.norm(v)
 
 
+def spin(v):
+    """The spin matrix v . sigma."""
+    return sum(vi * s for vi, s in zip(v, PAULIS))
+
+
 class TestObsFromBloch:
     def test_z_axis(self):
-        obs = obs_from_bloch([0, 0, 1])
-        assert np.allclose(obs.matrix, SZ)
-        meas = obs.measurement()
+        meas = obs_from_bloch([0, 0, 1])
+        assert np.allclose(meas.projectors[0] - meas.projectors[1], SZ)
         assert np.allclose(meas.projectors[0], projector(basis_ket(2, 0)))
         assert np.allclose(meas.projectors[1], projector(basis_ket(2, 1)))
         assert meas.labels == [1.0, -1.0]
 
     def test_projectors_complete(self):
         for _ in range(10):
-            meas = obs_from_bloch(rand_unit3()).measurement()
+            meas = obs_from_bloch(rand_unit3())
             assert np.allclose(meas.projectors[0] + meas.projectors[1], np.eye(2), atol=1e-12)
 
     def test_pure_state_probabilities(self):
         v = rand_unit3()
-        obs = obs_from_bloch(v)
+        meas = obs_from_bloch(v)
         psi = haar_ket(2, rng)
-        expect = np.vdot(psi, obs.matrix @ psi).real
-        p_plus = np.vdot(psi, obs.measurement().projectors[0] @ psi).real
-        p_minus = np.vdot(psi, obs.measurement().projectors[1] @ psi).real
+        expect = np.vdot(psi, spin(v) @ psi).real
+        p_plus = np.vdot(psi, meas.projectors[0] @ psi).real
+        p_minus = np.vdot(psi, meas.projectors[1] @ psi).real
         assert np.isclose(p_plus, (1 + expect) / 2, atol=1e-12)
         assert np.isclose(p_plus + p_minus, 1.0, atol=1e-12)
 
@@ -71,10 +69,12 @@ class TestObsFromBloch:
 
 
 class TestBornJoint:
+    """Single cells tr(rho A (x) B) of born_table."""
+
     def test_singlet_perfect_anticorrelation(self):
         v = rand_unit3()
-        p_plus = obs_from_bloch(v).measurement().projectors[0]
-        assert np.isclose(born_joint(states.singlet(), p_plus, p_plus), 0.0, atol=1e-12)
+        p_plus = obs_from_bloch(v).projectors[0]
+        assert np.isclose(born_table(states.singlet(), [p_plus], [p_plus])[0, 0], 0.0, atol=1e-12)
 
     def test_werner_closed_form(self):
         # oracle: ((d - phi) + (d phi - 1) tr(Pa Qb)) / (d^3 - d) for rank-1 pairs
@@ -84,11 +84,11 @@ class TestBornJoint:
             qb = projector(haar_ket(d, rng))
             overlap = np.trace(pa @ qb).real
             expected = ((d - phi) + (d * phi - 1) * overlap) / (d**3 - d)
-            assert np.isclose(born_joint(w, pa, qb), expected, atol=1e-12)
+            assert np.isclose(born_table(w, [pa], [qb])[0, 0], expected, atol=1e-12)
 
     def test_identity_pair(self):
         rho = states.random_density(2, 3, rng)
-        assert np.isclose(born_joint(rho, np.eye(2), np.eye(3)), 1.0, atol=1e-12)
+        assert np.isclose(born_table(rho, [np.eye(2)], [np.eye(3)])[0, 0], 1.0, atol=1e-12)
 
     def test_sums_to_one_over_complete_pair(self):
         rho = states.random_density(3, 2, rng)
@@ -99,11 +99,11 @@ class TestBornJoint:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            born_joint(states.singlet(), np.eye(3), np.eye(2))
+            born_table(states.singlet(), [np.eye(3)], [np.eye(2)])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            born_joint(states.singlet(), np.full((2, 2), np.nan), np.eye(2))
+            born_table(states.singlet(), [np.full((2, 2), np.nan)], [np.eye(2)])
 
 
 def kron_table(rho, elements_a, elements_b):
@@ -140,9 +140,12 @@ class TestBornTable:
 
 
 class TestExpectationJoint:
+    """E(AB) of two spin measurements as labels_a @ born_table @ labels_b."""
+
     def test_singlet_gives_minus_cosine(self):
         x, y = rand_unit3(), rand_unit3()
-        e = expectation_joint(states.singlet(), obs_from_bloch(x), obs_from_bloch(y))
+        ma, mb = obs_from_bloch(x), obs_from_bloch(y)
+        e = np.array(ma.labels) @ born_table(states.singlet(), ma.projectors, mb.projectors) @ np.array(mb.labels)
         assert np.isclose(e, -float(x @ y), atol=1e-10)
 
     def test_product_state_factorizes(self):
@@ -150,60 +153,27 @@ class TestExpectationJoint:
         rho_b = states.random_density(1, 2, rng).mat
         rho = states.DensityMatrix(tensor(rho_a, rho_b), 2, 2)
         x, y = rand_unit3(), rand_unit3()
-        ox, oy = obs_from_bloch(x), obs_from_bloch(y)
-        e = expectation_joint(rho, ox, oy)
-        ea = np.trace(rho_a @ ox.matrix).real
-        eb = np.trace(rho_b @ oy.matrix).real
+        ma, mb = obs_from_bloch(x), obs_from_bloch(y)
+        e = np.array(ma.labels) @ born_table(rho, ma.projectors, mb.projectors) @ np.array(mb.labels)
+        ea = np.trace(rho_a @ spin(x)).real
+        eb = np.trace(rho_b @ spin(y)).real
         assert np.isclose(e, ea * eb, atol=1e-10)
 
     def test_half_singlet_mixture(self):
         x, y = rand_unit3(), rand_unit3()
-        e = expectation_joint(states.werner2x2(0.5), obs_from_bloch(x), obs_from_bloch(y))
+        ma, mb = obs_from_bloch(x), obs_from_bloch(y)
+        table = born_table(states.werner2x2(0.5), ma.projectors, mb.projectors)
+        e = np.array(ma.labels) @ table @ np.array(mb.labels)
         assert np.isclose(e, -float(x @ y) / 2, atol=1e-10)
 
     def test_matches_trace_formula(self):
         for _ in range(5):
             rho = states.random_density(2, 2, rng)
-            a, b = obs_from_bloch(rand_unit3()), obs_from_bloch(rand_unit3())
-            direct = np.trace(rho.mat @ tensor(a.matrix, b.matrix)).real
-            assert np.isclose(expectation_joint(rho, a, b), direct, atol=1e-10)
-
-    def test_degenerate_observable(self):
-        # diag(1, 1, -1) merges a rank-2 projector; the label sum must still
-        # reproduce tr(rho A (x) B)
-        a = Observable(np.diag([1.0, 1.0, -1.0]).astype(complex))
-        assert len(a.measurement().projectors) == 2
-        for _ in range(5):
-            rho = states.random_density(3, 2, rng)
-            b = obs_from_bloch(rand_unit3())
-            direct = np.trace(rho.mat @ tensor(a.matrix, b.matrix)).real
-            assert np.isclose(expectation_joint(rho, a, b), direct, atol=1e-12)
-
-
-class TestPostMeasurement:
-    def test_projector_onto_pure_support(self):
-        psi = haar_ket(4, rng)
-        rho = states.DensityMatrix(projector(psi), 2, 2)
-        post, p = post_measurement_state(rho, projector(psi))
-        assert np.isclose(p, 1.0, atol=1e-12)
-        assert np.max(np.abs(post.mat - rho.mat)) < 1e-12
-
-    def test_orthogonal_outcome_is_flagged(self):
-        rho = states.DensityMatrix(projector(states.singlet_ket()), 2, 2)
-        psi_plus = (tensor(basis_ket(2, 0), basis_ket(2, 1)) + tensor(basis_ket(2, 1), basis_ket(2, 0))) / np.sqrt(2)
-        post, p = post_measurement_state(rho, projector(psi_plus))
-        assert post is None
-        assert p == 0.0
-
-    def test_projection_matches_block_form(self):
-        # projecting both sides of the entangled Werner state onto two levels
-        d = 4
-        p = projector(basis_ket(d, 0)) + projector(basis_ket(d, 1))
-        post, prob = post_measurement_state(states.werner_local(d), tensor(p, p))
-        assert np.isclose(prob, 2 * (d + 2) / d**3, atol=1e-12)
-        block = states.restrict_block(post, (0, 1), (0, 1))
-        expected = (d / (d + 2)) * (np.eye(4) / (2 * d) + projector(states.singlet_ket()))
-        assert np.max(np.abs(block.mat - expected)) < 1e-12
+            x, y = rand_unit3(), rand_unit3()
+            ma, mb = obs_from_bloch(x), obs_from_bloch(y)
+            e = np.array(ma.labels) @ born_table(rho, ma.projectors, mb.projectors) @ np.array(mb.labels)
+            direct = np.trace(rho.mat @ tensor(spin(x), spin(y))).real
+            assert np.isclose(e, direct, atol=1e-10)
 
 
 class TestPovmRefine:
@@ -287,26 +257,6 @@ class TestPovmRefine:
         assert np.array_equal(coarse_grain(table, range(5), range(4), 5, 4), table)
 
 
-class TestSerialization:
-    def test_projective_roundtrip(self):
-        meas = random_projective(3, rng)
-        again = ProjectiveMeasurement.from_json(meas.to_json())
-        assert again.labels == meas.labels
-        for p, q in zip(meas.projectors, again.projectors):
-            assert np.max(np.abs(p - q)) < 1e-15
-
-    def test_povm_roundtrip(self):
-        povm = random_povm(3, 2, rng)
-        again = Povm.from_json(povm.to_json())
-        assert again.labels == povm.labels
-        for p, q in zip(povm.elements, again.elements):
-            assert np.max(np.abs(p - q)) < 1e-15
-
-
-def _operators_json(ops) -> str:
-    return json.dumps({"labels": list(range(len(ops))), "operators": [[[z.real, z.imag] for z in np.ravel(op).astype(complex)] for op in ops]})
-
-
 class TestValidation:
     def test_projective_rejects_non_orthogonal(self):
         p = projector(haar_ket(2, rng))
@@ -336,17 +286,12 @@ class TestValidation:
         ops = [np.full((2, 2), bad), np.eye(2)]
         with pytest.raises(ValueError, match="^projectors must be finite$"):
             ProjectiveMeasurement(ops, [0, 1])
-        # json.loads accepts NaN and Infinity, so from_json must reject them too
-        with pytest.raises(ValueError, match="^projectors must be finite$"):
-            ProjectiveMeasurement.from_json(_operators_json(ops))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_povm_rejects_non_finite(self, bad):
         ops = [np.full((2, 2), bad), np.eye(2)]
         with pytest.raises(ValueError, match="^POVM elements must be finite$"):
             Povm(ops)
-        with pytest.raises(ValueError, match="^POVM elements must be finite$"):
-            Povm.from_json(_operators_json(ops))
 
     def test_povm_rejects_incomplete(self):
         with pytest.raises(ValueError):
@@ -355,26 +300,3 @@ class TestValidation:
     def test_povm_rejects_negative(self):
         with pytest.raises(ValueError):
             Povm([1.5 * np.eye(2), -0.5 * np.eye(2)])
-
-    def test_observable_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Observable(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.array([[0.5, np.inf], [np.inf, 0.5]])])
-    def test_observable_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            Observable(bad)
-
-    @pytest.mark.parametrize("cls", [ProjectiveMeasurement, Povm])
-    @pytest.mark.parametrize("field", ["operators", "labels"])
-    def test_from_json_lacking_a_field(self, cls, field):
-        obj = json.loads(ProjectiveMeasurement.from_basis(np.eye(2)).to_json())
-        del obj[field]
-        with pytest.raises(ValueError, match=field):
-            cls.from_json(json.dumps(obj))
-
-    def test_observable_measurement_merges_degenerate(self):
-        meas = Observable(np.diag([1.0, 1.0, -1.0]).astype(complex)).measurement()
-        assert len(meas.projectors) == 2
-        assert sorted(meas.labels) == [-1.0, 1.0]

@@ -60,7 +60,7 @@ class TestWernerPhi:
     def test_equal_projector_joint_probability(self):
         for d, phi in ((2, 0.3), (3, -0.5), (4, -1.0)):
             p = projector(basis_ket(d, 0))
-            got = measure.born_joint(werner_phi(d, phi), p, p)
+            got = measure.born_table(werner_phi(d, phi), [p], [p])[0, 0]
             assert np.isclose(got, (1 + phi) / (d * (d + 1)), atol=1e-12)
 
     def test_matches_two_qubit_mixture(self):
@@ -102,7 +102,8 @@ class TestWerner2x2:
                 x /= np.linalg.norm(x)
                 y = rng.standard_normal(3)
                 y /= np.linalg.norm(y)
-                e = measure.expectation_joint(w, measure.obs_from_bloch(x), measure.obs_from_bloch(y))
+                ma, mb = measure.obs_from_bloch(x), measure.obs_from_bloch(y)
+                e = np.array(ma.labels) @ measure.born_table(w, ma.projectors, mb.projectors) @ np.array(mb.labels)
                 assert np.isclose(e, -alpha * float(x @ y), atol=1e-10)
 
 
