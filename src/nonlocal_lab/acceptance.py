@@ -283,7 +283,7 @@ def _response_validity(seed: int, n_lambda: int) -> tuple[bool, str]:
         ok = ok and np.max(np.abs(col_sums - 1)) <= 1e-12
         # minimizer response: exactly one outcome fires by construction
         ma = random_povm(3, d, rng)
-        _, _, xw, mk = measure.povm_refine(ma)
+        _, xw, mk = measure.povm_refine(ma)
         ua = lhv._overlaps(lhv._overlap_rows(mk), lam)
         p_alice, p_bob = lhv._barrett_responses(ua, xw, ua, xw, d)
         for name, p in (("threshold", p_alice), ("inverted", p_bob)):

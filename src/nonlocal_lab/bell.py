@@ -70,15 +70,11 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
 def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
     """E(x,y) + E(x',y) + E(x',y') - E(x,y') for spin observables, with
     E(a, b) = a.T T b read off the correlation matrix."""
-    return chsh_value_from_t(correlation_matrix(rho), s)
+    return chsh_value_from_t(correlation_matrix(rho), s.x, s.x2, s.y, s.y2)
 
 
-def chsh_value_from_t(t: np.ndarray, s: ChshSettings) -> float:
-    """Same combination evaluated through the correlation matrix (E = a.T b)."""
-    return _chsh_from_t(t, s.x, s.x2, s.y, s.y2)
-
-
-def _chsh_from_t(t, x, x2, y, y2) -> float:
+def chsh_value_from_t(t: np.ndarray, x, x2, y, y2) -> float:
+    """The CHSH combination through the correlation matrix t, E(a, b) = a.T t b."""
     return float(x @ t @ y + x2 @ t @ y + x2 @ t @ y2 - x @ t @ y2)
 
 
@@ -142,7 +138,7 @@ def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, np.ndarray]:
             xb = tb / nb if nb > _RANK_TOL else fallback
             theta = np.arctan2(nb, na)
             cand = (xb, xa, np.cos(theta) * za + np.sin(theta) * zb, np.cos(theta) * za - np.sin(theta) * zb)
-            val = _chsh_from_t(t, *cand)
+            val = chsh_value_from_t(t, *cand)
             if best is None or val > best[0]:
                 best = (val, cand)
     assert best is not None
@@ -155,5 +151,5 @@ def horodecki_m(rho: DensityMatrix) -> ChshResult:
     t = correlation_matrix(rho)
     settings, vals = _optimal_settings_from_t(t)
     u, u_tilde = float(vals[2]), float(vals[1])
-    value = chsh_value_from_t(t, settings)
+    value = chsh_value_from_t(t, settings.x, settings.x2, settings.y, settings.y2)
     return ChshResult(value=value, m_rho=u + u_tilde, settings=settings, eigen_pair=(u, u_tilde))

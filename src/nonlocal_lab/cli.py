@@ -19,7 +19,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-SIGMA = 5.0
 
 _WITNESS_NEG_TOL = 1e-12
 _PPT_NEG_TOL = 1e-9
@@ -159,7 +158,7 @@ def cmd_chsh(args) -> int:
 
 def _table_report(table, oracle, fmt: str, out: str | None, extra: dict | None = None) -> int:
     max_sigma = table.max_sigma(oracle)
-    passed = max_sigma <= SIGMA
+    passed = max_sigma <= acceptance.SIGMA
     if fmt == "json":
         payload = table.to_dict()
         payload["oracle"] = [[float(v) for v in row] for row in np.asarray(oracle)]
@@ -193,7 +192,7 @@ def cmd_simulate(args) -> int:
             lines = [f"{k}: {_fmt(e.mean)} +- {_fmt(e.stderr)}" for k, e in res.items()]
             lines[0] += f" (target {_fmt(target)})"
             _emit("\n".join([*lines, f"sigma: {_fmt(dev)}"]), args.out)
-        return EXIT_OK if dev <= SIGMA else EXIT_CHECK_FAILED
+        return EXIT_OK if dev <= acceptance.SIGMA else EXIT_CHECK_FAILED
     rng = np.random.default_rng(seed)
     extra = None
     if args.model in ("werner", "barrett"):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
-from .measure import Povm, ProjectiveMeasurement, born_table, outcome_sum, povm_refine, random_povm
-from .measure import obs_from_bloch, random_projective, unit_bloch
+from .measure import Povm, born_table, obs_from_bloch, outcome_sum, povm_refine
+from .measure import random_povm, random_projective, unit_bloch
+from .qmat import projector
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, werner2x2, werner_local
 
 __all__ = [
@@ -63,11 +64,13 @@ def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> 
 
 # -- simulators -------------------------------------------------------------
 
-def _refine_projective(proj: ProjectiveMeasurement) -> tuple[np.ndarray, list[int]]:
-    """Rank-1 kets of a projective measurement plus the coarse back-map."""
-    _, back_map, weights, kets = povm_refine(Povm._trusted(proj.projectors, list(range(len(proj.projectors)))))
+def _refine_projective(proj: Povm) -> tuple[np.ndarray, list[int]]:
+    """Rank-1 kets of a projective measurement plus the coarse back-map. A
+    POVM is projective when every refined weight is 1: its elements have
+    eigenvalues in {0, 1} and sum to I, so they are orthogonal projectors."""
+    back_map, weights, kets = povm_refine(proj)
     if np.max(np.abs(weights - 1.0)) > 1e-9:
-        raise ValueError("projective refinement produced non-unit weights")
+        raise ValueError("measurement is not projective: an element has an eigenvalue other than 0 or 1")
     return kets, back_map
 
 
@@ -143,8 +146,8 @@ def _barrett_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def simulate_werner(
     d: int,
-    proj_a: ProjectiveMeasurement,
-    proj_b: ProjectiveMeasurement,
+    proj_a: Povm,
+    proj_b: Povm,
     n: int,
     seed: int,
     workers: int | None = None,
@@ -154,13 +157,16 @@ def simulate_werner(
     The hidden variable is a Haar unit vector in C^d. Alice outputs the
     outcome whose projector overlap is minimal; Bob's per-sample
     contribution is the full overlap distribution, so each sample adds a
-    probability row rather than a sampled outcome.
+    probability row rather than a sampled outcome. Both measurements must
+    be projective.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if proj_a.dim != d or proj_b.dim != d:
         raise ValueError("measurement dimensions must equal d")
     kets_a, bm_a = _refine_projective(proj_a)
     kets_b, bm_b = _refine_projective(proj_b)
-    ka, kb = len(proj_a.projectors), len(proj_b.projectors)
+    ka, kb = len(proj_a.elements), len(proj_b.elements)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     sum_b = outcome_sum(bm_b, kb)
     # cell[b, i]: flat (a, b) cell of Bob's outcome b when refined ket i is Alice's minimizer
@@ -183,16 +189,17 @@ def simulate_werner(
 def simplex_integral_mc(
     d: int,
     a: int,
-    proj: ProjectiveMeasurement,
+    proj: Povm,
     n: int,
     seed: int,
     workers: int | None = None,
 ) -> McEstimate:
     """Estimate the overlap integral restricted to the region where outcome
-    a is the minimizer; the exact value is 1/d^3 for every rank-1 basis."""
+    a is the minimizer; the exact value is 1/d^3 for every rank-1 projective
+    measurement."""
     if proj.dim != d:
         raise ValueError("measurement dimension must equal d")
-    if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.projectors):
+    if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.elements):
         raise ValueError("simplex integral requires a rank-1 measurement")
     w = _overlap_rows(_refine_projective(proj)[0])
 
@@ -418,13 +425,13 @@ def simulate_povm_lift(
         raise ValueError(f"POVMs must act on dimension {d}")
     sigma_a = np.asarray(sigma_a, dtype=complex)
     sigma_b = np.asarray(sigma_b, dtype=complex)
-    ref_a, bm_a, alphas, kets_a = povm_refine(povm_a)
-    ref_b, bm_b, betas, kets_b = povm_refine(povm_b)
+    bm_a, alphas, kets_a = povm_refine(povm_a)
+    bm_b, betas, kets_b = povm_refine(povm_b)
     bloch_a, bloch_b = _bloch_rows(kets_a), _bloch_rows(kets_b)
     cdf_pick_a = _choice_cdf(alphas / d)
     cdf_pick_b = _choice_cdf(betas / d)
-    step4_pmf_a = np.array([np.trace(el @ sigma_a).real for el in ref_a.elements])
-    step4_pmf_b = np.array([np.trace(el @ sigma_b).real for el in ref_b.elements])
+    step4_pmf_a = np.array([np.trace(w * projector(v) @ sigma_a).real for w, v in zip(alphas, kets_a)])
+    step4_pmf_b = np.array([np.trace(w * projector(v) @ sigma_b).real for w, v in zip(betas, kets_b)])
     cdf4_a = _choice_cdf(step4_pmf_a)
     cdf4_b = _choice_cdf(step4_pmf_b)
     bm_a_arr, bm_b_arr = np.asarray(bm_a), np.asarray(bm_b)
@@ -479,8 +486,8 @@ def simulate_barrett(
         raise ValueError("POVM dimensions must equal d")
     if d < 2:
         raise ValueError("d must be >= 2")
-    _, bm_a, xw, kets_a = povm_refine(povm_a)
-    _, bm_b, yw, kets_b = povm_refine(povm_b)
+    bm_a, xw, kets_a = povm_refine(povm_a)
+    bm_b, yw, kets_b = povm_refine(povm_b)
     w = _overlap_rows(np.concatenate([kets_a, kets_b]))
     sum_a = outcome_sum(bm_a, len(povm_a.elements))
     sum_b = outcome_sum(bm_b, len(povm_b.elements))
@@ -505,27 +512,26 @@ def werner_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: i
     """Minimizer model in two Haar-random bases against werner_local(d)."""
     pa, pb = random_projective(d, rng), random_projective(d, rng)
     table = simulate_werner(d, pa, pb, n, seed, workers)
-    return table, table, born_table(werner_local(d), pa.projectors, pb.projectors)
+    return table, table, born_table(werner_local(d), pa.elements, pb.elements)
 
 
 def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
     """Threshold model in two Haar-random bases against barrett_state(d)."""
     pa, pb = random_projective(d, rng), random_projective(d, rng)
-    ma, mb = Povm(list(pa.projectors)), Povm(list(pb.projectors))
-    table = simulate_barrett(d, ma, mb, n, seed, workers)
-    return table, table, born_table(barrett_state(d), ma.elements, mb.elements)
+    table = simulate_barrett(d, pa, pb, n, seed, workers)
+    return table, table, born_table(barrett_state(d), pa.elements, pb.elements)
 
 
 def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
     """Choice-method model on spins along x and y against werner2x2(1/2)."""
     res = simulate_gd_w2x2(x, y, n, seed, workers)
-    return res, res.table, born_table(werner2x2(0.5), obs_from_bloch(x).projectors, obs_from_bloch(y).projectors)
+    return res, res.table, born_table(werner2x2(0.5), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
     """Singlet/|0> mixture model on spins along x and y against rho_g(q)."""
     res = simulate_hirsch_projective(q, x, y, n, seed, workers)
-    return res, res.table, born_table(rho_g(q), obs_from_bloch(x).projectors, obs_from_bloch(y).projectors)
+    return res, res.table, born_table(rho_g(q), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
 
 
 def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):

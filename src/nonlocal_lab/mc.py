@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import json
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -141,9 +140,15 @@ class McEstimate:
 
     def sigma_ratio(self, target: float) -> float:
         """(mean - target) in units of the standard error."""
-        if self.stderr == 0.0:
-            return 0.0 if self.mean == target else float("inf")
-        return (self.mean - target) / self.stderr
+        return float(_sigma_ratios(self.mean - target, self.stderr))
+
+
+def _sigma_ratios(diff, stderr) -> np.ndarray:
+    """diff / stderr elementwise, the statistic of every 5-sigma gate: 0
+    where both are 0 and inf where only the standard error is."""
+    diff, stderr = np.asarray(diff, dtype=float), np.asarray(stderr, dtype=float)
+    positive = stderr > 0
+    return np.where(positive, diff / np.where(positive, stderr, 1.0), np.where(diff == 0, 0.0, np.inf))
 
 
 def _stderr_table(sums: np.ndarray, sumsq: np.ndarray, n: int) -> np.ndarray:
@@ -172,12 +177,7 @@ class JointTable:
 
     def max_sigma(self, oracle: np.ndarray) -> float:
         """Largest |mean - oracle| / stderr over all cells."""
-        se = np.where(self.stderrs > 0, self.stderrs, np.inf)
-        ratios = np.abs(self.means - np.asarray(oracle)) / se
-        exact = (self.stderrs == 0) & (np.abs(self.means - np.asarray(oracle)) > 0)
-        if exact.any():
-            return float("inf")
-        return float(ratios.max())
+        return float(_sigma_ratios(np.abs(self.means - np.asarray(oracle)), self.stderrs).max())
 
     def to_dict(self) -> dict:
         """The JSON payload: one {a, b, mean, stderr} cell per outcome pair, n and seed."""
@@ -188,21 +188,19 @@ class JointTable:
         ]
         return {"cells": cells, "n": self.n, "seed": self.seed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_csv(self, oracle: np.ndarray | None = None) -> str:
         lines = ["a,b,mean,stderr,oracle,abs_diff,sigma_ratio"]
+        if oracle is not None:
+            diffs = np.abs(self.means - oracle)
+            ratios = _sigma_ratios(diffs, self.stderrs)
         for i in range(self.means.shape[0]):
             for j in range(self.means.shape[1]):
                 mean, se = self.means[i, j], self.stderrs[i, j]
                 if oracle is None:
                     lines.append(f"{self.labels_a[i]},{self.labels_b[j]},{mean:.12g},{se:.12g},,,")
                 else:
-                    diff = abs(mean - oracle[i, j])
-                    ratio = diff / se if se > 0 else (0.0 if diff == 0 else float("inf"))
                     lines.append(
                         f"{self.labels_a[i]},{self.labels_b[j]},{mean:.12g},{se:.12g},"
-                        f"{oracle[i, j]:.12g},{diff:.12g},{ratio:.12g}"
+                        f"{oracle[i, j]:.12g},{diffs[i, j]:.12g},{ratios[i, j]:.12g}"
                     )
         return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Spin measurements, projective measurements, POVMs and Born-rule probabilities."""
+"""POVMs (a projective measurement is a POVM of projectors) and Born-rule probabilities."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, hermitian_eig, hermiticity_error, projector
+from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, haar_unitary, hermitian_eig, hermiticity_error, projector
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -21,46 +21,6 @@ def unit_bloch(v, what: str = "Bloch vector") -> np.ndarray:
     if v.shape != (3,) or not np.isfinite(n) or abs(n - 1.0) > 1e-12:
         raise ValueError(f"{what} must be a finite unit 3-vector, got {v}")
     return v
-
-
-@dataclass
-class ProjectiveMeasurement:
-    """Orthogonal projectors summing to the identity, with real outcome labels."""
-
-    projectors: list[np.ndarray]
-    labels: list[float]
-
-    def __post_init__(self) -> None:
-        self.projectors = [np.asarray(p, dtype=complex) for p in self.projectors]
-        if not self.projectors:
-            raise ValueError("a measurement needs at least one projector")
-        if len(self.projectors) != len(self.labels):
-            raise ValueError("one label per projector required")
-        stack = np.array(self.projectors)
-        if not np.isfinite(stack).all():
-            raise ValueError("projectors must be finite")
-        for i, p in enumerate(stack):
-            # P_i P_j against P_i for j = i and 0 otherwise, all j in one matmul
-            prod = np.matmul(p, stack)
-            prod[i] -= p
-            bad = np.flatnonzero(np.abs(prod).max(axis=(1, 2)) > COMPLETENESS_TOL)
-            if bad.size:
-                raise ValueError(f"projectors {i},{bad[0]} are not orthogonal idempotents")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(len(stack[0])))) > COMPLETENESS_TOL:
-            raise ValueError("projectors do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    @classmethod
-    def from_basis(cls, vectors: np.ndarray, labels: list[float] | None = None) -> "ProjectiveMeasurement":
-        """Rank-1 measurement from the columns of an orthonormal matrix."""
-        vectors = np.asarray(vectors, dtype=complex)
-        k = vectors.shape[1]
-        if labels is None:
-            labels = list(range(k))
-        return cls([projector(vectors[:, i]) for i in range(k)], list(labels))
 
 
 @dataclass
@@ -91,25 +51,17 @@ class Povm:
         if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
-    @classmethod
-    def _trusted(cls, elements: list[np.ndarray], labels: list) -> "Povm":
-        """A POVM that is valid by construction, such as the pieces cut from an
-        already validated one; skips the eigensolve per element."""
-        povm = object.__new__(cls)
-        povm.elements, povm.labels = elements, labels
-        return povm
-
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
 
-def obs_from_bloch(v) -> ProjectiveMeasurement:
+def obs_from_bloch(v) -> Povm:
     """Measurement of the spin v . sigma: projectors (I +- v.sigma)/2 labelled
     by its eigenvalues +1 and -1."""
     v = unit_bloch(v)
     m = sum(float(vi) * s for vi, s in zip(v, PAULIS))
-    return ProjectiveMeasurement([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
+    return Povm([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
 
 
 def _rows(ops: list[np.ndarray], d: int) -> np.ndarray:
@@ -157,17 +109,15 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     return np.clip(p, 0.0, 1.0)
 
 
-def povm_refine(povm: Povm) -> tuple[Povm, list[int], np.ndarray, np.ndarray]:
-    """Split every POVM element into weighted rank-1 pieces.
+def povm_refine(povm: Povm) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Split every POVM element into weighted rank-1 pieces alpha |v><v|
+    with alpha in (0, 1]; eigenvalues below 1e-12 are dropped.
 
-    Each refined element is alpha |v><v| with alpha in (0, 1]; eigenvalues
-    below 1e-12 are dropped. Returns the refined POVM, the back-map that
-    sends each refined outcome to the index of its originating coarse
-    outcome, so coarse probabilities are recovered by summation, and the
-    weights alpha and unit kets v (as rows) of the pieces.
+    Returns the back-map that sends each piece to the index of its
+    originating coarse outcome, so coarse probabilities are recovered by
+    summation, and the weights alpha and unit kets v (as rows) of the pieces.
     """
     back_map: list[int] = []
-    labels: list = []
     weights: list[float] = []
     kets: list[np.ndarray] = []
     for i, e in enumerate(povm.elements):
@@ -175,11 +125,9 @@ def povm_refine(povm: Povm) -> tuple[Povm, list[int], np.ndarray, np.ndarray]:
         for k, w in enumerate(vals):
             if w > ZERO_WEIGHT_TOL:
                 back_map.append(i)
-                labels.append(f"{povm.labels[i]}:{k}")
                 weights.append(w)
                 kets.append(vecs[:, k])
-    elements = [w * projector(v) for w, v in zip(weights, kets)]
-    return Povm._trusted(elements, labels), back_map, np.array(weights), np.array(kets, dtype=complex)
+    return back_map, np.array(weights), np.array(kets, dtype=complex)
 
 
 def outcome_sum(back_map: list[int], k: int):
@@ -208,11 +156,9 @@ def outcome_sum(back_map: list[int], k: int):
     return summed
 
 
-def random_projective(d: int, rng: np.random.Generator) -> ProjectiveMeasurement:
-    """Rank-1 measurement in a Haar-random basis, labels 0..d-1."""
-    from .qmat import haar_unitary
-
-    return ProjectiveMeasurement.from_basis(haar_unitary(d, rng))
+def random_projective(d: int, rng: np.random.Generator) -> Povm:
+    """Rank-1 projective measurement in a Haar-random basis, labels 0..d-1."""
+    return Povm([projector(c) for c in haar_unitary(d, rng).T])
 
 
 def random_povm(n_outcomes: int, d: int, rng: np.random.Generator) -> Povm:

@@ -48,7 +48,7 @@ class TestChshValue:
         s = example_chsh_settings()
         rho = states.singlet()
         pm = np.array([1.0, -1.0])  # the spin outcomes, in obs_from_bloch's order
-        e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).projectors, obs_from_bloch(b).projectors) @ pm
+        e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).elements, obs_from_bloch(b).elements) @ pm
         r = 1 / np.sqrt(2)
         assert abs(e(s.x, s.y) - r) < 1e-12
         assert abs(e(s.x2, s.y) - r) < 1e-12
@@ -63,7 +63,8 @@ class TestChshValue:
         for _ in range(500):
             rho = states.random_separable(2, 2, rng, max_terms=4)
             t = correlation_matrix(rho)
-            assert chsh_value_from_t(t, rand_settings()) <= 2 + 1e-9
+            s = rand_settings()
+            assert chsh_value_from_t(t, s.x, s.x2, s.y, s.y2) <= 2 + 1e-9
 
     def test_range(self):
         rho = states.random_density(2, 2, rng)
@@ -75,7 +76,7 @@ class TestChshValue:
         for _ in range(5):
             rho = states.random_density(2, 2, rng)
             s = rand_settings()
-            e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).projectors, obs_from_bloch(b).projectors) @ pm
+            e = lambda a, b: pm @ born_table(rho, obs_from_bloch(a).elements, obs_from_bloch(b).elements) @ pm
             by_probabilities = e(s.x, s.y) + e(s.x2, s.y) + e(s.x2, s.y2) - e(s.x, s.y2)
             assert np.isclose(chsh_value(rho, s), by_probabilities, atol=1e-10)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nonlocal_lab import cli, lhv, measure, states
+from nonlocal_lab import acceptance, cli, lhv, measure, states
 from nonlocal_lab.cli import main
 
 
@@ -183,21 +183,21 @@ class TestSimulate:
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_json_bytes_match_table_to_json(self, capsys, model, d):
         """The report is built from the table's own dict; its bytes equal the
-        earlier route through table.to_json() and back."""
+        route through json.dumps(table.to_dict()) and back."""
         code, out, _ = run(capsys, "simulate", model, "--d", str(d), "--n", "2e4", "--seed", "4", "--format", "json")
         rng = np.random.default_rng(4)
         pa, pb = measure.random_projective(d, rng), measure.random_projective(d, rng)
         if model == "werner":
             table = lhv.simulate_werner(d, pa, pb, 20_000, 4)
-            oracle = measure.born_table(states.werner_local(d), pa.projectors, pb.projectors)
+            target = states.werner_local(d)
         else:
-            ma, mb = measure.Povm(list(pa.projectors)), measure.Povm(list(pb.projectors))
-            table = lhv.simulate_barrett(d, ma, mb, 20_000, 4)
-            oracle = measure.born_table(states.barrett_state(d), ma.elements, mb.elements)
-        payload = json.loads(table.to_json())
+            table = lhv.simulate_barrett(d, pa, pb, 20_000, 4)
+            target = states.barrett_state(d)
+        oracle = measure.born_table(target, pa.elements, pb.elements)
+        payload = json.loads(json.dumps(table.to_dict()))
         payload["oracle"] = [[float(v) for v in row] for row in oracle]
         payload["max_sigma"] = table.max_sigma(oracle)
-        payload["within_5_sigma"] = payload["max_sigma"] <= cli.SIGMA
+        payload["within_5_sigma"] = payload["max_sigma"] <= acceptance.SIGMA
         assert code == (0 if payload["within_5_sigma"] else 1)
         assert out == cli._dump_json(payload) + "\n"
 

@@ -7,7 +7,6 @@ from scipy import integrate, stats
 from nonlocal_lab import lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
-    ProjectiveMeasurement,
     born_table,
     povm_refine,
     random_povm,
@@ -31,20 +30,31 @@ def unit3():
 # Each measurement is refined once, when its reference is built.
 
 
-def rank1_pieces(refined: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and unit kets of the rank-1 elements alpha |v><v| of a refined POVM."""
-    weights = np.array([np.trace(e).real for e in refined.elements])
-    kets = np.array([np.linalg.eigh(e)[1][:, -1] for e in refined.elements])
+def basis_povm(basis: np.ndarray) -> Povm:
+    """Rank-1 projective measurement onto the columns of an orthonormal matrix."""
+    return Povm([projector(c) for c in np.asarray(basis).T])
+
+
+def refined_elements(povm: Povm) -> tuple[list[np.ndarray], list[int]]:
+    """The rank-1 pieces w |v><v| of povm_refine as matrices, and its back-map."""
+    back_map, weights, kets = povm_refine(povm)
+    return [w * projector(v) for w, v in zip(weights, kets)], back_map
+
+
+def rank1_pieces(refined: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and unit kets of rank-1 elements alpha |v><v|."""
+    weights = np.array([np.trace(e).real for e in refined])
+    kets = np.array([np.linalg.eigh(e)[1][:, -1] for e in refined])
     return weights, kets
 
 
 class WernerRef:
     """Werner responses for one projective measurement."""
 
-    def __init__(self, proj: ProjectiveMeasurement):
-        refined, self.back_map = povm_refine(Povm(list(proj.projectors)))[:2]
+    def __init__(self, proj: Povm):
+        refined, self.back_map = refined_elements(proj)
         self.kets = rank1_pieces(refined)[1]
-        self.projectors = proj.projectors
+        self.projectors = proj.elements
 
     def a(self, a: int, lam: np.ndarray) -> int:
         """1 iff outcome a holds the refined ket whose overlap |<k|lam>|^2 is
@@ -59,9 +69,9 @@ class WernerRef:
 class BarrettRef:
     """Barrett responses for one refined POVM {x_k P_k}."""
 
-    def __init__(self, refined: Povm):
+    def __init__(self, refined: list[np.ndarray]):
         self.weights, self.kets = rank1_pieces(refined)
-        self.d = refined.dim
+        self.d = len(refined[0])
 
     def a(self, i: int, lam: np.ndarray) -> float:
         """x_i <lam|P_i|lam> when the overlap clears 1/d, plus the leftover
@@ -124,7 +134,7 @@ class TestSphereSampling:
 
 class TestWernerResponses:
     def test_eigenvector_gets_zero(self):
-        ref = WernerRef(ProjectiveMeasurement.from_basis(np.eye(2)))
+        ref = WernerRef(basis_povm(np.eye(2)))
         lam = basis_ket(2, 0)  # overlap 1 with P_0, so P_1 is the minimizer
         assert ref.a(0, lam) == 0
         assert ref.a(1, lam) == 1
@@ -141,15 +151,15 @@ class TestWernerResponses:
                 assert abs(total_b - 1) < 1e-12
 
     def test_quantum_response_eigenvector(self):
-        ref = WernerRef(ProjectiveMeasurement.from_basis(np.eye(3)))
+        ref = WernerRef(basis_povm(np.eye(3)))
         assert np.isclose(ref.b(2, basis_ket(3, 2)), 1.0, atol=1e-12)
 
     def test_quantum_response_unitary_symmetry(self):
         d = 3
         u = haar_unitary(d, rng)
         basis = haar_unitary(d, rng)
-        meas = ProjectiveMeasurement.from_basis(basis)
-        rotated = ProjectiveMeasurement([u.conj().T @ p @ u for p in meas.projectors], meas.labels)
+        meas = basis_povm(basis)
+        rotated = Povm([u.conj().T @ p @ u for p in meas.elements], meas.labels)
         lam = haar_ket(d, rng)
         assert np.isclose(
             WernerRef(rotated).b(1, lam),
@@ -161,7 +171,7 @@ class TestWernerResponses:
 class TestSimulateWerner:
     def test_equal_projector_cell_d2(self):
         basis = haar_unitary(2, rng)
-        meas = ProjectiveMeasurement.from_basis(basis)
+        meas = basis_povm(basis)
         table = lhv.simulate_werner(2, meas, meas, N, 21)
         cell = table.cell(0, 0)
         assert abs(cell.sigma_ratio((1 + werner_local_phi(2)) / (2 * 3))) < 5  # = 0.125
@@ -174,12 +184,12 @@ class TestSimulateWerner:
 
     def test_higher_rank_projectors_coarse_grain(self):
         basis = haar_unitary(3, rng)
-        coarse = ProjectiveMeasurement(
+        coarse = Povm(
             [projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1]
         )
-        fine = ProjectiveMeasurement.from_basis(basis)
+        fine = basis_povm(basis)
         table = lhv.simulate_werner(3, coarse, fine, N, 24)
-        oracle = born_table(werner_local(3), coarse.projectors, fine.projectors)
+        oracle = born_table(werner_local(3), coarse.elements, fine.elements)
         assert table.max_sigma(oracle) < 5
 
     def test_zero_projector_gets_zero_row_and_column(self):
@@ -187,26 +197,57 @@ class TestSimulateWerner:
         gen = np.random.default_rng(71)
         ua, ub = haar_unitary(3, gen), haar_unitary(3, gen)
         zero = np.zeros((3, 3))
-        pa = ProjectiveMeasurement([projector(ua[:, 0]), zero, projector(ua[:, 1]) + projector(ua[:, 2])], [5, 6, 7])
-        pb = ProjectiveMeasurement([zero, projector(ub[:, 0]), projector(ub[:, 1]), projector(ub[:, 2])], [0, 1, 2, 3])
+        pa = Povm([projector(ua[:, 0]), zero, projector(ua[:, 1]) + projector(ua[:, 2])], [5, 6, 7])
+        pb = Povm([zero, projector(ub[:, 0]), projector(ub[:, 1]), projector(ub[:, 2])], [0, 1, 2, 3])
         table = lhv.simulate_werner(3, pa, pb, 200_000, 25)
         assert table.means.shape == table.stderrs.shape == (3, 4)
         assert table.labels_a == [5, 6, 7] and table.labels_b == [0, 1, 2, 3]
         assert not table.means[1].any() and not table.means[:, 0].any()
         assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
-        assert table.max_sigma(born_table(werner_local(3), pa.projectors, pb.projectors)) < 5
+        assert table.max_sigma(born_table(werner_local(3), pa.elements, pb.elements)) < 5
 
     def test_implied_phi_is_basis_independent(self):
         # equal-projector cell determines phi; five random bases must agree
         ests = []
         for k in range(5):
             basis = haar_unitary(2, rng)
-            meas = ProjectiveMeasurement.from_basis(basis)
+            meas = basis_povm(basis)
             cell = lhv.simulate_werner(2, meas, meas, N, 100 + k).cell(0, 0)
             ests.append((2 * 3 * cell.mean - 1, 2 * 3 * cell.stderr))
         for phi1, se1 in ests:
             for phi2, se2 in ests:
                 assert abs(phi1 - phi2) < 5 * np.hypot(se1, se2) + 1e-15
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("input should be rejected before sampling")
+
+
+_WEIGHTED_P0 = 0.7 * projector(basis_ket(2, 0))
+# POVMs on a qubit that sum to I but are not projective
+_NON_PROJECTIVE = {
+    "coin-flip": [np.eye(2) / 2, np.eye(2) / 2],
+    "weighted-projector": [_WEIGHTED_P0, np.eye(2) - _WEIGHTED_P0],
+}
+
+
+class TestInputChecks:
+    def test_werner_rejects_d_below_two_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            lhv.werner_trial(1, np.random.default_rng(0), 10**7, 0)
+
+    @pytest.mark.parametrize("case", sorted(_NON_PROJECTIVE))
+    def test_werner_and_simplex_reject_non_projective_povms(self, case, monkeypatch):
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        povm = Povm(_NON_PROJECTIVE[case])
+        basis = basis_povm(np.eye(2))
+        with pytest.raises(ValueError, match="not projective"):
+            lhv.simulate_werner(2, povm, basis, 1000, 0)
+        with pytest.raises(ValueError, match="not projective"):
+            lhv.simulate_werner(2, basis, povm, 1000, 0)
+        with pytest.raises(ValueError, match="not projective|rank-1"):
+            lhv.simplex_integral_mc(2, 0, povm, 1000, 0)
 
 
 class TestSimplexIntegral:
@@ -355,8 +396,8 @@ class TestPovmLift:
     def test_projective_input_matches_projective_model(self):
         # sanity: rank-1 projective POVMs reduce to the plain spin simulation
         x = unit3()
-        ma = Povm(list(obs_from_bloch(x).projectors))
-        mb = Povm(list(obs_from_bloch(x).projectors))
+        ma = obs_from_bloch(x)
+        mb = obs_from_bloch(x)
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 85)
         oracle = born_table(res.target, ma.elements, mb.elements)
         assert res.table.max_sigma(oracle) < 5
@@ -365,8 +406,8 @@ class TestPovmLift:
 class TestBarrett:
     def test_scalar_responses_are_distributions(self):
         d = 3
-        refined = povm_refine(random_povm(4, d, rng))[0]
-        k = len(refined.elements)
+        refined = refined_elements(random_povm(4, d, rng))[0]
+        k = len(refined)
         ref = BarrettRef(refined)
         for _ in range(50):
             lam = haar_ket(d, rng)
@@ -485,13 +526,12 @@ def _simulators():
     x, y = gen.standard_normal((2, 3))
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
     basis = haar_unitary(3, gen)
-    coarse = ProjectiveMeasurement([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
+    coarse = Povm([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
     fine = random_projective(3, gen)
     ma, mb = random_povm(3, 3, gen), random_povm(4, 3, gen)
     pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
     sigma = projector(basis_ket(2, 0))
     pa8, pb8 = random_projective(8, gen), random_projective(8, gen)
-    ma8, mb8 = Povm(list(pa8.projectors)), Povm(list(pb8.projectors))
     return {
         "werner": lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w),
         "simplex": lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w),
@@ -502,7 +542,7 @@ def _simulators():
         "barrett": lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w),
         # d=8: blocks of the narrowest width, _MIN_BLOCK samples, as at large d
         "werner_d8": lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w),
-        "barrett_d8": lambda n, w: lhv.simulate_barrett(8, ma8, mb8, n, 9, workers=w),
+        "barrett_d8": lambda n, w: lhv.simulate_barrett(8, pa8, pb8, n, 9, workers=w),
     }
 
 
@@ -625,7 +665,7 @@ class TestStreamConsumption:
         monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(61)
         basis = haar_unitary(3, gen)
-        pa = ProjectiveMeasurement([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
+        pa = Povm([projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1])
         pb = random_projective(3, gen)
         n, seed = 800, 13
         ref_a, ref_b = WernerRef(pa), WernerRef(pb)
@@ -645,8 +685,8 @@ class TestStreamConsumption:
         monkeypatch.setattr(lhv, "_block_width", lambda rows: self.BLOCK)
         gen = np.random.default_rng(50 + d)
         ma, mb = random_povm(3, d, gen), random_povm(2, d, gen)
-        ref_a, bm_a = povm_refine(ma)[:2]
-        ref_b, bm_b = povm_refine(mb)[:2]
+        ref_a, bm_a = refined_elements(ma)
+        ref_b, bm_b = refined_elements(mb)
         resp_a, resp_b = BarrettRef(ref_a), BarrettRef(ref_b)
         n, seed = 300, 10
         lam = lhv.sample_sphere_cd(mc.batch_rng(seed, f"barrett:d={d}", 0), d, n)

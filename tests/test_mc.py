@@ -93,7 +93,7 @@ class TestJointTable:
         assert np.isclose(t.means.sum(), 1.0, atol=1e-12)
 
     def test_json_schema(self):
-        payload = json.loads(self.make().to_json())
+        payload = json.loads(json.dumps(self.make().to_dict()))
         assert set(payload) == {"cells", "n", "seed"}
         assert set(payload["cells"][0]) == {"a", "b", "mean", "stderr"}
         assert len(payload["cells"]) == 4

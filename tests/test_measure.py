@@ -4,7 +4,6 @@ import pytest
 from nonlocal_lab import states
 from nonlocal_lab.measure import (
     Povm,
-    ProjectiveMeasurement,
     born_table,
     obs_from_bloch,
     outcome_sum,
@@ -36,23 +35,23 @@ def spin(v):
 class TestObsFromBloch:
     def test_z_axis(self):
         meas = obs_from_bloch([0, 0, 1])
-        assert np.allclose(meas.projectors[0] - meas.projectors[1], SZ)
-        assert np.allclose(meas.projectors[0], projector(basis_ket(2, 0)))
-        assert np.allclose(meas.projectors[1], projector(basis_ket(2, 1)))
+        assert np.allclose(meas.elements[0] - meas.elements[1], SZ)
+        assert np.allclose(meas.elements[0], projector(basis_ket(2, 0)))
+        assert np.allclose(meas.elements[1], projector(basis_ket(2, 1)))
         assert meas.labels == [1.0, -1.0]
 
     def test_projectors_complete(self):
         for _ in range(10):
             meas = obs_from_bloch(rand_unit3())
-            assert np.allclose(meas.projectors[0] + meas.projectors[1], np.eye(2), atol=1e-12)
+            assert np.allclose(meas.elements[0] + meas.elements[1], np.eye(2), atol=1e-12)
 
     def test_pure_state_probabilities(self):
         v = rand_unit3()
         meas = obs_from_bloch(v)
         psi = haar_ket(2, rng)
         expect = np.vdot(psi, spin(v) @ psi).real
-        p_plus = np.vdot(psi, meas.projectors[0] @ psi).real
-        p_minus = np.vdot(psi, meas.projectors[1] @ psi).real
+        p_plus = np.vdot(psi, meas.elements[0] @ psi).real
+        p_minus = np.vdot(psi, meas.elements[1] @ psi).real
         assert np.isclose(p_plus, (1 + expect) / 2, atol=1e-12)
         assert np.isclose(p_plus + p_minus, 1.0, atol=1e-12)
 
@@ -73,7 +72,7 @@ class TestBornJoint:
 
     def test_singlet_perfect_anticorrelation(self):
         v = rand_unit3()
-        p_plus = obs_from_bloch(v).projectors[0]
+        p_plus = obs_from_bloch(v).elements[0]
         assert np.isclose(born_table(states.singlet(), [p_plus], [p_plus])[0, 0], 0.0, atol=1e-12)
 
     def test_werner_closed_form(self):
@@ -94,7 +93,7 @@ class TestBornJoint:
         rho = states.random_density(3, 2, rng)
         ma = random_projective(3, rng)
         nb = random_povm(4, 2, rng)
-        total = born_table(rho, ma.projectors, nb.elements).sum()
+        total = born_table(rho, ma.elements, nb.elements).sum()
         assert np.isclose(total, 1.0, atol=1e-9)
 
     def test_rejects_dimension_mismatch(self):
@@ -145,7 +144,7 @@ class TestExpectationJoint:
     def test_singlet_gives_minus_cosine(self):
         x, y = rand_unit3(), rand_unit3()
         ma, mb = obs_from_bloch(x), obs_from_bloch(y)
-        e = np.array(ma.labels) @ born_table(states.singlet(), ma.projectors, mb.projectors) @ np.array(mb.labels)
+        e = np.array(ma.labels) @ born_table(states.singlet(), ma.elements, mb.elements) @ np.array(mb.labels)
         assert np.isclose(e, -float(x @ y), atol=1e-10)
 
     def test_product_state_factorizes(self):
@@ -154,7 +153,7 @@ class TestExpectationJoint:
         rho = states.DensityMatrix(tensor(rho_a, rho_b), 2, 2)
         x, y = rand_unit3(), rand_unit3()
         ma, mb = obs_from_bloch(x), obs_from_bloch(y)
-        e = np.array(ma.labels) @ born_table(rho, ma.projectors, mb.projectors) @ np.array(mb.labels)
+        e = np.array(ma.labels) @ born_table(rho, ma.elements, mb.elements) @ np.array(mb.labels)
         ea = np.trace(rho_a @ spin(x)).real
         eb = np.trace(rho_b @ spin(y)).real
         assert np.isclose(e, ea * eb, atol=1e-10)
@@ -162,7 +161,7 @@ class TestExpectationJoint:
     def test_half_singlet_mixture(self):
         x, y = rand_unit3(), rand_unit3()
         ma, mb = obs_from_bloch(x), obs_from_bloch(y)
-        table = born_table(states.werner2x2(0.5), ma.projectors, mb.projectors)
+        table = born_table(states.werner2x2(0.5), ma.elements, mb.elements)
         e = np.array(ma.labels) @ table @ np.array(mb.labels)
         assert np.isclose(e, -float(x @ y) / 2, atol=1e-10)
 
@@ -171,25 +170,31 @@ class TestExpectationJoint:
             rho = states.random_density(2, 2, rng)
             x, y = rand_unit3(), rand_unit3()
             ma, mb = obs_from_bloch(x), obs_from_bloch(y)
-            e = np.array(ma.labels) @ born_table(rho, ma.projectors, mb.projectors) @ np.array(mb.labels)
+            e = np.array(ma.labels) @ born_table(rho, ma.elements, mb.elements) @ np.array(mb.labels)
             direct = np.trace(rho.mat @ tensor(spin(x), spin(y))).real
             assert np.isclose(e, direct, atol=1e-10)
+
+
+def refined_elements(povm: Povm) -> tuple[list[np.ndarray], list[int]]:
+    """The rank-1 pieces w |v><v| of povm_refine as matrices, and its back-map."""
+    back_map, weights, kets = povm_refine(povm)
+    return [w * projector(v) for w, v in zip(weights, kets)], back_map
 
 
 class TestPovmRefine:
     def test_projective_input_is_fixed_point(self):
         meas = random_projective(3, rng)
-        refined, back = povm_refine(Povm(list(meas.projectors)))[:2]
+        refined, back = refined_elements(meas)
         assert back == [0, 1, 2]
-        for orig, ref in zip(meas.projectors, refined.elements):
+        for orig, ref in zip(meas.elements, refined):
             assert np.max(np.abs(orig - ref)) < 1e-10
 
     def test_coin_flip_povm(self):
         # oracle: eigendecomposition of I/2 gives two half-weight projectors per element
-        refined, back = povm_refine(Povm([np.eye(2) / 2, np.eye(2) / 2]))[:2]
-        assert len(refined.elements) == 4
+        refined, back = refined_elements(Povm([np.eye(2) / 2, np.eye(2) / 2]))
+        assert len(refined) == 4
         assert back == [0, 0, 1, 1]
-        for el in refined.elements:
+        for el in refined:
             assert np.isclose(np.trace(el).real, 0.5, atol=1e-12)
             vals = np.linalg.eigvalsh(el)
             assert np.isclose(vals[-1], 0.5, atol=1e-12)
@@ -198,25 +203,23 @@ class TestPovmRefine:
     def test_weights_sum_to_dimension(self):
         for d in (2, 3):
             povm = random_povm(4, d, rng)
-            refined, _ = povm_refine(povm)[:2]
-            weights = [np.trace(el).real for el in refined.elements]
+            refined, _ = refined_elements(povm)
+            weights = [np.trace(el).real for el in refined]
             assert np.isclose(sum(weights), d, atol=1e-10)
-            for w, el in zip(weights, refined.elements):
+            for w, el in zip(weights, refined):
                 assert 0 < w <= 1 + 1e-10
                 assert np.isclose(np.linalg.eigvalsh(el)[-1], w, atol=1e-10)
 
     def test_weights_and_kets_rebuild_the_pieces(self):
         # element 0 is 0.7 times a random rank-2 projector: two pieces of weight 0.7
-        ps = random_projective(3, np.random.default_rng(518)).projectors
+        ps = random_projective(3, np.random.default_rng(518)).elements
         p0 = ps[0] + ps[1]
         povm = Povm([0.7 * p0, np.eye(3) - 0.7 * p0])
-        refined, back, weights, kets = povm_refine(povm)
+        back, weights, kets = povm_refine(povm)
         assert back == [0, 0, 1, 1, 1]
         assert weights.shape == (5,) and kets.shape == (5, 3)
         assert np.allclose(weights[:2], 0.7, atol=1e-12)
         assert np.allclose(np.linalg.norm(kets, axis=1), 1, atol=1e-12)
-        for el, w, v in zip(refined.elements, weights, kets):
-            assert np.max(np.abs(w * np.outer(v, v.conj()) - el)) <= 1e-12
         for i, e in enumerate(povm.elements):
             pieces = sum(w * np.outer(v, v.conj()) for w, v, j in zip(weights, kets, back) if j == i)
             assert np.max(np.abs(pieces - e)) <= 1e-12
@@ -225,9 +228,9 @@ class TestPovmRefine:
         rho = states.random_density(2, 2, rng)
         pa = random_povm(3, 2, rng)
         pb = random_povm(2, 2, rng)
-        ra, ba = povm_refine(pa)[:2]
-        rb, bb = povm_refine(pb)[:2]
-        fine = born_table(rho, ra.elements, rb.elements)
+        ra, ba = refined_elements(pa)
+        rb, bb = refined_elements(pb)
+        fine = born_table(rho, ra, rb)
         coarse = coarse_grain(fine, ba, bb, 3, 2)
         assert np.max(np.abs(coarse - born_table(rho, pa.elements, pb.elements))) < 1e-10
 
@@ -237,10 +240,10 @@ class TestPovmRefine:
         a = random_povm(2, 3, gen).elements
         pa = Povm([a[0], np.zeros((3, 3)), a[1]])
         pb = Povm([np.zeros((3, 3)), *random_povm(2, 3, gen).elements])
-        ra, ba = povm_refine(pa)[:2]
-        rb, bb = povm_refine(pb)[:2]
+        ra, ba = refined_elements(pa)
+        rb, bb = refined_elements(pb)
         assert 1 not in ba and 0 not in bb
-        coarse = coarse_grain(born_table(rho, ra.elements, rb.elements), ba, bb, 3, 3)
+        coarse = coarse_grain(born_table(rho, ra, rb), ba, bb, 3, 3)
         assert coarse.shape == (3, 3)
         assert not coarse[1].any() and not coarse[:, 0].any()
         assert np.max(np.abs(coarse - born_table(rho, pa.elements, pb.elements))) < 1e-10
@@ -260,32 +263,28 @@ class TestPovmRefine:
 class TestValidation:
     def test_projective_rejects_non_orthogonal(self):
         p = projector(haar_ket(2, rng))
-        with pytest.raises(ValueError):
-            ProjectiveMeasurement([p, p], [1, -1])
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            Povm([p, p], [1, -1])
 
-    def test_projective_names_first_failing_pair(self):
+    def test_projector_sets_must_sum_to_identity(self):
+        # a scaled projector, overlapping projectors and an incomplete set
         e = np.eye(3)
         p = [projector(e[:, k]) for k in range(3)]
-        # the first failing pair in (i, j) order is named
-        with pytest.raises(ValueError, match=r"^projectors 1,1 are not orthogonal idempotents$"):
-            ProjectiveMeasurement([p[0], 2 * p[1], p[2]], [0, 1, 2])
         v = (e[:, 1] + e[:, 2]) / np.sqrt(2)
-        with pytest.raises(ValueError, match=r"^projectors 1,2 are not orthogonal idempotents$"):
-            ProjectiveMeasurement([p[0], p[1], projector(v)], [0, 1, 2])
-        with pytest.raises(ValueError, match="do not sum to the identity"):
-            ProjectiveMeasurement([p[0], p[1]], [0, 1])
+        for elements in ([p[0], 2 * p[1], p[2]], [p[0], p[1], projector(v)], [p[0], p[1]]):
+            with pytest.raises(ValueError, match="^POVM elements do not sum to the identity$"):
+                Povm(elements)
+
+    def test_random_projective_is_a_povm_of_orthogonal_projectors(self):
+        meas = random_projective(4, np.random.default_rng(519))
+        assert meas.labels == [0, 1, 2, 3]
+        for i, p in enumerate(meas.elements):
+            for j, q in enumerate(meas.elements):
+                assert np.max(np.abs(p @ q - (p if i == j else 0))) < 1e-12
 
     def test_empty_measurements_are_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ProjectiveMeasurement([], [])
-        with pytest.raises(ValueError, match="at least one"):
             Povm([])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_projective_rejects_non_finite(self, bad):
-        ops = [np.full((2, 2), bad), np.eye(2)]
-        with pytest.raises(ValueError, match="^projectors must be finite$"):
-            ProjectiveMeasurement(ops, [0, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_povm_rejects_non_finite(self, bad):

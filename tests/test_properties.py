@@ -44,8 +44,8 @@ def test_lift_and_twirl_give_states(seed, d):
 @given(seed=SEEDS, d=st.integers(2, 5), k_a=st.integers(1, 4), k_b=st.integers(1, 4))
 def test_barrett_responses_are_distributions(seed, d, k_a, k_b):
     rng = np.random.default_rng(seed)
-    _, _, xw, kets_a = povm_refine(random_povm(k_a, d, rng))
-    _, _, yw, kets_b = povm_refine(random_povm(k_b, d, rng))
+    _, xw, kets_a = povm_refine(random_povm(k_a, d, rng))
+    _, yw, kets_b = povm_refine(random_povm(k_b, d, rng))
     lam = lhv.sample_sphere_cd(rng, d, 64)
     u = lhv._overlaps(lhv._overlap_rows(kets_a), lam)
     v = lhv._overlaps(lhv._overlap_rows(kets_b), lam)

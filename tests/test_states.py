@@ -103,7 +103,7 @@ class TestWerner2x2:
                 y = rng.standard_normal(3)
                 y /= np.linalg.norm(y)
                 ma, mb = measure.obs_from_bloch(x), measure.obs_from_bloch(y)
-                e = np.array(ma.labels) @ measure.born_table(w, ma.projectors, mb.projectors) @ np.array(mb.labels)
+                e = np.array(ma.labels) @ measure.born_table(w, ma.elements, mb.elements) @ np.array(mb.labels)
                 assert np.isclose(e, -alpha * float(x @ y), atol=1e-10)
 
 
