@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import trace_table, unit_bloch
+from .measure import operator_rows, realigned_trace, unit_bloch
 from .qmat import PAULIS
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
+_PAULI_ROWS = operator_rows(PAULIS, 2)
 
 
 @dataclass
@@ -59,9 +60,9 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m), as one contraction."""
+    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows."""
     _require_two_qubits(rho)
-    t = trace_table(rho, PAULIS, PAULIS).real
+    t = realigned_trace(_PAULI_ROWS, rho, _PAULI_ROWS).real
     if np.max(np.abs(t)) > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t
@@ -103,53 +104,57 @@ def example_chsh_settings() -> ChshSettings:
     )
 
 
-def _canonical_settings() -> ChshSettings:
-    e = np.eye(3)
-    return ChshSettings(e[0], e[1], e[0], e[1])
-
-
 def optimal_settings(rho: DensityMatrix) -> ChshSettings:
     """Settings achieving the Horodecki maximum 2 sqrt(M(rho)).
 
     Built from the top two eigenvectors z, z' of T^T T: Alice's directions
-    along T z and T z', Bob's y = cos(theta) z + sin(theta) z' and
-    y' = cos(theta) z - sin(theta) z' with tan(theta) = |T z'| / |T z|.
-    The residual orientation freedom is resolved by trying the four sign
-    choices for (z, z') and keeping the best.
+    along T z and T z', Bob's y, y' = cos(theta) z +- sin(theta) z' with
+    tan(theta) = |T z'| / |T z|. The four sign choices for (z, z') all give
+    2 sqrt(|T z|^2 + |T z'|^2) in exact arithmetic; the first strict maximum
+    of the rounded values, in the order (+, +), (+, -), (-, +), (-, -), wins.
     """
     return _optimal_settings_from_t(correlation_matrix(rho))[0]
 
 
-def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, np.ndarray]:
-    """optimal_settings for the correlation matrix t, with the ascending
-    eigenvalues of T^T T it was built from."""
+def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, float, np.ndarray]:
+    """optimal_settings for the correlation matrix t, their CHSH value and
+    the ascending eigenvalues of T^T T. Sign flips are exact in IEEE
+    arithmetic: E(+-v, +-w) = +-E(v, w) for E(v, w) = (v @ t) @ w. Choice
+    (s, s') has x = s' x_b, x' = s x_a (a fallback row is not flipped) and
+    (y, y') = s (A, B) if s = s' else s (B, A), A, B = cos(theta) z +- sin(theta) z',
+    so four dots E(x_b, A), E(x_a, A), E(x_a, B), E(x_b, B), signed and summed
+    in chsh_value_from_t's order, give each choice's value bit for bit."""
     vals, vecs = np.linalg.eigh(t.T @ t)
     z, zp = vecs[:, 2], vecs[:, 1]
-    if np.linalg.norm(t @ z) < _RANK_TOL and np.linalg.norm(t @ zp) < _RANK_TOL:
-        return _canonical_settings(), vals
-    best: tuple[float, tuple] | None = None
-    fallback = np.array([1.0, 0.0, 0.0])
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            za, zb = s1 * z, s2 * zp
-            ta, tb = t @ za, t @ zb
-            na, nb = np.linalg.norm(ta), np.linalg.norm(tb)
-            xa = ta / na if na > _RANK_TOL else fallback
-            xb = tb / nb if nb > _RANK_TOL else fallback
-            theta = np.arctan2(nb, na)
-            cand = (xb, xa, np.cos(theta) * za + np.sin(theta) * zb, np.cos(theta) * za - np.sin(theta) * zb)
-            val = chsh_value_from_t(t, *cand)
-            if best is None or val > best[0]:
-                best = (val, cand)
-    assert best is not None
-    return ChshSettings(*best[1]), vals
+    na, nb = np.linalg.norm(t @ z), np.linalg.norm(t @ zp)
+    if na < _RANK_TOL and nb < _RANK_TOL:  # T = 0 to rounding: any settings will do
+        e = np.eye(3)
+        return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1]), vals
+    theta = np.arctan2(nb, na)
+    cos, sin = np.cos(theta), np.sin(theta)
+
+    def candidate(s1: float, s2: float) -> tuple:  # built, not negated: zero signs reach the JSON
+        za, zb = s1 * z, s2 * zp
+        xa = t @ za / na if na > _RANK_TOL else np.array([1.0, 0.0, 0.0])
+        xb = t @ zb / nb if nb > _RANK_TOL else np.array([1.0, 0.0, 0.0])
+        return xb, xa, cos * za + sin * zb, cos * za - sin * zb
+
+    first = xb, xa, a, b = candidate(1.0, 1.0)
+    tb, ta = xb @ t, xa @ t
+    on_a, on_b = (tb @ a, ta @ a), (tb @ b, ta @ b)
+    signs = [(s1, s2) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    values = []
+    for s1, s2 in signs:
+        (pb, pa), (qb, qa) = (on_a, on_b) if s1 == s2 else (on_b, on_a)
+        gb, ga = s1 * (s2 if nb > _RANK_TOL else 1.0), s1 * (s1 if na > _RANK_TOL else 1.0)
+        values.append(float(gb * pb + ga * pa + ga * qa - gb * qb))
+    k = values.index(max(values))
+    return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k], vals
 
 
 def horodecki_m(rho: DensityMatrix) -> ChshResult:
     """M(rho) = sum of the two largest eigenvalues of T^T T, together with
     settings that attain the maximal CHSH value 2 sqrt(M(rho))."""
-    t = correlation_matrix(rho)
-    settings, vals = _optimal_settings_from_t(t)
+    settings, value, vals = _optimal_settings_from_t(correlation_matrix(rho))
     u, u_tilde = float(vals[2]), float(vals[1])
-    value = chsh_value_from_t(t, settings.x, settings.x2, settings.y, settings.y2)
     return ChshResult(value=value, m_rho=u + u_tilde, settings=settings, eigen_pair=(u, u_tilde))

@@ -162,9 +162,7 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
         if outcome.post_state is None:
             raise ValueError(f"the filters at epsilon {eps} never succeed on this state")
         res: ChshResult = horodecki_m(outcome.post_state)
-        bound = 2 * np.sqrt(res.m_rho)
-        at_opt = chsh_value(outcome.post_state, res.settings)
-        rows.append(ScanRow(float(eps), outcome.success_prob, res.m_rho, float(bound), at_opt))
+        rows.append(ScanRow(float(eps), outcome.success_prob, res.m_rho, float(2 * np.sqrt(res.m_rho)), res.value))
     return rows
 
 

@@ -199,6 +199,8 @@ def simplex_integral_mc(
     measurement."""
     if proj.dim != d:
         raise ValueError("measurement dimension must equal d")
+    if not (isinstance(a, (int, np.integer)) and 0 <= a < d):
+        raise ValueError(f"outcome index a must be an integer in range({d}), got {a!r}")
     if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.elements):
         raise ValueError("simplex integral requires a rank-1 measurement")
     w = _overlap_rows(_refine_projective(proj)[0])

@@ -64,17 +64,23 @@ def obs_from_bloch(v) -> Povm:
     return Povm([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
 
 
-def _rows(ops: list[np.ndarray], d: int) -> np.ndarray:
+def operator_rows(ops: list[np.ndarray], d: int) -> np.ndarray:
     """Stack local operators as rows A.T.ravel()."""
     return np.array(ops, dtype=complex).reshape(len(ops), d, d).transpose(0, 2, 1).reshape(len(ops), d * d)
+
+
+def realigned_trace(rows_a: np.ndarray, rho: DensityMatrix, rows_b: np.ndarray) -> np.ndarray:
+    """tr(rho A_i (x) B_j) from operator rows and R[(a, c), (b, d)] = rho[(a, b), (c, d)]."""
+    da, db = rho.d_a, rho.d_b
+    r = rho.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return rows_a @ r @ rows_b.T
 
 
 def trace_table(rho: DensityMatrix, ops_a: list[np.ndarray], ops_b: list[np.ndarray]) -> np.ndarray:
     """Complex matrix tr(rho A_i (x) B_j) over two lists of local operators.
 
-    One contraction of the realigned state R[(a, c), (b, d)] = rho[(a, b), (c, d)]
-    with the stacked rows A_i.T.ravel() and B_j.T.ravel(): O(k d^4) in place
-    of a d^2 x d^2 Kronecker product and matmul per pair.
+    One realigned_trace of the stacked operator rows: O(k d^4) in place of a
+    d^2 x d^2 Kronecker product and matmul per pair.
     """
     da, db = rho.d_a, rho.d_b
     a = [np.asarray(m, dtype=complex) for m in ops_a]
@@ -83,8 +89,7 @@ def trace_table(rho: DensityMatrix, ops_a: list[np.ndarray], ops_b: list[np.ndar
     shape_b = next((n.shape for n in b if n.shape != (db, db)), (db, db))
     if shape_a != (da, da) or shape_b != (db, db):
         raise ValueError(f"operator dimensions {shape_a}, {shape_b} do not match state ({da}, {db})")
-    r = rho.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    return _rows(a, da) @ r @ _rows(b, db).T
+    return realigned_trace(operator_rows(a, da), rho, operator_rows(b, db))
 
 
 def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: list[np.ndarray]) -> np.ndarray:

@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
-from nonlocal_lab import states
+from nonlocal_lab import filters, states
 from nonlocal_lab.bell import (
+    _RANK_TOL,
     ChshSettings,
     chsh_max_random,
     chsh_value,
@@ -253,3 +256,75 @@ class TestOptimalSettings:
         payload = res.to_dict()
         assert set(payload) == {"value", "M", "settings", "eigenvalues"}
         assert set(payload["settings"]) == {"x", "x'", "y", "y'"}
+
+
+def four_candidate_spec(t):
+    """The optimal settings by the plain rule: build each sign candidate for
+    (z, z') in the order (+, +), (+, -), (-, +), (-, -), value it with
+    chsh_value_from_t and keep the first strict maximum. Returns the
+    settings, their value, M, the branch taken and the winning signs."""
+    vals, vecs = np.linalg.eigh(t.T @ t)
+    z, zp = vecs[:, 2], vecs[:, 1]
+    m = float(vals[2]) + float(vals[1])
+    if np.linalg.norm(t @ z) < _RANK_TOL and np.linalg.norm(t @ zp) < _RANK_TOL:
+        e = np.eye(3)
+        return (e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1]), m, "canonical", None
+    best = None
+    fallback = np.array([1.0, 0.0, 0.0])
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            za, zb = s1 * z, s2 * zp
+            ta, tb = t @ za, t @ zb
+            na, nb = np.linalg.norm(ta), np.linalg.norm(tb)
+            xa = ta / na if na > _RANK_TOL else fallback
+            xb = tb / nb if nb > _RANK_TOL else fallback
+            theta = np.arctan2(nb, na)
+            cand = (xb, xa, np.cos(theta) * za + np.sin(theta) * zb, np.cos(theta) * za - np.sin(theta) * zb)
+            val = chsh_value_from_t(t, *cand)
+            if best is None or val > best[0]:
+                best = (val, cand, (s1, s2))
+    return best[1], best[0], m, "rank-1" if nb <= _RANK_TOL else "full", best[2]
+
+
+def differential_states():
+    gen = np.random.default_rng(2024)
+    for _ in range(800):
+        yield states.random_density(2, 2, gen)
+    for k in range(500):
+        yield states.random_separable(2, 2, gen, max_terms=1 + k % 4)
+    for _ in range(300):
+        yield states.random_pure_product(2, 2, gen)
+    for q in np.linspace(0.0, 1.0, 41):
+        yield states.rho_g(q)
+        yield states.rho_g_prime(q)
+    yield DensityMatrix(np.eye(4) / 4, 2, 2)
+    for q in (0.0, 0.2, 0.5, 0.9):
+        for eps in np.geomspace(1e-3, 1.0, 40):
+            for family in (states.rho_g, states.rho_g_prime):
+                out = filters.apply_filters(family(q), filters.hirsch_filters(eps, q if q > 0 else 1.0))
+                if out.post_state is not None:
+                    yield out.post_state
+
+
+class TestOptimalSettingsDifferential:
+    def test_bit_identical_to_the_four_candidate_rule(self):
+        # the bytes are compared, not just the values: the sign of a zero
+        # component reaches the JSON that chsh --optimal prints
+        seen = collections.Counter()
+        for rho in differential_states():
+            t = correlation_matrix(rho)
+            spec, spec_value, spec_m, branch, signs = four_candidate_spec(t)
+            res = horodecki_m(rho)
+            got = (res.settings.x, res.settings.x2, res.settings.y, res.settings.y2)
+            assert all(np.array_equal(g, e) and g.tobytes() == e.tobytes() for g, e in zip(got, spec))
+            assert optimal_settings(rho).y.tobytes() == spec[2].tobytes()
+            assert res.value == spec_value
+            assert res.m_rho == spec_m
+            assert res.value == chsh_value(rho, res.settings)
+            seen[branch] += 1
+            seen["flipped"] += signs not in (None, (1.0, 1.0))
+        # every branch is reached: I/4 and rho_g(0) are canonical, product
+        # states and rho_g_prime(0) have rank-1 T, and rounding often makes
+        # a sign-flipped candidate win
+        assert sum(seen[b] for b in ("canonical", "rank-1", "full")) >= 2000
+        assert seen["canonical"] >= 2 and seen["rank-1"] >= 100 and seen["flipped"] >= 100

@@ -52,6 +52,10 @@ for name, args in QUBIT_ARGS.items():
 for model in MODELS:
     for fmt in ("csv", "json"):
         CASES[f"simulate {' '.join(model[:3])} {fmt}"] = ["simulate", *model, "--n", "3000", "--seed", "5", "--format", fmt]
+# at q = 0, rho-g has T = 0 (the canonical settings) and rho-g-prime a
+# rank-1 T (the fallback row for Alice's second direction)
+for family in ("rho-g", "rho-g-prime"):
+    CASES[f"chsh {family} --q 0 optimal"] = ["chsh", family, "--q", "0", "--optimal"]
 for family in ("rho-g", "rho-g-prime"):
     CASES[f"filter-scan {family}"] = ["filter-scan", family, "--q", "0.3"]
 for d in ("5", "20"):
@@ -60,8 +64,10 @@ for d in ("5", "20"):
 GOLDEN = {
     "chsh barrett optimal": [0, "93505f2b7f095496caffe1e0f0902351e502052a31ba876c50dba4cabc52e08c"],
     "chsh barrett settings": [0, "341da74ca8e849739c8a7d1f8ad32f213f11315995704ec2c0841d36d0224655"],
+    "chsh rho-g --q 0 optimal": [0, "5d672f0272c02c45a00ffead16c87bf61b3a8a279d92696f84711b283fa86ccc"],
     "chsh rho-g optimal": [0, "424bcf2bddb5bd8c6183ecbf1a23d5cc09deb223c4415ca4c7e41d3b32094acd"],
     "chsh rho-g settings": [0, "22d3e03f8d7f92c9d1f46c226b7dfd89f832758fa64127312b475fc8d9aa1ff9"],
+    "chsh rho-g-prime --q 0 optimal": [0, "59759313d81003ac1b0127ca1a6ef34293a5d4a19fcf3b460c9819cf91d8906e"],
     "chsh rho-g-prime optimal": [0, "2a36b461bc34355140917ce88c10716158a78436a62ebc27f9a70593d74ced82"],
     "chsh rho-g-prime settings": [0, "37506f97400f50ca43d27bd1b790d37b58c78f5374fd93d1f2fe8eeb06f8e80c"],
     "chsh singlet optimal": [0, "1652cad9cdd4c11474b68395d6f20e50bc0c288742a2b34cbcbe8de3afff70a7"],

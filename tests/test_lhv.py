@@ -249,6 +249,13 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="not projective|rank-1"):
             lhv.simplex_integral_mc(2, 0, povm, 1000, 0)
 
+    @pytest.mark.parametrize("a", [-1, 3])
+    def test_simplex_rejects_an_outcome_outside_range_d_before_sampling(self, a, monkeypatch):
+        # unchecked, a = -1 would index the last row and a = d fail inside the kernel
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        with pytest.raises(ValueError, match=r"outcome index a must be an integer in range\(3\)"):
+            lhv.simplex_integral_mc(3, a, random_projective(3, rng), 1000, 0)
+
 
 class TestSimplexIntegral:
     def test_quadrature_oracle_d3(self):
