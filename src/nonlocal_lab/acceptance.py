@@ -82,7 +82,7 @@ def criterion_03(seed: int, n: int, workers=None) -> CriterionResult:
     for d in (2, 3):
         rng = np.random.default_rng(_seed(seed, 3, d))
         for k in range(5):
-            _, table, oracle = lhv.werner_trial(d, rng, n, _seed(seed, 3, 10 * d + k), workers)
+            _, table, oracle, _ = lhv.werner_trial(d, rng, n, _seed(seed, 3, 10 * d + k), workers)
             worst = max(worst, table.max_sigma(oracle))
     return CriterionResult(
         3,
@@ -110,10 +110,10 @@ def criterion_05(seed: int, n: int, workers=None) -> CriterionResult:
     mismatches = 0
     for k in range(10):
         x, y = _unit(rng), _unit(rng)
-        res = lhv.simulate_gd_w2x2(x, y, n, _seed(seed, 5, k + 1), workers)
+        res, _, _, extra = lhv.gd_trial(x, y, n, _seed(seed, 5, k + 1), workers)
         worst = max(
             worst,
-            abs(res.e_ab.sigma_ratio(-float(x @ y) / 2)),
+            abs(res.e_ab.sigma_ratio(extra["E_AB_target"])),
             abs(res.e_a.sigma_ratio(0.0)),
             abs(res.e_b.sigma_ratio(0.0)),
         )
@@ -132,8 +132,8 @@ def criterion_06(seed: int, n: int, workers=None) -> CriterionResult:
     worst = 0.0
     for k in range(3):
         x, y = _unit(rng), _unit(rng)
-        res = lhv.simulate_epr_one_bit(x, y, n, _seed(seed, 6, k + 1), workers)
-        worst = max(worst, abs(res["E_AB"].sigma_ratio(-float(x @ y))))
+        res, _, _, extra = lhv.epr1bit_trial(x, y, n, _seed(seed, 6, k + 1), workers)
+        worst = max(worst, abs(res["E_AB"].sigma_ratio(extra["E_AB_target"])))
     return CriterionResult(
         6,
         "one-bit-assisted simulation reproduces E(AB) = -x.y",
@@ -149,12 +149,8 @@ def criterion_07(seed: int, n: int, workers=None) -> CriterionResult:
     ok = True
     for k, q in enumerate((0.1, 0.3, 0.5)):
         x, y = _unit(rng), _unit(rng)
-        res, table, oracle = lhv.hirsch_trial(q, x, y, n, _seed(seed, 7, k + 1), workers)
-        worst = max(
-            worst,
-            table.max_sigma(oracle),
-            abs(res.e_a.sigma_ratio((1 - q) * float(x[2]))),
-        )
+        res, table, oracle, extra = lhv.hirsch_trial(q, x, y, n, _seed(seed, 7, k + 1), workers)
+        worst = max(worst, table.max_sigma(oracle), abs(res.e_a.sigma_ratio(extra["E_A_target"])))
         x2 = _unit(rng)
         res2 = lhv.simulate_hirsch_projective(q, x2, y, n, _seed(seed, 7, 10 + k), workers)
         r1, r2 = res.accept_rate, res2.accept_rate
@@ -177,7 +173,7 @@ def criterion_08(seed: int, n: int, workers=None) -> CriterionResult:
     worst = 0.0
     rate_worst = 0.0
     for k in range(5):
-        res, table, oracle = lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, k + 1), workers)
+        res, table, oracle, _ = lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, k + 1), workers)
         worst = max(worst, table.max_sigma(oracle))
         rate_worst = max(rate_worst, abs(res.step4_a.sigma_ratio(0.5)), abs(res.step4_b.sigma_ratio(0.5)))
     # every trial lifts rho_g(0.4) with |0><0| on both sides, which is rho_g'(0.4)
@@ -322,7 +318,7 @@ def criterion_12(seed: int, n: int, workers=None) -> CriterionResult:
 def criterion_13(seed: int, n: int, workers=None) -> CriterionResult:
     valid, detail = _response_validity(_seed(seed, 13), 100_000)
     rng = np.random.default_rng(_seed(seed, 13, 1))
-    _, table, oracle = lhv.barrett_trial(2, rng, 10 * n, _seed(seed, 13, 2), workers)
+    _, table, oracle, _ = lhv.barrett_trial(2, rng, 10 * n, _seed(seed, 13, 2), workers)
     max_sigma = table.max_sigma(oracle)
     findings = [f"threshold-model joint table at d=2, n={10 * n}: max deviation {max_sigma:.2f} sigma"]
     if max_sigma > SIGMA:

@@ -113,23 +113,23 @@ def optimal_settings(rho: DensityMatrix) -> ChshSettings:
     2 sqrt(|T z|^2 + |T z'|^2) in exact arithmetic; the first strict maximum
     of the rounded values, in the order (+, +), (+, -), (-, +), (-, -), wins.
     """
-    return _optimal_settings_from_t(correlation_matrix(rho))[0]
+    return horodecki_m(rho).settings
 
 
-def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, float, np.ndarray]:
-    """optimal_settings for the correlation matrix t, their CHSH value and
-    the ascending eigenvalues of T^T T. Sign flips are exact in IEEE
-    arithmetic: E(+-v, +-w) = +-E(v, w) for E(v, w) = (v @ t) @ w. Choice
-    (s, s') has x = s' x_b, x' = s x_a (a fallback row is not flipped) and
-    (y, y') = s (A, B) if s = s' else s (B, A), A, B = cos(theta) z +- sin(theta) z',
-    so four dots E(x_b, A), E(x_a, A), E(x_a, B), E(x_b, B), signed and summed
-    in chsh_value_from_t's order, give each choice's value bit for bit."""
-    vals, vecs = np.linalg.eigh(t.T @ t)
+def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSettings, float]:
+    """optimal_settings for the correlation matrix t, given the eigenvectors
+    of T^T T in ascending order of eigenvalue, and their CHSH value. Sign
+    flips are exact in IEEE arithmetic: E(+-v, +-w) = +-E(v, w) for
+    E(v, w) = (v @ t) @ w. Choice (s, s') has x = s' x_b, x' = s x_a (a
+    fallback row is not flipped) and (y, y') = s (A, B) if s = s' else
+    s (B, A), A, B = cos(theta) z +- sin(theta) z', so four dots E(x_b, A),
+    E(x_a, A), E(x_a, B), E(x_b, B), signed and summed in chsh_value_from_t's
+    order, give each choice's value bit for bit."""
     z, zp = vecs[:, 2], vecs[:, 1]
     na, nb = np.linalg.norm(t @ z), np.linalg.norm(t @ zp)
     if na < _RANK_TOL and nb < _RANK_TOL:  # T = 0 to rounding: any settings will do
         e = np.eye(3)
-        return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1]), vals
+        return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1])
     theta = np.arctan2(nb, na)
     cos, sin = np.cos(theta), np.sin(theta)
 
@@ -149,12 +149,18 @@ def _optimal_settings_from_t(t: np.ndarray) -> tuple[ChshSettings, float, np.nda
         gb, ga = s1 * (s2 if nb > _RANK_TOL else 1.0), s1 * (s1 if na > _RANK_TOL else 1.0)
         values.append(float(gb * pb + ga * pa + ga * qa - gb * qb))
     k = values.index(max(values))
-    return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k], vals
+    return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k]
 
 
-def horodecki_m(rho: DensityMatrix) -> ChshResult:
+def horodecki_m(rho: DensityMatrix, settings: ChshSettings | None = None) -> ChshResult:
     """M(rho) = sum of the two largest eigenvalues of T^T T, together with
-    settings that attain the maximal CHSH value 2 sqrt(M(rho))."""
-    settings, value, vals = _optimal_settings_from_t(correlation_matrix(rho))
+    settings that attain the maximal CHSH value 2 sqrt(M(rho)), or with the
+    CHSH value at the given settings."""
+    t = correlation_matrix(rho)
+    vals, vecs = np.linalg.eigh(t.T @ t)
+    if settings is None:
+        settings, value = _optimal_settings_from_t(t, vecs)
+    else:
+        value = chsh_value_from_t(t, settings.x, settings.x2, settings.y, settings.y2)
     u, u_tilde = float(vals[2]), float(vals[1])
     return ChshResult(value=value, m_rho=u + u_tilde, settings=settings, eigen_pair=(u, u_tilde))

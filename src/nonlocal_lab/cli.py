@@ -74,6 +74,12 @@ def _parse_count(text: str) -> int:
     return int(n)
 
 
+def _by_name(fn, values: dict) -> dict:
+    """The parameters of fn that have no default, each the value of the same
+    name: a named state's flags, or a model trial's inputs."""
+    return {p.name: values[p.name] for p in inspect.signature(fn).parameters.values() if p.default is p.empty}
+
+
 def _build_state(args) -> tuple[states.DensityMatrix, str]:
     """The state of --state-json, or the named state of states.STATES with
     its parameters taken from the flags of the same names."""
@@ -84,7 +90,7 @@ def _build_state(args) -> tuple[states.DensityMatrix, str]:
     if name is None:
         raise ValueError("provide a state name or --state-json")
     make = states.STATES[name]
-    params = {p: getattr(args, p) for p in inspect.signature(make).parameters}
+    params = _by_name(make, vars(args))
     missing = [p for p, v in params.items() if v is None]
     if missing:
         raise ValueError(f"{name} requires --{missing[0]}")
@@ -138,85 +144,60 @@ def cmd_chsh(args) -> int:
     rho, _ = _build_state(args)
     if (rho.d_a, rho.d_b) != (2, 2):
         raise ValueError("chsh requires a two-qubit state")
-    if args.optimal:
-        result = bell.horodecki_m(rho)
-    else:
+    settings = None
+    if not args.optimal:
         missing = [f for f in ("x", "x2", "y", "y2") if getattr(args, f) is None]
         if missing:
             raise ValueError(f"provide --optimal or all four settings (missing {', '.join(missing)})")
         settings = bell.ChshSettings(args.x, args.x2, args.y, args.y2)
-        base = bell.horodecki_m(rho)
-        result = bell.ChshResult(
-            value=bell.chsh_value(rho, settings),
-            m_rho=base.m_rho,
-            settings=settings,
-            eigen_pair=base.eigen_pair,
-        )
-    _emit(_dump_json(result.to_dict()), args.out)
+    _emit(_dump_json(bell.horodecki_m(rho, settings).to_dict()), args.out)
     return EXIT_OK
 
 
-def _table_report(table, oracle, fmt: str, out: str | None, extra: dict | None = None) -> int:
+def _table_report(table, oracle, extra: dict, args) -> int:
+    """The table against its Born oracle, then the scalars of extra."""
     max_sigma = table.max_sigma(oracle)
     passed = max_sigma <= acceptance.SIGMA
-    if fmt == "json":
+    if args.format == "json":
         payload = table.to_dict()
         payload["oracle"] = [[float(v) for v in row] for row in np.asarray(oracle)]
-        payload["max_sigma"] = max_sigma
-        payload["within_5_sigma"] = passed
-        if extra:
-            payload.update(extra)
-        _emit(_dump_json(payload), out)
+        payload.update({"max_sigma": max_sigma, "within_5_sigma": passed, **extra})
+        _emit(_dump_json(payload), args.out)
     else:
         text = table.to_csv(np.asarray(oracle))
         text += f"# max_sigma = {_fmt(max_sigma)} -> {'ok' if passed else 'FAIL'}\n"
-        if extra:
-            for k, v in extra.items():
-                text += f"# {k} = {v}\n"
-        _emit(text.rstrip("\n"), out)
+        text += "".join(f"# {k} = {v}\n" for k, v in extra.items())
+        _emit(text.rstrip("\n"), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_simulate(args) -> int:
-    """One model against its oracle: the Born table of its lhv.*_trial, or epr1bit's E(AB) = -x.y."""
-    n, seed = args.n, args.seed
-    if args.model == "epr1bit":
-        res = lhv.simulate_epr_one_bit(args.x, args.y, n, seed)
-        target = -float(args.x @ args.y)
-        dev = abs(res["E_AB"].sigma_ratio(target))
+def _scalar_report(res: dict, extra: dict, args) -> int:
+    """Estimates against the *_target scalars of extra, for a model without a Born table."""
+    targets = {k: extra[f"{k}_target"] for k in res if f"{k}_target" in extra}
+    dev = max(abs(res[k].sigma_ratio(t)) for k, t in targets.items())
+    if args.format == "json":
         payload = {k: {"mean": e.mean, "stderr": e.stderr} for k, e in res.items()}
-        payload.update({"E_AB_target": target, "sigma": dev, "n": n, "seed": seed})
-        if args.format == "json":
-            _emit(_dump_json(payload), args.out)
-        else:
-            lines = [f"{k}: {_fmt(e.mean)} +- {_fmt(e.stderr)}" for k, e in res.items()]
-            lines[0] += f" (target {_fmt(target)})"
-            _emit("\n".join([*lines, f"sigma: {_fmt(dev)}"]), args.out)
-        return EXIT_OK if dev <= acceptance.SIGMA else EXIT_CHECK_FAILED
-    rng = np.random.default_rng(seed)
-    extra = None
-    if args.model in ("werner", "barrett"):
-        trial = lhv.werner_trial if args.model == "werner" else lhv.barrett_trial
-        res, table, oracle = trial(args.d, rng, n, seed)
-    elif args.model == "gd":
-        res, table, oracle = lhv.gd_trial(args.x, args.y, n, seed)
-        extra = {
-            "E_AB": res.e_ab.mean,
-            "E_AB_target": -float(args.x @ args.y) / 2,
-            "rewrite_agreement": res.rewrite_agreement,
-        }
-    elif args.model == "hirsch":
-        res, table, oracle = lhv.hirsch_trial(args.q, args.x, args.y, n, seed)
-        extra = {"E_A": res.e_a.mean, "E_A_target": (1 - args.q) * float(args.x[2])}
-        if res.accept_rate is not None:
-            extra["accept_rate"] = res.accept_rate.mean
-    elif args.model == "povm-lift":
-        res, table, oracle = lhv.povm_lift_trial(args.q, rng, n, seed)
-        extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
+        payload.update({**extra, "sigma": dev, "n": args.n, "seed": args.seed})
+        _emit(_dump_json(payload), args.out)
     else:
-        raise ValueError(f"unknown model {args.model!r}")
-    code = _table_report(table, oracle, args.format, args.out, extra)
-    return EXIT_CHECK_FAILED if args.model == "gd" and res.rewrite_mismatches else code
+        lines = []
+        for k, e in res.items():
+            target = f" (target {_fmt(targets[k])})" if k in targets else ""
+            lines.append(f"{k}: {_fmt(e.mean)} +- {_fmt(e.stderr)}{target}")
+        _emit("\n".join([*lines, f"sigma: {_fmt(dev)}"]), args.out)
+    return EXIT_OK if dev <= acceptance.SIGMA else EXIT_CHECK_FAILED
+
+
+def cmd_simulate(args) -> int:
+    """One model of lhv.MODELS against its oracle: the Born table its trial
+    returns, or the *_target scalars of a model that has none."""
+    trial = lhv.MODELS[args.model]
+    res, table, oracle, extra = trial(**_by_name(trial, {**vars(args), "rng": np.random.default_rng(args.seed)}))
+    if oracle is None:
+        return _scalar_report(res, extra, args)
+    code = _table_report(table, oracle, extra, args)
+    # a model that also checks a rewrite of its own rule fails on any mismatch
+    return EXIT_CHECK_FAILED if getattr(res, "rewrite_mismatches", 0) else code
 
 
 def cmd_filter_scan(args) -> int:
@@ -286,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("simulate", help="run a hidden-variable protocol against its Born oracle")
-    p.add_argument("model", choices=("werner", "gd", "epr1bit", "hirsch", "povm-lift", "barrett"))
+    p.add_argument("model", choices=tuple(lhv.MODELS))
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--q", type=float, default=0.4)
     p.add_argument("--x", type=_parse_bloch, default=np.array([0.0, 0.0, 1.0]))

@@ -17,27 +17,6 @@ from .measure import random_povm, random_projective, unit_bloch
 from .qmat import projector
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, werner2x2, werner_local
 
-__all__ = [
-    "sample_sphere_r3",
-    "sample_sphere_cd",
-    "simulate_werner",
-    "simplex_integral_mc",
-    "simulate_epr_one_bit",
-    "simulate_gd_w2x2",
-    "simulate_hirsch_projective",
-    "simulate_povm_lift",
-    "simulate_barrett",
-    "werner_trial",
-    "barrett_trial",
-    "gd_trial",
-    "hirsch_trial",
-    "povm_lift_trial",
-    "HirschModel",
-    "GdResult",
-    "HirschResult",
-    "LiftResult",
-]
-
 
 def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on S^2 as normalized 3-component Gaussian draws,
@@ -123,11 +102,14 @@ def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _argmin_rows(u: np.ndarray) -> np.ndarray:
     """Row index of each column's minimum; ties go to the lowest index, which
-    is written last."""
+    is written last. Row 0 clears its columns by a product, not a masked
+    copy: at d = 2 that mask holds about half the columns at random, and the
+    copy doubled the function's time."""
     best = np.minimum.reduce(u)
     idx = np.zeros(u.shape[1], dtype=np.intp)
     for i in range(len(u) - 1, 0, -1):
         np.copyto(idx, i, where=u[i] == best)
+    idx *= u[0] != best
     return idx
 
 
@@ -385,7 +367,6 @@ def _bloch_rows(kets: np.ndarray) -> np.ndarray:
 @dataclass
 class LiftResult:
     table: JointTable
-    both_hit: JointTable
     step4_a: McEstimate
     step4_b: McEstimate
     target: DensityMatrix
@@ -447,24 +428,14 @@ def simulate_povm_lift(
         b_idx = _pick(cdf_pick_b, rng.random(m))
         hit_b = base.bob_hit(np.take(bloch_b, b_idx, axis=0), shared, rng)
         b_out = np.where(hit_b, b_idx, _pick(cdf4_b, rng.random(m)))
-        # where both parties hit, the outputs are the picked indices
-        out = bm_a_arr[a_out] * kb + bm_b_arr[b_out]
-        cells = np.bincount(out, minlength=ka * kb).astype(float)
-        cells_hit = np.bincount(out, weights=hit_a & hit_b, minlength=ka * kb)
+        cells = np.bincount(bm_a_arr[a_out] * kb + bm_b_arr[b_out], minlength=ka * kb).astype(float)
         miss = np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
-        return cells, cells_hit, miss
+        return cells, miss
 
-    label = f"povmlift:q={base.q!r}"
-    cells, cells_hit, miss = run_batched(n, seed, label, kernel, workers)
-    table = JointTable.from_sums(
-        cells.reshape(ka, kb), cells.reshape(ka, kb), n, seed, povm_a.labels, povm_b.labels
-    )
-    both_hit = JointTable.from_sums(
-        cells_hit.reshape(ka, kb), cells_hit.reshape(ka, kb), n, seed, povm_a.labels, povm_b.labels
-    )
+    cells, miss = run_batched(n, seed, f"povmlift:q={base.q!r}", kernel, workers)
+    cells = cells.reshape(ka, kb)
     return LiftResult(
-        table=table,
-        both_hit=both_hit,
+        table=JointTable.from_sums(cells, cells, n, seed, povm_a.labels, povm_b.labels),
         step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
         step4_b=McEstimate.from_sums(miss[1], miss[1], n, seed),
         target=lift_state(base.rho0, sigma_a, sigma_b),
@@ -504,36 +475,53 @@ def simulate_barrett(
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
 
 
-# -- trials: the one Born oracle of each table model -------------------------
+# -- trials: one per model, and the registry of them ------------------------
 # A trial draws the measurements, runs the simulator and returns (result,
-# table, Born table of the target state). Simulators and target states are
-# module globals looked up at call time, so a test or benchmark can swap one.
+# table, oracle, extra): the Born table of the target state (None for a model
+# gated on scalars only) and the ordered scalars that `simulate` prints after
+# the table, among them each *_target that the model's estimates are checked
+# against. Simulators and target states are module globals looked up at call
+# time, so a test or benchmark can swap one.
 
 
 def werner_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
     """Minimizer model in two Haar-random bases against werner_local(d)."""
     pa, pb = random_projective(d, rng), random_projective(d, rng)
     table = simulate_werner(d, pa, pb, n, seed, workers)
-    return table, table, born_table(werner_local(d), pa.elements, pb.elements)
+    return table, table, born_table(werner_local(d), pa.elements, pb.elements), {}
 
 
 def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
     """Threshold model in two Haar-random bases against barrett_state(d)."""
     pa, pb = random_projective(d, rng), random_projective(d, rng)
     table = simulate_barrett(d, pa, pb, n, seed, workers)
-    return table, table, born_table(barrett_state(d), pa.elements, pb.elements)
+    return table, table, born_table(barrett_state(d), pa.elements, pb.elements), {}
 
 
 def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
-    """Choice-method model on spins along x and y against werner2x2(1/2)."""
+    """Choice-method model on spins along x and y against werner2x2(1/2),
+    whose E(AB) is -(x.y)/2."""
     res = simulate_gd_w2x2(x, y, n, seed, workers)
-    return res, res.table, born_table(werner2x2(0.5), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    oracle = born_table(werner2x2(0.5), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    extra = {"E_AB": res.e_ab.mean, "E_AB_target": -float(x @ y) / 2, "rewrite_agreement": res.rewrite_agreement}
+    return res, res.table, oracle, extra
+
+
+def epr1bit_trial(x, y, n: int, seed: int, workers: int | None = None):
+    """One-bit-assisted singlet simulation on spins along x and y, gated on
+    E(AB) = -x.y alone: it has no Born table."""
+    return simulate_epr_one_bit(x, y, n, seed, workers), None, None, {"E_AB_target": -float(x @ y)}
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
-    """Singlet/|0> mixture model on spins along x and y against rho_g(q)."""
+    """Singlet/|0> mixture model on spins along x and y against rho_g(q),
+    whose E(A) is (1-q) x_z."""
     res = simulate_hirsch_projective(q, x, y, n, seed, workers)
-    return res, res.table, born_table(rho_g(q), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    oracle = born_table(rho_g(q), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    extra = {"E_A": res.e_a.mean, "E_A_target": (1 - q) * float(x[2])}
+    if res.accept_rate is not None:
+        extra["accept_rate"] = res.accept_rate.mean
+    return res, res.table, oracle, extra
 
 
 def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
@@ -543,4 +531,17 @@ def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, worke
     sigma = np.diag([1.0, 0.0]).astype(complex)
     ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
     res = simulate_povm_lift(base, sigma, sigma, ma, mb, n, seed, workers)
-    return res, res.table, born_table(res.target, ma.elements, mb.elements)
+    extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
+    return res, res.table, born_table(res.target, ma.elements, mb.elements), extra
+
+
+# The models of `simulate`, by name. A trial takes its inputs (d, q, x, y,
+# rng) by parameter name, plus n, seed and workers.
+MODELS = {
+    "werner": werner_trial,
+    "gd": gd_trial,
+    "epr1bit": epr1bit_trial,
+    "hirsch": hirsch_trial,
+    "povm-lift": povm_lift_trial,
+    "barrett": barrett_trial,
+}

@@ -201,6 +201,38 @@ class TestSimulate:
         assert code == (0 if payload["within_5_sigma"] else 1)
         assert out == cli._dump_json(payload) + "\n"
 
+    @pytest.mark.parametrize("model", list(lhv.MODELS))
+    def test_every_model_runs_in_both_formats(self, capsys, model):
+        """A table model reports its Born-table gate, a model without one its
+        scalar gate; both formats carry the same figures."""
+        out = {}
+        for fmt in ("csv", "json"):
+            code, out[fmt], err = run(capsys, "simulate", model, "--n", "3000", "--seed", "5", "--format", fmt)
+            assert code == 0 and err == ""
+        payload = json.loads(out["json"])
+        if "max_sigma" in payload:
+            assert payload["within_5_sigma"] is True
+            assert f"# max_sigma = {cli._fmt(payload['max_sigma'])} -> ok" in out["csv"]
+        else:
+            assert payload["sigma"] <= acceptance.SIGMA
+            assert out["csv"].endswith(f"sigma: {cli._fmt(payload['sigma'])}\n")
+
+    def test_gd_rewrite_mismatch_fails_simulate_and_c05(self, capsys, monkeypatch):
+        real = lhv.simulate_gd_w2x2
+
+        def one_mismatch(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.rewrite_mismatches = 1
+            return res
+
+        monkeypatch.setattr(lhv, "simulate_gd_w2x2", one_mismatch)
+        code, out, _ = run(capsys, "simulate", "gd", "--n", "3000", "--seed", "5")
+        assert code == 1
+        assert "-> ok" in out  # the table itself passes; the rewrite check fails the run
+        result = acceptance.criterion_05(0, 3000)
+        assert not result.passed
+        assert result.detail.endswith("rewrite mismatches 10")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out, _ = run(capsys, "simulate", "werner", "--n", "1e5", "--seed", "7", "--out", str(path))

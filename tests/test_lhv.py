@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonlocal_lab import lhv, mc, states
+from nonlocal_lab import cli, lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
     born_table,
@@ -394,12 +394,6 @@ class TestPovmLift:
         assert abs(res.step4_a.sigma_ratio(0.5)) < 5
         assert abs(res.step4_b.sigma_ratio(0.5)) < 5
 
-    def test_both_hit_branch_probability(self):
-        ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-        res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 84)
-        oracle = born_table(self.base.rho0, ma.elements, mb.elements) / 4
-        assert res.both_hit.max_sigma(oracle) < 5
-
     def test_projective_input_matches_projective_model(self):
         # sanity: rank-1 projective POVMs reduce to the plain spin simulation
         x = unit3()
@@ -452,22 +446,53 @@ class TestBarrett:
         assert table.max_sigma(born_table(states.barrett_state(3), ma.elements, mb.elements)) < 5
 
 
-# Each table model's trial at that model's inputs, against the Born oracle it returns.
+_X, _Y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+
+
+def _run(model: str, n: int, seed: int = 11, **inputs):
+    """The trial of lhv.MODELS[model] at (n, seed), its inputs taken by
+    parameter name as `simulate` takes them: d=2, q=0.4, x=_X, y=_Y and a
+    generator seeded with 7, unless given."""
+    trial = lhv.MODELS[model]
+    values = {"d": 2, "q": 0.4, "x": _X, "y": _Y, "rng": np.random.default_rng(7), "n": n, "seed": seed, **inputs}
+    return trial(**cli._by_name(trial, values))
+
+
+def _estimate(result, name: str) -> McEstimate:
+    """The estimate that extra's f"{name}_target" targets: result[name] of a
+    dict result, else its field of the same name in lower case."""
+    return result[name] if isinstance(result, dict) else getattr(result, name.lower())
+
+
+# Each model's trial at (seed, inputs); a model appears under one case or more.
 _TRIALS = {
-    "werner-d3": lambda: lhv.werner_trial(3, rng, N, 22),
-    "barrett-d2": lambda: lhv.barrett_trial(2, rng, N, 91),
-    "gd": lambda: lhv.gd_trial(unit3(), unit3(), N, 63),
-    "hirsch-q0.25": lambda: lhv.hirsch_trial(0.25, unit3(), unit3(), N, 73),
-    "hirsch-q0": lambda: lhv.hirsch_trial(0.0, unit3(), unit3(), N, 76),
-    "povm_lift": lambda: lhv.povm_lift_trial(0.4, rng, N, 81),
+    "werner-d3": ("werner", lambda: dict(seed=22, d=3, rng=rng)),
+    "barrett-d2": ("barrett", lambda: dict(seed=91, d=2, rng=rng)),
+    "gd": ("gd", lambda: dict(seed=63, x=unit3(), y=unit3())),
+    "epr1bit": ("epr1bit", lambda: dict(seed=51, x=unit3(), y=unit3())),
+    "hirsch-q0.25": ("hirsch", lambda: dict(seed=73, q=0.25, x=unit3(), y=unit3())),
+    "hirsch-q0": ("hirsch", lambda: dict(seed=76, q=0.0, x=unit3(), y=unit3())),
+    "povm_lift": ("povm-lift", lambda: dict(seed=81, q=0.4, rng=rng)),
 }
+
+
+def test_trial_cases_cover_every_model():
+    assert {model for model, _ in _TRIALS.values()} == set(lhv.MODELS)
 
 
 @pytest.mark.parametrize("case", list(_TRIALS))
 def test_trial_table_against_its_born_oracle(case):
-    _, table, oracle = _TRIALS[case]()
-    assert table.max_sigma(oracle) < 5
-    assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
+    """The table against the Born oracle the trial returns, if any, and every
+    estimate against its *_target in extra."""
+    model, inputs = _TRIALS[case]
+    res, table, oracle, extra = _run(model, N, **inputs())
+    targets = {k.removesuffix("_target"): v for k, v in extra.items() if k.endswith("_target")}
+    assert oracle is not None or targets
+    if oracle is not None:
+        assert table.max_sigma(oracle) < 5
+        assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
+    for name, target in targets.items():
+        assert abs(_estimate(res, name).sigma_ratio(target)) < 5
 
 
 # -- negative controls on the trials' Born oracles --------------------------
@@ -478,44 +503,100 @@ def test_trial_table_against_its_born_oracle(case):
 # n >= 100 p (1 - p) / delta^2. Each control runs at the smallest such n over
 # the cells of its table; there the deviation should read about 10 sigma or
 # more, and it misses the 5-sigma gate only on a 5-sigma fluctuation.
-_X, _Y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+
+
+def _power_n(oracle: np.ndarray, mean: np.ndarray) -> int:
+    """The smallest n at which a table whose cells have mean `mean` reads
+    >= 10 sigma off `oracle` in some cell, by the bound above."""
+    delta = np.abs(oracle - mean)
+    cells = delta > 0
+    return int(np.ceil(np.min(100 * mean[cells] * (1 - mean[cells]) / delta[cells] ** 2)))
+
+
 _PLANTED = {
-    # trial at (n, seed), the lhv global that builds its target, a wrong target
-    "werner": (
-        lambda n: lhv.werner_trial(2, np.random.default_rng(7), n, 11),
-        "werner_local",
-        lambda d: states.werner_phi(d, states.werner_local_phi(d) + 0.3),
-    ),
+    # model, the lhv global that builds its target, a wrong target
+    "werner": ("werner", "werner_local", lambda d: states.werner_phi(d, states.werner_local_phi(d) + 0.3)),
     "barrett": (
-        lambda n: lhv.barrett_trial(2, np.random.default_rng(7), n, 11),
+        "barrett",
         "barrett_state",
         lambda d: states.werner_phi(d, states.flip_witness(states.barrett_state(d)) + 0.3),
     ),
-    "gd": (lambda n: lhv.gd_trial(_X, _Y, n, 11), "werner2x2", lambda alpha: states.werner2x2(alpha + 0.1)),
-    "hirsch": (lambda n: lhv.hirsch_trial(0.4, _X, _Y, n, 11), "rho_g", lambda q: states.rho_g(q + 0.1)),
+    "gd": ("gd", "werner2x2", lambda alpha: states.werner2x2(alpha + 0.1)),
+    "hirsch": ("hirsch", "rho_g", lambda q: states.rho_g(q + 0.1)),
     # the lift dilutes rho_g to a quarter of the target, so the shift is larger
-    "povm_lift": (
-        lambda n: lhv.povm_lift_trial(0.4, np.random.default_rng(7), n, 11),
-        "rho_g",
-        lambda q: states.rho_g(q + 0.5),
-    ),
+    "povm_lift": ("povm-lift", "rho_g", lambda q: states.rho_g(q + 0.5)),
 }
 
 
-@pytest.mark.parametrize("model", sorted(_PLANTED))
-def test_planted_target_fails_the_gate(model, monkeypatch):
-    trial, target, wrong = _PLANTED[model]
-    truth = trial(100)[2]
+def test_planted_cases_cover_every_model_with_an_oracle():
+    with_oracle = {m for m in lhv.MODELS if _run(m, 100)[2] is not None}
+    assert {model for model, _, _ in _PLANTED.values()} == with_oracle
+
+
+@pytest.mark.parametrize("case", sorted(_PLANTED))
+def test_planted_target_fails_the_gate(case, monkeypatch):
+    model, target, wrong = _PLANTED[case]
+    truth = _run(model, 100)[2]
     monkeypatch.setattr(lhv, target, wrong)
-    planted = trial(100)[2]
-    delta = np.abs(planted - truth)
-    assert delta.max() > 1e-3
-    cells = delta > 0
-    n = int(np.ceil(np.min(100 * truth[cells] * (1 - truth[cells]) / delta[cells] ** 2)))
+    planted = _run(model, 100)[2]
+    assert np.abs(planted - truth).max() > 1e-3
+    # the simulation follows the truth, so its cells have the truth's p
+    n = _power_n(planted, truth)
     assert n <= 200_000  # keeps the control cheap
-    _, table, oracle = trial(n)
+    _, table, oracle, _ = _run(model, n)
     assert np.array_equal(oracle, planted)
     assert table.max_sigma(truth) <= 5  # the simulation itself is sound
+    assert table.max_sigma(oracle) > 5
+
+
+# -- planted defects in the models' own rules -------------------------------
+# Each defect moves the expected table from the Born oracle `truth` to
+# expected(truth, d); by the bound above, the defective run at
+# _power_n(truth, expected) reads >= 10 sigma off the oracle. GD at x = _X,
+# y = _Y has E(AB) = -0.4, cells 0.15 / 0.35, and Alice's flipped sign swaps
+# them (n = 319). Barrett's Bob row divided by d instead of d - 1 scales
+# every cell by (d - 1) / d, a half at d = 2 (n = 603 for the bases drawn).
+# A third defect, one sample dropped per overlap block, is left out: it
+# biases each cell by about 1/8192 of itself at d = 2, so 10 sigma needs
+# n >= 100 (1 - p) / p * 8192^2, about 2e10 at p = 1/4, out of tier-1's reach.
+
+
+def _alice_sign_flipped(monkeypatch):
+    real = lhv._pm_counts
+    monkeypatch.setattr(lhv, "_pm_counts", lambda a_plus, b_plus: real(~a_plus, b_plus))
+
+
+def _bob_over_d(monkeypatch):
+    real = lhv._barrett_responses
+
+    def wrong(u, xw, v, yw, d):
+        pa, pb = real(u, xw, v, yw, d)
+        return pa, pb * ((d - 1) / d)
+
+    monkeypatch.setattr(lhv, "_barrett_responses", wrong)
+
+
+_DEFECTS = {
+    # (model, defect): the patch and the expected table of the defective model
+    ("gd", "alice-sign-flipped"): (_alice_sign_flipped, lambda truth, d: truth[::-1]),
+    ("barrett", "bob-over-d"): (_bob_over_d, lambda truth, d: truth * ((d - 1) / d)),
+}
+
+
+@pytest.mark.parametrize("model, defect", sorted(_DEFECTS))
+def test_planted_defect_fails_the_gate(model, defect, monkeypatch):
+    assert model in lhv.MODELS
+    patch, expected = _DEFECTS[model, defect]
+    truth = _run(model, 100)[2]
+    moved = expected(truth, 2)
+    n = _power_n(truth, moved)
+    assert n <= 2_000  # keeps the control cheap
+    _, table, oracle, _ = _run(model, n)
+    assert table.max_sigma(oracle) <= 5  # the sound model passes at this n
+    patch(monkeypatch)
+    _, table, oracle, _ = _run(model, n)
+    assert np.array_equal(oracle, truth)
+    assert table.max_sigma(moved) <= 5  # the defect moved the table as expected
     assert table.max_sigma(oracle) > 5
 
 
@@ -539,24 +620,32 @@ def _simulators():
     pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
     sigma = projector(basis_ket(2, 0))
     pa8, pb8 = random_projective(8, gen), random_projective(8, gen)
+    # case: (model, run); the simplex integral is C04's lemma, not a model
     return {
-        "werner": lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w),
-        "simplex": lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w),
-        "epr1bit": lambda n, w: lhv.simulate_epr_one_bit(x, y, n, 3, workers=w),
-        "gd": lambda n, w: lhv.simulate_gd_w2x2(x, y, n, 4, workers=w),
-        "hirsch": lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w),
-        "povm_lift": lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
-        "barrett": lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w),
+        "werner": ("werner", lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w)),
+        "simplex": ("simplex", lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w)),
+        "epr1bit": ("epr1bit", lambda n, w: lhv.simulate_epr_one_bit(x, y, n, 3, workers=w)),
+        "gd": ("gd", lambda n, w: lhv.simulate_gd_w2x2(x, y, n, 4, workers=w)),
+        "hirsch": ("hirsch", lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w)),
+        "povm_lift": (
+            "povm-lift",
+            lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
+        ),
+        "barrett": ("barrett", lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w)),
         # d=8: blocks of the narrowest width, _MIN_BLOCK samples, as at large d
-        "werner_d8": lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w),
-        "barrett_d8": lambda n, w: lhv.simulate_barrett(8, pa8, pb8, n, 9, workers=w),
+        "werner_d8": ("werner", lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w)),
+        "barrett_d8": ("barrett", lambda n, w: lhv.simulate_barrett(8, pa8, pb8, n, 9, workers=w)),
     }
+
+
+def test_worker_cases_cover_every_model():
+    assert {model for model, _ in _simulators().values()} == set(lhv.MODELS) | {"simplex"}
 
 
 @pytest.mark.parametrize("model", sorted(_simulators()))
 def test_every_simulator_identical_across_workers(model):
     n = 3 * mc.BATCH_SIZE + 1234  # three full batches and a partial one
-    run = _simulators()[model]
+    run = _simulators()[model][1]
     one = _leaves(run(n, 1))
     for workers in (2, None):  # None: one worker per usable core
         other = _leaves(run(n, workers))
@@ -570,7 +659,7 @@ def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
     """Column blocks of the real width against one block per batch, over a
     full batch and a partial one that ends in a partial block."""
     n = mc.BATCH_SIZE + 3 * 4096 + 77
-    run = _simulators()[model]
+    run = _simulators()[model][1]
     blocked = _leaves(run(n, 1))
     monkeypatch.setattr(lhv, "_block_width", lambda rows: mc.BATCH_SIZE)
     whole = _leaves(run(n, 1))

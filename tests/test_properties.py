@@ -7,6 +7,7 @@ so a failure reports the seed and dimensions that reproduce it.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nonlocal_lab import lhv
 from nonlocal_lab.measure import born_table, povm_refine, random_povm
@@ -52,3 +53,13 @@ def test_barrett_responses_are_distributions(seed, d, k_a, k_b):
     for p in lhv._barrett_responses(u, xw, v, yw, d):
         assert p.min() >= -1e-12
         assert np.max(np.abs(p.sum(axis=0) - 1)) <= 1e-12
+
+
+# Values that tie often, -0.0 against 0.0 among them, mixed with any finite float.
+TIED = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@CHECK
+@given(u=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 40)), elements=TIED))
+def test_argmin_rows_is_argmin_with_ties_to_the_lowest_row(u):
+    assert np.array_equal(lhv._argmin_rows(u), np.argmin(u, axis=0))
