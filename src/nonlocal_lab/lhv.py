@@ -221,12 +221,17 @@ def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.n
     return cells, np.array([m - 2 * (na + nb - 2 * nab), 2 * na - m, 2 * nb - m], dtype=float)
 
 
+def _pm_estimates(sums: np.ndarray, n: int, seed: int) -> list[McEstimate]:
+    """The estimates of E(AB), E(A) and E(B) from the summed sums of
+    _pm_counts; each +-1 product squares to 1, so every second moment is n."""
+    return [McEstimate.from_sums(s, float(n), n, seed) for s in sums]
+
+
 def _pm_results(cells: np.ndarray, sums: np.ndarray, n: int, seed: int):
-    """The joint table over outcomes [1, -1] and the estimates of E(AB), E(A)
-    and E(B) from summed _pm_counts; each +-1 product squares to 1, so every
-    second moment is n."""
+    """The joint table over outcomes [1, -1] from summed _pm_counts, and
+    its _pm_estimates."""
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
-    return table, *[McEstimate.from_sums(s, float(n), n, seed) for s in sums]
+    return table, *_pm_estimates(sums, n, seed)
 
 
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
@@ -243,8 +248,8 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
         a_plus = np.where(pick0, x0, x1) < 0
         return _pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0)
 
-    cells, s = run_batched(n, seed, "epr1bit", kernel, workers)
-    _, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
+    _, s = run_batched(n, seed, "epr1bit", kernel, workers)
+    e_ab, e_a, e_b = _pm_estimates(s, n, seed)
     return {"E_AB": e_ab, "E_A": e_a, "E_B": e_b}
 
 

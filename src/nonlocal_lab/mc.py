@@ -79,10 +79,15 @@ def worker_count(workers: int | None = None) -> int:
 
 
 def batch_rng(seed: int, label: str, batch: int) -> np.random.Generator:
-    """Philox generator for one batch of one labelled run."""
-    crc = zlib.crc32(label.encode())
-    key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((crc << 32) | (batch & 0xFFFFFFFF))]
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator for one batch of one labelled run, seeded through
+    SeedSequence from four 32-bit words: the low and high halves of seed
+    mod 2^64, the CRC-32 of the label and batch mod 2^32. The words are
+    fixed-width because SeedSequence zero-pads short entropy: a plain list
+    [seed, crc, batch] would give (5, 7, 9) the stream of
+    (5 + 7 * 2^32, 9, 0), whose seed takes two words."""
+    seed64 = seed & 0xFFFFFFFFFFFFFFFF
+    words = [seed64 & 0xFFFFFFFF, seed64 >> 32, zlib.crc32(label.encode()), batch & 0xFFFFFFFF]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def run_batched(

@@ -82,32 +82,32 @@ GOLDEN = {
     "filter-scan popescu 5": [0, "bd2da07f375273beb0296013644fffa0342a5c0bca12dea8f3c20a56d66f1d86"],
     "filter-scan rho-g": [0, "caf1a9bda5c9f491979b9f61c341d3482669b740c26f7eba5e38c533f02d0d79"],
     "filter-scan rho-g-prime": [0, "b7ae1811f959777d16aee86faaa4db71195fe5dab50d6efbc958c767aea56856"],
-    "simulate barrett --d 2 csv": [0, "2cca907395e9655c1b99f7c842e8549c1a5645152ade21a21f6658a5b904d954"],
-    "simulate barrett --d 2 json": [0, "0f70a6617dd365aebf6dd49e4969560ba2758bba59b29f64480e75c517a02aa8"],
-    "simulate barrett --d 3 csv": [0, "0bf2fbbe3bf512c2eee1eb6c096d79879f168d8cc77d5fb399122b5a2afdd6ac"],
-    "simulate barrett --d 3 json": [0, "a54da111a0d368ac9d731e689901068eb61ca0edab6da40af6db0a7d1b8370c3"],
-    "simulate barrett --d 8 csv": [0, "783094060549aeda59b9f70972b0c31a4b886c390fe901eb5d37360896933e47"],
-    "simulate barrett --d 8 json": [0, "932a34aad357696203450c0d467abc6fe549653a159924b82660286031e72084"],
-    "simulate epr1bit --x 0,0.6,0.8 csv": [0, "602b68ea7436d46b98d8088cc572094e618aebb199c066bb754c23efba3224a5"],
-    "simulate epr1bit --x 0,0.6,0.8 json": [0, "196a9b516eac7ff04144c5020e4a3ad706c2562cc4c5a77d5719d63a9fd20231"],
-    "simulate epr1bit csv": [0, "2323ea2fdefc480f330db2d10953b3fcb50897e6923f402e96db740f74470458"],
-    "simulate epr1bit json": [0, "8cb3783cdad62ee4a27adad52ac8f350fa5f5a72858b5b1845c70c0a66670ff2"],
-    "simulate gd --x 0.6,0,0.8 csv": [0, "e2ba64dc8dc6350a00856b2e2337b5f47d057c30b0967041ccff007d34c0d573"],
-    "simulate gd --x 0.6,0,0.8 json": [0, "263be2e22602a8892803add95bf68ed6cc947b7dbd364cb8b070b536fa4a49d9"],
-    "simulate gd csv": [0, "b5062f69cd856b61e5c207f0f8da625bf39da10ad2797141e6172b8f4f3f10e9"],
-    "simulate gd json": [0, "02a4711a1da1ab8462e33cfac1ca15da7f24c5138d5e722321afc4f942e0c4f2"],
-    "simulate hirsch --q 0.3 csv": [0, "1c11e20dd9519dff8995b099fbf818d28a739c9eb762d9015cf6745ce2709d5d"],
-    "simulate hirsch --q 0.3 json": [0, "8c39bfe5a4cd7c733aa21f1a9b1b3cbe8795a2397ca2843e8cccd7906b0e6665"],
-    "simulate hirsch csv": [0, "dc132ffdb1871a66af132b8ae8b4fd32d64a04f985a3d112427336e003174c7b"],
-    "simulate hirsch json": [0, "de69d509f1f81e7ed48ba82a92fde4d38bff168df31c8f559b50f21dbf04c486"],
-    "simulate povm-lift --q 0.4 csv": [0, "e5f627c894f7ca36f3ca37356b4ef9e4f1eba5eb4c816ee590bcfa06bc4f66dc"],
-    "simulate povm-lift --q 0.4 json": [0, "6a7042ed46c713c8c19bf7e723562a4aa29a6b18f18052a98fe40882a9b103b0"],
-    "simulate werner --d 2 csv": [0, "4c7aeaebb1ba98309493cd15e693e46e2cdd1526eb7667d41f856e568e4946bd"],
-    "simulate werner --d 2 json": [0, "160c72ba64f104f06013bcf3115615731b549941ee3fd3e0c9d721cbfde7a25a"],
-    "simulate werner --d 3 csv": [0, "40acda494b65d219d03f7209e9487cc35ef3345835565bbadd0636ad013a3694"],
-    "simulate werner --d 3 json": [0, "2bc17ee48c4c0e7fef4a5ff8d0b674531a4283ffe74fe1f10773ad4d71d81274"],
-    "simulate werner --d 8 csv": [0, "f84df4f3093e0a1129076cf09e87b794c45d83a2d77a5c72fe326ef2453f0871"],
-    "simulate werner --d 8 json": [0, "1def9d4a684f9f737f338bed7f4564ee35c9185f3eec4b80a4f83ee88ac0e59a"],
+    "simulate barrett --d 2 csv": [0, "46b7be7b247f3602c0500d0d3ad7dd8649527201e11ee19c57807006a9f7ac0b"],
+    "simulate barrett --d 2 json": [0, "4b72af1feda0471fc0fa70cbfaf2be7e5933ffb0a2fa372e6df40e8aaeb90434"],
+    "simulate barrett --d 3 csv": [0, "f454cd8a6054ce465fe06ffe35c454619630908114f2cb2b832440a148a1c767"],
+    "simulate barrett --d 3 json": [0, "cbe18fd8c4974c69373191b7cf0bca96221505b853f7ce63ae1015eb3c21141b"],
+    "simulate barrett --d 8 csv": [0, "d8554929dfe33dfb859504f1ab9122d9815996964aa2f01eea7a280d54b2ff6d"],
+    "simulate barrett --d 8 json": [0, "91c824c3dee3a556e878fbfcb698cf9fc8dbc1e5ae48051dac48d2f7f22c3089"],
+    "simulate epr1bit --x 0,0.6,0.8 csv": [0, "b7cccbd1444916e4986f1cb19da0a1a447a4d0007eac98f2a806a15dfd71e0b6"],
+    "simulate epr1bit --x 0,0.6,0.8 json": [0, "63730a90eb1534e4541e7bf12daf54f51a753322383257f9f12fc6ab7764e4c7"],
+    "simulate epr1bit csv": [0, "2ec34285bbc2f5a8700c87094d5e650c490299528180624ba2cc444a4a6b781e"],
+    "simulate epr1bit json": [0, "18b6940df24f626529cee8bb18d35aa099ccb86e5fd1c25ecfb0ee9f897ec500"],
+    "simulate gd --x 0.6,0,0.8 csv": [0, "186505212aa865dbbd0288c63b1c0f3399ea4d62c0faef052a536a4b8b1d32dc"],
+    "simulate gd --x 0.6,0,0.8 json": [0, "f86f007c8a7c1cb8ddc7923fab4a709d2d74f0e4164ef9631759da79e9c7cc59"],
+    "simulate gd csv": [0, "d5e3f756267f3f9efb4eba8e91c144f0493f28e5c474600a01a767862b2ff64a"],
+    "simulate gd json": [0, "a3ac59e592063f85396943df701e081e7a1bfd304554dbe1a0774006b79bf4f3"],
+    "simulate hirsch --q 0.3 csv": [0, "f866e75219e102355f8e0f302fdd9b7bd4d06cd3c5fab0b32616cb0469a10e73"],
+    "simulate hirsch --q 0.3 json": [0, "3112626c613a48193e7b95b310c8669b186c1ed4d57687aabd0a03493dd862dc"],
+    "simulate hirsch csv": [0, "1a1a4c168144f3a3bc52c6043a41ca0cf099cff6901022d421b2f17687c3c8cd"],
+    "simulate hirsch json": [0, "ee480720b9ca8215d028cb55e75ab03d96dc90cbc6739203fad300f972505769"],
+    "simulate povm-lift --q 0.4 csv": [0, "081884d95977456072f7abdaebf4d264102edc1bb52fbe3fae7ae87cfd07340f"],
+    "simulate povm-lift --q 0.4 json": [0, "4a1a273f08a72e289ceb87b98c7ea0f33d935f0e36674cd94be440c98547de98"],
+    "simulate werner --d 2 csv": [0, "eeed40a9370754070c37754844ff894cb60794146e60218675d01c41e8dd90f1"],
+    "simulate werner --d 2 json": [0, "fac0dc332efadaf10d44e2d47eb6e5072a33193776504c7581ff7a580bea0c7e"],
+    "simulate werner --d 3 csv": [0, "9b302a40b11c81f080b25f2e07da04dec0681efe6131272a3df44b0580ee352f"],
+    "simulate werner --d 3 json": [0, "5cae47ea0501c5030e0c6c3b3a5486914d6675583252922ed5fcb25a85033e2c"],
+    "simulate werner --d 8 csv": [0, "f3e68b02b34d5e00da6dff149e88e1abe8ecdbc7712e3a7bce4dac48dc962602"],
+    "simulate werner --d 8 json": [0, "8983030aeeef659b5bd5b81759c4837f9e3ade36e132a595d3a1421d72794597"],
     "witness barrett json": [0, "605390eab7727f6e62c87c44ad3ad450d0fbc5927fc68fa99f032d5875b6343c"],
     "witness barrett text": [0, "0bac13c620054ecee58eeddbcae5110b86a75014d3252349d6e280b6ba597b62"],
     "witness rho-e json": [0, "2b85dced93279c76ed68d8656202bedf017efa7974d5bd014b592329132d1198"],

@@ -17,12 +17,18 @@ from nonlocal_lab.qmat import basis_ket, haar_ket, haar_unitary, projector
 from nonlocal_lab.mc import JointTable, McEstimate
 from nonlocal_lab.states import werner_local, werner_local_phi
 
-rng = np.random.default_rng(31337)
 N = 400_000
 
 
-def unit3():
-    v = rng.standard_normal(3)
+@pytest.fixture
+def rng():
+    """A fresh generator for each test, so that a test draws the same inputs
+    whichever tests ran before it."""
+    return np.random.default_rng(31337)
+
+
+def unit3(gen: np.random.Generator) -> np.ndarray:
+    v = gen.standard_normal(3)
     return v / np.linalg.norm(v)
 
 
@@ -96,11 +102,11 @@ def gd_choice(lambda0: np.ndarray, lambda1: np.ndarray, x: np.ndarray) -> np.nda
 
 
 class TestSphereSampling:
-    def test_r3_moments(self):
+    def test_r3_moments(self, rng):
         lam = lhv.sample_sphere_r3(np.random.default_rng(0), 1_000_000)
         se = 1 / np.sqrt(3 * len(lam))  # component variance is 1/3
         assert np.max(np.abs(lam.mean(axis=0))) < 5 * se
-        x = unit3()
+        x = unit3(rng)
         proj = lam @ x
         assert abs(proj.mean()) < 5 * proj.std(ddof=1) / np.sqrt(len(lam))
         absproj = np.abs(proj)
@@ -111,7 +117,7 @@ class TestSphereSampling:
         assert v.shape == (3,)
         assert abs(np.linalg.norm(v) - 1) < 1e-12
 
-    def test_cd_norms_and_mean_overlap(self):
+    def test_cd_norms_and_mean_overlap(self, rng):
         for d in (2, 3, 5):
             lam = lhv.sample_sphere_cd(np.random.default_rng(d), d, 200_000)
             assert np.max(np.abs(np.linalg.norm(lam, axis=1) - 1)) < 1e-12
@@ -120,7 +126,7 @@ class TestSphereSampling:
             se = overlap.std(ddof=1) / np.sqrt(len(lam))
             assert abs(overlap.mean() - 1 / d) < 5 * se
 
-    def test_cd_unitary_invariance(self):
+    def test_cd_unitary_invariance(self, rng):
         # two-sample KS on <lam|P|lam> versus <lam|U P U^dag|lam>
         d = 3
         p = haar_ket(d, rng)
@@ -139,7 +145,7 @@ class TestWernerResponses:
         assert ref.a(0, lam) == 0
         assert ref.a(1, lam) == 1
 
-    def test_normalized_over_outcomes(self):
+    def test_normalized_over_outcomes(self, rng):
         # scalar responses on a subsample; the vectorized path is exercised by the simulators
         for d in (2, 3):
             ref = WernerRef(random_projective(d, rng))
@@ -154,7 +160,7 @@ class TestWernerResponses:
         ref = WernerRef(basis_povm(np.eye(3)))
         assert np.isclose(ref.b(2, basis_ket(3, 2)), 1.0, atol=1e-12)
 
-    def test_quantum_response_unitary_symmetry(self):
+    def test_quantum_response_unitary_symmetry(self, rng):
         d = 3
         u = haar_unitary(d, rng)
         basis = haar_unitary(d, rng)
@@ -169,20 +175,20 @@ class TestWernerResponses:
 
 
 class TestSimulateWerner:
-    def test_equal_projector_cell_d2(self):
+    def test_equal_projector_cell_d2(self, rng):
         basis = haar_unitary(2, rng)
         meas = basis_povm(basis)
         table = lhv.simulate_werner(2, meas, meas, N, 21)
         cell = table.cell(0, 0)
         assert abs(cell.sigma_ratio((1 + werner_local_phi(2)) / (2 * 3))) < 5  # = 0.125
 
-    def test_marginals_are_uniform(self):
+    def test_marginals_are_uniform(self, rng):
         pa, pb = random_projective(3, rng), random_projective(3, rng)
         table = lhv.simulate_werner(3, pa, pb, N, 23)
         agg_se = np.sqrt((table.stderrs**2).sum(axis=1))
         assert np.max(np.abs(table.means.sum(axis=1) - 1 / 3) / agg_se) < 5
 
-    def test_higher_rank_projectors_coarse_grain(self):
+    def test_higher_rank_projectors_coarse_grain(self, rng):
         basis = haar_unitary(3, rng)
         coarse = Povm(
             [projector(basis[:, 0]) + projector(basis[:, 1]), projector(basis[:, 2])], [0, 1]
@@ -206,7 +212,7 @@ class TestSimulateWerner:
         assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
         assert table.max_sigma(born_table(werner_local(3), pa.elements, pb.elements)) < 5
 
-    def test_implied_phi_is_basis_independent(self):
+    def test_implied_phi_is_basis_independent(self, rng):
         # equal-projector cell determines phi; five random bases must agree
         ests = []
         for k in range(5):
@@ -250,7 +256,7 @@ class TestInputChecks:
             lhv.simplex_integral_mc(2, 0, povm, 1000, 0)
 
     @pytest.mark.parametrize("a", [-1, 3])
-    def test_simplex_rejects_an_outcome_outside_range_d_before_sampling(self, a, monkeypatch):
+    def test_simplex_rejects_an_outcome_outside_range_d_before_sampling(self, rng, a, monkeypatch):
         # unchecked, a = -1 would index the last row and a = d fail inside the kernel
         monkeypatch.setattr(lhv, "run_batched", _no_sampling)
         with pytest.raises(ValueError, match=r"outcome index a must be an integer in range\(3\)"):
@@ -267,15 +273,15 @@ class TestSimplexIntegral:
         assert err < 1e-12
         assert abs(val - 1 / 27) < 1e-12
 
-    def test_d2(self):
+    def test_d2(self, rng):
         est = lhv.simplex_integral_mc(2, 1, random_projective(2, rng), N, 31)
         assert abs(est.sigma_ratio(1 / 8)) < 5
 
-    def test_d3(self):
+    def test_d3(self, rng):
         est = lhv.simplex_integral_mc(3, 0, random_projective(3, rng), N, 32)
         assert abs(est.sigma_ratio(1 / 27)) < 5
 
-    def test_basis_and_outcome_independence(self):
+    def test_basis_and_outcome_independence(self, rng):
         ests = [lhv.simplex_integral_mc(3, k % 3, random_projective(3, rng), N, 40 + k) for k in range(5)]
         for a in ests:
             for b in ests:
@@ -293,11 +299,11 @@ class TestGdChoice:
         l2 = np.array([0.0, -0.6, -0.8])
         assert np.array_equal(gd_choice(l0, l2, x), l2)
 
-    def test_density_linear_in_overlap(self):
+    def test_density_linear_in_overlap(self, rng):
         # |x . lambda_s| is the max of two uniforms: density 2u on [0, 1]
         gen = np.random.default_rng(77)
         n = 1_000_000
-        x = unit3()
+        x = unit3(rng)
         l0 = lhv.sample_sphere_r3(gen, n)
         l1 = lhv.sample_sphere_r3(gen, n)
         a0, a1 = np.abs(l0 @ x), np.abs(l1 @ x)
@@ -307,10 +313,10 @@ class TestGdChoice:
         chi2 = ((hist - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(1 - 0.001, df=19)
 
-    def test_equal_pick_probability(self):
+    def test_equal_pick_probability(self, rng):
         gen = np.random.default_rng(78)
         n = 1_000_000
-        x = unit3()
+        x = unit3(rng)
         l0 = lhv.sample_sphere_r3(gen, n)
         l1 = lhv.sample_sphere_r3(gen, n)
         picked0 = np.abs(l0 @ x) > np.abs(l1 @ x)
@@ -318,8 +324,8 @@ class TestGdChoice:
 
 
 class TestEprOneBit:
-    def test_aligned_directions(self):
-        x = unit3()
+    def test_aligned_directions(self, rng):
+        x = unit3(rng)
         res = lhv.simulate_epr_one_bit(x, x, N, 51)
         assert abs(res["E_AB"].sigma_ratio(-1.0)) < 5
 
@@ -329,15 +335,20 @@ class TestEprOneBit:
         res = lhv.simulate_epr_one_bit(x, y, N, 52)
         assert abs(res["E_AB"].sigma_ratio(0.0)) < 5
 
-    def test_marginals_vanish(self):
-        res = lhv.simulate_epr_one_bit(unit3(), unit3(), N, 53)
+    def test_marginals_vanish(self, rng):
+        res = lhv.simulate_epr_one_bit(unit3(rng), unit3(rng), N, 53)
         assert abs(res["E_A"].sigma_ratio(0.0)) < 5
         assert abs(res["E_B"].sigma_ratio(0.0)) < 5
 
+    def test_builds_no_joint_table(self, monkeypatch):
+        # the result holds only the three estimates, so no table is built for it
+        monkeypatch.setattr(lhv.JointTable, "from_sums", lambda *args: pytest.fail("built a JointTable"))
+        assert set(lhv.simulate_epr_one_bit(_X, _Y, 1000, 54)) == {"E_AB", "E_A", "E_B"}
+
 
 class TestGdW2x2:
-    def test_aligned_directions(self):
-        x = unit3()
+    def test_aligned_directions(self, rng):
+        x = unit3(rng)
         res = lhv.simulate_gd_w2x2(x, x, N, 61)
         assert abs(res.e_ab.sigma_ratio(-0.5)) < 5
 
@@ -345,37 +356,37 @@ class TestGdW2x2:
         res = lhv.simulate_gd_w2x2([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], N, 62)
         assert abs(res.e_ab.sigma_ratio(0.0)) < 5
 
-    def test_rewrite_identity_holds_on_all_samples(self):
-        res = lhv.simulate_gd_w2x2(unit3(), unit3(), N, 64)
+    def test_rewrite_identity_holds_on_all_samples(self, rng):
+        res = lhv.simulate_gd_w2x2(unit3(rng), unit3(rng), N, 64)
         assert res.rewrite_mismatches == 0
         assert res.rewrite_agreement == 1.0
 
 
 class TestHirsch:
-    def test_marginal_at_full_weight(self):
+    def test_marginal_at_full_weight(self, rng):
         x = np.array([0.0, 0.0, 1.0])
-        res = lhv.simulate_hirsch_projective(0.5, x, unit3(), N, 71)
+        res = lhv.simulate_hirsch_projective(0.5, x, unit3(rng), N, 71)
         assert abs(res.e_a.sigma_ratio(0.5)) < 5
 
-    def test_correlation_scales_with_q(self):
-        x, y = unit3(), unit3()
+    def test_correlation_scales_with_q(self, rng):
+        x, y = unit3(rng), unit3(rng)
         res = lhv.simulate_hirsch_projective(0.3, x, y, N, 72)
         assert abs(res.e_ab.sigma_ratio(-0.3 * float(x @ y))) < 5
 
-    def test_acceptance_rate_half_and_x_independent(self):
-        y = unit3()
-        r1 = lhv.simulate_hirsch_projective(0.4, unit3(), y, N, 74).accept_rate
-        r2 = lhv.simulate_hirsch_projective(0.4, unit3(), y, N, 75).accept_rate
+    def test_acceptance_rate_half_and_x_independent(self, rng):
+        y = unit3(rng)
+        r1 = lhv.simulate_hirsch_projective(0.4, unit3(rng), y, N, 74).accept_rate
+        r2 = lhv.simulate_hirsch_projective(0.4, unit3(rng), y, N, 75).accept_rate
         assert abs(r1.sigma_ratio(0.5)) < 5
         assert abs(r2.sigma_ratio(0.5)) < 5
         assert abs(r1.mean - r2.mean) < 5 * np.hypot(r1.stderr, r2.stderr)
 
-    def test_no_acceptance_rate_at_q_zero(self):
-        assert lhv.simulate_hirsch_projective(0.0, unit3(), unit3(), 1000, 76).accept_rate is None
+    def test_no_acceptance_rate_at_q_zero(self, rng):
+        assert lhv.simulate_hirsch_projective(0.0, unit3(rng), unit3(rng), 1000, 76).accept_rate is None
 
-    def test_rejects_q_above_half(self):
+    def test_rejects_q_above_half(self, rng):
         with pytest.raises(ValueError):
-            lhv.simulate_hirsch_projective(0.6, unit3(), unit3(), 100, 0)
+            lhv.simulate_hirsch_projective(0.6, unit3(rng), unit3(rng), 100, 0)
 
 
 class TestPovmLift:
@@ -383,20 +394,20 @@ class TestPovmLift:
         self.base = lhv.HirschModel(0.4)
         self.sigma = projector(basis_ket(2, 0))
 
-    def test_target_is_lifted_state(self):
+    def test_target_is_lifted_state(self, rng):
         ma, mb = random_povm(2, 2, rng), random_povm(2, 2, rng)
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, 1000, 82)
         assert np.max(np.abs(res.target.mat - states.rho_g_prime(0.4).mat)) < 1e-12
 
-    def test_fallback_rate(self):
+    def test_fallback_rate(self, rng):
         ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 83)
         assert abs(res.step4_a.sigma_ratio(0.5)) < 5
         assert abs(res.step4_b.sigma_ratio(0.5)) < 5
 
-    def test_projective_input_matches_projective_model(self):
+    def test_projective_input_matches_projective_model(self, rng):
         # sanity: rank-1 projective POVMs reduce to the plain spin simulation
-        x = unit3()
+        x = unit3(rng)
         ma = obs_from_bloch(x)
         mb = obs_from_bloch(x)
         res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 85)
@@ -405,7 +416,7 @@ class TestPovmLift:
 
 
 class TestBarrett:
-    def test_scalar_responses_are_distributions(self):
+    def test_scalar_responses_are_distributions(self, rng):
         d = 3
         refined = refined_elements(random_povm(4, d, rng))[0]
         k = len(refined)
@@ -418,7 +429,7 @@ class TestBarrett:
             assert abs(sum(pa) - 1) < 1e-12
             assert abs(sum(pb) - 1) < 1e-12
 
-    def test_povm_input_coarse_grains(self):
+    def test_povm_input_coarse_grains(self, rng):
         ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
         table = lhv.simulate_barrett(2, ma, mb, N, 92)
         assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
@@ -426,7 +437,7 @@ class TestBarrett:
         oracle = born_table(states.barrett_state(2), ma.elements, mb.elements)
         assert table.max_sigma(oracle) < 5
 
-    def test_d3_povm_against_born_oracle(self):
+    def test_d3_povm_against_born_oracle(self, rng):
         ma, mb = random_povm(3, 3, rng), random_povm(4, 3, rng)
         table = lhv.simulate_barrett(3, ma, mb, N, 93)
         oracle = born_table(states.barrett_state(3), ma.elements, mb.elements)
@@ -464,15 +475,16 @@ def _estimate(result, name: str) -> McEstimate:
     return result[name] if isinstance(result, dict) else getattr(result, name.lower())
 
 
-# Each model's trial at (seed, inputs); a model appears under one case or more.
+# Each model's trial at (seed, inputs drawn from a generator); a model appears
+# under one case or more.
 _TRIALS = {
-    "werner-d3": ("werner", lambda: dict(seed=22, d=3, rng=rng)),
-    "barrett-d2": ("barrett", lambda: dict(seed=91, d=2, rng=rng)),
-    "gd": ("gd", lambda: dict(seed=63, x=unit3(), y=unit3())),
-    "epr1bit": ("epr1bit", lambda: dict(seed=51, x=unit3(), y=unit3())),
-    "hirsch-q0.25": ("hirsch", lambda: dict(seed=73, q=0.25, x=unit3(), y=unit3())),
-    "hirsch-q0": ("hirsch", lambda: dict(seed=76, q=0.0, x=unit3(), y=unit3())),
-    "povm_lift": ("povm-lift", lambda: dict(seed=81, q=0.4, rng=rng)),
+    "werner-d3": ("werner", lambda gen: dict(seed=22, d=3, rng=gen)),
+    "barrett-d2": ("barrett", lambda gen: dict(seed=91, d=2, rng=gen)),
+    "gd": ("gd", lambda gen: dict(seed=63, x=unit3(gen), y=unit3(gen))),
+    "epr1bit": ("epr1bit", lambda gen: dict(seed=51, x=unit3(gen), y=unit3(gen))),
+    "hirsch-q0.25": ("hirsch", lambda gen: dict(seed=73, q=0.25, x=unit3(gen), y=unit3(gen))),
+    "hirsch-q0": ("hirsch", lambda gen: dict(seed=76, q=0.0, x=unit3(gen), y=unit3(gen))),
+    "povm_lift": ("povm-lift", lambda gen: dict(seed=81, q=0.4, rng=gen)),
 }
 
 
@@ -481,11 +493,11 @@ def test_trial_cases_cover_every_model():
 
 
 @pytest.mark.parametrize("case", list(_TRIALS))
-def test_trial_table_against_its_born_oracle(case):
+def test_trial_table_against_its_born_oracle(case, rng):
     """The table against the Born oracle the trial returns, if any, and every
     estimate against its *_target in extra."""
     model, inputs = _TRIALS[case]
-    res, table, oracle, extra = _run(model, N, **inputs())
+    res, table, oracle, extra = _run(model, N, **inputs(rng))
     targets = {k.removesuffix("_target"): v for k, v in extra.items() if k.endswith("_target")}
     assert oracle is not None or targets
     if oracle is not None:
@@ -699,7 +711,8 @@ class TestSlicedProducts:
 
 class TestStreamConsumption:
     """One batch of each rewritten kernel against a test-side recomputation
-    from the public samplers on the same Philox stream and the scalar
+    from the public samplers on the same batch stream (mc.batch_rng: SFC64
+    seeded through SeedSequence from four fixed-width words) and the scalar
     reference responses. The overlap kernels run with narrow column blocks,
     so each batch spans several blocks and ends in a partial one."""
 
@@ -805,8 +818,8 @@ class TestStreamConsumption:
         ls = np.array([gd_choice(p, q, x) for p, q in zip(l0, l1)])
         return l0, l1, ls
 
-    def test_epr_one_bit(self):
-        x, y, n, seed = unit3(), unit3(), 20_000, 11
+    def test_epr_one_bit(self, rng):
+        x, y, n, seed = unit3(rng), unit3(rng), 20_000, 11
         _, _, ls = self._choice_pairs("epr1bit", n, seed, x)
         a = np.where(ls @ x >= 0, -1.0, 1.0)
         b = np.where(ls @ y >= 0, 1.0, -1.0)
@@ -815,8 +828,8 @@ class TestStreamConsumption:
         assert res["E_A"] == McEstimate.from_sums(a.sum(), float(n), n, seed)
         assert res["E_B"] == McEstimate.from_sums(b.sum(), float(n), n, seed)
 
-    def test_gd(self):
-        x, y, n, seed = unit3(), unit3(), 20_000, 12
+    def test_gd(self, rng):
+        x, y, n, seed = unit3(rng), unit3(rng), 20_000, 12
         l0, l1, ls = self._choice_pairs("gd_w2x2", n, seed, x)
         a = np.where(ls @ x >= 0, -1.0, 1.0)
         b = np.where(l0 @ y >= 0, 1.0, -1.0)

@@ -1,5 +1,6 @@
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -63,6 +64,40 @@ class TestRunBatched:
         assert s[0] == (1e16 + 1.0) - 1e16
         assert np.array_equal(t, [4.5, 6.5])
         assert parts[0][1].tolist() == [1.0, 2.0]  # the first part is copied, not summed into
+
+
+def first_draws(seed: int, label: str, batch: int) -> np.ndarray:
+    return batch_rng(seed, label, batch).random(4)
+
+
+# labels whose CRC-32 is 7 and 9: a prefix and four bytes that force the CRC
+CRC7, CRC9 = "label38:\x02\x1e\x1a]", "label34:\x06c'*"
+
+
+class TestBatchKey:
+    def test_fixed_width_words_avoid_the_zero_padding_collision(self):
+        assert zlib.crc32(CRC7.encode()) == 7 and zlib.crc32(CRC9.encode()) == 9
+        # a list key [seed, crc, batch] is [5, 7, 9] against [5, 7, 9, 0]:
+        # SeedSequence zero-pads, so the two would share one stream
+        pad = [np.random.SeedSequence(w).generate_state(4) for w in ([5, 7, 9], [5, 7, 9, 0])]
+        assert np.array_equal(*pad)
+        assert not np.array_equal(first_draws(5, CRC7, 9), first_draws(5 + 7 * 2**32, CRC9, 0))
+
+    def test_high_seed_word_and_high_batch_change_the_stream(self):
+        assert not np.array_equal(first_draws(2**32, "x", 0), first_draws(1, "x", 0))
+        assert not np.array_equal(first_draws(3, "x", 0), first_draws(3, "x", 2**32 - 1))
+
+    def test_negative_seed_is_its_64_bit_twos_complement(self):
+        for seed in (-1, -5, -(2**63)):
+            assert np.array_equal(first_draws(seed, "x", 2), first_draws(seed + 2**64, "x", 2))
+        assert not np.array_equal(first_draws(-1, "x", 2), first_draws(1, "x", 2))
+
+    def test_stream_is_sfc64_seeded_from_the_four_words(self):
+        rng = batch_rng(5 + 7 * 2**32, "x", 9)
+        assert type(rng.bit_generator) is np.random.SFC64
+        words = [5, 7, zlib.crc32(b"x"), 9]
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words))).random(4)
+        assert np.array_equal(rng.random(4), expected)
 
 
 class TestMcEstimate:
