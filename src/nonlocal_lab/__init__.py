@@ -12,7 +12,6 @@ from .filters import (
     popescu_protocol,
 )
 from .lhv import (
-    HirschModel,
     simulate_barrett,
     simulate_epr_one_bit,
     simulate_gd_w2x2,

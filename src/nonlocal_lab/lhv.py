@@ -211,27 +211,40 @@ def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint counts [++, +-, -+, --] of two +-1 outputs given as "is +1"
-    flags, and the sums of ab, a and b; integer counts keep them exact."""
+def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
+    """Joint counts [++, +-, -+, --] of two +-1 outputs given as "is +1" flags."""
     m = len(a_plus)
     na, nb = np.count_nonzero(a_plus), np.count_nonzero(b_plus)
     nab = np.count_nonzero(a_plus & b_plus)
-    cells = np.array([nab, na - nab, nb - nab, m - na - nb + nab], dtype=float)
-    return cells, np.array([m - 2 * (na + nb - 2 * nab), 2 * na - m, 2 * nb - m], dtype=float)
+    return np.array([nab, na - nab, nb - nab, m - na - nb + nab], dtype=float)
 
 
-def _pm_estimates(sums: np.ndarray, n: int, seed: int) -> list[McEstimate]:
-    """The estimates of E(AB), E(A) and E(B) from the summed sums of
-    _pm_counts; each +-1 product squares to 1, so every second moment is n."""
+def _pm_estimates(cells: np.ndarray, n: int, seed: int) -> list[McEstimate]:
+    """The estimates of E(AB), E(A) and E(B) from the summed counts of
+    _pm_counts, which are exact integers and so give exact sums; each +-1
+    product squares to 1, so every second moment is n."""
+    pp, pm, mp, mm = cells
+    sums = (pp + mm - pm - mp, pp + pm - mp - mm, pp + mp - pm - mm)  # of ab, a and b
     return [McEstimate.from_sums(s, float(n), n, seed) for s in sums]
 
 
-def _pm_results(cells: np.ndarray, sums: np.ndarray, n: int, seed: int):
+def _pm_results(cells: np.ndarray, n: int, seed: int):
     """The joint table over outcomes [1, -1] from summed _pm_counts, and
     its _pm_estimates."""
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
-    return table, *_pm_estimates(sums, n, seed)
+    return table, *_pm_estimates(cells, n, seed)
+
+
+def _choice(rng: np.random.Generator, m: int, x: np.ndarray):
+    """The choice rule on two fresh sphere points l0, l1: Alice keeps the one
+    with the larger |x . l| (ties keep l1) and outputs a = -sign(x . l),
+    which is +1 iff x . l < 0. Returns l0, l1, the mask of samples that
+    kept l0, and Alice's "is +1" flags."""
+    l0 = sample_sphere_r3(rng, m)
+    l1 = sample_sphere_r3(rng, m)
+    x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
+    pick0 = np.abs(x0) > np.abs(x1)
+    return l0, l1, pick0, np.where(pick0, x0, x1) < 0
 
 
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
@@ -240,16 +253,12 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
-        l0 = sample_sphere_r3(rng, m)
-        l1 = sample_sphere_r3(rng, m)
-        x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
-        pick0 = np.abs(x0) > np.abs(x1)
-        # a = -sign(x . l) is +1 iff x . l < 0; b = sign(y . l) is +1 iff y . l >= 0
-        a_plus = np.where(pick0, x0, x1) < 0
-        return _pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0)
+        l0, l1, pick0, a_plus = _choice(rng, m, x)
+        # Bob reads the kept l from the bit: b = sign(y . l) is +1 iff y . l >= 0
+        return (_pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0),)
 
-    _, s = run_batched(n, seed, "epr1bit", kernel, workers)
-    e_ab, e_a, e_b = _pm_estimates(s, n, seed)
+    (cells,) = run_batched(n, seed, "epr1bit", kernel, workers)
+    e_ab, e_a, e_b = _pm_estimates(cells, n, seed)
     return {"E_AB": e_ab, "E_A": e_a, "E_B": e_b}
 
 
@@ -276,16 +285,12 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
-        l0 = sample_sphere_r3(rng, m)
-        l1 = sample_sphere_r3(rng, m)
-        x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
-        a_plus = np.where(np.abs(x0) > np.abs(x1), x0, x1) < 0
-        cells, sums = _pm_counts(a_plus, _dot_rows(l0, y) >= 0)
+        l0, l1, _, a_plus = _choice(rng, m, x)
         mism = np.count_nonzero(a_plus != (_dot_rows(l0 + l1, x) < 0))
-        return cells, sums, np.array([float(mism)])
+        return _pm_counts(a_plus, _dot_rows(l0, y) >= 0), np.array([float(mism)])
 
-    cells, s, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
-    table, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
+    cells, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
+    table, e_ab, e_a, e_b = _pm_results(cells, n, seed)
     return GdResult(e_ab=e_ab, e_a=e_a, e_b=e_b, table=table, rewrite_mismatches=int(mism[0]))
 
 
@@ -298,6 +303,25 @@ class HirschResult:
     accept_rate: McEstimate | None
 
 
+def _check_q(q: float) -> None:
+    """The singlet/|0> mixture model is local only for q in [0, 1/2]."""
+    if not 0.0 <= q <= 0.5:
+        raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
+
+
+def _hirsch_alice(q: float, v: np.ndarray, lam: np.ndarray, r: np.ndarray, rng: np.random.Generator):
+    """Alice's half of the singlet/|0> mixture model along v (one direction
+    or a row per sample) on the shared sphere points lam and uniforms r.
+    Inside the protocol (r < 2q) she accepts lam with probability |v . lam|
+    and outputs -sign(v . lam); otherwise she outputs +1 with probability
+    (1 + v_z) / 2. Returns her "is +1" flags and the mask of accepted
+    samples. Bob's half is deterministic: sign(w . lam)."""
+    u1, u2 = rng.random((2, lam.shape[0]))
+    vl = _dot_rows(lam, v)
+    acc = (r < 2.0 * q) & (u1 < np.abs(vl))
+    return np.where(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
+
+
 def simulate_hirsch_projective(
     q: float, x, y, n: int, seed: int, workers: int | None = None
 ) -> HirschResult:
@@ -308,57 +332,22 @@ def simulate_hirsch_projective(
     Alice accepts the shared sphere point with probability |x . lambda|.
     accept_rate estimates that acceptance frequency (None when q = 0).
     """
-    model = HirschModel(q)
+    _check_q(q)
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
-        shared = model.shared(rng, m)
-        a_plus, acc = model.alice_hit(x, shared, rng)
-        cells, sums = _pm_counts(a_plus, model.bob_hit(y, shared, rng))
-        return cells, sums, np.array([np.count_nonzero(acc), np.count_nonzero(shared[1] < 2.0 * q)], dtype=float)
+        lam, r = sample_sphere_r3(rng, m), rng.random(m)
+        a_plus, acc = _hirsch_alice(q, x, lam, r, rng)
+        counts = np.array([np.count_nonzero(acc), np.count_nonzero(r < 2.0 * q)], dtype=float)
+        return _pm_counts(a_plus, _dot_rows(lam, y) >= 0), counts
 
-    cells, s, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
-    table, e_ab, e_a, e_b = _pm_results(cells, s, n, seed)
+    cells, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
+    table, e_ab, e_a, e_b = _pm_results(cells, n, seed)
     n_acc, n_mix = counts
     accept = None
     if n_mix > 0:
         accept = McEstimate.from_sums(n_acc, n_acc, int(n_mix), seed)
     return HirschResult(table=table, e_ab=e_ab, e_a=e_a, e_b=e_b, accept_rate=accept)
-
-
-class HirschModel:
-    """The singlet/|0> mixture model, one party at a time, on the shared
-    randomness of a sphere point and a uniform r (the full protocol when
-    r < 2q). simulate_hirsch_projective runs it on fixed directions, the
-    POVM-lift driver on per-sample directions.
-    """
-
-    dim = 2
-
-    def __init__(self, q: float):
-        if not 0.0 <= q <= 0.5:
-            raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
-        self.q = q
-
-    @property
-    def rho0(self) -> DensityMatrix:
-        return rho_g(self.q)
-
-    def shared(self, rng: np.random.Generator, m: int):
-        return sample_sphere_r3(rng, m), rng.random(m)
-
-    def alice_hit(self, v: np.ndarray, shared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome +1 indicator along v (one direction or a row per sample),
-        and the mask of samples whose sphere point Alice accepted."""
-        lam, r = shared
-        u1, u2 = rng.random((2, lam.shape[0]))
-        vl = _dot_rows(lam, v)
-        acc = (r < 2.0 * self.q) & (u1 < np.abs(vl))
-        return np.where(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
-
-    def bob_hit(self, w: np.ndarray, shared, rng: np.random.Generator) -> np.ndarray:
-        lam, _ = shared
-        return _dot_rows(lam, w) >= 0
 
 
 def _bloch_rows(kets: np.ndarray) -> np.ndarray:
@@ -391,7 +380,7 @@ def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def simulate_povm_lift(
-    base: HirschModel,
+    q: float,
     sigma_a: np.ndarray,
     sigma_b: np.ndarray,
     povm_a: Povm,
@@ -400,15 +389,17 @@ def simulate_povm_lift(
     seed: int,
     workers: int | None = None,
 ) -> LiftResult:
-    """Simulate POVMs on the lifted state by re-running the base dichotomic model.
+    """Simulate qubit POVMs on the lift of rho_g(q), q in [0, 1/2], by
+    re-running the singlet/|0> mixture model.
 
     Per run each party draws a refined outcome a with probability alpha_a/d,
-    simulates {P_a, I - P_a} on the base state through the shared hidden
-    variable, outputs a on a hit, and otherwise outputs a' with probability
+    simulates {P_a, I - P_a} on rho_g(q) through the shared hidden variable,
+    outputs a on a hit, and otherwise outputs a' with probability
     tr(M_a' sigma). The estimated table targets the Born probabilities of
-    lift_state(base.rho0, sigma_a, sigma_b).
+    lift_state(rho_g(q), sigma_a, sigma_b).
     """
-    d = base.dim
+    _check_q(q)
+    d = 2
     if povm_a.dim != d or povm_b.dim != d:
         raise ValueError(f"POVMs must act on dimension {d}")
     sigma_a = np.asarray(sigma_a, dtype=complex)
@@ -426,24 +417,24 @@ def simulate_povm_lift(
     ka, kb = len(povm_a.elements), len(povm_b.elements)
 
     def kernel(rng: np.random.Generator, m: int):
-        shared = base.shared(rng, m)
+        lam, r = sample_sphere_r3(rng, m), rng.random(m)
         a_idx = _pick(cdf_pick_a, rng.random(m))
-        hit_a, _ = base.alice_hit(np.take(bloch_a, a_idx, axis=0), shared, rng)
+        hit_a, _ = _hirsch_alice(q, np.take(bloch_a, a_idx, axis=0), lam, r, rng)
         a_out = np.where(hit_a, a_idx, _pick(cdf4_a, rng.random(m)))
         b_idx = _pick(cdf_pick_b, rng.random(m))
-        hit_b = base.bob_hit(np.take(bloch_b, b_idx, axis=0), shared, rng)
+        hit_b = _dot_rows(lam, np.take(bloch_b, b_idx, axis=0)) >= 0
         b_out = np.where(hit_b, b_idx, _pick(cdf4_b, rng.random(m)))
         cells = np.bincount(bm_a_arr[a_out] * kb + bm_b_arr[b_out], minlength=ka * kb).astype(float)
         miss = np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
         return cells, miss
 
-    cells, miss = run_batched(n, seed, f"povmlift:q={base.q!r}", kernel, workers)
+    cells, miss = run_batched(n, seed, f"povmlift:q={q!r}", kernel, workers)
     cells = cells.reshape(ka, kb)
     return LiftResult(
         table=JointTable.from_sums(cells, cells, n, seed, povm_a.labels, povm_b.labels),
         step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
         step4_b=McEstimate.from_sums(miss[1], miss[1], n, seed),
-        target=lift_state(base.rho0, sigma_a, sigma_b),
+        target=lift_state(rho_g(q), sigma_a, sigma_b),
     )
 
 
@@ -532,10 +523,9 @@ def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
 def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
     """Two random three-outcome qubit POVMs on the lift of rho_g(q) with
     sigma_A = sigma_B = |0><0|."""
-    base = HirschModel(q)
     sigma = np.diag([1.0, 0.0]).astype(complex)
     ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-    res = simulate_povm_lift(base, sigma, sigma, ma, mb, n, seed, workers)
+    res = simulate_povm_lift(q, sigma, sigma, ma, mb, n, seed, workers)
     extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
     return res, res.table, born_table(res.target, ma.elements, mb.elements), extra
 

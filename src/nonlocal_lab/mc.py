@@ -1,13 +1,13 @@
 """Deterministic Monte Carlo plumbing.
 
 Samples are processed in fixed-size batches. Batch j of a run draws from
-its own Philox stream keyed by (seed, label, j), so the value of every
-sample depends only on (seed, n) and never on scheduling. Per-batch
-partial sums are reduced in batch order, which makes results bit-identical
-across worker counts.
+its own SFC64 stream keyed by (seed, label, j) (see batch_rng), so the
+value of every sample depends only on (seed, n) and never on scheduling.
+Per-batch partial sums are reduced in batch order, which makes results
+bit-identical across worker counts.
 
 Batches run on a thread pool with one worker per usable core by default;
-numpy releases the GIL in the Philox draws and array arithmetic. Importing
+numpy releases the GIL in the SFC64 draws and array arithmetic. Importing
 this module sets numpy's bundled OpenBLAS to one thread for the whole
 process, so the pool's workers, not BLAS threads, occupy the cores: a
 threaded product, such as the complex GEMM of one Born table at d >= 12,

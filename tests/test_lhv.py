@@ -13,7 +13,7 @@ from nonlocal_lab.measure import (
     obs_from_bloch,
     random_projective,
 )
-from nonlocal_lab.qmat import basis_ket, haar_ket, haar_unitary, projector
+from nonlocal_lab.qmat import PAULIS, basis_ket, haar_ket, haar_unitary, projector
 from nonlocal_lab.mc import JointTable, McEstimate
 from nonlocal_lab.states import werner_local, werner_local_phi
 
@@ -99,6 +99,17 @@ def gd_choice(lambda0: np.ndarray, lambda1: np.ndarray, x: np.ndarray) -> np.nda
     if abs(np.dot(x, lambda0)) > abs(np.dot(x, lambda1)):
         return lambda0
     return lambda1
+
+
+def hirsch_alice(q: float, v: np.ndarray, lam: np.ndarray, r: float, u1: float, u2: float) -> tuple[bool, bool]:
+    """Alice's outcome along v in the singlet/|0> mixture model, as (is +1,
+    accepted): inside the protocol (r < 2q) she accepts lam with probability
+    |v . lam| and outputs -sign(v . lam); otherwise she outputs +1 with
+    probability (1 + v_z) / 2. Bob's outcome is sign(w . lam)."""
+    vl = float(np.dot(v, lam))
+    if r < 2 * q and u1 < abs(vl):
+        return vl < 0, True
+    return u2 < (1 + v[2]) / 2, False
 
 
 class TestSphereSampling:
@@ -262,6 +273,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"outcome index a must be an integer in range\(3\)"):
             lhv.simplex_integral_mc(3, a, random_projective(3, rng), 1000, 0)
 
+    @pytest.mark.parametrize("q", [-0.1, 0.6, float("nan")])
+    @pytest.mark.parametrize("simulator", ["hirsch", "povm_lift"])
+    def test_mixture_models_reject_q_outside_zero_to_half_before_sampling(self, simulator, q, monkeypatch):
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        x, sigma = np.array([0.0, 0.0, 1.0]), projector(basis_ket(2, 0))
+        run = {
+            "hirsch": lambda: lhv.simulate_hirsch_projective(q, x, x, 1000, 0),
+            "povm_lift": lambda: lhv.simulate_povm_lift(q, sigma, sigma, obs_from_bloch(x), obs_from_bloch(x), 1000, 0),
+        }[simulator]
+        with pytest.raises(ValueError, match=r"q in \[0, 1/2\]"):
+            run()
+
 
 class TestSimplexIntegral:
     def test_quadrature_oracle_d3(self):
@@ -384,24 +407,20 @@ class TestHirsch:
     def test_no_acceptance_rate_at_q_zero(self, rng):
         assert lhv.simulate_hirsch_projective(0.0, unit3(rng), unit3(rng), 1000, 76).accept_rate is None
 
-    def test_rejects_q_above_half(self, rng):
-        with pytest.raises(ValueError):
-            lhv.simulate_hirsch_projective(0.6, unit3(rng), unit3(rng), 100, 0)
-
 
 class TestPovmLift:
     def setup_method(self):
-        self.base = lhv.HirschModel(0.4)
+        self.q = 0.4
         self.sigma = projector(basis_ket(2, 0))
 
     def test_target_is_lifted_state(self, rng):
         ma, mb = random_povm(2, 2, rng), random_povm(2, 2, rng)
-        res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, 1000, 82)
+        res = lhv.simulate_povm_lift(self.q, self.sigma, self.sigma, ma, mb, 1000, 82)
         assert np.max(np.abs(res.target.mat - states.rho_g_prime(0.4).mat)) < 1e-12
 
     def test_fallback_rate(self, rng):
         ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-        res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 83)
+        res = lhv.simulate_povm_lift(self.q, self.sigma, self.sigma, ma, mb, N, 83)
         assert abs(res.step4_a.sigma_ratio(0.5)) < 5
         assert abs(res.step4_b.sigma_ratio(0.5)) < 5
 
@@ -410,7 +429,7 @@ class TestPovmLift:
         x = unit3(rng)
         ma = obs_from_bloch(x)
         mb = obs_from_bloch(x)
-        res = lhv.simulate_povm_lift(self.base, self.sigma, self.sigma, ma, mb, N, 85)
+        res = lhv.simulate_povm_lift(self.q, self.sigma, self.sigma, ma, mb, N, 85)
         oracle = born_table(res.target, ma.elements, mb.elements)
         assert res.table.max_sigma(oracle) < 5
 
@@ -641,7 +660,7 @@ def _simulators():
         "hirsch": ("hirsch", lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w)),
         "povm_lift": (
             "povm-lift",
-            lambda n, w: lhv.simulate_povm_lift(lhv.HirschModel(0.4), sigma, sigma, pa, pb, n, 6, workers=w),
+            lambda n, w: lhv.simulate_povm_lift(0.4, sigma, sigma, pa, pb, n, 6, workers=w),
         ),
         "barrett": ("barrett", lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w)),
         # d=8: blocks of the narrowest width, _MIN_BLOCK samples, as at large d
@@ -840,3 +859,63 @@ class TestStreamConsumption:
         assert res.e_b == McEstimate.from_sums(b.sum(), float(n), n, seed)
         assert np.array_equal(res.table.means, cells / n)
         assert res.rewrite_mismatches == np.sum(a != np.where((l0 + l1) @ x >= 0, -1.0, 1.0))
+
+    def test_hirsch(self, rng):
+        """Draw order: lam, then r, then Alice's accept and noise coins u1, u2."""
+        x, y, q, n, seed = unit3(rng), unit3(rng), 0.3, 20_000, 14
+        gen = mc.batch_rng(seed, f"hirsch:q={q!r}", 0)
+        lam = lhv.sample_sphere_r3(gen, n)
+        r = gen.random(n)
+        u1, u2 = gen.random((2, n))
+        alice = [hirsch_alice(q, x, *s) for s in zip(lam, r, u1, u2)]
+        a = np.array([1.0 if plus else -1.0 for plus, _ in alice])
+        b = np.where(lam @ y >= 0, 1.0, -1.0)
+        cells = np.array([[np.sum((a == sa) & (b == sb)) for sb in (1, -1)] for sa in (1, -1)], dtype=float)
+        n_acc, n_mix = sum(acc for _, acc in alice), int(np.sum(r < 2 * q))
+        res = lhv.simulate_hirsch_projective(q, x, y, n, seed)
+        assert np.array_equal(res.table.means, cells / n)
+        assert res.e_ab == McEstimate.from_sums((a * b).sum(), float(n), n, seed)
+        assert res.e_a == McEstimate.from_sums(a.sum(), float(n), n, seed)
+        assert res.e_b == McEstimate.from_sums(b.sum(), float(n), n, seed)
+        assert res.accept_rate == McEstimate.from_sums(float(n_acc), float(n_acc), n_mix, seed)
+
+    def test_povm_lift(self, rng):
+        """Draw order: lam and r, then Alice's refined pick, her u1 and u2 and
+        her step-4 pick, then Bob's refined pick and his step-4 pick. A piece
+        w |v><v| is picked with probability w / 2, and in step 4 with
+        probability w <v|sigma|v>; its binary test along the Bloch vector of
+        |v><v| is Alice's or Bob's half of the mixture model."""
+        q, n, seed = 0.4, 10_000, 15
+        ma, mb = random_povm(3, 2, rng), random_povm(4, 2, rng)
+        sigma_a = projector(basis_ket(2, 0))
+        sigma_b = np.array([[0.3, 0.2j], [-0.2j, 0.7]])
+
+        def pieces(povm, sigma):
+            back_map, weights, kets = povm_refine(povm)
+            bloch = np.array([[np.vdot(v, s @ v).real for s in PAULIS] for v in kets])
+            step4 = np.array([w * np.vdot(v, sigma @ v).real for w, v in zip(weights, kets)])
+            return back_map, bloch, np.cumsum(weights / 2)[:-1], np.cumsum(step4)[:-1]
+
+        def pick(cdf, u):
+            return int(np.searchsorted(cdf, u, side="right"))
+
+        back_a, bloch_a, pick_a, step4_a = pieces(ma, sigma_a)
+        back_b, bloch_b, pick_b, step4_b = pieces(mb, sigma_b)
+        gen = mc.batch_rng(seed, f"povmlift:q={q!r}", 0)
+        lam = lhv.sample_sphere_r3(gen, n)
+        r = gen.random(n)
+        ua = gen.random(n)
+        u1, u2 = gen.random((2, n))
+        ua4, ub, ub4 = gen.random(n), gen.random(n), gen.random(n)
+        cells = np.zeros((len(ma.elements), len(mb.elements)))
+        miss_a = miss_b = 0
+        for s in range(n):
+            i, j = pick(pick_a, ua[s]), pick(pick_b, ub[s])
+            hit_a = hirsch_alice(q, bloch_a[i], lam[s], r[s], u1[s], u2[s])[0]
+            hit_b = float(np.dot(bloch_b[j], lam[s])) >= 0
+            cells[back_a[i if hit_a else pick(step4_a, ua4[s])], back_b[j if hit_b else pick(step4_b, ub4[s])]] += 1
+            miss_a, miss_b = miss_a + (not hit_a), miss_b + (not hit_b)
+        res = lhv.simulate_povm_lift(q, sigma_a, sigma_b, ma, mb, n, seed)
+        assert np.array_equal(res.table.means, cells / n)
+        assert res.step4_a == McEstimate.from_sums(float(miss_a), float(miss_a), n, seed)
+        assert res.step4_b == McEstimate.from_sums(float(miss_b), float(miss_b), n, seed)
