@@ -133,7 +133,7 @@ def criterion_06(seed: int, n: int, workers=None) -> CriterionResult:
     for k in range(3):
         x, y = _unit(rng), _unit(rng)
         res, _, _, extra = lhv.epr1bit_trial(x, y, n, _seed(seed, 6, k + 1), workers)
-        worst = max(worst, abs(res["E_AB"].sigma_ratio(extra["E_AB_target"])))
+        worst = max(worst, abs(res.e_ab.sigma_ratio(extra["E_AB_target"])))
     return CriterionResult(
         6,
         "one-bit-assisted simulation reproduces E(AB) = -x.y",

@@ -171,30 +171,13 @@ def _table_report(table, oracle, extra: dict, args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _scalar_report(res: dict, extra: dict, args) -> int:
-    """Estimates against the *_target scalars of extra, for a model without a Born table."""
-    targets = {k: extra[f"{k}_target"] for k in res if f"{k}_target" in extra}
-    dev = max(abs(res[k].sigma_ratio(t)) for k, t in targets.items())
-    if args.format == "json":
-        payload = {k: {"mean": e.mean, "stderr": e.stderr} for k, e in res.items()}
-        payload.update({**extra, "sigma": dev, "n": args.n, "seed": args.seed})
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = []
-        for k, e in res.items():
-            target = f" (target {_fmt(targets[k])})" if k in targets else ""
-            lines.append(f"{k}: {_fmt(e.mean)} +- {_fmt(e.stderr)}{target}")
-        _emit("\n".join([*lines, f"sigma: {_fmt(dev)}"]), args.out)
-    return EXIT_OK if dev <= acceptance.SIGMA else EXIT_CHECK_FAILED
-
-
 def cmd_simulate(args) -> int:
-    """One model of lhv.MODELS against its oracle: the Born table its trial
-    returns, or the *_target scalars of a model that has none."""
+    """One model of lhv.MODELS against the Born table of its target state,
+    which its trial returns; the scalars of the trial's extra are printed
+    after the table. An estimate with standard error 0 passes a cell when it
+    is within mc.EXACT_TOL of the oracle."""
     trial = lhv.MODELS[args.model]
     res, table, oracle, extra = trial(**_by_name(trial, {**vars(args), "rng": np.random.default_rng(args.seed)}))
-    if oracle is None:
-        return _scalar_report(res, extra, args)
     code = _table_report(table, oracle, extra, args)
     # a model that also checks a rewrite of its own rule fails on any mismatch
     return EXIT_CHECK_FAILED if getattr(res, "rewrite_mismatches", 0) else code

@@ -15,7 +15,7 @@ from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, born_table, obs_from_bloch, outcome_sum, povm_refine
 from .measure import random_povm, random_projective, unit_bloch
 from .qmat import projector
-from .states import DensityMatrix, barrett_state, lift_state, rho_g, werner2x2, werner_local
+from .states import DensityMatrix, barrett_state, lift_state, rho_g, singlet, werner2x2, werner_local
 
 
 def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -219,20 +219,26 @@ def _pm_counts(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
     return np.array([nab, na - nab, nb - nab, m - na - nb + nab], dtype=float)
 
 
-def _pm_estimates(cells: np.ndarray, n: int, seed: int) -> list[McEstimate]:
-    """The estimates of E(AB), E(A) and E(B) from the summed counts of
-    _pm_counts, which are exact integers and so give exact sums; each +-1
-    product squares to 1, so every second moment is n."""
+def _pm_results(cells: np.ndarray, n: int, seed: int):
+    """The joint table over outcomes [1, -1] from summed _pm_counts, and the
+    estimates of E(AB), E(A) and E(B). The counts are exact integers and so
+    give exact sums; each +-1 product squares to 1, so every second moment
+    is n."""
     pp, pm, mp, mm = cells
     sums = (pp + mm - pm - mp, pp + pm - mp - mm, pp + mp - pm - mm)  # of ab, a and b
-    return [McEstimate.from_sums(s, float(n), n, seed) for s in sums]
-
-
-def _pm_results(cells: np.ndarray, n: int, seed: int):
-    """The joint table over outcomes [1, -1] from summed _pm_counts, and
-    its _pm_estimates."""
     table = JointTable.from_sums(cells.reshape(2, 2), cells.reshape(2, 2), n, seed, [1, -1], [1, -1])
-    return table, *_pm_estimates(cells, n, seed)
+    return table, *(McEstimate.from_sums(s, float(n), n, seed) for s in sums)
+
+
+@dataclass
+class SpinResult:
+    """A two-party spin simulation: the table over outcomes [1, -1] and its
+    E(AB), E(A) and E(B)."""
+
+    table: JointTable
+    e_ab: McEstimate
+    e_a: McEstimate
+    e_b: McEstimate
 
 
 def _choice(rng: np.random.Generator, m: int, x: np.ndarray):
@@ -247,7 +253,7 @@ def _choice(rng: np.random.Generator, m: int, x: np.ndarray):
     return l0, l1, pick0, np.where(pick0, x0, x1) < 0
 
 
-def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> dict[str, McEstimate]:
+def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> SpinResult:
     """Choice-method simulation of the singlet with the accepted index
     communicated: E(AB) -> -x.y, vanishing marginals."""
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
@@ -258,16 +264,11 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
         return (_pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0),)
 
     (cells,) = run_batched(n, seed, "epr1bit", kernel, workers)
-    e_ab, e_a, e_b = _pm_estimates(cells, n, seed)
-    return {"E_AB": e_ab, "E_A": e_a, "E_B": e_b}
+    return SpinResult(*_pm_results(cells, n, seed))
 
 
 @dataclass
-class GdResult:
-    e_ab: McEstimate
-    e_a: McEstimate
-    e_b: McEstimate
-    table: JointTable
+class GdResult(SpinResult):
     rewrite_mismatches: int
 
     @property
@@ -290,16 +291,11 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
         return _pm_counts(a_plus, _dot_rows(l0, y) >= 0), np.array([float(mism)])
 
     cells, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
-    table, e_ab, e_a, e_b = _pm_results(cells, n, seed)
-    return GdResult(e_ab=e_ab, e_a=e_a, e_b=e_b, table=table, rewrite_mismatches=int(mism[0]))
+    return GdResult(*_pm_results(cells, n, seed), int(mism[0]))
 
 
 @dataclass
-class HirschResult:
-    table: JointTable
-    e_ab: McEstimate
-    e_a: McEstimate
-    e_b: McEstimate
+class HirschResult(SpinResult):
     accept_rate: McEstimate | None
 
 
@@ -333,6 +329,7 @@ def simulate_hirsch_projective(
     accept_rate estimates that acceptance frequency (None when q = 0).
     """
     _check_q(q)
+    q = float(q)  # the stream label holds repr(q), which differs for a numpy float
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
@@ -342,12 +339,11 @@ def simulate_hirsch_projective(
         return _pm_counts(a_plus, _dot_rows(lam, y) >= 0), counts
 
     cells, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
-    table, e_ab, e_a, e_b = _pm_results(cells, n, seed)
     n_acc, n_mix = counts
     accept = None
     if n_mix > 0:
         accept = McEstimate.from_sums(n_acc, n_acc, int(n_mix), seed)
-    return HirschResult(table=table, e_ab=e_ab, e_a=e_a, e_b=e_b, accept_rate=accept)
+    return HirschResult(*_pm_results(cells, n, seed), accept)
 
 
 def _bloch_rows(kets: np.ndarray) -> np.ndarray:
@@ -399,6 +395,7 @@ def simulate_povm_lift(
     lift_state(rho_g(q), sigma_a, sigma_b).
     """
     _check_q(q)
+    q = float(q)  # the stream label holds repr(q), which differs for a numpy float
     d = 2
     if povm_a.dim != d or povm_b.dim != d:
         raise ValueError(f"POVMs must act on dimension {d}")
@@ -473,11 +470,11 @@ def simulate_barrett(
 
 # -- trials: one per model, and the registry of them ------------------------
 # A trial draws the measurements, runs the simulator and returns (result,
-# table, oracle, extra): the Born table of the target state (None for a model
-# gated on scalars only) and the ordered scalars that `simulate` prints after
-# the table, among them each *_target that the model's estimates are checked
-# against. Simulators and target states are module globals looked up at call
-# time, so a test or benchmark can swap one.
+# table, oracle, extra): the Born table of the target state and the ordered
+# scalars that `simulate` prints after the table, among them each *_target
+# that the model's estimates are checked against. Simulators and target
+# states are module globals looked up at call time, so a test or benchmark
+# can swap one.
 
 
 def werner_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
@@ -504,9 +501,11 @@ def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
 
 
 def epr1bit_trial(x, y, n: int, seed: int, workers: int | None = None):
-    """One-bit-assisted singlet simulation on spins along x and y, gated on
-    E(AB) = -x.y alone: it has no Born table."""
-    return simulate_epr_one_bit(x, y, n, seed, workers), None, None, {"E_AB_target": -float(x @ y)}
+    """One-bit-assisted simulation on spins along x and y against the
+    singlet, whose E(AB) is -x.y."""
+    res = simulate_epr_one_bit(x, y, n, seed, workers)
+    oracle = born_table(singlet(), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    return res, res.table, oracle, {"E_AB": res.e_ab.mean, "E_AB_target": -float(x @ y)}
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):

@@ -148,12 +148,21 @@ class McEstimate:
         return float(_sigma_ratios(self.mean - target, self.stderr))
 
 
+# Largest |diff| that an exact estimate (standard error 0) may show against
+# its target and still read 0 sigma: targets and oracles are computed in
+# floating point, so an exact zero or -1 can meet a target of 1e-17 or
+# -1.0000000000000002.
+EXACT_TOL = 1e-12
+
+
 def _sigma_ratios(diff, stderr) -> np.ndarray:
-    """diff / stderr elementwise, the statistic of every 5-sigma gate: 0
-    where both are 0 and inf where only the standard error is."""
+    """diff / stderr elementwise, the statistic of every 5-sigma gate. Where
+    the standard error is 0 it reads 0 if |diff| <= EXACT_TOL, else inf
+    (NaN included)."""
     diff, stderr = np.asarray(diff, dtype=float), np.asarray(stderr, dtype=float)
     positive = stderr > 0
-    return np.where(positive, diff / np.where(positive, stderr, 1.0), np.where(diff == 0, 0.0, np.inf))
+    exact = np.where(np.abs(diff) <= EXACT_TOL, 0.0, np.inf)
+    return np.where(positive, diff / np.where(positive, stderr, 1.0), exact)
 
 
 def _stderr_table(sums: np.ndarray, sumsq: np.ndarray, n: int) -> np.ndarray:
@@ -193,19 +202,14 @@ class JointTable:
         ]
         return {"cells": cells, "n": self.n, "seed": self.seed}
 
-    def to_csv(self, oracle: np.ndarray | None = None) -> str:
+    def to_csv(self, oracle: np.ndarray) -> str:
+        diffs = np.abs(self.means - oracle)
+        ratios = _sigma_ratios(diffs, self.stderrs)
         lines = ["a,b,mean,stderr,oracle,abs_diff,sigma_ratio"]
-        if oracle is not None:
-            diffs = np.abs(self.means - oracle)
-            ratios = _sigma_ratios(diffs, self.stderrs)
         for i in range(self.means.shape[0]):
             for j in range(self.means.shape[1]):
-                mean, se = self.means[i, j], self.stderrs[i, j]
-                if oracle is None:
-                    lines.append(f"{self.labels_a[i]},{self.labels_b[j]},{mean:.12g},{se:.12g},,,")
-                else:
-                    lines.append(
-                        f"{self.labels_a[i]},{self.labels_b[j]},{mean:.12g},{se:.12g},"
-                        f"{oracle[i, j]:.12g},{diffs[i, j]:.12g},{ratios[i, j]:.12g}"
-                    )
+                lines.append(
+                    f"{self.labels_a[i]},{self.labels_b[j]},{self.means[i, j]:.12g},{self.stderrs[i, j]:.12g},"
+                    f"{oracle[i, j]:.12g},{diffs[i, j]:.12g},{ratios[i, j]:.12g}"
+                )
         return "\n".join(lines) + "\n"

@@ -76,22 +76,6 @@ def realigned_trace(rows_a: np.ndarray, rho: DensityMatrix, rows_b: np.ndarray) 
     return rows_a @ r @ rows_b.T
 
 
-def trace_table(rho: DensityMatrix, ops_a: list[np.ndarray], ops_b: list[np.ndarray]) -> np.ndarray:
-    """Complex matrix tr(rho A_i (x) B_j) over two lists of local operators.
-
-    One realigned_trace of the stacked operator rows: O(k d^4) in place of a
-    d^2 x d^2 Kronecker product and matmul per pair.
-    """
-    da, db = rho.d_a, rho.d_b
-    a = [np.asarray(m, dtype=complex) for m in ops_a]
-    b = [np.asarray(n, dtype=complex) for n in ops_b]
-    shape_a = next((m.shape for m in a if m.shape != (da, da)), (da, da))
-    shape_b = next((n.shape for n in b if n.shape != (db, db)), (db, db))
-    if shape_a != (da, da) or shape_b != (db, db):
-        raise ValueError(f"operator dimensions {shape_a}, {shape_b} do not match state ({da}, {db})")
-    return realigned_trace(operator_rows(a, da), rho, operator_rows(b, db))
-
-
 def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: list[np.ndarray]) -> np.ndarray:
     """Matrix of joint Born probabilities tr(rho A_i (x) B_j), clamped to [0, 1].
 
@@ -101,7 +85,16 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     """
     if not all(np.isfinite(m).all() for m in (*elements_a, *elements_b)):
         raise ValueError("measurement operator is not finite")
-    vals = trace_table(rho, elements_a, elements_b)
+    da, db = rho.d_a, rho.d_b
+    a = [np.asarray(m, dtype=complex) for m in elements_a]
+    b = [np.asarray(m, dtype=complex) for m in elements_b]
+    shape_a = next((m.shape for m in a if m.shape != (da, da)), (da, da))
+    shape_b = next((m.shape for m in b if m.shape != (db, db)), (db, db))
+    if shape_a != (da, da) or shape_b != (db, db):
+        raise ValueError(f"operator dimensions {shape_a}, {shape_b} do not match state ({da}, {db})")
+    # one realigned_trace of the stacked operator rows: O(k d^4) in place of
+    # a d^2 x d^2 Kronecker product and matmul per pair
+    vals = realigned_trace(operator_rows(a, da), rho, operator_rows(b, db))
     if not np.isfinite(vals).all():
         raise ValueError("joint probability is not finite")
     nonreal = vals[np.abs(vals.imag) > PROB_TOL]

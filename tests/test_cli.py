@@ -123,8 +123,20 @@ class TestSimulate:
         )
         assert code == 0
         payload = json.loads(out)
-        assert abs(payload["E_AB"]["mean"] + 1.0) < 0.01
-        assert payload["sigma"] <= 5
+        assert payload["E_AB"] == -1.0
+        assert payload["E_AB_target"] == -1.0
+        assert payload["oracle"] == [[0.0, 0.5], [0.5, 0.0]]
+        assert payload["within_5_sigma"] is True
+
+    @pytest.mark.parametrize(
+        "x, y", [("1,1,1", "1,1,1"), ("1,1,0", "1,1,0"), ("1,1,1", "-1,-1,-1")]
+    )
+    def test_epr_exact_off_axis_settings_pass(self, capsys, x, y):
+        # E(AB) is exactly -+1 with stderr 0; the singlet's table and -x.y
+        # differ from it only by rounding
+        code, out, _ = run(capsys, "simulate", "epr1bit", f"--x={x}", f"--y={y}", "--n", "3000", "--seed", "5")
+        assert code == 0
+        assert "-> ok" in out
 
     def test_hirsch_out_of_range_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "simulate", "hirsch", "--q", "0.6")

@@ -88,10 +88,10 @@ GOLDEN = {
     "simulate barrett --d 3 json": [0, "cbe18fd8c4974c69373191b7cf0bca96221505b853f7ce63ae1015eb3c21141b"],
     "simulate barrett --d 8 csv": [0, "d8554929dfe33dfb859504f1ab9122d9815996964aa2f01eea7a280d54b2ff6d"],
     "simulate barrett --d 8 json": [0, "91c824c3dee3a556e878fbfcb698cf9fc8dbc1e5ae48051dac48d2f7f22c3089"],
-    "simulate epr1bit --x 0,0.6,0.8 csv": [0, "b7cccbd1444916e4986f1cb19da0a1a447a4d0007eac98f2a806a15dfd71e0b6"],
-    "simulate epr1bit --x 0,0.6,0.8 json": [0, "63730a90eb1534e4541e7bf12daf54f51a753322383257f9f12fc6ab7764e4c7"],
-    "simulate epr1bit csv": [0, "2ec34285bbc2f5a8700c87094d5e650c490299528180624ba2cc444a4a6b781e"],
-    "simulate epr1bit json": [0, "18b6940df24f626529cee8bb18d35aa099ccb86e5fd1c25ecfb0ee9f897ec500"],
+    "simulate epr1bit --x 0,0.6,0.8 csv": [0, "2f0b156e3227d507d997fcec55464dff11480c50dab255c119c530a673ea1c32"],
+    "simulate epr1bit --x 0,0.6,0.8 json": [0, "458d0b0b1e711fe38ef011a7f49289b933e6402f70be1f8e63db0ecb8fb552d7"],
+    "simulate epr1bit csv": [0, "d8e27da968ff26dd4ac8eaff9eb359a2097d83006c9cf0960e08dda18aac80f1"],
+    "simulate epr1bit json": [0, "cb9f4c2903570e5edefd3e098f9f352aec3b493e4889aa386a830a780f0ddb89"],
     "simulate gd --x 0.6,0,0.8 csv": [0, "186505212aa865dbbd0288c63b1c0f3399ea4d62c0faef052a536a4b8b1d32dc"],
     "simulate gd --x 0.6,0,0.8 json": [0, "f86f007c8a7c1cb8ddc7923fab4a709d2d74f0e4164ef9631759da79e9c7cc59"],
     "simulate gd csv": [0, "d5e3f756267f3f9efb4eba8e91c144f0493f28e5c474600a01a767862b2ff64a"],

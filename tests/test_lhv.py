@@ -350,23 +350,31 @@ class TestEprOneBit:
     def test_aligned_directions(self, rng):
         x = unit3(rng)
         res = lhv.simulate_epr_one_bit(x, x, N, 51)
-        assert abs(res["E_AB"].sigma_ratio(-1.0)) < 5
+        assert abs(res.e_ab.sigma_ratio(-1.0)) < 5
 
     def test_orthogonal_directions(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 0.0, 1.0])
         res = lhv.simulate_epr_one_bit(x, y, N, 52)
-        assert abs(res["E_AB"].sigma_ratio(0.0)) < 5
+        assert abs(res.e_ab.sigma_ratio(0.0)) < 5
 
     def test_marginals_vanish(self, rng):
         res = lhv.simulate_epr_one_bit(unit3(rng), unit3(rng), N, 53)
-        assert abs(res["E_A"].sigma_ratio(0.0)) < 5
-        assert abs(res["E_B"].sigma_ratio(0.0)) < 5
+        assert abs(res.e_a.sigma_ratio(0.0)) < 5
+        assert abs(res.e_b.sigma_ratio(0.0)) < 5
 
-    def test_builds_no_joint_table(self, monkeypatch):
-        # the result holds only the three estimates, so no table is built for it
-        monkeypatch.setattr(lhv.JointTable, "from_sums", lambda *args: pytest.fail("built a JointTable"))
-        assert set(lhv.simulate_epr_one_bit(_X, _Y, 1000, 54)) == {"E_AB", "E_A", "E_B"}
+    def test_aligned_table_is_exact_and_meets_the_singlet(self):
+        """At y = x off the axes the outputs are exactly anti-correlated, and
+        at y = -x exactly correlated, so two cells are exact zeros with
+        stderr 0, while the singlet's Born table rounds them to about 1e-17."""
+        x = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
+        for sign, zeros in ((1.0, [(0, 0), (1, 1)]), (-1.0, [(0, 1), (1, 0)])):
+            res, table, oracle, extra = _run("epr1bit", 3000, seed=54, x=x, y=sign * x)
+            for cell in zeros:
+                assert table.means[cell] == 0.0 and table.stderrs[cell] == 0.0
+            assert res.e_ab.mean == -sign and res.e_ab.stderr == 0.0
+            assert table.max_sigma(oracle) < 5
+            assert res.e_ab.sigma_ratio(extra["E_AB_target"]) == 0.0
 
 
 class TestGdW2x2:
@@ -489,9 +497,9 @@ def _run(model: str, n: int, seed: int = 11, **inputs):
 
 
 def _estimate(result, name: str) -> McEstimate:
-    """The estimate that extra's f"{name}_target" targets: result[name] of a
-    dict result, else its field of the same name in lower case."""
-    return result[name] if isinstance(result, dict) else getattr(result, name.lower())
+    """The estimate that extra's f"{name}_target" targets: the result's
+    field of the same name in lower case."""
+    return getattr(result, name.lower())
 
 
 # Each model's trial at (seed, inputs drawn from a generator); a model appears
@@ -513,15 +521,14 @@ def test_trial_cases_cover_every_model():
 
 @pytest.mark.parametrize("case", list(_TRIALS))
 def test_trial_table_against_its_born_oracle(case, rng):
-    """The table against the Born oracle the trial returns, if any, and every
+    """The table against the Born oracle the trial returns, and every
     estimate against its *_target in extra."""
     model, inputs = _TRIALS[case]
     res, table, oracle, extra = _run(model, N, **inputs(rng))
     targets = {k.removesuffix("_target"): v for k, v in extra.items() if k.endswith("_target")}
-    assert oracle is not None or targets
-    if oracle is not None:
-        assert table.max_sigma(oracle) < 5
-        assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
+    assert oracle is not None
+    assert table.max_sigma(oracle) < 5
+    assert np.isclose(table.means.sum(), 1.0, atol=1e-12)
     for name, target in targets.items():
         assert abs(_estimate(res, name).sigma_ratio(target)) < 5
 
@@ -553,6 +560,7 @@ _PLANTED = {
         lambda d: states.werner_phi(d, states.flip_witness(states.barrett_state(d)) + 0.3),
     ),
     "gd": ("gd", "werner2x2", lambda alpha: states.werner2x2(alpha + 0.1)),
+    "epr1bit": ("epr1bit", "singlet", lambda: states.werner2x2(0.8)),
     "hirsch": ("hirsch", "rho_g", lambda q: states.rho_g(q + 0.1)),
     # the lift dilutes rho_g to a quarter of the target, so the shift is larger
     "povm_lift": ("povm-lift", "rho_g", lambda q: states.rho_g(q + 0.5)),
@@ -560,8 +568,8 @@ _PLANTED = {
 
 
 def test_planted_cases_cover_every_model_with_an_oracle():
-    with_oracle = {m for m in lhv.MODELS if _run(m, 100)[2] is not None}
-    assert {model for model, _, _ in _PLANTED.values()} == with_oracle
+    assert all(_run(m, 100)[2] is not None for m in lhv.MODELS)
+    assert {model for model, _, _ in _PLANTED.values()} == set(lhv.MODELS)
 
 
 @pytest.mark.parametrize("case", sorted(_PLANTED))
@@ -635,8 +643,6 @@ def _leaves(result):
     """Every array and scalar of a simulator result, in a fixed order."""
     if dataclasses.is_dataclass(result):
         return [x for f in dataclasses.fields(result) for x in _leaves(getattr(result, f.name))]
-    if isinstance(result, dict):
-        return [x for k in sorted(result) for x in _leaves(result[k])]
     return [np.asarray(result)]
 
 
@@ -683,6 +689,21 @@ def test_every_simulator_identical_across_workers(model):
         assert len(one) == len(other)
         for a, b in zip(one, other):
             assert np.array_equal(a, b)
+
+
+def test_numpy_float_q_keys_the_same_stream():
+    """The stream label holds repr(q), so q is made a Python float first."""
+    gen = np.random.default_rng(5)
+    sigma = projector(basis_ket(2, 0))
+    pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
+    runs = [
+        lambda q: lhv.simulate_hirsch_projective(q, _X, _Y, 2000, 1),
+        lambda q: lhv.simulate_povm_lift(q, sigma, sigma, pa, pb, 2000, 1),
+    ]
+    for run in runs:
+        plain, numpy_q = _leaves(run(0.4)), _leaves(run(np.float64(0.4)))
+        assert len(plain) == len(numpy_q)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, numpy_q))
 
 
 @pytest.mark.parametrize("model", ["werner", "simplex", "barrett"])
@@ -842,10 +863,12 @@ class TestStreamConsumption:
         _, _, ls = self._choice_pairs("epr1bit", n, seed, x)
         a = np.where(ls @ x >= 0, -1.0, 1.0)
         b = np.where(ls @ y >= 0, 1.0, -1.0)
+        cells = np.array([[np.sum((a == sa) & (b == sb)) for sb in (1, -1)] for sa in (1, -1)], dtype=float)
         res = lhv.simulate_epr_one_bit(x, y, n, seed)
-        assert res["E_AB"] == McEstimate.from_sums((a * b).sum(), float(n), n, seed)
-        assert res["E_A"] == McEstimate.from_sums(a.sum(), float(n), n, seed)
-        assert res["E_B"] == McEstimate.from_sums(b.sum(), float(n), n, seed)
+        assert res.e_ab == McEstimate.from_sums((a * b).sum(), float(n), n, seed)
+        assert res.e_a == McEstimate.from_sums(a.sum(), float(n), n, seed)
+        assert res.e_b == McEstimate.from_sums(b.sum(), float(n), n, seed)
+        assert np.array_equal(res.table.means, cells / n)
 
     def test_gd(self, rng):
         x, y, n, seed = unit3(rng), unit3(rng), 20_000, 12

@@ -5,7 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from nonlocal_lab.mc import BATCH_SIZE, JointTable, McEstimate, batch_rng, ordered_sum, run_batched, worker_count
+from nonlocal_lab.mc import BATCH_SIZE, EXACT_TOL, JointTable, McEstimate, _sigma_ratios, batch_rng, ordered_sum
+from nonlocal_lab.mc import run_batched, worker_count
 
 
 def bernoulli_kernel(rng, m):
@@ -118,6 +119,24 @@ class TestMcEstimate:
         assert est.sigma_ratio(0.5) == np.inf
 
 
+class TestSigmaRatios:
+    def test_exact_estimate_reads_zero_within_rounding_of_its_target(self):
+        assert EXACT_TOL == 1e-12
+        assert np.array_equal(_sigma_ratios([2e-16, -2e-16, 0.0], [0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
+        assert McEstimate(-1.0, 0.0, 10, 0).sigma_ratio(-1.0000000000000002) == 0.0
+
+    def test_exact_estimate_reads_inf_beyond_the_tolerance(self):
+        assert np.array_equal(_sigma_ratios([1e-9, -1e-9, 0.5], [0.0, 0.0, 0.0]), [np.inf] * 3)
+
+    def test_exact_estimate_against_nan_reads_inf(self):
+        assert _sigma_ratios(np.nan, 0.0) == np.inf
+
+    def test_positive_stderr_is_a_plain_ratio(self):
+        diff = np.array([2e-16, 1e-9, -0.3, 0.0])
+        stderr = np.array([1e-3, 1e-9, 0.1, 0.5])
+        assert np.array_equal(_sigma_ratios(diff, stderr), diff / stderr)
+
+
 class TestJointTable:
     def make(self):
         sums = np.array([[100.0, 300.0], [300.0, 300.0]])
@@ -137,8 +156,8 @@ class TestJointTable:
         t = self.make()
         header = t.to_csv(np.full((2, 2), 0.25)).splitlines()[0]
         assert header == "a,b,mean,stderr,oracle,abs_diff,sigma_ratio"
-        bare = t.to_csv().splitlines()[1]
-        assert bare.endswith(",,,")
+        row = t.to_csv(np.full((2, 2), 0.25)).splitlines()[1]
+        assert row.split(",")[:5] == ["1", "1", "0.1", f"{t.stderrs[0, 0]:.12g}", "0.25"]
 
     def test_max_sigma(self):
         t = self.make()
