@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows."""
     _require_two_qubits(rho)
     t = realigned_trace(_PAULI_ROWS, rho, _PAULI_ROWS).real
-    if np.max(np.abs(t)) > 1 + 1e-9:
+    if np.abs(t).max() > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t
 
@@ -126,12 +127,13 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
     E(x_a, A), E(x_a, B), E(x_b, B), signed and summed in chsh_value_from_t's
     order, give each choice's value bit for bit."""
     z, zp = vecs[:, 2], vecs[:, 1]
-    na, nb = np.linalg.norm(t @ z), np.linalg.norm(t @ zp)
+    tz, tzp = t @ z, t @ zp
+    na, nb = math.sqrt(tz.dot(tz)), math.sqrt(tzp.dot(tzp))  # np.linalg.norm's formula
     if na < _RANK_TOL and nb < _RANK_TOL:  # T = 0 to rounding: any settings will do
         e = np.eye(3)
         return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1])
-    theta = np.arctan2(nb, na)
-    cos, sin = np.cos(theta), np.sin(theta)
+    theta = np.arctan2(nb, na)  # not math.atan2: the two differ in the last bit on some inputs
+    cos, sin = math.cos(theta), math.sin(theta)
 
     def candidate(s1: float, s2: float) -> tuple:  # built, not negated: zero signs reach the JSON
         za, zb = s1 * z, s2 * zp
@@ -141,13 +143,13 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
 
     first = xb, xa, a, b = candidate(1.0, 1.0)
     tb, ta = xb @ t, xa @ t
-    on_a, on_b = (tb @ a, ta @ a), (tb @ b, ta @ b)
+    on_a, on_b = (float(tb @ a), float(ta @ a)), (float(tb @ b), float(ta @ b))
     signs = [(s1, s2) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
     values = []
     for s1, s2 in signs:
         (pb, pa), (qb, qa) = (on_a, on_b) if s1 == s2 else (on_b, on_a)
         gb, ga = s1 * (s2 if nb > _RANK_TOL else 1.0), s1 * (s1 if na > _RANK_TOL else 1.0)
-        values.append(float(gb * pb + ga * pa + ga * qa - gb * qb))
+        values.append(gb * pb + ga * pa + ga * qa - gb * qb)
     k = values.index(max(values))
     return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k]
 

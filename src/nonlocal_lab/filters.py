@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import basis_ket, projector, tensor
+from .qmat import _check_dim, basis_ket, projector, tensor
 from .states import STATES, DensityMatrix, restrict_block, singlet, werner_local
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -103,6 +103,7 @@ def popescu_protocol(d: int) -> PopescuResult:
     For d above 16 the closed form is used directly; below that the state
     is also built by explicit projection and checked against it.
     """
+    d = _check_dim(d)
     if d < 3:
         raise ValueError(f"popescu_protocol requires d >= 3, got {d}")
     closed = _popescu_closed_form(d)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,8 @@ PROB_TOL = 1e-10
 def unit_bloch(v, what: str = "Bloch vector") -> np.ndarray:
     """v as a float array, checked to be a finite real unit 3-vector."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if v.shape != (3,) or not np.isfinite(n) or abs(n - 1.0) > 1e-12:
+    # sqrt(v.v) is np.linalg.norm's formula for a real vector; NaN fails the <=
+    if v.shape != (3,) or not abs(math.sqrt(v.dot(v)) - 1.0) <= 1e-12:
         raise ValueError(f"{what} must be a finite unit 3-vector, got {v}")
     return v
 

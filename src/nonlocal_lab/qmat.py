@@ -9,6 +9,7 @@ slow index, so ``tensor(A, B) == np.kron(A, B)``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _check_dim(d, what: str = "d") -> int:
+    """A dimension as an int: numpy integers pass, anything without
+    __index__ (2.5, 2.0) is a ValueError."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {d!r}") from None
+
+
 def flip(d: int) -> np.ndarray:
     """Swap operator V|ij> = |ji> on C^d (x) C^d. Hermitian, V^2 = I."""
+    d = _check_dim(d)
     if d < 2:
         raise ValueError(f"flip requires d >= 2, got {d}")
     # V[(j, i), (i, j)] = 1: the identity with its two row factors swapped
@@ -94,7 +105,7 @@ def hermiticity_error(m: np.ndarray) -> float:
     """max |m - m^dag|, NaN for a non-finite m: checks read `not err <= tol`."""
     m = np.asarray(m)
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(m - m.conj().T)))
+        return float(np.abs(m - m.conj().T).max())
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

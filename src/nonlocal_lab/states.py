@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import basis_ket, decode_matrix, encode_matrix, flip, is_density, json_fields, ket, partial_trace, projector, tensor
+from .qmat import _check_dim, basis_ket, decode_matrix, encode_matrix, flip, is_density, json_fields, ket, partial_trace, projector, tensor
 
 
 @dataclass
@@ -28,6 +28,7 @@ class DensityMatrix:
                 f"{check.hermiticity_error:.3e}, min eigenvalue {check.min_eigenvalue:.3e}, "
                 f"trace error {check.trace_error:.3e}"
             )
+        self.d_a, self.d_b = _check_dim(self.d_a, "d_a"), _check_dim(self.d_b, "d_b")
         if self.mat.shape[0] != self.d_a * self.d_b:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.mat.shape[0]}-dimensional, dA*dB = {self.d_a * self.d_b}"
@@ -108,7 +109,8 @@ def werner2x2(alpha: float) -> DensityMatrix:
 
 def antisymmetric_projector(d: int) -> np.ndarray:
     """Projector onto span{(|ij> - |ji>)/sqrt(2), i < j} = (I - V)/2."""
-    return (np.eye(d * d) - flip(d)) / 2
+    v = flip(d)  # first, so that flip's check of d runs before np.eye sees it
+    return (np.eye(d * d) - v) / 2
 
 
 def barrett_alpha(d: int) -> float:
@@ -214,10 +216,17 @@ def restrict_block(rho: DensityMatrix, keep_a: tuple[int, ...], keep_b: tuple[in
 
 def flip_witness(rho: DensityMatrix) -> float:
     """tr(V rho). Negative values certify entanglement; for Werner states
-    the sign decides separability exactly."""
-    if rho.d_a != rho.d_b:
+    the sign decides separability exactly.
+
+    The diagonal of V rho is rho[(b, a), (a, b)], so it is read off in O(d^2)
+    without building V, and summed in row-major (a, b) order as np.trace
+    sums it: the value has the bits of np.trace(flip(d) @ rho.mat).
+    """
+    d = rho.d_a
+    if rho.d_b != d:
         raise ValueError(f"flip witness needs equal local dimensions, got {rho.d_a}x{rho.d_b}")
-    val = np.trace(flip(rho.d_a) @ rho.mat)
+    # r[b, a, a, b] at [a, b]: diagonal(0, 1, 2) gives r[p, i, i, s] at [p, s, i]
+    val = rho.mat.reshape(d, d, d, d).diagonal(0, 1, 2).diagonal(0, 0, 1).reshape(d * d).sum()
     if abs(val.imag) > 1e-10:
         raise ValueError(f"flip witness came out non-real ({val})")
     return float(val.real)

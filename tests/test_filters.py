@@ -135,6 +135,14 @@ class TestPopescu:
         with pytest.raises(ValueError):
             popescu_protocol(2)
 
+    def test_rejects_a_non_integer_d(self):
+        with pytest.raises(ValueError, match="d must be an integer, got 5.5"):
+            popescu_protocol(5.5)
+
+    def test_accepts_a_numpy_integer_d(self):
+        res, want = popescu_protocol(np.int64(5)), popescu_protocol(5)
+        assert (res.chsh, res.success_prob, res.m_rho) == (want.chsh, want.success_prob, want.m_rho)
+
 
 class TestScan:
     def test_base_family_converges_to_one_plus_q(self):

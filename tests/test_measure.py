@@ -67,6 +67,48 @@ class TestObsFromBloch:
             unit_bloch([bad, 0, 1])
 
 
+def _norm_rule_accepts(v) -> bool:
+    """unit_bloch's acceptance test as written with np.linalg.norm."""
+    n = np.linalg.norm(v)
+    return bool(np.isfinite(n) and abs(n - 1.0) <= 1e-12)
+
+
+class TestUnitBloch:
+    def test_accepts_exactly_as_the_norm_rule_near_the_tolerance(self):
+        gen = np.random.default_rng(1212)
+        dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0])]
+        dirs += [u / np.linalg.norm(u) for u in gen.standard_normal((30, 3))]
+        scales = []
+        for edge in (1 - 1e-12, 1 + 1e-12):
+            up = down = edge
+            scales.append(edge)
+            for _ in range(6):
+                up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+                scales += [up, down]
+        verdicts = set()
+        for u in dirs:
+            for s in scales:
+                v = u * s
+                if _norm_rule_accepts(v):
+                    verdicts.add(True)
+                    assert np.array_equal(unit_bloch(v), v)
+                else:
+                    verdicts.add(False)
+                    with pytest.raises(ValueError, match="must be a finite unit 3-vector"):
+                        unit_bloch(v)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan, 0, 1], [np.nan] * 3, [np.inf, 0, 0], [-np.inf, 0, 0], [np.inf, -np.inf, 0],
+         [0.6, 0.8], [1.0, 0, 0, 0], [[1.0, 0, 0]], 1.0],
+        ids=["nan", "all-nan", "inf", "-inf", "inf-inf", "shape-2", "shape-4", "shape-1x3", "shape-0d"],
+    )
+    def test_rejects_non_finite_and_misshapen_input(self, bad):
+        with pytest.raises(ValueError, match="must be a finite unit 3-vector"):
+            unit_bloch(bad)
+
+
 class TestBornJoint:
     """Single cells tr(rho A (x) B) of born_table."""
 

@@ -5,14 +5,15 @@ so a failure reports the seed and dimensions that reproduce it.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nonlocal_lab import lhv
-from nonlocal_lab.measure import born_table, povm_refine, random_povm
+from nonlocal_lab.bell import horodecki_m
+from nonlocal_lab.measure import born_table, povm_refine, random_povm, unit_bloch
 from nonlocal_lab.qmat import is_density
-from nonlocal_lab.states import flip_witness, lift_state, random_density, twirl
+from nonlocal_lab.states import DensityMatrix, flip_witness, lift_state, random_density, twirl
 
 SEEDS = st.integers(0, 2**32 - 1)
 CHECK = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -39,6 +40,22 @@ def test_lift_and_twirl_give_states(seed, d):
     twirled = twirl(rho)
     assert is_density(twirled.mat)
     assert abs(flip_witness(twirled) - flip_witness(rho)) <= 1e-12
+
+
+# entries of a 4x4 complex Ginibre-like factor G, with exact zeros so that
+# rank-deficient and product-like states G G^dag are reached
+FACTOR = hnp.arrays(float, (2, 4, 4), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+
+
+@CHECK
+@given(g=FACTOR)
+def test_horodecki_settings_are_unit_bloch_vectors(g):
+    m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    tr = m.trace().real
+    assume(tr > 1e-6)
+    settings = horodecki_m(DensityMatrix(m / tr, 2, 2)).settings
+    for v in (settings.x, settings.x2, settings.y, settings.y2):
+        assert np.array_equal(unit_bloch(v), v)
 
 
 @CHECK

@@ -1,3 +1,6 @@
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,17 @@ class TestRhoE:
         assert np.allclose(rho_e(0.0).mat, tensor(projector(basis_ket(3, 2)), np.eye(2) / 2))
 
 
+# a grid for each parameter name of the STATES constructors
+_STATE_ARGS = {"d": (2, 3, 5, 8), "phi": (-1.0, -0.5, 0.0, 1 / 3, 1.0), "alpha": (0.0, 0.5, 1.0), "q": (0.0, 1 / 3, 0.5, 1.0)}
+
+
+def _assert_witness_bits(rho):
+    """flip_witness has the bits of its definition tr(V rho), sign of zero included."""
+    want = np.trace(flip(rho.d_a) @ rho.mat).real
+    got = flip_witness(rho)
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
 class TestFlipWitness:
     def test_orthogonal_product_vanishes(self):
         m = DensityMatrix(tensor(projector(basis_ket(2, 0)), projector(basis_ket(2, 1))), 2, 2)
@@ -207,6 +221,30 @@ class TestFlipWitness:
     def test_requires_equal_dims(self):
         with pytest.raises(ValueError):
             flip_witness(rho_e(0.5))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_bit_identical_to_the_trace_of_v_rho_on_random_states(self, d):
+        gen = np.random.default_rng(d)
+        for _ in range(10):
+            _assert_witness_bits(states.random_density(d, d, gen))
+            _assert_witness_bits(states.random_separable(d, d, gen))
+
+    @pytest.mark.parametrize("name", list(states.STATES))
+    def test_bit_identical_to_the_trace_of_v_rho_on_named_states(self, name):
+        make = states.STATES[name]
+        grids = [_STATE_ARGS[p] for p in inspect.signature(make).parameters]
+        for args in itertools.product(*grids):
+            rho = make(*args)
+            if rho.d_a == rho.d_b:
+                _assert_witness_bits(rho)
+            else:
+                with pytest.raises(ValueError, match="equal local dimensions"):
+                    flip_witness(rho)
+
+    def test_reads_the_witness_without_building_v(self, monkeypatch):
+        w = werner_phi(5, -0.3)
+        monkeypatch.setattr(states, "flip", None)
+        assert abs(flip_witness(w) + 0.3) < 1e-12
 
 
 class TestTwirl:
@@ -248,6 +286,31 @@ class TestValidation:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, 2, 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: werner_phi(2.5, 0.0),
+            lambda: werner_local(3.5),
+            lambda: barrett_state(2.5),
+            lambda: flip(2.0),
+            lambda: DensityMatrix(np.eye(4) / 4, 2.0, 2.0),
+            lambda: DensityMatrix(np.eye(4) / 4, 2, 2.0),
+        ],
+        ids=["werner_phi", "werner_local", "barrett_state", "flip", "density-both", "density-d_b"],
+    )
+    def test_non_integer_dimension_is_a_value_error(self, build):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            build()
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        two = np.int64(2)
+        assert np.array_equal(werner_phi(two, 0.3).mat, werner_phi(2, 0.3).mat)
+        assert np.array_equal(barrett_state(np.int64(3)).mat, barrett_state(3).mat)
+        rho = DensityMatrix(np.eye(4) / 4, two, two)
+        assert (type(rho.d_a), type(rho.d_b)) == (int, int)
+        assert flip_witness(rho) == 0.5
+        assert DensityMatrix.from_json(rho.to_json()).d_a == 2
 
     def test_restrict_block_renormalizes(self):
         block = states.restrict_block(rho_e(1.0), (0, 1), (0, 1))
