@@ -106,11 +106,10 @@ def criterion_04(seed: int, n: int, workers=None) -> CriterionResult:
 
 def criterion_05(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 5))
+    x, y = np.array([(_unit(rng), _unit(rng)) for _ in range(10)]).transpose(1, 0, 2)  # (k, 3) stacks
     worst = 0.0
     mismatches = 0
-    for k in range(10):
-        x, y = _unit(rng), _unit(rng)
-        res, _, _, extra = lhv.gd_trial(x, y, n, _seed(seed, 5, k + 1), workers)
+    for res, _, _, extra in lhv.gd_trial(x, y, n, _seed(seed, 5, 1), workers):
         worst = max(
             worst,
             abs(res.e_ab.sigma_ratio(extra["E_AB_target"])),
@@ -129,10 +128,9 @@ def criterion_05(seed: int, n: int, workers=None) -> CriterionResult:
 
 def criterion_06(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 6))
+    x, y = np.array([(_unit(rng), _unit(rng)) for _ in range(3)]).transpose(1, 0, 2)  # (k, 3) stacks
     worst = 0.0
-    for k in range(3):
-        x, y = _unit(rng), _unit(rng)
-        res, _, _, extra = lhv.epr1bit_trial(x, y, n, _seed(seed, 6, k + 1), workers)
+    for res, _, _, extra in lhv.epr1bit_trial(x, y, n, _seed(seed, 6, 1), workers):
         worst = max(worst, abs(res.e_ab.sigma_ratio(extra["E_AB_target"])))
     return CriterionResult(
         6,

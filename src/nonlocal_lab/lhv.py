@@ -21,14 +21,13 @@ from .states import DensityMatrix, barrett_state, lift_state, rho_g, singlet, we
 def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on S^2 as normalized 3-component Gaussian draws,
     normalised in place with the squared norm summed as np.linalg.norm does
-    and each column divided by the norm."""
+    and every row divided by its norm in one broadcast divide."""
     v = rng.standard_normal(3 if n is None else (n, 3))
     r = v[..., 0] * v[..., 0]
     r += v[..., 1] * v[..., 1]
     r += v[..., 2] * v[..., 2]
     r = np.sqrt(r, out=None if n is None else r)  # a single draw has a 0-d r
-    for i in range(3):
-        v[..., i] /= r
+    v /= r[..., None]
     return v
 
 
@@ -241,30 +240,63 @@ class SpinResult:
     e_b: McEstimate
 
 
-def _choice(rng: np.random.Generator, m: int, x: np.ndarray):
-    """The choice rule on two fresh sphere points l0, l1: Alice keeps the one
-    with the larger |x . l| (ties keep l1) and outputs a = -sign(x . l),
-    which is +1 iff x . l < 0. Returns l0, l1, the mask of samples that
-    kept l0, and Alice's "is +1" flags."""
-    l0 = sample_sphere_r3(rng, m)
-    l1 = sample_sphere_r3(rng, m)
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.where(mask, a, b) for boolean a and b, as (mask & a) | (~mask & b):
+    on a random mask of 2^15 samples np.where took about 8x as long."""
+    return (mask & a) | (~mask & b)
+
+
+def _choice(l0: np.ndarray, l1: np.ndarray, x: np.ndarray):
+    """The choice rule on two sphere points l0, l1: Alice keeps the one with
+    the larger |x . l| (ties keep l1) and outputs a = -sign(x . l), which is
+    +1 iff x . l < 0. Returns the mask of samples that kept l0 and Alice's
+    "is +1" flags."""
     x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
     pick0 = np.abs(x0) > np.abs(x1)
-    return l0, l1, pick0, np.where(pick0, x0, x1) < 0
+    return pick0, _select(pick0, x0 < 0, x1 < 0)
 
 
-def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> SpinResult:
-    """Choice-method simulation of the singlet with the accepted index
-    communicated: E(AB) -> -x.y, vanishing marginals."""
-    x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
+def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: int | None):
+    """Run the choice rule on one direction pair x, y, or on each pair of
+    (k, 3) stacks of them. Each batch draws l0 and l1 once, and
+    outputs(l0, l1, pick0, a_plus, x_i, y_i) gives pair i's partials. Returns
+    result(*sums) of the pair, or for stacks the list of them in pair order;
+    pair i reads the draws of a single run on (x_i, y_i), so its result is
+    that run's, bit for bit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    single = x.ndim == y.ndim == 1
+    xs, ys = (x[None], y[None]) if single else (x, y)
+    if not (xs.ndim == ys.ndim == 2 and len(xs) == len(ys) > 0):
+        raise ValueError(
+            f"directions must be unit 3-vectors or equal-length, non-empty stacks of them, got shapes {x.shape} and {y.shape}"
+        )
+    for v in (*xs, *ys):
+        unit_bloch(v, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
-        l0, l1, pick0, a_plus = _choice(rng, m, x)
-        # Bob reads the kept l from the bit: b = sign(y . l) is +1 iff y . l >= 0
-        return (_pm_counts(a_plus, np.where(pick0, _dot_rows(l0, y), _dot_rows(l1, y)) >= 0),)
+        l0 = sample_sphere_r3(rng, m)
+        l1 = sample_sphere_r3(rng, m)
+        parts = [outputs(l0, l1, *_choice(l0, l1, xi), xi, yi) for xi, yi in zip(xs, ys)]
+        return tuple(np.stack(p) for p in zip(*parts))
 
-    (cells,) = run_batched(n, seed, "epr1bit", kernel, workers)
-    return SpinResult(*_pm_results(cells, n, seed))
+    sums = run_batched(n, seed, label, kernel, workers)
+    results = [result(*(s[i] for s in sums)) for i in range(len(xs))]
+    return results[0] if single else results
+
+
+def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> SpinResult | list[SpinResult]:
+    """Choice-method simulation of the singlet with the accepted index
+    communicated: E(AB) -> -x.y, vanishing marginals. Returns a SpinResult,
+    or a list of them for stacks x, y (see _run_choice)."""
+
+    def outputs(l0, l1, pick0, a_plus, x, y):
+        # Bob reads the kept l from the bit: b = sign(y . l) is +1 iff y . l >= 0
+        return (_pm_counts(a_plus, _select(pick0, _dot_rows(l0, y) >= 0, _dot_rows(l1, y) >= 0)),)
+
+    def result(cells):
+        return SpinResult(*_pm_results(cells, n, seed))
+
+    return _run_choice(x, y, n, seed, "epr1bit", outputs, result, workers)
 
 
 @dataclass
@@ -276,22 +308,23 @@ class GdResult(SpinResult):
         return 1.0 - self.rewrite_mismatches / self.table.n
 
 
-def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdResult:
+def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdResult | list[GdResult]:
     """Choice method without communication: Bob always evaluates lambda0.
 
     Reproduces the half-singlet/half-noise two-qubit mixture:
     E(AB) -> -(x.y)/2. Also verifies on every sample that Alice's output
-    equals -sign(x . (lambda0 + lambda1)).
+    equals -sign(x . (lambda0 + lambda1)). Returns a GdResult, or a list of
+    them for stacks x, y (see _run_choice).
     """
-    x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
-    def kernel(rng: np.random.Generator, m: int):
-        l0, l1, _, a_plus = _choice(rng, m, x)
+    def outputs(l0, l1, pick0, a_plus, x, y):
         mism = np.count_nonzero(a_plus != (_dot_rows(l0 + l1, x) < 0))
         return _pm_counts(a_plus, _dot_rows(l0, y) >= 0), np.array([float(mism)])
 
-    cells, mism = run_batched(n, seed, "gd_w2x2", kernel, workers)
-    return GdResult(*_pm_results(cells, n, seed), int(mism[0]))
+    def result(cells, mism):
+        return GdResult(*_pm_results(cells, n, seed), int(mism[0]))
+
+    return _run_choice(x, y, n, seed, "gd_w2x2", outputs, result, workers)
 
 
 @dataclass
@@ -315,7 +348,7 @@ def _hirsch_alice(q: float, v: np.ndarray, lam: np.ndarray, r: np.ndarray, rng: 
     u1, u2 = rng.random((2, lam.shape[0]))
     vl = _dot_rows(lam, v)
     acc = (r < 2.0 * q) & (u1 < np.abs(vl))
-    return np.where(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
+    return _select(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
 
 
 def simulate_hirsch_projective(
@@ -491,21 +524,33 @@ def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: 
     return table, table, born_table(barrett_state(d), pa.elements, pb.elements), {}
 
 
+def _spin_trial(res, state: DensityMatrix, x, y, extra):
+    """(res, its table, the Born table of state on spins along x and y,
+    extra(res, x . y)); for stacks x, y and the results of a stacked run,
+    the list of these in pair order."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if isinstance(res, list):
+        return [_spin_trial(r, state, xi, yi, extra) for r, xi, yi in zip(res, x, y)]
+    oracle = born_table(state, obs_from_bloch(x).elements, obs_from_bloch(y).elements)
+    return res, res.table, oracle, extra(res, float(x @ y))
+
+
 def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
     """Choice-method model on spins along x and y against werner2x2(1/2),
-    whose E(AB) is -(x.y)/2."""
+    whose E(AB) is -(x.y)/2. For (k, 3) stacks x and y all pairs run on one
+    stream, and the trial returns a list of k tuples in pair order."""
     res = simulate_gd_w2x2(x, y, n, seed, workers)
-    oracle = born_table(werner2x2(0.5), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
-    extra = {"E_AB": res.e_ab.mean, "E_AB_target": -float(x @ y) / 2, "rewrite_agreement": res.rewrite_agreement}
-    return res, res.table, oracle, extra
+    return _spin_trial(
+        res, werner2x2(0.5), x, y,
+        lambda r, xy: {"E_AB": r.e_ab.mean, "E_AB_target": -xy / 2, "rewrite_agreement": r.rewrite_agreement},
+    )
 
 
 def epr1bit_trial(x, y, n: int, seed: int, workers: int | None = None):
     """One-bit-assisted simulation on spins along x and y against the
-    singlet, whose E(AB) is -x.y."""
+    singlet, whose E(AB) is -x.y. Stacks x and y run as in gd_trial."""
     res = simulate_epr_one_bit(x, y, n, seed, workers)
-    oracle = born_table(singlet(), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
-    return res, res.table, oracle, {"E_AB": res.e_ab.mean, "E_AB_target": -float(x @ y)}
+    return _spin_trial(res, singlet(), x, y, lambda r, xy: {"E_AB": r.e_ab.mean, "E_AB_target": -xy})
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):

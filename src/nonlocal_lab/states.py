@@ -234,8 +234,13 @@ def flip_witness(rho: DensityMatrix) -> float:
 
 def twirl(rho: DensityMatrix) -> DensityMatrix:
     """Project onto the span of {I, V}: the Werner state with the same
-    trace and the same tr(V .) as the input."""
-    return werner_phi(rho.d_a, flip_witness(rho))
+    trace and the same tr(V .) as the input. A witness up to 1e-12 outside
+    [-1, 1] is rounding at an end of the range (d = 8 and 10 at phi = 1,
+    d = 9 at phi = -1) and is clamped onto it."""
+    phi = flip_witness(rho)
+    if 1.0 < abs(phi) <= 1.0 + 1e-12:
+        phi = float(np.sign(phi))
+    return werner_phi(rho.d_a, phi)
 
 
 # The named states of the CLI: each constructor's parameter names are the

@@ -20,8 +20,8 @@ DETAILS = [
     "max excess -0.0257 (tol 1e-9), max shortfall 4.44e-16 (tol 1e-6)",
     "max cell deviation 2.72 sigma over 10 runs (tol 5.0)",
     "estimate 0.036942109 vs 1/27 = 0.037037037, 1.37 sigma",
-    "max deviation 1.58 sigma over 10 direction pairs; rewrite mismatches 0",
-    "max deviation 1.58 sigma over 3 direction pairs",
+    "max deviation 2.21 sigma over 10 direction pairs; rewrite mismatches 0",
+    "max deviation 1.53 sigma over 3 direction pairs",
     "max table/marginal deviation 1.54 sigma; acceptance q=0.1: rates 0.4996/0.4999; "
     "q=0.3: rates 0.4994/0.5000; q=0.5: rates 0.5000/0.4994",
     "max cell deviation 2.57 sigma; fallback-branch rate off 1/2 by 1.37 sigma",
@@ -35,7 +35,7 @@ DETAILS = [
 ]
 REPORT_SHA256 = {
     "barrett_d2_table.csv": "5097bc3b70b93ceb734b9c19db4d53073b290cc4a27e637d330b7042e8e2657d",
-    "report.json": "ba630520f23d38c6d495fad0b7c7952cff52bb1d9ec4e544506c646108948146",
+    "report.json": "27299a1dbee63baf3a225e76fedc23780c7a26adb8fd20a66a8541064e429603",
     "scan_rho_g_prime_q0.25.csv": "8d8535eb2474bc7d266a2386d9700b52ea2dfa404f0f8d0e1b88f6bf2064e618",
     "scan_rho_g_prime_q0.5.csv": "f0386eba1417f2cd353c1cc0b40320309f96e1d6ea94dae0339c2784da7ffdaf",
     "scan_rho_g_q0.25.csv": "585bf77d51d33a1e296ea3bd83c0ec3ee1a47272dc6be4d0b724007212d7d7c7",

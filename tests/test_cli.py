@@ -234,7 +234,8 @@ class TestSimulate:
 
         def one_mismatch(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.rewrite_mismatches = 1
+            for r in res if isinstance(res, list) else [res]:  # C05 runs its 10 pairs as one stack
+                r.rewrite_mismatches = 1
             return res
 
         monkeypatch.setattr(lhv, "simulate_gd_w2x2", one_mismatch)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonlocal_lab import cli, lhv, mc, states
+from nonlocal_lab import acceptance, cli, lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
     born_table,
@@ -640,10 +640,19 @@ def test_planted_defect_fails_the_gate(model, defect, monkeypatch):
 
 
 def _leaves(result):
-    """Every array and scalar of a simulator result, in a fixed order."""
+    """Every array and scalar of a simulator result, or of each result of a
+    list of them, in a fixed order."""
+    if isinstance(result, list):
+        return [x for r in result for x in _leaves(r)]
     if dataclasses.is_dataclass(result):
         return [x for f in dataclasses.fields(result) for x in _leaves(getattr(result, f.name))]
     return [np.asarray(result)]
+
+
+def _stacks(gen: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k random direction pairs as two (k, 3) stacks."""
+    xs, ys = gen.standard_normal((2, k, 3))
+    return xs / np.linalg.norm(xs, axis=1)[:, None], ys / np.linalg.norm(ys, axis=1)[:, None]
 
 
 def _simulators():
@@ -657,12 +666,16 @@ def _simulators():
     pa, pb = random_povm(3, 2, gen), random_povm(3, 2, gen)
     sigma = projector(basis_ket(2, 0))
     pa8, pb8 = random_projective(8, gen), random_projective(8, gen)
+    xs, ys = _stacks(gen, 3)
     # case: (model, run); the simplex integral is C04's lemma, not a model
     return {
         "werner": ("werner", lambda n, w: lhv.simulate_werner(3, coarse, fine, n, 1, workers=w)),
         "simplex": ("simplex", lambda n, w: lhv.simplex_integral_mc(3, 1, fine, n, 2, workers=w)),
         "epr1bit": ("epr1bit", lambda n, w: lhv.simulate_epr_one_bit(x, y, n, 3, workers=w)),
         "gd": ("gd", lambda n, w: lhv.simulate_gd_w2x2(x, y, n, 4, workers=w)),
+        # three direction pairs on one stream, as C05 and C06 run theirs
+        "epr1bit_stack": ("epr1bit", lambda n, w: lhv.simulate_epr_one_bit(xs, ys, n, 3, workers=w)),
+        "gd_stack": ("gd", lambda n, w: lhv.simulate_gd_w2x2(xs, ys, n, 4, workers=w)),
         "hirsch": ("hirsch", lambda n, w: lhv.simulate_hirsch_projective(0.3, x, y, n, 5, workers=w)),
         "povm_lift": (
             "povm-lift",
@@ -689,6 +702,67 @@ def test_every_simulator_identical_across_workers(model):
         assert len(one) == len(other)
         for a, b in zip(one, other):
             assert np.array_equal(a, b)
+
+
+# -- stacked direction pairs: one stream of choice-rule draws ---------------
+_CHOICE_MODELS = {"gd": lhv.simulate_gd_w2x2, "epr1bit": lhv.simulate_epr_one_bit}
+
+
+@pytest.mark.parametrize("model", sorted(_CHOICE_MODELS))
+def test_stacked_row_equals_the_single_call(model, rng):
+    simulate = _CHOICE_MODELS[model]
+    xs, ys = _stacks(rng, 4)
+    xs[0], ys[0] = _X, _Y
+    n = 3 * mc.BATCH_SIZE + 1234
+    stacked = simulate(xs, ys, n, 8)
+    assert isinstance(stacked, list) and len(stacked) == 4
+    for i, res in enumerate(stacked):
+        single = simulate(xs[i], ys[i], n, 8)
+        assert type(res) is type(single)
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(res), _leaves(single), strict=True))
+    # the trial returns the single trial's tuple for each row
+    trial = lhv.MODELS[model]
+    for row, (x, y) in zip(trial(xs, ys, 5000, 9), zip(xs, ys)):
+        res, table, oracle, extra = row
+        one = trial(x, y, 5000, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(res), _leaves(one[0]), strict=True))
+        assert table is res.table and np.array_equal(oracle, one[2]) and extra == one[3]
+
+
+_BAD_STACKS = {
+    "unequal-lengths": (np.array([_X, _Y]), np.array([_Y])),
+    "non-unit-row": (np.array([_X, 2 * _Y]), np.array([_Y, _X])),
+    "nan-row": (np.array([_X, [np.nan, 0.0, 1.0]]), np.array([_Y, _X])),
+    "empty": (np.empty((0, 3)), np.empty((0, 3))),
+    "single-and-stack": (_X, np.array([_Y])),
+    "rows-of-two": (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STACKS))
+@pytest.mark.parametrize("model", sorted(_CHOICE_MODELS))
+def test_bad_stacks_are_rejected_before_sampling(model, case, monkeypatch):
+    monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+    with pytest.raises(ValueError, match="direction"):
+        _CHOICE_MODELS[model](*_BAD_STACKS[case], 1000, 0)
+
+
+def test_planted_gd_defect_fails_through_the_stacked_path(monkeypatch):
+    """C05 runs its ten pairs as one stack: Alice's flipped sign fails every
+    pair of a stacked trial at the power n, and C05 itself."""
+    patch, expected = _DEFECTS["gd", "alice-sign-flipped"]
+    x, y = np.array([_X, _Y, _X]), np.array([_Y, _X, -_Y])
+    truth = [oracle for _, _, oracle, _ in lhv.gd_trial(x, y, 100, 11)]
+    n = max(_power_n(t, expected(t, 2)) for t in truth)
+    assert n <= 2_000
+    assert all(table.max_sigma(oracle) <= 5 for _, table, oracle, _ in lhv.gd_trial(x, y, n, 11))
+    assert acceptance.criterion_05(0, 3000).passed
+    patch(monkeypatch)
+    for (_, table, oracle, _), t in zip(lhv.gd_trial(x, y, n, 11), truth, strict=True):
+        assert np.array_equal(oracle, t)
+        assert table.max_sigma(expected(t, 2)) <= 5
+        assert table.max_sigma(oracle) > 5
+    assert not acceptance.criterion_05(0, 3000).passed
 
 
 def test_numpy_float_q_keys_the_same_stream():

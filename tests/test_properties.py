@@ -96,6 +96,12 @@ class _Normals:
         return self.draws.pop(0).reshape(size).copy()
 
 
+@given(flags=hnp.arrays(bool, st.tuples(st.just(3), st.integers(0, 40))))
+def test_select_is_where_on_booleans(flags):
+    mask, a, b = flags
+    assert np.array_equal(lhv._select(mask, a, b), np.where(mask, a, b))
+
+
 @CHECK
 @given(seed=SEEDS, m=BATCH)
 def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
@@ -105,7 +111,8 @@ def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
     # some rows of l1 are +-l0, whose overlaps with x have equal magnitude
     tied = rng.random(m) < 0.3
     g1[tied] = g0[tied] * np.where(rng.random(m) < 0.5, -1.0, 1.0)[tied, None]
-    l0, l1, pick0, a_plus = lhv._choice(_Normals(g0, g1), m, x)
+    l0, l1 = (lhv.sample_sphere_r3(_Normals(g), m) for g in (g0, g1))
+    pick0, a_plus = lhv._choice(l0, l1, x)
     x0, x1 = lhv._dot_rows(l0, x), lhv._dot_rows(l1, x)
     assert np.array_equal(pick0, np.abs(x0) > np.abs(x1))
     assert not pick0[tied].any()

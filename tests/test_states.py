@@ -265,6 +265,20 @@ class TestTwirl:
         rho = states.random_density(2, 2, rng)
         assert abs(flip_witness(twirl(rho)) - flip_witness(rho)) < 1e-12
 
+    @pytest.mark.parametrize("d, phi", [(8, 1.0), (10, 1.0), (9, -1.0)])
+    def test_end_of_range_rounding_is_clamped(self, d, phi):
+        """These witnesses round one ulp outside [-1, 1]; the twirl is the
+        Werner state at phi exactly +-1."""
+        w = werner_phi(d, phi)
+        assert abs(flip_witness(w)) > 1.0
+        assert np.array_equal(twirl(w).mat, werner_phi(d, phi).mat)
+
+    @pytest.mark.parametrize("phi", [1.0 + 1e-9, -1.0 - 1e-9, float("nan")])
+    def test_witness_beyond_rounding_raises(self, phi, monkeypatch):
+        monkeypatch.setattr(states, "flip_witness", lambda rho: phi)
+        with pytest.raises(ValueError, match=r"phi must lie in \[-1, 1\]"):
+            twirl(werner_phi(2, 1.0))
+
 
 class TestSerialization:
     def test_roundtrip(self):
