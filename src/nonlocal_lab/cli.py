@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -74,12 +73,6 @@ def _parse_count(text: str) -> int:
     return int(n)
 
 
-def _by_name(fn, values: dict) -> dict:
-    """The parameters of fn that have no default, each the value of the same
-    name: a named state's flags, or a model trial's inputs."""
-    return {p.name: values[p.name] for p in inspect.signature(fn).parameters.values() if p.default is p.empty}
-
-
 def _build_state(args) -> tuple[states.DensityMatrix, str]:
     """The state of --state-json, or the named state of states.STATES with
     its parameters taken from the flags of the same names."""
@@ -90,7 +83,7 @@ def _build_state(args) -> tuple[states.DensityMatrix, str]:
     if name is None:
         raise ValueError("provide a state name or --state-json")
     make = states.STATES[name]
-    params = _by_name(make, vars(args))
+    params = lhv._by_name(make, vars(args))
     missing = [p for p, v in params.items() if v is None]
     if missing:
         raise ValueError(f"{name} requires --{missing[0]}")
@@ -177,7 +170,7 @@ def cmd_simulate(args) -> int:
     after the table. An estimate with standard error 0 passes a cell when it
     is within mc.EXACT_TOL of the oracle."""
     trial = lhv.MODELS[args.model]
-    res, table, oracle, extra = trial(**_by_name(trial, {**vars(args), "rng": np.random.default_rng(args.seed)}))
+    res, table, oracle, extra = trial(**lhv._by_name(trial, {**vars(args), "rng": np.random.default_rng(args.seed)}))
     code = _table_report(table, oracle, extra, args)
     # a model that also checks a rewrite of its own rule fails on any mismatch
     return EXIT_CHECK_FAILED if getattr(res, "rewrite_mismatches", 0) else code

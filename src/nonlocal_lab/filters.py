@@ -7,12 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, basis_ket, projector, tensor
-from .states import STATES, DensityMatrix, restrict_block, singlet, werner_local
+from .qmat import _check_dim, tensor
+from .states import STATES, DensityMatrix, singlet
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _DEGENERATE_TOL = 1e-12
-_EXPLICIT_PROJECTION_MAX_D = 16
 
 
 @dataclass
@@ -89,36 +88,19 @@ class PopescuResult:
     chsh_horodecki: float
 
 
-def _popescu_closed_form(d: int) -> DensityMatrix:
-    c = d / (d + 2)
-    return DensityMatrix(c * (np.eye(4) / (2 * d)) + c * singlet().mat, 2, 2)
-
-
 def popescu_protocol(d: int) -> PopescuResult:
     """Project both sides of the entangled local Werner state onto the first
     two levels and evaluate CHSH on the surviving two-qubit block.
 
     The block state is (d/(d+2)) (I/(2d) + |Psi-><Psi-|) and its CHSH value
     at the standard settings is 2 sqrt(2) d/(d+2), exceeding 2 for d >= 5.
-    For d above 16 the closed form is used directly; below that the state
-    is also built by explicit projection and checked against it.
     """
     d = _check_dim(d)
     if d < 3:
         raise ValueError(f"popescu_protocol requires d >= 3, got {d}")
-    closed = _popescu_closed_form(d)
+    c = d / (d + 2)
+    w_prime = DensityMatrix(c * (np.eye(4) / (2 * d)) + c * singlet().mat, 2, 2)
     success_prob = 2 * (d + 2) / d**3
-    if d <= _EXPLICIT_PROJECTION_MAX_D:
-        p = projector(basis_ket(d, 0)) + projector(basis_ket(d, 1))
-        outcome = apply_filters(werner_local(d), LocalFilter(p, p))
-        assert outcome.post_state is not None
-        w_prime = restrict_block(outcome.post_state, (0, 1), (0, 1))
-        if np.max(np.abs(w_prime.mat - closed.mat)) > 1e-12:
-            raise RuntimeError("projected block deviates from the closed form")
-        if abs(outcome.success_prob - success_prob) > 1e-12:
-            raise RuntimeError("success probability deviates from the closed form")
-    else:
-        w_prime = closed
     value = chsh_value(w_prime, example_chsh_settings())
     hor = horodecki_m(w_prime)
     return PopescuResult(

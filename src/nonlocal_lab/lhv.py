@@ -7,6 +7,7 @@ sign(0) = +1 throughout.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -575,7 +576,7 @@ def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, worke
 
 
 # The models of `simulate`, by name. A trial takes its inputs (d, q, x, y,
-# rng) by parameter name, plus n, seed and workers.
+# rng) by parameter name (see _by_name), plus n, seed and workers.
 MODELS = {
     "werner": werner_trial,
     "gd": gd_trial,
@@ -584,3 +585,9 @@ MODELS = {
     "povm-lift": povm_lift_trial,
     "barrett": barrett_trial,
 }
+
+
+def _by_name(fn, values: dict) -> dict:
+    """The parameters of fn that have no default, each the value of the same
+    name: a model trial's inputs, or a named state's flags."""
+    return {p.name: values[p.name] for p in inspect.signature(fn).parameters.values() if p.default is p.empty}

@@ -20,22 +20,22 @@ DETAILS = [
     "max excess -0.0257 (tol 1e-9), max shortfall 4.44e-16 (tol 1e-6)",
     "max cell deviation 2.72 sigma over 10 runs (tol 5.0)",
     "estimate 0.036942109 vs 1/27 = 0.037037037, 1.37 sigma",
-    "max deviation 2.21 sigma over 10 direction pairs; rewrite mismatches 0",
-    "max deviation 1.53 sigma over 3 direction pairs",
+    "max deviation 2.32 sigma over 10 direction pairs; rewrite mismatches 0",
+    "max deviation 1.72 sigma over 3 direction pairs",
     "max table/marginal deviation 1.54 sigma; acceptance q=0.1: rates 0.4996/0.4999; "
     "q=0.3: rates 0.4994/0.5000; q=0.5: rates 0.5000/0.4994",
     "max cell deviation 2.57 sigma; fallback-branch rate off 1/2 by 1.37 sigma",
     "q=0.25: |M-(1+q)|=6.7e-06, |M'-(1+q/4)|=2.3e-05; q=0.5: |M-(1+q)|=2.5e-06, |M'-(1+q/4)|=1.1e-05; "
     "flag-state filter: singlet deviation 1.1e-16, CHSH 2.82842712475",
-    "max |err| 4.44e-16 over d=3..8 (tol 1e-10)",
+    "max |err| 8.88e-16 over d=3..8 (tol 1e-10)",
     "max formula error 3.3e-16; min witness over 100 separable states 0.0678",
     "determinism ok; d=2 threshold: min 1.0e-04, norm err 6.7e-16; d=2 inverted: min 2.5e-09, norm err 1.6e-15; "
     "d=3 threshold: min 2.4e-06, norm err 6.7e-16; d=3 inverted: min 1.6e-06, norm err 1.8e-15",
-    "validity ok; joint-table max deviation 1.92 sigma",
+    "max cell deviation 1.92 sigma (tol 5.0)",
 ]
 REPORT_SHA256 = {
     "barrett_d2_table.csv": "5097bc3b70b93ceb734b9c19db4d53073b290cc4a27e637d330b7042e8e2657d",
-    "report.json": "27299a1dbee63baf3a225e76fedc23780c7a26adb8fd20a66a8541064e429603",
+    "report.json": "ebb6df9d0b4b11440984cfecd90e29262627f1196a7bafd0f4fdd9ee10508dc9",
     "scan_rho_g_prime_q0.25.csv": "8d8535eb2474bc7d266a2386d9700b52ea2dfa404f0f8d0e1b88f6bf2064e618",
     "scan_rho_g_prime_q0.5.csv": "f0386eba1417f2cd353c1cc0b40320309f96e1d6ea94dae0339c2784da7ffdaf",
     "scan_rho_g_q0.25.csv": "585bf77d51d33a1e296ea3bd83c0ec3ee1a47272dc6be4d0b724007212d7d7c7",
@@ -61,7 +61,7 @@ def test_criterion(results, cid):
     assert r.passed, f"criterion {cid} failed: {r.detail}"
 
 
-def test_exploratory_comparison_is_reported(results):
+def test_threshold_table_is_reported(results):
     r = results[13]
     assert any("sigma" in f for f in r.findings)
     assert "barrett_d2_table.csv" in r.artifacts

@@ -100,11 +100,18 @@ class TestHirschFilters:
 
 class TestPopescu:
     def test_block_matches_closed_form(self):
-        for d in range(3, 9):
+        """The product returns the closed form; the explicit projection of
+        werner_local(d) onto the first two levels gives the same block and
+        success probability."""
+        for d in range(3, 17):
             res = popescu_protocol(d)
+            p = projector(basis_ket(d, 0)) + projector(basis_ket(d, 1))
+            outcome = apply_filters(states.werner_local(d), LocalFilter(p, p))
+            block = restrict_block(outcome.post_state, (0, 1), (0, 1))
+            assert np.max(np.abs(res.w_prime.mat - block.mat)) < 1e-12
+            assert abs(res.success_prob - outcome.success_prob) < 1e-12
             c = d / (d + 2)
-            closed = c * np.eye(4) / (2 * d) + c * singlet().mat
-            assert np.max(np.abs(res.w_prime.mat - closed)) < 1e-12
+            assert np.max(np.abs(res.w_prime.mat - (c * np.eye(4) / (2 * d) + c * singlet().mat))) < 1e-12
 
     def test_chsh_values(self):
         for d, expect_violation in ((3, False), (4, False), (5, True), (8, True)):

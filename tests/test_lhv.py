@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonlocal_lab import acceptance, cli, lhv, mc, states
+from nonlocal_lab import acceptance, lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
     born_table,
@@ -493,7 +494,7 @@ def _run(model: str, n: int, seed: int = 11, **inputs):
     generator seeded with 7, unless given."""
     trial = lhv.MODELS[model]
     values = {"d": 2, "q": 0.4, "x": _X, "y": _Y, "rng": np.random.default_rng(7), "n": n, "seed": seed, **inputs}
-    return trial(**cli._by_name(trial, values))
+    return trial(**lhv._by_name(trial, values))
 
 
 def _estimate(result, name: str) -> McEstimate:
@@ -637,6 +638,64 @@ def test_planted_defect_fails_the_gate(model, defect, monkeypatch):
     assert np.array_equal(oracle, truth)
     assert table.max_sigma(moved) <= 5  # the defect moved the table as expected
     assert table.max_sigma(oracle) > 5
+
+
+def _threshold_shifted(monkeypatch):
+    """Alice's threshold at 1/(d+1) in place of 1/d. Her leftover weight is
+    still spread by x_k / d, so every response stays normalised and only the
+    table moves."""
+    real = lhv._barrett_responses
+
+    def wrong(u, xw, v, yw, d):
+        _, pb = real(u, xw, v, yw, d)
+        pa = u * xw[:, None] * (u >= 1.0 / (d + 1))
+        pa += (1.0 - pa.sum(axis=0)) * (xw / d)[:, None]
+        return pa, pb
+
+    monkeypatch.setattr(lhv, "_barrett_responses", wrong)
+
+
+# Each planted defect fails its criterion of `reproduce` at seed 0 and the
+# stated n, where the sound code passes; GD's flipped sign fails C05 at
+# n = 3000 (test_planted_gd_defect_fails_through_the_stacked_path). The
+# threshold shift is not in _DEFECTS: its defective table has no closed
+# form, and C13 reads 6.43 sigma on it only at n = 2e5 (5.01 at 1e5), far
+# above the n <= 2000 that test_planted_defect_fails_the_gate keeps.
+_CRITERION_DEFECTS = {
+    "bob-over-d-c12": (_bob_over_d, acceptance.criterion_12, 300),
+    "bob-over-d-c13": (_bob_over_d, acceptance.criterion_13, 300),
+    "threshold-shifted-c13": (_threshold_shifted, acceptance.criterion_13, 200_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CRITERION_DEFECTS))
+def test_planted_defect_fails_its_criterion(case, monkeypatch):
+    patch, criterion, n = _CRITERION_DEFECTS[case]
+    assert criterion(0, n).passed
+    patch(monkeypatch)
+    assert not criterion(0, n).passed
+
+
+@pytest.mark.parametrize("model", sorted(lhv.MODELS))
+def test_c12_sees_one_ulp_at_four_workers(model, monkeypatch):
+    """C12 runs every registry entry at one and four workers: moving one cell
+    of one model's four-worker table by an ulp breaks its determinism."""
+    real = lhv.MODELS[model]
+
+    @functools.wraps(real)
+    def moved(*args, workers=None, **kwargs):
+        res, table, oracle, extra = real(*args, workers=workers, **kwargs)
+        if workers == 4:
+            means = table.means.copy()
+            means.flat[0] = np.nextafter(means.flat[0], np.inf)
+            table = dataclasses.replace(table, means=means)
+        return res, table, oracle, extra
+
+    assert acceptance.criterion_12(0, 3000).detail.startswith("determinism ok")
+    monkeypatch.setitem(lhv.MODELS, model, moved)
+    result = acceptance.criterion_12(0, 3000)
+    assert not result.passed
+    assert result.detail.startswith("determinism BROKEN")
 
 
 def _leaves(result):
