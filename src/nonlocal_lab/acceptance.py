@@ -261,26 +261,33 @@ def criterion_11(seed: int, n: int, workers=None) -> CriterionResult:
     )
 
 
+def _response_errors(responses, povm: measure.Povm, lam: np.ndarray, d: int) -> list[tuple[float, float]]:
+    """(least weight, largest |sum over outcomes - 1|) of each party's
+    response to povm, on both sides, over the hidden variables lam. One
+    model per call, so its (k, n_lambda) arrays are freed before the next."""
+    _, w, kets = measure.povm_refine(povm)
+    u = lhv._overlaps(lhv._overlap_rows(kets), lam)
+    return [(float(p.min()), float(np.max(np.abs(p.sum(axis=0) - 1)))) for p in responses(u, w, u, w, d)]
+
+
 def _response_validity(seed: int, n_lambda: int) -> tuple[bool, str]:
+    """Both overlap models' response functions on shared draws: each
+    response must be a probability distribution over outcomes for every
+    hidden variable."""
     rng = np.random.default_rng(seed)
     msgs = []
     ok = True
     for d in (2, 3):
-        pa = random_projective(d, rng)
-        kets, _ = lhv._refine_projective(pa)
+        proj = random_projective(d, rng)
         lam = lhv.sample_sphere_cd(rng, d, n_lambda)
-        col_sums = lhv._overlaps(lhv._overlap_rows(kets), lam).sum(axis=0)
-        ok = ok and np.max(np.abs(col_sums - 1)) <= 1e-12
-        # minimizer response: exactly one outcome fires by construction
-        ma = random_povm(3, d, rng)
-        _, xw, mk = measure.povm_refine(ma)
-        ua = lhv._overlaps(lhv._overlap_rows(mk), lam)
-        p_alice, p_bob = lhv._barrett_responses(ua, xw, ua, xw, d)
-        for name, p in (("threshold", p_alice), ("inverted", p_bob)):
-            neg = float(p.min())
-            norm_err = float(np.max(np.abs(p.sum(axis=0) - 1)))
-            ok = ok and neg >= -1e-12 and norm_err <= 1e-12
-            msgs.append(f"d={d} {name}: min {neg:.1e}, norm err {norm_err:.1e}")
+        models = [
+            (("minimizer", "quantum"), lhv._werner_responses, proj),
+            (("threshold", "inverted"), lhv._barrett_responses, random_povm(3, d, rng)),
+        ]
+        for names, responses, povm in models:
+            for name, (neg, norm_err) in zip(names, _response_errors(responses, povm, lam, d)):
+                ok = ok and neg >= -1e-12 and norm_err <= 1e-12
+                msgs.append(f"d={d} {name}: min {neg:.1e}, norm err {norm_err:.1e}")
     return ok, "; ".join(msgs)
 
 

@@ -15,43 +15,32 @@ import numpy as np
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, born_table, obs_from_bloch, outcome_sum, povm_refine
 from .measure import random_povm, random_projective, unit_bloch
-from .qmat import projector
+from .qmat import _check_dim, projector
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, singlet, werner2x2, werner_local
 
 
-def sample_sphere_r3(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform point(s) on S^2 as normalized 3-component Gaussian draws,
+def sample_sphere_r3(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform points on S^2 as normalized 3-component Gaussian draws,
     normalised in place with the squared norm summed as np.linalg.norm does
     and every row divided by its norm in one broadcast divide."""
-    v = rng.standard_normal(3 if n is None else (n, 3))
-    r = v[..., 0] * v[..., 0]
-    r += v[..., 1] * v[..., 1]
-    r += v[..., 2] * v[..., 2]
-    r = np.sqrt(r, out=None if n is None else r)  # a single draw has a 0-d r
-    v /= r[..., None]
+    v = rng.standard_normal((n, 3))
+    r = v[:, 0] * v[:, 0]
+    r += v[:, 1] * v[:, 1]
+    r += v[:, 2] * v[:, 2]
+    v /= np.sqrt(r, out=r)[:, None]
     return v
 
 
-def sample_sphere_cd(rng: np.random.Generator, d: int, n: int | None = None) -> np.ndarray:
-    """Haar-uniform unit vector(s) in C^d as normalized complex Gaussians: the
-    (..., d, 2) real/imaginary normals, normalised in place, viewed as complex."""
-    z = rng.standard_normal((d, 2) if n is None else (n, d, 2))
-    flat = z.reshape(-1, 2 * d)
+def sample_sphere_cd(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n Haar-uniform unit vectors in C^d as normalized complex Gaussians: the
+    (n, d, 2) real/imaginary normals, normalised in place, viewed as complex."""
+    z = rng.standard_normal((n, d, 2))
+    flat = z.reshape(n, 2 * d)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return z.view(np.complex128)[..., 0]
 
 
 # -- simulators -------------------------------------------------------------
-
-def _refine_projective(proj: Povm) -> tuple[np.ndarray, list[int]]:
-    """Rank-1 kets of a projective measurement plus the coarse back-map. A
-    POVM is projective when every refined weight is 1: its elements have
-    eigenvalues in {0, 1} and sum to I, so they are orthogonal projectors."""
-    back_map, weights, kets = povm_refine(proj)
-    if np.max(np.abs(weights - 1.0)) > 1e-9:
-        raise ValueError("measurement is not projective: an element has an eigenvalue other than 0 or 1")
-    return kets, back_map
-
 
 # Sample columns per block of an overlap kernel. Each block issues a fixed
 # number of numpy calls that hold the GIL, so wider blocks issue fewer per
@@ -113,6 +102,18 @@ def _argmin_rows(u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _werner_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer and quantum responses as (k, m) rows from overlaps
+    u, v = |<k|lam>|^2 of the refined projective measurements {P_k} and
+    {yw_j Q_j} (every weight is 1).
+
+    Alice: the one-hot row of the refined outcome of least overlap, ties to
+    the lowest row. Bob: y_j v_j, the quantum distribution.
+    """
+    pa = (_argmin_rows(u) == np.arange(len(u))[:, None]).astype(float)
+    return pa, v * yw[:, None]
+
+
 def _barrett_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Threshold and inverted responses as (k, m) rows from overlaps
     u, v = |<k|lam>|^2 of the refined POVMs {xw_k P_k} and {yw_j Q_j}.
@@ -126,6 +127,46 @@ def _barrett_responses(u, xw, v, yw, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pa, (1.0 - v) * (yw / (d - 1))[:, None]
 
 
+def _overlap_table(
+    label: str, responses, d: int, povm_a: Povm, povm_b: Povm, n: int, seed: int, workers: int | None,
+    projective: bool = False,
+) -> JointTable:
+    """Joint table of an overlap model: the hidden variable is a Haar unit
+    vector lam in C^d, and responses(u, xw, v, yw, d) gives both parties'
+    (k, m) outcome weights from the overlaps |<k|lam>|^2 and weights of the
+    refined POVMs, as arrays the caller may overwrite. Each sample adds the
+    outer product of the coarse-grained weights, so every cell averages a
+    probability rather than a count.
+    `projective` requires every refined weight to be 1, that is elements
+    with eigenvalues in {0, 1}: orthogonal projectors."""
+    d = _check_dim(d)
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if povm_a.dim != d or povm_b.dim != d:
+        raise ValueError("measurement dimensions must equal d")
+    bm_a, xw, kets_a = povm_refine(povm_a)
+    bm_b, yw, kets_b = povm_refine(povm_b)
+    if projective and np.max(np.abs(np.concatenate([xw, yw]) - 1.0)) > 1e-9:
+        raise ValueError("measurement is not projective: an element has an eigenvalue other than 0 or 1")
+    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
+    sum_a = outcome_sum(bm_a, len(povm_a.elements))
+    sum_b = outcome_sum(bm_b, len(povm_b.elements))
+
+    def block(lam: np.ndarray):
+        u = _overlaps(w, lam)
+        pa, pb = responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
+        pa, pb = sum_a(pa), sum_b(pb)
+        sums = pa @ pb.T
+        # squared in place: at d = 24 two more (k, m) temporaries per block,
+        # each fresh from the allocator, doubled the block's time
+        pa *= pa
+        pb *= pb
+        return sums, pa @ pb.T
+
+    sums, sumsq = run_batched(n, seed, label, _overlap_kernel(d, w, block), workers)
+    return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
+
+
 def simulate_werner(
     d: int,
     proj_a: Povm,
@@ -134,38 +175,9 @@ def simulate_werner(
     seed: int,
     workers: int | None = None,
 ) -> JointTable:
-    """Estimate the joint table of the minimizer/quantum response pair.
-
-    The hidden variable is a Haar unit vector in C^d. Alice outputs the
-    outcome whose projector overlap is minimal; Bob's per-sample
-    contribution is the full overlap distribution, so each sample adds a
-    probability row rather than a sampled outcome. Both measurements must
-    be projective.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if proj_a.dim != d or proj_b.dim != d:
-        raise ValueError("measurement dimensions must equal d")
-    kets_a, bm_a = _refine_projective(proj_a)
-    kets_b, bm_b = _refine_projective(proj_b)
-    ka, kb = len(proj_a.elements), len(proj_b.elements)
-    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
-    sum_b = outcome_sum(bm_b, kb)
-    # cell[b, i]: flat (a, b) cell of Bob's outcome b when refined ket i is Alice's minimizer
-    cell = np.asarray(bm_a)[None, :] * kb + np.arange(kb)[:, None]
-
-    def block(lam: np.ndarray):
-        u = _overlaps(w, lam)
-        idx = cell.take(_argmin_rows(u[: len(kets_a)]), axis=1).ravel()
-        v = sum_b(u[len(kets_a) :]).ravel()
-        # one pass per moment: each cell still adds its samples in sample order
-        sums = np.bincount(idx, weights=v, minlength=ka * kb)
-        v *= v
-        sumsq = np.bincount(idx, weights=v, minlength=ka * kb)
-        return sums.reshape(ka, kb), sumsq.reshape(ka, kb)
-
-    sums, sumsq = run_batched(n, seed, f"werner:d={d}", _overlap_kernel(d, w, block), workers)
-    return JointTable.from_sums(sums, sumsq, n, seed, proj_a.labels, proj_b.labels)
+    """Estimate the joint table of the minimizer/quantum response pair
+    (_werner_responses). Both measurements must be projective."""
+    return _overlap_table(f"werner:d={d}", _werner_responses, d, proj_a, proj_b, n, seed, workers, projective=True)
 
 
 def simplex_integral_mc(
@@ -178,24 +190,14 @@ def simplex_integral_mc(
 ) -> McEstimate:
     """Estimate the overlap integral restricted to the region where outcome
     a is the minimizer; the exact value is 1/d^3 for every rank-1 projective
-    measurement."""
-    if proj.dim != d:
-        raise ValueError("measurement dimension must equal d")
+    measurement. It is cell (a, a) of the Werner model with Bob measuring in
+    Alice's basis: each sample adds u_a [argmin = a]."""
     if not (isinstance(a, (int, np.integer)) and 0 <= a < d):
         raise ValueError(f"outcome index a must be an integer in range({d}), got {a!r}")
     if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.elements):
         raise ValueError("simplex integral requires a rank-1 measurement")
-    w = _overlap_rows(_refine_projective(proj)[0])
-
-    def block(lam: np.ndarray):
-        u = _overlaps(w, lam)
-        c = u[a] * (_argmin_rows(u) == a)  # u >= 0, so this equals a where(..., 0.0)
-        s = c.sum()
-        c *= c  # then summed pairwise like s: a BLAS dot c @ c sums in another order
-        return np.array([s]), np.array([c.sum()])
-
-    s, s2 = run_batched(n, seed, f"simplex:d={d}:a={a}", _overlap_kernel(d, w, block), workers)
-    return McEstimate.from_sums(float(s[0]), float(s2[0]), n, seed)
+    label = f"simplex:d={d}:a={a}"
+    return _overlap_table(label, _werner_responses, d, proj, proj, n, seed, workers, projective=True).cell(a, a)
 
 
 def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -482,24 +484,7 @@ def simulate_barrett(
     Both responses are probability distributions for every hidden variable,
     so each sample contributes its full outer product of outcome weights.
     """
-    if povm_a.dim != d or povm_b.dim != d:
-        raise ValueError("POVM dimensions must equal d")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    bm_a, xw, kets_a = povm_refine(povm_a)
-    bm_b, yw, kets_b = povm_refine(povm_b)
-    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
-    sum_a = outcome_sum(bm_a, len(povm_a.elements))
-    sum_b = outcome_sum(bm_b, len(povm_b.elements))
-
-    def block(lam: np.ndarray):
-        u = _overlaps(w, lam)
-        pa, pb = _barrett_responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
-        pa, pb = sum_a(pa), sum_b(pb)
-        return pa @ pb.T, (pa * pa) @ (pb * pb).T
-
-    sums, sumsq = run_batched(n, seed, f"barrett:d={d}", _overlap_kernel(d, w, block), workers)
-    return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
+    return _overlap_table(f"barrett:d={d}", _barrett_responses, d, povm_a, povm_b, n, seed, workers)
 
 
 # -- trials: one per model, and the registry of them ------------------------

@@ -139,9 +139,7 @@ class McEstimate:
 
     @classmethod
     def from_sums(cls, s: float, s2: float, n: int, seed: int) -> "McEstimate":
-        mean = s / n
-        var = max(s2 - n * mean * mean, 0.0) / max(n - 1, 1)
-        return cls(float(mean), float(np.sqrt(var / n)), n, seed)
+        return cls(float(s / n), float(_stderr_table(np.float64(s), np.float64(s2), n)), n, seed)
 
     def sigma_ratio(self, target: float) -> float:
         """(mean - target) in units of the standard error."""
@@ -166,6 +164,8 @@ def _sigma_ratios(diff, stderr) -> np.ndarray:
 
 
 def _stderr_table(sums: np.ndarray, sumsq: np.ndarray, n: int) -> np.ndarray:
+    """Standard errors of the means of n samples from their sums and sums
+    of squares, elementwise; the one variance formula of every estimate."""
     means = sums / n
     var = np.maximum(sumsq - n * means**2, 0.0) / max(n - 1, 1)
     return np.sqrt(var / n)

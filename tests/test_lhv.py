@@ -124,11 +124,6 @@ class TestSphereSampling:
         absproj = np.abs(proj)
         assert abs(absproj.mean() - 0.5) < 5 * absproj.std(ddof=1) / np.sqrt(len(lam))
 
-    def test_r3_single_draw(self):
-        v = lhv.sample_sphere_r3(np.random.default_rng(1))
-        assert v.shape == (3,)
-        assert abs(np.linalg.norm(v) - 1) < 1e-12
-
     def test_cd_norms_and_mean_overlap(self, rng):
         for d in (2, 3, 5):
             lam = lhv.sample_sphere_cd(np.random.default_rng(d), d, 200_000)
@@ -266,6 +261,20 @@ class TestInputChecks:
             lhv.simulate_werner(2, basis, povm, 1000, 0)
         with pytest.raises(ValueError, match="not projective|rank-1"):
             lhv.simplex_integral_mc(2, 0, povm, 1000, 0)
+
+    @pytest.mark.parametrize("d", [3.0, 2.5])
+    def test_overlap_models_reject_a_non_integer_d_before_sampling(self, rng, d, monkeypatch):
+        # unchecked, d = 3.0 would pass the dimension check and fail inside the sampler
+        pa, pb = random_projective(3, rng), random_projective(3, rng)
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        runs = [
+            lambda: lhv.simulate_werner(d, pa, pb, 1000, 0),
+            lambda: lhv.simulate_barrett(d, pa, pb, 1000, 0),
+            lambda: lhv.simplex_integral_mc(d, 0, pa, 1000, 0),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="d must be an integer"):
+                run()
 
     @pytest.mark.parametrize("a", [-1, 3])
     def test_simplex_rejects_an_outcome_outside_range_d_before_sampling(self, rng, a, monkeypatch):
@@ -594,8 +603,10 @@ def test_planted_target_fails_the_gate(case, monkeypatch):
 # expected(truth, d); by the bound above, the defective run at
 # _power_n(truth, expected) reads >= 10 sigma off the oracle. GD at x = _X,
 # y = _Y has E(AB) = -0.4, cells 0.15 / 0.35, and Alice's flipped sign swaps
-# them (n = 319). Barrett's Bob row divided by d instead of d - 1 scales
-# every cell by (d - 1) / d, a half at d = 2 (n = 603 for the bases drawn).
+# them (n = 319). Bob's row scaled by (d - 1) / d scales every cell by the
+# same factor, a half at d = 2: in Barrett's model that is his row divided by
+# d instead of d - 1 (n = 603 for the bases drawn), in Werner's a quantum
+# response that no longer sums to 1.
 # A third defect, one sample dropped per overlap block, is left out: it
 # biases each cell by about 1/8192 of itself at d = 2, so 10 sigma needs
 # n >= 100 (1 - p) / p * 8192^2, about 2e10 at p = 1/4, out of tier-1's reach.
@@ -606,20 +617,37 @@ def _alice_sign_flipped(monkeypatch):
     monkeypatch.setattr(lhv, "_pm_counts", lambda a_plus, b_plus: real(~a_plus, b_plus))
 
 
-def _bob_over_d(monkeypatch):
-    real = lhv._barrett_responses
+def _bob_scaled(responses: str):
+    """The patch that scales Bob's row of the response function
+    lhv.<responses> by (d - 1) / d."""
 
-    def wrong(u, xw, v, yw, d):
-        pa, pb = real(u, xw, v, yw, d)
-        return pa, pb * ((d - 1) / d)
+    def patch(monkeypatch):
+        real = getattr(lhv, responses)
 
-    monkeypatch.setattr(lhv, "_barrett_responses", wrong)
+        def wrong(u, xw, v, yw, d):
+            pa, pb = real(u, xw, v, yw, d)
+            return pa, pb * ((d - 1) / d)
+
+        monkeypatch.setattr(lhv, responses, wrong)
+
+    return patch
+
+
+_bob_over_d = _bob_scaled("_barrett_responses")
+_werner_bob_scaled = _bob_scaled("_werner_responses")
+
+
+def _alice_argmax(monkeypatch):
+    """Alice outputs the outcome of largest overlap in place of the least."""
+    real = lhv._werner_responses
+    monkeypatch.setattr(lhv, "_werner_responses", lambda u, xw, v, yw, d: real(-u, xw, v, yw, d))
 
 
 _DEFECTS = {
     # (model, defect): the patch and the expected table of the defective model
     ("gd", "alice-sign-flipped"): (_alice_sign_flipped, lambda truth, d: truth[::-1]),
     ("barrett", "bob-over-d"): (_bob_over_d, lambda truth, d: truth * ((d - 1) / d)),
+    ("werner", "bob-scaled"): (_werner_bob_scaled, lambda truth, d: truth * ((d - 1) / d)),
 }
 
 
@@ -661,9 +689,14 @@ def _threshold_shifted(monkeypatch):
 # threshold shift is not in _DEFECTS: its defective table has no closed
 # form, and C13 reads 6.43 sigma on it only at n = 2e5 (5.01 at 1e5), far
 # above the n <= 2000 that test_planted_defect_fails_the_gate keeps.
+# Alice's argmax fails C03 but passes C12: her row is still one-hot, so
+# every response stays normalised and only the table moves.
 _CRITERION_DEFECTS = {
     "bob-over-d-c12": (_bob_over_d, acceptance.criterion_12, 300),
     "bob-over-d-c13": (_bob_over_d, acceptance.criterion_13, 300),
+    "werner-bob-scaled-c12": (_werner_bob_scaled, acceptance.criterion_12, 300),
+    "werner-bob-scaled-c03": (_werner_bob_scaled, acceptance.criterion_03, 300),
+    "werner-alice-argmax-c03": (_alice_argmax, acceptance.criterion_03, 300),
     "threshold-shifted-c13": (_threshold_shifted, acceptance.criterion_13, 200_000),
 }
 
@@ -839,6 +872,21 @@ def test_numpy_float_q_keys_the_same_stream():
         assert all(np.array_equal(a, b) for a, b in zip(plain, numpy_q))
 
 
+def test_numpy_integer_d_keys_the_same_stream():
+    """The stream label holds d, which a numpy integer prints as a plain int."""
+    gen = np.random.default_rng(6)
+    pa, pb = random_projective(3, gen), random_projective(3, gen)
+    runs = [
+        lambda d: lhv.simulate_werner(d, pa, pb, 2000, 1),
+        lambda d: lhv.simulate_barrett(d, pa, pb, 2000, 1),
+        lambda d: lhv.simplex_integral_mc(d, 0, pa, 2000, 1),
+    ]
+    for run in runs:
+        plain, numpy_d = _leaves(run(3)), _leaves(run(np.int64(3)))
+        assert len(plain) == len(numpy_d)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, numpy_d))
+
+
 @pytest.mark.parametrize("model", ["werner", "simplex", "barrett"])
 def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
     """Column blocks of the real width against one block per batch, over a
@@ -862,7 +910,7 @@ def test_block_width_fits_the_budget():
         # the widest such power of two whose (rows, w) floats fit, unless at the floor
         assert 8 * rows * w <= lhv._BLOCK_BYTES or w == lhv._MIN_BLOCK
         assert 16 * rows * w > lhv._BLOCK_BYTES or w == mc.BATCH_SIZE
-    # the overlap rows of Werner at d = 2, 3 and of simplex at d = 3
+    # the overlap rows of two rank-1 measurements at d = 2, 3, 8 and 24, and of one at d = 3
     assert [lhv._block_width(r) for r in (8, 12, 6, 32, 96)] == [8192, 4096, 8192, 2048, 2048]
 
 
@@ -893,8 +941,8 @@ class TestStreamConsumption:
 
     def test_r3_sampler_matches_norm_formula(self):
         for seed in (5, 6, 7):
-            for n in (None, 1, 7, 50_000):
-                z = np.random.default_rng(seed).standard_normal(3 if n is None else (n, 3))
+            for n in (1, 7, 50_000):
+                z = np.random.default_rng(seed).standard_normal((n, 3))
                 expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
                 assert np.array_equal(lhv.sample_sphere_r3(np.random.default_rng(seed), n), expected)
 
@@ -904,14 +952,14 @@ class TestStreamConsumption:
         for one vector, for row-wise input and for a sum of sphere points."""
         gen = np.random.default_rng(seed)
         l0, l1 = lhv.sample_sphere_r3(gen, 50_000), lhv.sample_sphere_r3(gen, 50_000)
-        x = lhv.sample_sphere_r3(gen)
+        x = lhv.sample_sphere_r3(gen, 1)[0]
         for v, w in ((l0, x), (l0, l1), (l0 + l1, x), (gen.standard_normal((999, 3)), gen.standard_normal(3))):
             assert np.array_equal(lhv._dot_rows(v, w), np.einsum("ij,ij->i", v, np.broadcast_to(w, v.shape)))
 
     def test_cd_sampler_matches_complex_formula(self):
         for d in (1, 2, 3, 24):
-            for n in (None, 1, 5_000):
-                z = np.random.default_rng(d).standard_normal((d, 2) if n is None else (n, d, 2))
+            for n in (1, 5_000):
+                z = np.random.default_rng(d).standard_normal((n, d, 2))
                 lam = z[..., 0] + 1j * z[..., 1]
                 expected = lam / np.linalg.norm(lam, axis=-1, keepdims=True)
                 got = lhv.sample_sphere_cd(np.random.default_rng(d), d, n)

@@ -106,7 +106,7 @@ def test_select_is_where_on_booleans(flags):
 @given(seed=SEEDS, m=BATCH)
 def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
     rng = np.random.default_rng(seed)
-    x = lhv.sample_sphere_r3(rng)
+    x = lhv.sample_sphere_r3(rng, 1)[0]
     g0, g1 = rng.standard_normal((2, m, 3))
     # some rows of l1 are +-l0, whose overlaps with x have equal magnitude
     tied = rng.random(m) < 0.3
@@ -124,7 +124,7 @@ def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
 @given(seed=SEEDS, m=BATCH, q=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)), rows=st.booleans())
 def test_hirsch_alice_accepts_only_inside_the_protocol(seed, m, q, rows):
     rng = np.random.default_rng(seed)
-    v = lhv.sample_sphere_r3(rng, m) if rows else lhv.sample_sphere_r3(rng)
+    v = lhv.sample_sphere_r3(rng, m) if rows else lhv.sample_sphere_r3(rng, 1)[0]
     lam, r = lhv.sample_sphere_r3(rng, m), rng.random(m)
     u1, u2 = np.random.default_rng(seed + 1).random((2, m))
     a_plus, acc = lhv._hirsch_alice(q, v, lam, r, np.random.default_rng(seed + 1))
