@@ -55,14 +55,10 @@ class ChshResult:
         }
 
 
-def _require_two_qubits(rho: DensityMatrix) -> None:
-    if (rho.d_a, rho.d_b) != (2, 2):
-        raise ValueError(f"two-qubit state required, got {rho.d_a}x{rho.d_b}")
-
-
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows."""
-    _require_two_qubits(rho)
+    if (rho.d_a, rho.d_b) != (2, 2):
+        raise ValueError(f"two-qubit state required, got {rho.d_a}x{rho.d_b}")
     t = realigned_trace(_PAULI_ROWS, rho, _PAULI_ROWS).real
     if np.abs(t).max() > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")

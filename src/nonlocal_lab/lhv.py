@@ -60,19 +60,6 @@ def _block_width(rows: int) -> int:
     return min(BATCH_SIZE, max(_MIN_BLOCK, fit))
 
 
-def _overlap_kernel(d: int, w: np.ndarray, block):
-    """Batch kernel drawing m Haar samples in C^d in one call, so the stream
-    is unchanged, then summing the tuples block(samples) over column blocks
-    of _block_width(len(w)) samples in block order."""
-    width = _block_width(len(w))
-
-    def kernel(rng: np.random.Generator, m: int):
-        lam = sample_sphere_cd(rng, d, m)
-        return ordered_sum(block(lam[s : s + width]) for s in range(0, m, width))
-
-    return kernel
-
-
 def _overlap_rows(kets: np.ndarray) -> np.ndarray:
     """Real (2k, 2d) form of k kets: against the interleaved floats of a
     sample, rows :k give Re <k|lam> and rows k: give Im <k|lam>."""
@@ -163,7 +150,15 @@ def _overlap_table(
         pb *= pb
         return sums, pa @ pb.T
 
-    sums, sumsq = run_batched(n, seed, label, _overlap_kernel(d, w, block), workers)
+    width = _block_width(len(w))
+
+    def kernel(rng: np.random.Generator, m: int):
+        # one draw of all m samples, so the stream does not depend on the
+        # width; the block tuples are summed in block order
+        lam = sample_sphere_cd(rng, d, m)
+        return ordered_sum(block(lam[s : s + width]) for s in range(0, m, width))
+
+    sums, sumsq = run_batched(n, seed, label, kernel, workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
 
 
@@ -382,14 +377,6 @@ def simulate_hirsch_projective(
     return HirschResult(*_pm_results(cells, n, seed), accept)
 
 
-def _bloch_rows(kets: np.ndarray) -> np.ndarray:
-    """Bloch vectors of rank-1 qubit projectors |v><v|."""
-    a, b = kets[:, 0], kets[:, 1]
-    return np.stack(
-        [2 * (a.conj() * b).real, 2 * (a.conj() * b).imag, (np.abs(a) ** 2 - np.abs(b) ** 2)], axis=1
-    )
-
-
 @dataclass
 class LiftResult:
     table: JointTable
@@ -398,17 +385,34 @@ class LiftResult:
     target: DensityMatrix
 
 
-def _choice_cdf(weights: np.ndarray) -> np.ndarray:
-    """Inner cumulative weights; the last outcome takes any rounding shortfall."""
-    return np.cumsum(weights)[:-1]
-
-
 def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcomes drawn by uniforms u: the count of _choice_cdf entries <= u."""
+    """Outcomes drawn by uniforms u from inner cumulative weights cdf (the
+    last outcome takes any rounding shortfall): the count of entries <= u."""
     idx = np.zeros(len(u), dtype=np.intp)
     for c in cdf:
         idx += c <= u
     return idx
+
+
+def _lift_party(povm: Povm, sigma: np.ndarray, d: int):
+    """One party's steps of the lift on its refined POVM {alpha_a |v_a><v_a|}:
+    step(rng, m, hit) draws refined outcomes a with probability alpha_a/d,
+    takes hit(Bloch rows of the v_a) as the mask of samples where the base
+    model answers a, else draws a with probability tr(alpha_a |v_a><v_a| sigma),
+    and returns the coarse outcomes and the hit mask."""
+    back_map, weights, kets = povm_refine(povm)
+    k0, k1 = kets[:, 0], kets[:, 1]
+    bloch = np.stack([2 * (k0.conj() * k1).real, 2 * (k0.conj() * k1).imag, np.abs(k0) ** 2 - np.abs(k1) ** 2], axis=1)
+    cdf_pick = np.cumsum(weights / d)[:-1]
+    cdf4 = np.cumsum([np.trace(w * projector(v) @ sigma).real for w, v in zip(weights, kets)])[:-1]
+    back_map = np.asarray(back_map)
+
+    def step(rng: np.random.Generator, m: int, hit):
+        idx = _pick(cdf_pick, rng.random(m))
+        hits = hit(np.take(bloch, idx, axis=0))
+        return back_map[np.where(hits, idx, _pick(cdf4, rng.random(m)))], hits
+
+    return step
 
 
 def simulate_povm_lift(
@@ -435,29 +439,16 @@ def simulate_povm_lift(
     d = 2
     if povm_a.dim != d or povm_b.dim != d:
         raise ValueError(f"POVMs must act on dimension {d}")
-    sigma_a = np.asarray(sigma_a, dtype=complex)
-    sigma_b = np.asarray(sigma_b, dtype=complex)
-    bm_a, alphas, kets_a = povm_refine(povm_a)
-    bm_b, betas, kets_b = povm_refine(povm_b)
-    bloch_a, bloch_b = _bloch_rows(kets_a), _bloch_rows(kets_b)
-    cdf_pick_a = _choice_cdf(alphas / d)
-    cdf_pick_b = _choice_cdf(betas / d)
-    step4_pmf_a = np.array([np.trace(w * projector(v) @ sigma_a).real for w, v in zip(alphas, kets_a)])
-    step4_pmf_b = np.array([np.trace(w * projector(v) @ sigma_b).real for w, v in zip(betas, kets_b)])
-    cdf4_a = _choice_cdf(step4_pmf_a)
-    cdf4_b = _choice_cdf(step4_pmf_b)
-    bm_a_arr, bm_b_arr = np.asarray(bm_a), np.asarray(bm_b)
+    target = lift_state(rho_g(q), sigma_a, sigma_b)  # checks both sigmas before any sampling
+    party_a = _lift_party(povm_a, np.asarray(sigma_a, dtype=complex), d)
+    party_b = _lift_party(povm_b, np.asarray(sigma_b, dtype=complex), d)
     ka, kb = len(povm_a.elements), len(povm_b.elements)
 
     def kernel(rng: np.random.Generator, m: int):
         lam, r = sample_sphere_r3(rng, m), rng.random(m)
-        a_idx = _pick(cdf_pick_a, rng.random(m))
-        hit_a, _ = _hirsch_alice(q, np.take(bloch_a, a_idx, axis=0), lam, r, rng)
-        a_out = np.where(hit_a, a_idx, _pick(cdf4_a, rng.random(m)))
-        b_idx = _pick(cdf_pick_b, rng.random(m))
-        hit_b = _dot_rows(lam, np.take(bloch_b, b_idx, axis=0)) >= 0
-        b_out = np.where(hit_b, b_idx, _pick(cdf4_b, rng.random(m)))
-        cells = np.bincount(bm_a_arr[a_out] * kb + bm_b_arr[b_out], minlength=ka * kb).astype(float)
+        a_out, hit_a = party_a(rng, m, lambda v: _hirsch_alice(q, v, lam, r, rng)[0])
+        b_out, hit_b = party_b(rng, m, lambda v: _dot_rows(lam, v) >= 0)
+        cells = np.bincount(a_out * kb + b_out, minlength=ka * kb).astype(float)
         miss = np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
         return cells, miss
 
@@ -467,7 +458,7 @@ def simulate_povm_lift(
         table=JointTable.from_sums(cells, cells, n, seed, povm_a.labels, povm_b.labels),
         step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
         step4_b=McEstimate.from_sums(miss[1], miss[1], n, seed),
-        target=lift_state(rho_g(q), sigma_a, sigma_b),
+        target=target,
     )
 
 

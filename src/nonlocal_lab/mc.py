@@ -27,6 +27,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .qmat import _check_dim
+
 BATCH_SIZE = 1 << 15
 
 Kernel = Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
@@ -101,8 +103,10 @@ def run_batched(
 
     The kernel receives (rng, count) and must return a tuple of float
     arrays whose shapes do not depend on count. Partials are summed in
-    batch order regardless of which worker computed them.
+    batch order regardless of which worker computed them. A non-integer n or
+    seed (1000.0, NaN) is a ValueError before the first draw.
     """
+    n, seed = _check_dim(n, "sample count"), _check_dim(seed, "seed")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     counts = [min(BATCH_SIZE, n - j * BATCH_SIZE) for j in range((n + BATCH_SIZE - 1) // BATCH_SIZE)]

@@ -130,26 +130,26 @@ def povm_refine(povm: Povm) -> tuple[list[int], np.ndarray, np.ndarray]:
 
 
 def outcome_sum(back_map: list[int], k: int):
-    """Function x, axis -> x summed along axis (0 or 1) from refined outcomes
-    onto the k coarse outcomes of back_map, as povm_refine returns it.
+    """Function x -> the rows of x summed from refined outcomes onto the k
+    coarse outcomes of back_map, as povm_refine returns it.
 
     The pieces of each coarse outcome are added in refined order by one
     np.add.reduceat over a stable sort of the map, planned here once. A
     coarse outcome with no refined piece (a zero element or projector) gets
-    zeros; under the identity map the array is returned unchanged.
+    a row of zeros; under the identity map the array is returned unchanged.
     """
     bm = np.arange(k)[np.asarray(back_map, dtype=np.intp)]
     if np.array_equal(bm, np.arange(k)):
-        return lambda x, axis=0: x
+        return lambda x: x
     order = np.argsort(bm, kind="stable")
     present, starts = np.unique(bm[order], return_index=True)
 
-    def summed(x: np.ndarray, axis: int = 0) -> np.ndarray:
-        s = np.add.reduceat(np.take(x, order, axis=axis), starts, axis=axis)
+    def summed(x: np.ndarray) -> np.ndarray:
+        s = np.add.reduceat(np.take(x, order, axis=0), starts, axis=0)
         if len(present) == k:
             return s
-        out = np.zeros(s.shape[:axis] + (k,) + s.shape[axis + 1 :], dtype=s.dtype)
-        out[(slice(None),) * axis + (present,)] = s
+        out = np.zeros((k,) + s.shape[1:], dtype=s.dtype)
+        out[present] = s
         return out
 
     return summed

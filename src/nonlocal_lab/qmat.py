@@ -8,7 +8,6 @@ slow index, so ``tensor(A, B) == np.kron(A, B)``.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -48,8 +47,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_dim(d, what: str = "d") -> int:
-    """A dimension as an int: numpy integers pass, anything without
-    __index__ (2.5, 2.0) is a ValueError."""
+    """An integer argument (a dimension, a sample count, a seed) as an int:
+    numpy integers pass, anything without __index__ (2.5, 2.0, NaN) is a
+    ValueError."""
     try:
         return operator.index(d)
     except TypeError:
@@ -148,31 +148,6 @@ def is_density(m: np.ndarray) -> DensityCheck:
     min_eig = float(np.linalg.eigvalsh(m).min())
     ok = bool(min_eig >= -PSD_TOL and tr_err <= TRACE_TOL)
     return DensityCheck(ok, herm, min_eig, float(tr_err))
-
-
-def json_fields(text: str, *keys: str) -> list:
-    """Values of keys in the JSON object text; any other text is a ValueError."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
-        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
-    return [obj[k] for k in keys]
-
-
-def encode_matrix(m: np.ndarray) -> list[list[float]]:
-    """A matrix as JSON: its entries in row-major order as [re, im] pairs."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
-
-
-def decode_matrix(entries) -> np.ndarray:
-    """The square complex matrix that encode_matrix wrote as entries."""
-    try:
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError):
-        raise ValueError("matrix entries must be a list of [re, im] number pairs") from None
-    d = int(round(np.sqrt(flat.size)))
-    if d * d != flat.size:
-        raise ValueError(f"expected a square matrix, got {flat.size} entries")
-    return flat.reshape(d, d)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

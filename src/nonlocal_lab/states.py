@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import _check_dim, basis_ket, decode_matrix, encode_matrix, flip, is_density, json_fields, ket, partial_trace, projector, tensor
+from .qmat import _check_dim, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 @dataclass
@@ -52,26 +52,39 @@ class DensityMatrix:
         return partial_trace(self.mat, self.d_a, self.d_b, side=traced)
 
     def to_json(self) -> str:
-        return json.dumps({"dA": self.d_a, "dB": self.d_b, "entries": encode_matrix(self.mat)})
+        """{"dA": int, "dB": int, "entries": [[re, im], ...]}, the entries of
+        the matrix in row-major order."""
+        entries = [[float(z.real), float(z.imag)] for z in self.mat.reshape(-1)]
+        return json.dumps({"dA": self.d_a, "dB": self.d_b, "entries": entries})
 
     @classmethod
     def from_json(cls, text: str) -> "DensityMatrix":
-        d_a, d_b, entries = json_fields(text, "dA", "dB", "entries")
-        mat = decode_matrix(entries)
-        if type(d_a) is not int or type(d_b) is not int or mat.shape[0] != d_a * d_b:
-            raise ValueError(f"expected integers dA, dB with (dA*dB)^2 entries, got {d_a!r}, {d_b!r}, {mat.size}")
-        return cls(mat, d_a, d_b)
+        """The state that to_json wrote; any other text is a ValueError."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or not obj.keys() >= {"dA", "dB", "entries"}:
+            raise ValueError("expected a JSON object with the keys dA, dB, entries")
+        d_a, d_b = obj["dA"], obj["dB"]
+        try:
+            flat = np.array([complex(re, im) for re, im in obj["entries"]])
+        except (TypeError, ValueError):
+            raise ValueError("matrix entries must be a list of [re, im] number pairs") from None
+        d = int(round(np.sqrt(flat.size)))
+        if d * d != flat.size:
+            raise ValueError(f"expected a square matrix, got {flat.size} entries")
+        if type(d_a) is not int or type(d_b) is not int or d != d_a * d_b:
+            raise ValueError(f"expected integers dA, dB with (dA*dB)^2 entries, got {d_a!r}, {d_b!r}, {flat.size}")
+        return cls(flat.reshape(d, d), d_a, d_b)
 
 
 def singlet() -> DensityMatrix:
     """|Psi-><Psi-| with |Psi-> = (|01> - |10>)/sqrt(2)."""
-    psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
-    return DensityMatrix._trusted(projector(psi), 2, 2)
+    return DensityMatrix._trusted(projector(singlet_ket()), 2, 2)
 
 
 def singlet_ket(d_a: int = 2, d_b: int = 2) -> np.ndarray:
     """(|01> - |10>)/sqrt(2), supported on the first two local levels."""
-    psi = (tensor(basis_ket(d_a, 0), basis_ket(d_b, 1)) - tensor(basis_ket(d_a, 1), basis_ket(d_b, 0)))
+    psi = np.zeros(d_a * d_b, dtype=complex)
+    psi[1], psi[d_b] = 1.0, -1.0  # |01> and |10> in the product basis
     return psi / np.sqrt(2)
 
 
@@ -107,12 +120,6 @@ def werner2x2(alpha: float) -> DensityMatrix:
     return DensityMatrix._trusted(w, 2, 2)
 
 
-def antisymmetric_projector(d: int) -> np.ndarray:
-    """Projector onto span{(|ij> - |ji>)/sqrt(2), i < j} = (I - V)/2."""
-    v = flip(d)  # first, so that flip's check of d runs before np.eye sees it
-    return (np.eye(d * d) - v) / 2
-
-
 def barrett_alpha(d: int) -> float:
     return (d - 1) ** (d - 1) * (3 * d - 1) / ((d + 1) * d**d)
 
@@ -126,7 +133,8 @@ def barrett_state(d: int) -> DensityMatrix:
     if d < 2:
         raise ValueError(f"barrett_state requires d >= 2, got {d}")
     alpha = barrett_alpha(d)
-    anti = antisymmetric_projector(d)
+    v = flip(d)  # first, so that flip's check of d runs before np.eye sees it
+    anti = (np.eye(d * d) - v) / 2  # the projector onto the antisymmetric subspace
     w = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
     return DensityMatrix._trusted(w, d, d)
 

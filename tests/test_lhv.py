@@ -295,6 +295,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"q in \[0, 1/2\]"):
             run()
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [(np.full((2, 2), np.nan), "sigma is not a valid state"), (np.eye(3) / 3, "expected a 2x2 single-party state")],
+    )
+    @pytest.mark.parametrize("party", ["a", "b"])
+    def test_lift_rejects_a_bad_sigma_before_sampling(self, sigma, message, party, monkeypatch):
+        monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+        good, z = projector(basis_ket(2, 0)), obs_from_bloch([0.0, 0.0, 1.0])
+        sigmas = (sigma, good) if party == "a" else (good, sigma)
+        with pytest.raises(ValueError, match=message):
+            lhv.simulate_povm_lift(0.4, *sigmas, z, z, 2_000_000, 0)
+
+    @pytest.mark.parametrize("bad", [{"n": 1000.0}, {"n": float("nan")}, {"n": float("inf")}, {"seed": 1.5}])
+    @pytest.mark.parametrize("model", sorted(lhv.MODELS))
+    def test_non_integer_n_or_seed_is_rejected_before_the_first_draw(self, model, bad, monkeypatch):
+        monkeypatch.setattr(mc, "batch_rng", _no_sampling)
+        with pytest.raises(ValueError, match="must be an integer"):
+            _run(model, **{"n": 1000, **bad})
+
+    def test_numpy_integer_n_and_seed_keep_the_stream(self):
+        for model in lhv.MODELS:
+            plain, numpy_ints = _run(model, 1000, seed=3)[1], _run(model, np.int64(1000), seed=np.uint32(3))[1]
+            assert np.array_equal(plain.means, numpy_ints.means) and np.array_equal(plain.stderrs, numpy_ints.stderrs)
+
 
 class TestSimplexIntegral:
     def test_quadrature_oracle_d3(self):
@@ -497,12 +521,12 @@ class TestBarrett:
 _X, _Y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
 
 
-def _run(model: str, n: int, seed: int = 11, **inputs):
+def _run(model: str, n: int, seed: int = 11, rng_seed: int = 7, **inputs):
     """The trial of lhv.MODELS[model] at (n, seed), its inputs taken by
     parameter name as `simulate` takes them: d=2, q=0.4, x=_X, y=_Y and a
-    generator seeded with 7, unless given."""
+    generator seeded with rng_seed, unless given."""
     trial = lhv.MODELS[model]
-    values = {"d": 2, "q": 0.4, "x": _X, "y": _Y, "rng": np.random.default_rng(7), "n": n, "seed": seed, **inputs}
+    values = {"d": 2, "q": 0.4, "x": _X, "y": _Y, "rng": np.random.default_rng(rng_seed), "n": n, "seed": seed, **inputs}
     return trial(**lhv._by_name(trial, values))
 
 
@@ -643,26 +667,76 @@ def _alice_argmax(monkeypatch):
     monkeypatch.setattr(lhv, "_werner_responses", lambda u, xw, v, yw, d: real(-u, xw, v, yw, d))
 
 
+def _bob_reads_l0(monkeypatch):
+    """Bob ignores the bit and always reads l0: GD's rule, so the one-bit
+    model simulates werner2x2(1/2), whose table is (singlet's + 1/4) / 2."""
+    real = lhv._choice
+    monkeypatch.setattr(lhv, "_choice", lambda l0, l1, x: (np.ones(len(l0), dtype=bool), real(l0, l1, x)[1]))
+
+
+def _noise_flipped(monkeypatch):
+    """Alice's non-accepted samples give +1 with probability (1 - v_z) / 2 in
+    place of (1 + v_z) / 2, her sound output negated there. The mixture
+    model then simulates _rho_g_flipped(q); the lift shares her half."""
+    real = lhv._hirsch_alice
+
+    def wrong(q, v, lam, r, rng):
+        a_plus, acc = real(q, v, lam, r, rng)
+        return a_plus ^ ~acc, acc
+
+    monkeypatch.setattr(lhv, "_hirsch_alice", wrong)
+
+
+def _rho_g_flipped(q: float) -> states.DensityMatrix:
+    """q |Psi-><Psi-| + (1-q) |1><1| (x) I/2: rho_g(q) with the flag on |1>."""
+    noise = np.kron(projector(basis_ket(2, 1)), np.eye(2) / 2)
+    return states.DensityMatrix(q * states.singlet().mat + (1 - q) * noise, 2, 2)
+
+
+def _table_on_rho_g_flipped(model: str, **inputs):
+    """The expected table of a defect that swaps rho_g for _rho_g_flipped:
+    the model's oracle with lhv.rho_g, its target's base state, swapped."""
+
+    def expected(truth, d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lhv, "rho_g", _rho_g_flipped)
+            return _run(model, 100, **inputs)[2]
+
+    return expected
+
+
 _DEFECTS = {
-    # (model, defect): the patch and the expected table of the defective model
-    ("gd", "alice-sign-flipped"): (_alice_sign_flipped, lambda truth, d: truth[::-1]),
-    ("barrett", "bob-over-d"): (_bob_over_d, lambda truth, d: truth * ((d - 1) / d)),
-    ("werner", "bob-scaled"): (_werner_bob_scaled, lambda truth, d: truth * ((d - 1) / d)),
+    # (model, defect): the patch, the expected table of the defective model
+    # and the trial's inputs where they differ from _run's
+    ("gd", "alice-sign-flipped"): (_alice_sign_flipped, lambda truth, d: truth[::-1], {}),
+    ("barrett", "bob-over-d"): (_bob_over_d, lambda truth, d: truth * ((d - 1) / d), {}),
+    ("werner", "bob-scaled"): (_werner_bob_scaled, lambda truth, d: truth * ((d - 1) / d), {}),
+    ("epr1bit", "bob-reads-l0"): (_bob_reads_l0, lambda truth, d: (truth + 1 / 4) / 2, {}),
+    ("hirsch", "noise-flipped"): (_noise_flipped, _table_on_rho_g_flipped("hirsch"), {}),
+    # the lift's POVMs drawn at rng_seed 29 show the defect at n = 1133, those
+    # of the default seed 7 only at n = 29214
+    ("povm-lift", "noise-flipped"): (_noise_flipped, _table_on_rho_g_flipped("povm-lift", rng_seed=29), {"rng_seed": 29}),
 }
+
+
+def test_defects_cover_every_model():
+    assert {model for model, _ in _DEFECTS} == set(lhv.MODELS)
 
 
 @pytest.mark.parametrize("model, defect", sorted(_DEFECTS))
 def test_planted_defect_fails_the_gate(model, defect, monkeypatch):
     assert model in lhv.MODELS
-    patch, expected = _DEFECTS[model, defect]
-    truth = _run(model, 100)[2]
+    patch, expected, inputs = _DEFECTS[model, defect]
+    truth = _run(model, 100, **inputs)[2]
     moved = expected(truth, 2)
-    n = _power_n(truth, moved)
+    # at least 1000 samples, so that no cell of the sound run is likely empty:
+    # the hirsch defect shows at n = 22, where a cell of p = 0.02 reads 0 +- 0
+    n = max(_power_n(truth, moved), 1_000)
     assert n <= 2_000  # keeps the control cheap
-    _, table, oracle, _ = _run(model, n)
+    _, table, oracle, _ = _run(model, n, **inputs)
     assert table.max_sigma(oracle) <= 5  # the sound model passes at this n
     patch(monkeypatch)
-    _, table, oracle, _ = _run(model, n)
+    _, table, oracle, _ = _run(model, n, **inputs)
     assert np.array_equal(oracle, truth)
     assert table.max_sigma(moved) <= 5  # the defect moved the table as expected
     assert table.max_sigma(oracle) > 5
@@ -842,7 +916,7 @@ def test_bad_stacks_are_rejected_before_sampling(model, case, monkeypatch):
 def test_planted_gd_defect_fails_through_the_stacked_path(monkeypatch):
     """C05 runs its ten pairs as one stack: Alice's flipped sign fails every
     pair of a stacked trial at the power n, and C05 itself."""
-    patch, expected = _DEFECTS["gd", "alice-sign-flipped"]
+    patch, expected, _ = _DEFECTS["gd", "alice-sign-flipped"]
     x, y = np.array([_X, _Y, _X]), np.array([_Y, _X, -_Y])
     truth = [oracle for _, _, oracle, _ in lhv.gd_trial(x, y, 100, 11)]
     n = max(_power_n(t, expected(t, 2)) for t in truth)

@@ -19,7 +19,8 @@ rng = np.random.default_rng(515)
 
 def coarse_grain(table, back_map_a, back_map_b, ka, kb):
     """A refined-outcome table summed onto coarse outcomes on both axes."""
-    return outcome_sum(back_map_b, kb)(outcome_sum(back_map_a, ka)(np.asarray(table, dtype=float), 0), 1)
+    rows = outcome_sum(back_map_a, ka)(np.asarray(table, dtype=float))
+    return outcome_sum(back_map_b, kb)(rows.T).T
 
 
 def rand_unit3():
