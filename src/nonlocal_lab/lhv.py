@@ -8,6 +8,7 @@ sign(0) = +1 throughout.
 from __future__ import annotations
 
 import inspect
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,13 @@ def sample_sphere_r3(rng: np.random.Generator, n: int) -> np.ndarray:
     return v
 
 
-def sample_sphere_cd(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+def sample_sphere_cd(rng: np.random.Generator, d: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """n Haar-uniform unit vectors in C^d as normalized complex Gaussians: the
-    (n, d, 2) real/imaginary normals, normalised in place, viewed as complex."""
-    z = rng.standard_normal((n, d, 2))
+    (n, d, 2) real/imaginary normals, normalised in place, viewed as complex.
+    The normals fill `out`, a C-contiguous (n, d, 2) float array, if given.
+    SFC64 fills its normals in sequence and each row's norm is summed alone,
+    so n samples drawn in consecutive pieces equal one draw of all n."""
+    z = rng.standard_normal((n, d, 2)) if out is None else rng.standard_normal(out=out)
     flat = z.reshape(n, 2 * d)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return z.view(np.complex128)[..., 0]
@@ -66,10 +70,11 @@ def _overlap_rows(kets: np.ndarray) -> np.ndarray:
     return np.concatenate([kets, 1j * kets]).view(float)
 
 
-def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _overlaps(w: np.ndarray, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|<k|lam>|^2 for the kets of w, outcome-major (k, m): a real GEMM on the
-    float view of the (m, d) samples, squared and summed as re^2 + im^2."""
-    p = w @ lam.view(float).T
+    float view of the (m, d) samples, written into `out` (2k, m) if given,
+    squared and summed as re^2 + im^2."""
+    p = np.matmul(w, lam.view(float).T, out=out)
     p *= p
     k = len(p) // 2
     p[:k] += p[k:]
@@ -139,8 +144,8 @@ def _overlap_table(
     sum_a = outcome_sum(bm_a, len(povm_a.elements))
     sum_b = outcome_sum(bm_b, len(povm_b.elements))
 
-    def block(lam: np.ndarray):
-        u = _overlaps(w, lam)
+    def block(lam: np.ndarray, p: np.ndarray):
+        u = _overlaps(w, lam, p)
         pa, pb = responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
         pa, pb = sum_a(pa), sum_b(pb)
         sums = pa @ pb.T
@@ -151,12 +156,24 @@ def _overlap_table(
         return sums, pa @ pb.T
 
     width = _block_width(len(w))
+    # one normals and one flat overlap buffer per worker thread, kept across
+    # its batches: buffers made per batch were mmapped whenever malloc's
+    # threshold sat below their size (C13 after C03: 68k page faults, +17%)
+    buffers = threading.local()
 
     def kernel(rng: np.random.Generator, m: int):
-        # one draw of all m samples, so the stream does not depend on the
-        # width; the block tuples are summed in block order
-        lam = sample_sphere_cd(rng, d, m)
-        return ordered_sum(block(lam[s : s + width]) for s in range(0, m, width))
+        # each block draws its samples in sample order, so the stream does not
+        # depend on the width; a flat buffer keeps a partial block's (rows, c)
+        # overlaps contiguous; the block tuples are summed in block order
+        if not hasattr(buffers, "flat"):
+            buffers.normals, buffers.flat = np.empty((width, d, 2)), np.empty(len(w) * width)
+        normals, flat = buffers.normals, buffers.flat
+
+        def drawn(s: int):
+            c = min(width, m - s)
+            return block(sample_sphere_cd(rng, d, c, normals[:c]), flat[: len(w) * c].reshape(len(w), c))
+
+        return ordered_sum(drawn(s) for s in range(0, m, width))
 
     sums, sumsq = run_batched(n, seed, label, kernel, workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

@@ -143,7 +143,8 @@ class McEstimate:
 
     @classmethod
     def from_sums(cls, s: float, s2: float, n: int, seed: int) -> "McEstimate":
-        return cls(float(s / n), float(_stderr_table(np.float64(s), np.float64(s2), n)), n, seed)
+        # n and seed as Python ints, so that a run on numpy integers is JSON
+        return cls(float(s / n), float(_stderr_table(np.float64(s), np.float64(s2), n)), int(n), int(seed))
 
     def sigma_ratio(self, target: float) -> float:
         """(mean - target) in units of the standard error."""
@@ -188,7 +189,8 @@ class JointTable:
 
     @classmethod
     def from_sums(cls, sums, sumsq, n, seed, labels_a, labels_b) -> "JointTable":
-        return cls(sums / n, _stderr_table(np.asarray(sums), np.asarray(sumsq), n), n, seed, list(labels_a), list(labels_b))
+        stderrs = _stderr_table(np.asarray(sums), np.asarray(sumsq), n)
+        return cls(sums / n, stderrs, int(n), int(seed), list(labels_a), list(labels_b))  # ints: as McEstimate
 
     def cell(self, a: int, b: int) -> McEstimate:
         return McEstimate(float(self.means[a, b]), float(self.stderrs[a, b]), self.n, self.seed)

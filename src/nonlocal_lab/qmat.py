@@ -61,8 +61,11 @@ def flip(d: int) -> np.ndarray:
     d = _check_dim(d)
     if d < 2:
         raise ValueError(f"flip requires d >= 2, got {d}")
-    # V[(j, i), (i, j)] = 1: the identity with its two row factors swapped
-    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
+    # V[(j, i), (i, j)] = 1: one scatter of ones into zeros, column c = (i, j)
+    v = np.zeros((d * d, d * d), dtype=complex)
+    c = np.arange(d * d)
+    v[c % d * d + c // d, c] = 1.0
+    return v
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -97,8 +97,13 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
         raise ValueError(f"werner_phi requires d >= 2, got {d}")
     if not -1.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [-1, 1], got {phi}")
-    v = flip(d)
-    w = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d**3 - d)
+    # built in place in V's one array with the bits of the formula: adding
+    # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
+    w = flip(d)
+    w *= d * phi - 1
+    w += 0.0
+    w.reshape(-1)[:: d * d + 1] += d - phi
+    w /= d**3 - d
     return DensityMatrix._trusted(w, d, d)
 
 
@@ -133,9 +138,16 @@ def barrett_state(d: int) -> DensityMatrix:
     if d < 2:
         raise ValueError(f"barrett_state requires d >= 2, got {d}")
     alpha = barrett_alpha(d)
-    v = flip(d)  # first, so that flip's check of d runs before np.eye sees it
-    anti = (np.eye(d * d) - v) / 2  # the projector onto the antisymmetric subspace
-    w = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
+    # alpha A / tr(A) + (1 - alpha) I / d^2 for the antisymmetric projector
+    # A = (I - V) / 2, built in place in V's one array with the bits of that
+    # formula; the last += 0.0 clears the signed zeros the scaling left
+    w = flip(d)
+    w *= -0.5
+    w.reshape(-1)[:: d * d + 1] += 0.5
+    w *= alpha
+    w /= d * (d - 1) / 2  # tr(A), the dimension of the antisymmetric subspace
+    w += 0.0
+    w.reshape(-1)[:: d * d + 1] += (1 - alpha) / d**2
     return DensityMatrix._trusted(w, d, d)
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from nonlocal_lab import acceptance, lhv, mc, states
+from nonlocal_lab import acceptance, cli, lhv, mc, states
 from nonlocal_lab.measure import (
     Povm,
     born_table,
@@ -318,6 +320,17 @@ class TestInputChecks:
         for model in lhv.MODELS:
             plain, numpy_ints = _run(model, 1000, seed=3)[1], _run(model, np.int64(1000), seed=np.uint32(3))[1]
             assert np.array_equal(plain.means, numpy_ints.means) and np.array_equal(plain.stderrs, numpy_ints.stderrs)
+
+    @pytest.mark.parametrize("model", sorted(lhv.MODELS))
+    def test_numpy_integer_n_and_seed_reach_json(self, model):
+        """Every table and estimate stores n and seed as Python ints, so the
+        `simulate` payload of a run on numpy integers is JSON."""
+        result, table = _run(model, np.int64(1000), seed=np.int64(3))[:2]
+        payload = json.loads(cli._dump_json(table.to_dict()))
+        assert (payload["n"], payload["seed"]) == (1000, 3)
+        for est in [result, *(getattr(result, f.name) for f in dataclasses.fields(result))]:
+            if isinstance(est, (McEstimate, JointTable)):
+                assert type(est.n) is int and type(est.seed) is int
 
 
 class TestSimplexIntegral:
@@ -975,6 +988,49 @@ def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("model", ["werner", "barrett"])
+@pytest.mark.parametrize("d", [2, 3, 8, 24])
+def test_overlap_kernel_draws_do_not_depend_on_the_width(model, d, monkeypatch):
+    """Each block draws its samples into the worker's one normals buffer; at
+    block widths 128, 2048 and the default the kernel sees, bit for bit, the
+    samples of one whole-batch draw from the same batch streams, over one
+    sample, partial batches that end in a partial block, and two batches."""
+    gen = np.random.default_rng(70 + d)
+    pa, pb = random_projective(d, gen), random_projective(d, gen)
+    simulate = {"werner": lhv.simulate_werner, "barrett": lhv.simulate_barrett}[model]
+    default_width, overlaps, seen = lhv._block_width, lhv._overlaps, []
+
+    def recording(w, lam, out=None):
+        seen.append(lam.copy())
+        return overlaps(w, lam, out)
+
+    monkeypatch.setattr(lhv, "_overlaps", recording)
+    for n in (1, 2047, 2049, mc.BATCH_SIZE + 3):
+        counts = [min(mc.BATCH_SIZE, n - s) for s in range(0, n, mc.BATCH_SIZE)]
+        rngs = [mc.batch_rng(5, f"{model}:d={d}", j) for j in range(len(counts))]
+        whole = np.concatenate([lhv.sample_sphere_cd(r, d, c) for r, c in zip(rngs, counts)])
+        for width in (128, 2048, None):
+            monkeypatch.setattr(lhv, "_block_width", default_width if width is None else lambda rows, w=width: w)
+            seen.clear()
+            simulate(d, pa, pb, n, 5, workers=1)
+            assert np.array_equal(np.concatenate(seen), whole)
+
+
+def test_overlap_kernel_never_holds_a_batch_of_draws():
+    """At d = 24 one batch of draws is 12.6 MB of normals; the kernel holds
+    one block of them, and a whole run peaks well below one batch."""
+    d = 24
+    gen = np.random.default_rng(24)
+    pa, pb = random_projective(d, gen), random_projective(d, gen)
+    tracemalloc.start()
+    try:
+        lhv.simulate_werner(d, pa, pb, mc.BATCH_SIZE, 0, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mc.BATCH_SIZE * d * 2 * 8 / 2
+
+
 def test_block_width_fits_the_budget():
     assert lhv._BLOCK_BYTES == 1 << 19 and lhv._MIN_BLOCK == 2048
     for rows in range(1, 400):
@@ -999,9 +1055,12 @@ class TestSlicedProducts:
         gen = np.random.default_rng(1000 * d + m)
         kets = np.concatenate([haar_unitary(d, gen), haar_unitary(d, gen)])
         lam = lhv.sample_sphere_cd(gen, d, m)
-        u = lhv._overlaps(lhv._overlap_rows(kets), lam)
+        rows = lhv._overlap_rows(kets)
+        u = lhv._overlaps(rows, lam)
         assert u.shape == (2 * d, m)
         assert np.max(np.abs(u - np.abs(kets.conj() @ lam.T) ** 2)) <= 1e-12
+        # the kernel's product into a reused buffer gives the same bits
+        assert np.array_equal(lhv._overlaps(rows, lam, np.empty((len(rows), m))), u)
 
 
 class TestStreamConsumption:

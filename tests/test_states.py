@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ class TestBarrett:
         for d in range(2, 7):
             assert barrett_alpha(d) > 1 / (1 + d)
             assert flip_witness(barrett_state(d)) < 0
+
+
+class TestInPlaceConstruction:
+    """werner_phi and barrett_state build the state in flip's one d^2 x d^2
+    array: the bytes of the plain formulas, signed zeros included, at the
+    memory of one matrix."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
+    def test_bytes_of_the_plain_formulas(self, d):
+        v = flip(d)
+        for phi in (werner_local_phi(d), 0.3, -1.0, 1.0):
+            plain = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d**3 - d)
+            assert werner_phi(d, phi).mat.tobytes() == plain.tobytes()
+        alpha = barrett_alpha(d)
+        anti = (np.eye(d * d) - v) / 2
+        plain = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
+        assert barrett_state(d).mat.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("build", [werner_local, barrett_state])
+    def test_peak_is_one_matrix(self, build):
+        d = 24
+        tracemalloc.start()
+        try:
+            build(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * d**4
 
 
 class TestRhoG:
