@@ -8,6 +8,7 @@ per-criterion seeds derived from the master seed.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -263,38 +264,49 @@ def criterion_11(seed: int, n: int, workers=None) -> CriterionResult:
     )
 
 
-def _response_errors(responses, povm: measure.Povm, lam: np.ndarray, d: int) -> list[tuple[float, float]]:
+# Hidden variables per block of C12's validity check: one piece of all 1e5
+# held 39 MiB of draws, overlaps and responses at once.
+_VALIDITY_BLOCK = 8192
+
+
+def _response_errors(responses, povm: measure.Povm, rng: np.random.Generator, d: int, n_lambda: int) -> list[tuple[float, float]]:
     """(least weight, largest |sum over outcomes - 1|) of each party's
-    response to povm, on both sides, over the hidden variables lam. One
-    model per call, so its (k, n_lambda) arrays are freed before the next."""
+    response to povm, on both sides, over n_lambda hidden variables drawn
+    from rng in blocks of _VALIDITY_BLOCK, which together equal one draw of
+    all n_lambda; folded over the blocks, NaN included. The POVM is refined
+    once, and each block's (k, m) arrays are freed before the next."""
     _, w, kets = measure.povm_refine(povm)
-    u = lhv._overlaps(lhv._overlap_rows(kets), lam)
-    return [(float(p.min()), float(np.max(np.abs(p.sum(axis=0) - 1)))) for p in responses(u, w, u, w, d)]
+    rows = lhv._overlap_rows(kets)
+    per_block = []
+    for s in range(0, n_lambda, _VALIDITY_BLOCK):
+        u = lhv._overlaps(rows, lhv.sample_sphere_cd(rng, d, min(_VALIDITY_BLOCK, n_lambda - s)))
+        per_block.append([(p.min(), np.max(np.abs(p.sum(axis=0) - 1))) for p in responses(u, w, u, w, d)])
+    folded = np.array(per_block)  # (blocks, parties, 2)
+    return [(float(neg), float(err)) for neg, err in zip(folded[..., 0].min(axis=0), folded[..., 1].max(axis=0))]
 
 
-def _response_validity(seed: int, n_lambda: int) -> tuple[bool, str]:
-    """Both overlap models' response functions on shared draws: each
-    response must be a probability distribution over outcomes for every
-    hidden variable."""
+def _response_validity(seed: int, n_lambda: int) -> list[tuple[str, float, float]]:
+    """(label, least weight, largest |sum over outcomes - 1|) of each
+    response of both overlap models on shared draws: per d, a projective
+    measurement, n_lambda hidden variables, then a POVM, all from one
+    generator. The draws are walked in blocks; the POVM model, drawn after
+    them, replays them from a copy of the generator."""
     rng = np.random.default_rng(seed)
-    msgs = []
-    ok = True
+    rows = []
     for d in (2, 3):
         proj = random_projective(d, rng)
-        lam = lhv.sample_sphere_cd(rng, d, n_lambda)
-        models = [
-            (("minimizer", "quantum"), lhv._werner_responses, proj),
-            (("threshold", "inverted"), lhv._barrett_responses, random_povm(3, d, rng)),
-        ]
-        for names, responses, povm in models:
-            for name, (neg, norm_err) in zip(names, _response_errors(responses, povm, lam, d)):
-                ok = ok and neg >= -1e-12 and norm_err <= 1e-12
-                msgs.append(f"d={d} {name}: min {neg:.1e}, norm err {norm_err:.1e}")
-    return ok, "; ".join(msgs)
+        replay = copy.deepcopy(rng)
+        errors = _response_errors(lhv._werner_responses, proj, rng, d, n_lambda)
+        errors += _response_errors(lhv._barrett_responses, random_povm(3, d, rng), replay, d, n_lambda)
+        rows += [(f"d={d} {name}", *e) for name, e in zip(("minimizer", "quantum", "threshold", "inverted"), errors)]
+    return rows
 
 
 def criterion_12(seed: int, n: int, workers=None) -> CriterionResult:
-    valid, detail = _response_validity(_seed(seed, 12), 100_000)
+    # each response must be a probability distribution over outcomes for every hidden variable
+    validity = _response_validity(_seed(seed, 12), 100_000)
+    valid = all(neg >= -1e-12 and norm_err <= 1e-12 for _, neg, norm_err in validity)
+    detail = "; ".join(f"{label}: min {neg:.1e}, norm err {norm_err:.1e}" for label, neg, norm_err in validity)
     n_small = min(n, 2 * mc.BATCH_SIZE)  # two batches, so four workers still split each run
     deterministic = True
     for k, trial in enumerate(lhv.MODELS.values()):

@@ -8,7 +8,6 @@ sign(0) = +1 throughout.
 from __future__ import annotations
 
 import inspect
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,18 +155,12 @@ def _overlap_table(
         return sums, pa @ pb.T
 
     width = _block_width(len(w))
-    # one normals and one flat overlap buffer per worker thread, kept across
-    # its batches: buffers made per batch were mmapped whenever malloc's
-    # threshold sat below their size (C13 after C03: 68k page faults, +17%)
-    buffers = threading.local()
 
     def kernel(rng: np.random.Generator, m: int):
         # each block draws its samples in sample order, so the stream does not
         # depend on the width; a flat buffer keeps a partial block's (rows, c)
         # overlaps contiguous; the block tuples are summed in block order
-        if not hasattr(buffers, "flat"):
-            buffers.normals, buffers.flat = np.empty((width, d, 2)), np.empty(len(w) * width)
-        normals, flat = buffers.normals, buffers.flat
+        normals, flat = np.empty((width, d, 2)), np.empty(len(w) * width)
 
         def drawn(s: int):
             c = min(width, m - s)
@@ -259,6 +252,13 @@ def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.where(mask, a, b) for boolean a and b, as (mask & a) | (~mask & b):
     on a random mask of 2^15 samples np.where took about 8x as long."""
     return (mask & a) | (~mask & b)
+
+
+def _select_index(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.where(mask, a, b) for integer a and b, as b + mask * (a - b), exact
+    in integers: on a random mask of 2^15 samples np.where took about 3x as
+    long."""
+    return b + mask * (a - b)
 
 
 def _choice(l0: np.ndarray, l1: np.ndarray, x: np.ndarray):
@@ -427,7 +427,7 @@ def _lift_party(povm: Povm, sigma: np.ndarray, d: int):
     def step(rng: np.random.Generator, m: int, hit):
         idx = _pick(cdf_pick, rng.random(m))
         hits = hit(np.take(bloch, idx, axis=0))
-        return back_map[np.where(hits, idx, _pick(cdf4, rng.random(m)))], hits
+        return back_map[_select_index(hits, idx, _pick(cdf4, rng.random(m)))], hits
 
     return step
 

@@ -13,6 +13,16 @@ process, so the pool's workers, not BLAS threads, occupy the cores: a
 threaded product, such as the complex GEMM of one Born table at d >= 12,
 leaves an OpenBLAS thread spinning for about 135 ms of CPU after it
 returns, which on two cores takes one from the pool.
+
+Importing it also pins glibc's malloc: the mmap threshold at 32 MiB and
+the trim threshold at 64 MiB, the ceiling glibc's dynamic threshold
+drifts to on 64-bit and twice it, whatever the process allocated before.
+Unpinned, a kernel's per-batch arrays (786 KB of S^2 points per 2^15
+samples) were mmapped and page-faulted afresh in every batch until
+something large raised the threshold: a second `simulate_gd_w2x2` at
+n = 1e6 took about 20k minor faults, a second
+`acceptance.run_all(0, 10**6, 2)` about 5k; pinned, 0 and about 200.
+Off glibc the pin is skipped.
 """
 
 from __future__ import annotations
@@ -57,6 +67,27 @@ def _numpy_openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
 _OPENBLAS = _numpy_openblas()
 if _OPENBLAS is not None:
     _OPENBLAS[0](1)
+
+
+def _glibc_mallopt() -> Callable[[int, int], int] | None:
+    """glibc's mallopt(param, value), or None when the C library is not
+    glibc (musl and macOS have no such thresholds to pin)."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+# mallopt parameters from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOPT = _glibc_mallopt()
+if _MALLOPT is not None:
+    _MALLOPT(_M_MMAP_THRESHOLD, 32 << 20)
+    _MALLOPT(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def worker_count(workers: int | None = None) -> int:

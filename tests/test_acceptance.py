@@ -6,10 +6,12 @@ checks and writes the report files.
 """
 
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from nonlocal_lab import acceptance
+from nonlocal_lab import acceptance, lhv, measure
 
 CRITERION_IDS = list(range(1, 14))
 
@@ -78,3 +80,41 @@ def test_report_bytes_are_golden(results, tmp_path):
     acceptance.write_report([results[cid] for cid in CRITERION_IDS], tmp_path, 0, acceptance.FULL_POWER_N)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == REPORT_SHA256
+
+
+def _one_shot_validity(seed: int, n_lambda: int) -> list[tuple[str, float, float]]:
+    """C12's validity rows evaluated over all n_lambda draws at once, in the
+    order of its draws: per d, the projective measurement, the hidden
+    variables, then the POVM."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for d in (2, 3):
+        proj = measure.random_projective(d, rng)
+        lam = lhv.sample_sphere_cd(rng, d, n_lambda)
+        povm = measure.random_povm(3, d, rng)
+        models = [(("minimizer", "quantum"), lhv._werner_responses, proj), (("threshold", "inverted"), lhv._barrett_responses, povm)]
+        for names, responses, m in models:
+            _, w, kets = measure.povm_refine(m)
+            u = lhv._overlaps(lhv._overlap_rows(kets), lam)
+            for name, p in zip(names, responses(u, w, u, w, d)):
+                rows.append((f"d={d} {name}", float(p.min()), float(np.max(np.abs(p.sum(axis=0) - 1)))))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validity_blocks_equal_one_draw(seed):
+    """Walking the draws in blocks, the last one partial, keeps every draw
+    and every raw float."""
+    rows = acceptance._response_validity(acceptance._seed(seed, 12), 100_000)
+    assert rows == _one_shot_validity(acceptance._seed(seed, 12), 100_000)
+
+
+def test_validity_holds_one_block_at_a_time():
+    """One piece of all 1e5 draws peaked at 39 MiB of draws, overlaps and responses."""
+    tracemalloc.start()
+    try:
+        acceptance._response_validity(acceptance._seed(0, 12), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

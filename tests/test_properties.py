@@ -5,6 +5,7 @@ so a failure reports the seed and dimensions that reproduce it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -100,6 +101,16 @@ class _Normals:
 def test_select_is_where_on_booleans(flags):
     mask, a, b = flags
     assert np.array_equal(lhv._select(mask, a, b), np.where(mask, a, b))
+
+
+@pytest.mark.parametrize("kind", ["random", "all true", "all false"])
+def test_select_index_is_where_on_integers(kind):
+    rng = np.random.default_rng(11)
+    m = 1 << 15
+    a, b = rng.integers(0, 6, (2, m)).astype(np.intp)
+    mask = {"random": rng.random(m) < 0.5, "all true": np.ones(m, bool), "all false": np.zeros(m, bool)}[kind]
+    picked = lhv._select_index(mask, a, b)
+    assert picked.dtype == np.intp and np.array_equal(picked, np.where(mask, a, b))
 
 
 @CHECK
