@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import operator_rows, realigned_trace, unit_bloch
+from .measure import unit_bloch
 from .qmat import PAULIS
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
-_PAULI_ROWS = operator_rows(PAULIS, 2)
+_PAULI_ROWS = np.array(PAULIS).transpose(0, 2, 1).reshape(3, 4)  # rows sigma_n.T.ravel()
 
 
 @dataclass
@@ -59,7 +59,10 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows."""
     if (rho.d_a, rho.d_b) != (2, 2):
         raise ValueError(f"two-qubit state required, got {rho.d_a}x{rho.d_b}")
-    t = realigned_trace(_PAULI_ROWS, rho, _PAULI_ROWS).real
+    # realigned R[(a, c), (b, d)] = rho[(a, b), (c, d)] and one product: the
+    # latency path; measure.born_table contracts slab by slab for memory
+    r = rho.mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    t = (_PAULI_ROWS @ r @ _PAULI_ROWS.T).real
     if np.abs(t).max() > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t

@@ -65,18 +65,6 @@ def obs_from_bloch(v) -> Povm:
     return Povm([(I2 + m) / 2, (I2 - m) / 2], [1.0, -1.0])
 
 
-def operator_rows(ops: list[np.ndarray], d: int) -> np.ndarray:
-    """Stack local operators as rows A.T.ravel()."""
-    return np.array(ops, dtype=complex).reshape(len(ops), d, d).transpose(0, 2, 1).reshape(len(ops), d * d)
-
-
-def realigned_trace(rows_a: np.ndarray, rho: DensityMatrix, rows_b: np.ndarray) -> np.ndarray:
-    """tr(rho A_i (x) B_j) from operator rows and R[(a, c), (b, d)] = rho[(a, b), (c, d)]."""
-    da, db = rho.d_a, rho.d_b
-    r = rho.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    return rows_a @ r @ rows_b.T
-
-
 def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: list[np.ndarray]) -> np.ndarray:
     """Matrix of joint Born probabilities tr(rho A_i (x) B_j), clamped to [0, 1].
 
@@ -93,9 +81,18 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     shape_b = next((m.shape for m in b if m.shape != (db, db)), (db, db))
     if shape_a != (da, da) or shape_b != (db, db):
         raise ValueError(f"operator dimensions {shape_a}, {shape_b} do not match state ({da}, {db})")
-    # one realigned_trace of the stacked operator rows: O(k d^4) in place of
-    # a d^2 x d^2 Kronecker product and matmul per pair
-    vals = realigned_trace(operator_rows(a, da), rho, operator_rows(b, db))
+    # tr(rho A_i (x) B_j) = rows_a R rows_b^T over operator rows A.T.ravel(),
+    # with R[(x, u), (y, v)] = rho[(x, y), (u, v)]: O(k d^4) in place of a
+    # d^2 x d^2 Kronecker product and matmul per pair. R is never built: for
+    # each Alice index x, the (d_b, d_a, d_b) slab rho[(x, .), .] transposed is
+    # rows x d_a .. (x + 1) d_a of R, and rows_a R is summed slab by slab, so
+    # the state is copied one slab, 1/d_a of it, at a time
+    rows_a = np.array(a).reshape(len(a), da, da).transpose(0, 2, 1).reshape(len(a), da * da)
+    left = np.zeros((len(a), db * db), dtype=complex)
+    for x in range(da):
+        slab = rho.mat[x * db : (x + 1) * db].reshape(db, da, db).transpose(1, 0, 2)
+        left += rows_a[:, x * da : (x + 1) * da] @ slab.reshape(da, db * db)
+    vals = left @ np.array(b).reshape(len(b), db, db).transpose(0, 2, 1).reshape(len(b), db * db).T
     if not np.isfinite(vals).all():
         raise ValueError("joint probability is not finite")
     nonreal = vals[np.abs(vals.imag) > PROB_TOL]
@@ -115,11 +112,24 @@ def povm_refine(povm: Povm) -> tuple[list[int], np.ndarray, np.ndarray]:
     Returns the back-map that sends each piece to the index of its
     originating coarse outcome, so coarse probabilities are recovered by
     summation, and the weights alpha and unit kets v (as rows) of the pieces.
+
+    A rank-1 element needs no eigensolve. For a positive E, tr(E)^2 - |E|_F^2
+    is twice the sum of the eigenvalue products; at most ZERO_WEIGHT_TOL
+    tr(E)^2, it leaves every eigenvalue but the largest below about
+    ZERO_WEIGHT_TOL tr(E), which the eigensolve would drop too. Such an E is
+    tr(E) |v><v|, v its largest-diagonal column j over sqrt(E_jj tr E).
     """
     back_map: list[int] = []
     weights: list[float] = []
     kets: list[np.ndarray] = []
     for i, e in enumerate(povm.elements):
+        tr = e.trace().real
+        if tr > ZERO_WEIGHT_TOL and tr * tr - np.vdot(e, e).real <= ZERO_WEIGHT_TOL * tr * tr:
+            j = int(np.argmax(e.diagonal().real))
+            back_map.append(i)
+            weights.append(tr)
+            kets.append(e[:, j] / math.sqrt(e[j, j].real * tr))
+            continue
         vals, vecs = hermitian_eig(e)
         for k, w in enumerate(vals):
             if w > ZERO_WEIGHT_TOL:

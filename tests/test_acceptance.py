@@ -31,15 +31,15 @@ DETAILS = [
     "flag-state filter: singlet deviation 1.1e-16, CHSH 2.82842712475",
     "max |err| 8.88e-16 over d=3..8 (tol 1e-10)",
     "max formula error 3.3e-16; min witness over 100 separable states 0.0678",
-    "determinism ok; d=2 minimizer: min 0.0e+00, norm err 0.0e+00; d=2 quantum: min 6.5e-06, norm err 1.3e-15; "
+    "determinism ok; d=2 minimizer: min 0.0e+00, norm err 0.0e+00; d=2 quantum: min 6.5e-06, norm err 1.0e-15; "
     "d=2 threshold: min 1.0e-04, norm err 6.7e-16; d=2 inverted: min 2.5e-09, norm err 1.6e-15; "
-    "d=3 minimizer: min 0.0e+00, norm err 0.0e+00; d=3 quantum: min 4.9e-07, norm err 1.1e-15; "
+    "d=3 minimizer: min 0.0e+00, norm err 0.0e+00; d=3 quantum: min 4.9e-07, norm err 1.2e-15; "
     "d=3 threshold: min 2.4e-06, norm err 6.7e-16; d=3 inverted: min 1.6e-06, norm err 1.8e-15",
     "max cell deviation 1.92 sigma (tol 5.0)",
 ]
 REPORT_SHA256 = {
     "barrett_d2_table.csv": "5097bc3b70b93ceb734b9c19db4d53073b290cc4a27e637d330b7042e8e2657d",
-    "report.json": "d151b44a14aeae8dc5784155a21babcd4bd07f64a652477246b9883479c1e751",
+    "report.json": "cb24494eb09bbf06b23dba9e14b1377070a819d9d22c38fa0ebc1333de1e8385",
     "scan_rho_g_prime_q0.25.csv": "8d8535eb2474bc7d266a2386d9700b52ea2dfa404f0f8d0e1b88f6bf2064e618",
     "scan_rho_g_prime_q0.5.csv": "f0386eba1417f2cd353c1cc0b40320309f96e1d6ea94dae0339c2784da7ffdaf",
     "scan_rho_g_q0.25.csv": "585bf77d51d33a1e296ea3bd83c0ec3ee1a47272dc6be4d0b724007212d7d7c7",

@@ -104,9 +104,9 @@ GOLDEN = {
     "simulate povm-lift --q 0.4 json": [0, "4a1a273f08a72e289ceb87b98c7ea0f33d935f0e36674cd94be440c98547de98"],
     "simulate werner --d 2 csv": [0, "eeed40a9370754070c37754844ff894cb60794146e60218675d01c41e8dd90f1"],
     "simulate werner --d 2 json": [0, "fac0dc332efadaf10d44e2d47eb6e5072a33193776504c7581ff7a580bea0c7e"],
-    "simulate werner --d 3 csv": [0, "8ac80341ebb855cce4fca10df9312955f90c3df8aa4266df1ecd6b947248a826"],
+    "simulate werner --d 3 csv": [0, "b3c7bd09616ff850774f16312921cb2df472307c08e00ded3ba14dbe9c8a2bfe"],
     "simulate werner --d 3 json": [0, "5cae47ea0501c5030e0c6c3b3a5486914d6675583252922ed5fcb25a85033e2c"],
-    "simulate werner --d 8 csv": [0, "f3e68b02b34d5e00da6dff149e88e1abe8ecdbc7712e3a7bce4dac48dc962602"],
+    "simulate werner --d 8 csv": [0, "7d19cd02a59bcfe8b715127205cac3685fd1842f5ceda3e11f35c869258ce124"],
     "simulate werner --d 8 json": [0, "8983030aeeef659b5bd5b81759c4837f9e3ade36e132a595d3a1421d72794597"],
     "witness barrett json": [0, "605390eab7727f6e62c87c44ad3ad450d0fbc5927fc68fa99f032d5875b6343c"],
     "witness barrett text": [0, "0bac13c620054ecee58eeddbcae5110b86a75014d3252349d6e280b6ba597b62"],

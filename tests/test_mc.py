@@ -60,6 +60,18 @@ class TestRunBatched:
         with pytest.raises(ValueError, match="NONLOCAL_LAB_THREADS"):
             run_batched(10, 1, "t", bernoulli_kernel)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, 2.0, float("nan"), "2"])
+    def test_rejects_non_positive_integer_workers(self, workers):
+        # the rule NONLOCAL_LAB_THREADS already follows; a float, even 2.0, is no count
+        with pytest.raises(ValueError, match="workers"):
+            worker_count(workers)
+        with pytest.raises(ValueError, match="workers"):
+            run_batched(10, 1, "t", bernoulli_kernel, workers=workers)
+
+    def test_numpy_integer_workers(self):
+        assert worker_count(np.int64(3)) == 3
+        assert type(worker_count(np.int64(3))) is int
+
     def test_ordered_sum_follows_iteration_order(self):
         parts = [(np.array([1e16]), np.array([1.0, 2.0])), (np.array([1.0]), np.array([3.0, 4.0])), (np.array([-1e16]), np.array([0.5, 0.5]))]
         s, t = ordered_sum(iter(parts))

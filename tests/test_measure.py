@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nonlocal_lab import states
+from nonlocal_lab import measure, states
 from nonlocal_lab.measure import (
     Povm,
     born_table,
@@ -12,7 +14,7 @@ from nonlocal_lab.measure import (
     random_projective,
     unit_bloch,
 )
-from nonlocal_lab.qmat import PAULIS, SZ, basis_ket, haar_ket, projector, tensor
+from nonlocal_lab.qmat import PAULIS, SZ, basis_ket, haar_ket, hermitian_eig, projector, tensor
 
 rng = np.random.default_rng(515)
 
@@ -164,6 +166,45 @@ class TestBornTable:
             assert table.shape == (3, 4)
             assert np.max(np.abs(table - kron_table(rho, ma, nb))) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_realigned_product(self, d):
+        # reference: the whole realigned product rows_a R rows_b^T, with rows
+        # A.T.ravel() and R[(a, c), (b, d)] = rho[(a, b), (c, d)] built in full
+        def rows(ops, d):
+            return np.array(ops).reshape(len(ops), d, d).transpose(0, 2, 1).reshape(len(ops), d * d)
+
+        def realigned(rho, elements_a, elements_b):
+            da, db = rho.d_a, rho.d_b
+            r = rho.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+            return np.clip((rows(elements_a, da) @ r @ rows(elements_b, db).T).real, 0.0, 1.0)
+
+        gen = np.random.default_rng(520 + d)
+        cases = [
+            (states.werner_local(d), random_projective(d, gen), random_projective(d, gen)),
+            (states.barrett_state(d), random_povm(3, d, gen), random_povm(d + 1, d, gen)),
+            (states.random_density(d, d, gen), random_projective(d, gen), random_povm(2, d, gen)),
+            (states.rho_e(0.3), random_projective(3, gen), random_povm(d, 2, gen)),
+            (states.random_density(2, d, gen), random_povm(d, 2, gen), random_projective(d, gen)),
+        ]
+        for rho, ma, mb in cases:
+            table = born_table(rho, ma.elements, mb.elements)
+            assert np.max(np.abs(table - realigned(rho, ma.elements, mb.elements))) <= 1e-15
+
+    def test_holds_no_realigned_copy(self):
+        # the state is built first; the table's own arrays stay below a quarter
+        # of one d^2 x d^2 complex matrix, which a realigned copy would fill
+        d = 24
+        rho = states.werner_local(d)
+        gen = np.random.default_rng(519)
+        ma, mb = random_projective(d, gen), random_projective(d, gen)
+        tracemalloc.start()
+        try:
+            born_table(rho, ma.elements, mb.elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d**4 * 16 / 4
+
     @pytest.mark.parametrize(
         "elements_a,elements_b,match",
         [
@@ -266,6 +307,41 @@ class TestPovmRefine:
         for i, e in enumerate(povm.elements):
             pieces = sum(w * np.outer(v, v.conj()) for w, v, j in zip(weights, kets, back) if j == i)
             assert np.max(np.abs(pieces - e)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 24])
+    def test_rank1_elements_match_the_eigensolve(self, d, monkeypatch):
+        # a projective measurement, and two bases at weight 1/2: every element
+        # rank 1, each refined without an eigensolve to the eigensolve's piece
+        gen = np.random.default_rng(530 + d)
+        half = [e / 2 for e in random_projective(d, gen).elements + random_projective(d, gen).elements]
+        probe = haar_ket(d, gen)
+        for povm in (random_projective(d, gen), Povm(half)):
+            ref_back, ref_weights, ref_kets = [], [], []
+            for i, e in enumerate(povm.elements):
+                vals, vecs = hermitian_eig(e)
+                keep = vals > 1e-12
+                ref_back += [i] * int(keep.sum())
+                ref_weights += list(vals[keep])
+                ref_kets += list(vecs[:, keep].T)
+            monkeypatch.setattr(measure, "hermitian_eig", lambda e: pytest.fail("eigensolve of a rank-1 element"))
+            back, weights, kets = povm_refine(povm)
+            monkeypatch.undo()
+            assert back == ref_back
+            assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+            assert np.allclose(np.linalg.norm(kets, axis=1), 1, atol=1e-14)
+            overlaps = np.abs(kets.conj() @ probe) ** 2
+            assert np.max(np.abs(overlaps - np.abs(np.array(ref_kets).conj() @ probe) ** 2)) <= 1e-14
+
+    def test_rank2_element_of_unit_trace_takes_the_eigensolve(self, monkeypatch):
+        # eigenvalues (1/2, 1/2, 0): trace 1 but rank 2, so two pieces of 1/2
+        calls = []
+        monkeypatch.setattr(measure, "hermitian_eig", lambda e: calls.append(e) or hermitian_eig(e))
+        mixed = np.diag([0.5, 0.5, 0.0])
+        back, weights, kets = povm_refine(Povm([mixed, mixed, np.diag([0.0, 0.0, 1.0])]))
+        assert len(calls) == 2 and all(np.array_equal(c, mixed) for c in calls)
+        assert back == [0, 0, 1, 1, 2]
+        assert np.allclose(weights, [0.5, 0.5, 0.5, 0.5, 1.0], atol=1e-15)
+        assert np.array_equal(kets[4], [0, 0, 1])
 
     def test_coarse_probabilities_preserved(self):
         rho = states.random_density(2, 2, rng)
