@@ -168,7 +168,7 @@ def criterion_07(seed: int, n: int, workers=None) -> CriterionResult:
 
 def criterion_08(seed: int, n: int, workers=None) -> CriterionResult:
     rng = np.random.default_rng(_seed(seed, 8))
-    runs = [lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, k + 1), workers) for k in range(5)]
+    runs = lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, 1), workers, pairs=5)  # one stream for all 5 pairs
     worst = _worst(runs)
     rate_worst = max(abs(est.sigma_ratio(0.5)) for res, *_ in runs for est in (res.step4_a, res.step4_b))
     # every trial lifts rho_g(q) with |0><0| on both sides: rho_g'(q), here in closed form

@@ -2,7 +2,8 @@
 
 Every simulator takes (n, seed) and produces results that are bit-identical
 for equal (seed, n) regardless of worker count (see mc.run_batched).
-sign(0) = +1 throughout.
+sign(0) = +1 throughout. Points on S^2 are coordinate-major (3, m) rows,
+and a direction is a 3-vector or rows of the same layout.
 """
 
 from __future__ import annotations
@@ -15,19 +16,23 @@ import numpy as np
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, born_table, obs_from_bloch, outcome_sum, povm_refine
 from .measure import random_povm, random_projective, unit_bloch
-from .qmat import _check_dim, projector
+from .qmat import _check_dim, _check_matrix_budget, projector
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, singlet, werner2x2, werner_local
 
 
 def sample_sphere_r3(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points on S^2 as normalized 3-component Gaussian draws,
-    normalised in place with the squared norm summed as np.linalg.norm does
-    and every row divided by its norm in one broadcast divide."""
-    v = rng.standard_normal((n, 3))
-    r = v[:, 0] * v[:, 0]
-    r += v[:, 1] * v[:, 1]
-    r += v[:, 2] * v[:, 2]
-    v /= np.sqrt(r, out=r)[:, None]
+    coordinate-major: the (n, 3) normals are drawn in sample order and
+    copied once into (3, n) rows, so that each coordinate is one contiguous
+    row. They are normalised in place with the squared norm summed as
+    np.linalg.norm sums it, v0^2 + v1^2 + v2^2, and every row divided by
+    the norms in one broadcast divide. Drawing (3, n) normals directly would
+    hand each sample other normals and so move every S^2 stream."""
+    v = rng.standard_normal((n, 3)).T.copy()
+    r = v[0] * v[0]
+    r += v[1] * v[1]
+    r += v[2] * v[2]
+    v /= np.sqrt(r, out=r)
     return v
 
 
@@ -80,15 +85,31 @@ def _overlaps(w: np.ndarray, lam: np.ndarray, out: np.ndarray | None = None) -> 
     return p[:k]
 
 
+# Rows up to which _argmin_rows scans with a strict "<"; above it, each row
+# holds the minimum of few columns, and matching rows against the minimum
+# is cheaper (see the per-block timings in CHANGES.md).
+_SCAN_ROWS = 4
+
+
 def _argmin_rows(u: np.ndarray) -> np.ndarray:
-    """Row index of each column's minimum; ties go to the lowest index, which
-    is written last. Row 0 clears its columns by a product, not a masked
-    copy: at d = 2 that mask holds about half the columns at random, and the
-    copy doubled the function's time."""
-    best = np.minimum.reduce(u)
+    """Row index of each column's minimum; ties go to the lowest row, and a
+    column that holds a NaN gets row 0. Up to _SCAN_ROWS rows a strict-<
+    scan keeps the running minimum and takes row i where it is strictly
+    less, selected exactly in integers as max(idx, i * less), since every
+    earlier index is below i: no masked copy, which at d = 2 writes about
+    half the columns at random. With more rows each row is matched against
+    the column minimum from the last row up, the lowest match written last."""
     idx = np.zeros(u.shape[1], dtype=np.intp)
+    if len(u) <= _SCAN_ROWS:
+        best = u[0].copy()
+        for i in range(1, len(u)):
+            np.maximum(idx, (u[i] < best) * i, out=idx)
+            np.minimum(best, u[i], out=best)  # a NaN stays in best
+        idx *= best == best
+        return idx
+    best = np.minimum.reduce(u)
     for i in range(len(u) - 1, 0, -1):
-        np.copyto(idx, i, where=u[i] == best)
+        idx[u[i] == best] = i
     idx *= u[0] != best
     return idx
 
@@ -206,15 +227,15 @@ def simplex_integral_mc(
 
 
 def _dot_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dot product of each row of the (m, 3) array v with x, given as one
-    3-vector or as (m, 3) rows, as (p0 + p2) + p1 of the products p_i: the
-    order of numpy 2.4's einsum("ij,ij->i"), which the tests pin bit for bit.
-    Every caller sums in this one order: another order, such as
-    (p0 + p1) + p2, moves about 30% of the dots by an ulp, which can flip a
-    sign or accept compare."""
-    out = v[:, 0] * x[..., 0]
-    out += v[:, 2] * x[..., 2]
-    out += v[:, 1] * x[..., 1]
+    """Dot product of each point of the (3, m) rows v with x, given as one
+    3-vector or as (3, m) rows, as (p0 + p2) + p1 of the products p_i: the
+    order of numpy 2.4's einsum("ij,ij->i") on the (m, 3) points, which the
+    tests pin bit for bit. Every caller sums in this one order: another
+    order, such as (p0 + p1) + p2, moves about 30% of the dots by an ulp,
+    which can flip a sign or accept compare."""
+    out = v[0] * x[0]
+    out += v[2] * x[2]
+    out += v[1] * x[1]
     return out
 
 
@@ -262,19 +283,22 @@ def _select_index(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _choice(l0: np.ndarray, l1: np.ndarray, x: np.ndarray):
-    """The choice rule on two sphere points l0, l1: Alice keeps the one with
-    the larger |x . l| (ties keep l1) and outputs a = -sign(x . l), which is
-    +1 iff x . l < 0. Returns the mask of samples that kept l0 and Alice's
-    "is +1" flags."""
+    """The choice rule on two (3, m) rows of sphere points l0, l1: Alice
+    keeps the one with the larger |x . l| (ties keep l1) and outputs
+    a = -sign(x . l), which is +1 iff x . l < 0. Returns the mask of samples
+    that kept l0 and Alice's "is +1" flags. The signs are read before the
+    magnitudes overwrite the dots, so a pair holds two dot arrays, not four."""
     x0, x1 = _dot_rows(l0, x), _dot_rows(l1, x)
-    pick0 = np.abs(x0) > np.abs(x1)
-    return pick0, _select(pick0, x0 < 0, x1 < 0)
+    plus0, plus1 = x0 < 0, x1 < 0
+    pick0 = np.abs(x0, out=x0) > np.abs(x1, out=x1)
+    return pick0, _select(pick0, plus0, plus1)
 
 
 def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: int | None):
     """Run the choice rule on one direction pair x, y, or on each pair of
-    (k, 3) stacks of them. Each batch draws l0 and l1 once, and
-    outputs(l0, l1, pick0, a_plus, x_i, y_i) gives pair i's partials. Returns
+    (k, 3) stacks of them. Each batch draws the (3, m) rows l0 and l1 once,
+    outputs(l0, l1) makes what the batch's pairs share, and the function it
+    returns, pair(pick0, a_plus, x_i, y_i), gives pair i's partials. Returns
     result(*sums) of the pair, or for stacks the list of them in pair order;
     pair i reads the draws of a single run on (x_i, y_i), so its result is
     that run's, bit for bit."""
@@ -291,7 +315,8 @@ def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: i
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
         l1 = sample_sphere_r3(rng, m)
-        parts = [outputs(l0, l1, *_choice(l0, l1, xi), xi, yi) for xi, yi in zip(xs, ys)]
+        pair = outputs(l0, l1)
+        parts = [pair(*_choice(l0, l1, xi), xi, yi) for xi, yi in zip(xs, ys)]
         return tuple(np.stack(p) for p in zip(*parts))
 
     sums = run_batched(n, seed, label, kernel, workers)
@@ -304,9 +329,12 @@ def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) ->
     communicated: E(AB) -> -x.y, vanishing marginals. Returns a SpinResult,
     or a list of them for stacks x, y (see _run_choice)."""
 
-    def outputs(l0, l1, pick0, a_plus, x, y):
-        # Bob reads the kept l from the bit: b = sign(y . l) is +1 iff y . l >= 0
-        return (_pm_counts(a_plus, _select(pick0, _dot_rows(l0, y) >= 0, _dot_rows(l1, y) >= 0)),)
+    def outputs(l0, l1):
+        def pair(pick0, a_plus, x, y):
+            # Bob reads the kept l from the bit: b = sign(y . l) is +1 iff y . l >= 0
+            return (_pm_counts(a_plus, _select(pick0, _dot_rows(l0, y) >= 0, _dot_rows(l1, y) >= 0)),)
+
+        return pair
 
     def result(cells):
         return SpinResult(*_pm_results(cells, n, seed))
@@ -332,9 +360,14 @@ def simulate_gd_w2x2(x, y, n: int, seed: int, workers: int | None = None) -> GdR
     them for stacks x, y (see _run_choice).
     """
 
-    def outputs(l0, l1, pick0, a_plus, x, y):
-        mism = np.count_nonzero(a_plus != (_dot_rows(l0 + l1, x) < 0))
-        return _pm_counts(a_plus, _dot_rows(l0, y) >= 0), np.array([float(mism)])
+    def outputs(l0, l1):
+        both = l0 + l1  # the rewrite's sum, once per batch for every pair
+
+        def pair(pick0, a_plus, x, y):
+            mism = np.count_nonzero(a_plus != (_dot_rows(both, x) < 0))
+            return _pm_counts(a_plus, _dot_rows(l0, y) >= 0), np.array([float(mism)])
+
+        return pair
 
     def result(cells, mism):
         return GdResult(*_pm_results(cells, n, seed), int(mism[0]))
@@ -353,17 +386,18 @@ def _check_q(q: float) -> None:
         raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
 
 
-def _hirsch_alice(q: float, v: np.ndarray, lam: np.ndarray, r: np.ndarray, rng: np.random.Generator):
+def _hirsch_alice(v: np.ndarray, lam: np.ndarray, inside: np.ndarray, u1: np.ndarray, u2: np.ndarray):
     """Alice's half of the singlet/|0> mixture model along v (one direction
-    or a row per sample) on the shared sphere points lam and uniforms r.
-    Inside the protocol (r < 2q) she accepts lam with probability |v . lam|
-    and outputs -sign(v . lam); otherwise she outputs +1 with probability
+    or (3, m) rows of them) on the shared (3, m) rows of sphere points lam
+    and the mask `inside` of samples inside the protocol (r < 2q for the
+    shared uniforms r), with her own uniforms u1 (accept) and u2 (noise).
+    Inside the protocol she accepts lam with probability |v . lam| and
+    outputs -sign(v . lam); otherwise she outputs +1 with probability
     (1 + v_z) / 2. Returns her "is +1" flags and the mask of accepted
     samples. Bob's half is deterministic: sign(w . lam)."""
-    u1, u2 = rng.random((2, lam.shape[0]))
     vl = _dot_rows(lam, v)
-    acc = (r < 2.0 * q) & (u1 < np.abs(vl))
-    return _select(acc, vl < 0, u2 < (1 + v[..., 2]) / 2), acc
+    acc = inside & (u1 < np.abs(vl))
+    return _select(acc, vl < 0, u2 < (1 + v[2]) / 2), acc
 
 
 def simulate_hirsch_projective(
@@ -381,9 +415,11 @@ def simulate_hirsch_projective(
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
-        lam, r = sample_sphere_r3(rng, m), rng.random(m)
-        a_plus, acc = _hirsch_alice(q, x, lam, r, rng)
-        counts = np.array([np.count_nonzero(acc), np.count_nonzero(r < 2.0 * q)], dtype=float)
+        lam = sample_sphere_r3(rng, m)
+        r, u1, u2 = rng.random((3, m))
+        inside = r < 2.0 * q
+        a_plus, acc = _hirsch_alice(x, lam, inside, u1, u2)
+        counts = np.array([np.count_nonzero(acc), np.count_nonzero(inside)], dtype=float)
         return _pm_counts(a_plus, _dot_rows(lam, y) >= 0), counts
 
     cells, counts = run_batched(n, seed, f"hirsch:q={q!r}", kernel, workers)
@@ -402,46 +438,63 @@ class LiftResult:
     target: DensityMatrix
 
 
-def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcomes drawn by uniforms u from inner cumulative weights cdf (the
-    last outcome takes any rounding shortfall): the count of entries <= u."""
-    idx = np.zeros(len(u), dtype=np.intp)
-    for c in cdf:
-        idx += c <= u
-    return idx
+def _picks(cdfs: list[np.ndarray]):
+    """Outcomes drawn from each of the inner cumulative weights cdfs (the
+    last outcome takes any rounding shortfall) by shared uniforms u: the
+    outcome of cdfs[i] is the count of its entries <= u. place(u) locates u
+    once among the sorted entries of all of them, as small integers, and
+    tables[i][place(u)] is that count, exactly: no entry lies between the
+    largest entry <= u and u, so u has that entry's count."""
+    breaks = np.sort(np.concatenate(cdfs))
+    below = np.concatenate([[-np.inf], breaks])  # the largest entry <= u, by place
+    tables = [np.searchsorted(np.sort(c), below, side="right") for c in cdfs]
+    dtype = np.min_scalar_type(len(breaks))
+
+    def place(u: np.ndarray) -> np.ndarray:
+        return np.searchsorted(breaks, u, side="right").astype(dtype)
+
+    return place, tables
 
 
-def _lift_party(povm: Povm, sigma: np.ndarray, d: int):
-    """One party's steps of the lift on its refined POVM {alpha_a |v_a><v_a|}:
-    step(rng, m, hit) draws refined outcomes a with probability alpha_a/d,
-    takes hit(Bloch rows of the v_a) as the mask of samples where the base
-    model answers a, else draws a with probability tr(alpha_a |v_a><v_a| sigma),
-    and returns the coarse outcomes and the hit mask."""
-    back_map, weights, kets = povm_refine(povm)
-    k0, k1 = kets[:, 0], kets[:, 1]
-    bloch = np.stack([2 * (k0.conj() * k1).real, 2 * (k0.conj() * k1).imag, np.abs(k0) ** 2 - np.abs(k1) ** 2], axis=1)
-    cdf_pick = np.cumsum(weights / d)[:-1]
-    cdf4 = np.cumsum([np.trace(w * projector(v) @ sigma).real for w, v in zip(weights, kets)])[:-1]
-    back_map = np.asarray(back_map)
+def _lift_side(povms: list[Povm], sigma: np.ndarray, d: int):
+    """One party's side of the lift for each of its POVMs, refined to
+    {alpha_a |v_a><v_a|}: a refined outcome a is drawn with probability
+    alpha_a/d, and in step 4 with probability tr(alpha_a |v_a><v_a| sigma),
+    by uniforms that all the POVMs share (see _picks). Returns place and
+    place4, which locate the uniforms of the two draws, and step(i, j, j4,
+    hit), which draws POVM i's refined outcomes a at the places j, takes
+    hit((3, m) Bloch rows of the v_a, gathered from a (3, k) table) as the
+    mask of samples where the base model answers a, else draws a at the
+    places j4, and returns the coarse outcomes and the hit mask."""
+    refined = [povm_refine(p) for p in povms]
+    blochs = []
+    for _, _, kets in refined:
+        k0, k1 = kets[:, 0], kets[:, 1]
+        blochs.append(np.array([2 * (k0.conj() * k1).real, 2 * (k0.conj() * k1).imag, np.abs(k0) ** 2 - np.abs(k1) ** 2]))
+    place, tables = _picks([np.cumsum(w / d)[:-1] for _, w, _ in refined])
+    place4, tables4 = _picks(
+        [np.cumsum([np.trace(a * projector(v) @ sigma).real for a, v in zip(w, kets)])[:-1] for _, w, kets in refined]
+    )
+    back_maps = [np.asarray(back_map) for back_map, _, _ in refined]
 
-    def step(rng: np.random.Generator, m: int, hit):
-        idx = _pick(cdf_pick, rng.random(m))
-        hits = hit(np.take(bloch, idx, axis=0))
-        return back_map[_select_index(hits, idx, _pick(cdf4, rng.random(m)))], hits
+    def step(i: int, j: np.ndarray, j4: np.ndarray, hit):
+        idx = tables[i][j]
+        hits = hit(np.take(blochs[i], idx, axis=1))
+        return back_maps[i][_select_index(hits, idx, tables4[i][j4])], hits
 
-    return step
+    return place, place4, step
 
 
 def simulate_povm_lift(
     q: float,
     sigma_a: np.ndarray,
     sigma_b: np.ndarray,
-    povm_a: Povm,
-    povm_b: Povm,
+    povm_a: Povm | list[Povm],
+    povm_b: Povm | list[Povm],
     n: int,
     seed: int,
     workers: int | None = None,
-) -> LiftResult:
+) -> LiftResult | list[LiftResult]:
     """Simulate qubit POVMs on the lift of rho_g(q), q in [0, 1/2], by
     re-running the singlet/|0> mixture model.
 
@@ -450,33 +503,62 @@ def simulate_povm_lift(
     outputs a on a hit, and otherwise outputs a' with probability
     tr(M_a' sigma). The estimated table targets the Born probabilities of
     lift_state(rho_g(q), sigma_a, sigma_b).
+
+    povm_a and povm_b may also be equal-length lists of POVMs. Each batch
+    then draws lam, r and every uniform once, in a single run's order, and
+    applies them to every pair in turn, and the result is a list of
+    LiftResults in pair order; pair i is the single run on
+    (povm_a[i], povm_b[i]), bit for bit.
     """
     _check_q(q)
     q = float(q)  # the stream label holds repr(q), which differs for a numpy float
     d = 2
-    if povm_a.dim != d or povm_b.dim != d:
+    single = isinstance(povm_a, Povm) and isinstance(povm_b, Povm)
+    pa, pb = ([povm_a], [povm_b]) if single else (povm_a, povm_b)
+    if not (
+        isinstance(pa, (list, tuple)) and isinstance(pb, (list, tuple)) and len(pa) == len(pb) > 0
+        and all(isinstance(p, Povm) for p in (*pa, *pb))
+    ):
+        raise ValueError("POVMs must be two Povm objects or equal-length, non-empty lists of them")
+    if any(p.dim != d for p in (*pa, *pb)):
         raise ValueError(f"POVMs must act on dimension {d}")
     target = lift_state(rho_g(q), sigma_a, sigma_b)  # checks both sigmas before any sampling
-    party_a = _lift_party(povm_a, np.asarray(sigma_a, dtype=complex), d)
-    party_b = _lift_party(povm_b, np.asarray(sigma_b, dtype=complex), d)
-    ka, kb = len(povm_a.elements), len(povm_b.elements)
+    place_a, place4_a, step_a = _lift_side(pa, np.asarray(sigma_a, dtype=complex), d)
+    place_b, place4_b, step_b = _lift_side(pb, np.asarray(sigma_b, dtype=complex), d)
+    sizes = [(len(a.elements), len(b.elements)) for a, b in zip(pa, pb)]
 
     def kernel(rng: np.random.Generator, m: int):
-        lam, r = sample_sphere_r3(rng, m), rng.random(m)
-        a_out, hit_a = party_a(rng, m, lambda v: _hirsch_alice(q, v, lam, r, rng)[0])
-        b_out, hit_b = party_b(rng, m, lambda v: _dot_rows(lam, v) >= 0)
-        cells = np.bincount(a_out * kb + b_out, minlength=ka * kb).astype(float)
-        miss = np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
-        return cells, miss
+        lam = sample_sphere_r3(rng, m)
+        # a single run's uniforms in its order: r, Alice's pick, her accept
+        # and noise coins, her step-4 pick, then Bob's pick and his step-4
+        # pick; r is kept as its mask and each pick's uniforms as their
+        # places, a byte per sample, for the pairs to share
+        inside = rng.random(m) < 2.0 * q
+        ja = place_a(rng.random(m))
+        u1, u2 = rng.random((2, m))
+        ja4 = place4_a(rng.random(m))
+        jb = place_b(rng.random(m))
+        jb4 = place4_b(rng.random(m))
 
-    cells, miss = run_batched(n, seed, f"povmlift:q={q!r}", kernel, workers)
-    cells = cells.reshape(ka, kb)
-    return LiftResult(
-        table=JointTable.from_sums(cells, cells, n, seed, povm_a.labels, povm_b.labels),
-        step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
-        step4_b=McEstimate.from_sums(miss[1], miss[1], n, seed),
-        target=target,
-    )
+        def pair(i: int, ka: int, kb: int):  # its arrays are freed before the next pair's
+            a_out, hit_a = step_a(i, ja, ja4, lambda v: _hirsch_alice(v, lam, inside, u1, u2)[0])
+            b_out, hit_b = step_b(i, jb, jb4, lambda v: _dot_rows(lam, v) >= 0)
+            cells = np.bincount(a_out * kb + b_out, minlength=ka * kb).astype(float)
+            return cells, np.array([m - np.count_nonzero(hit_a), m - np.count_nonzero(hit_b)], dtype=float)
+
+        return tuple(part for i, (ka, kb) in enumerate(sizes) for part in pair(i, ka, kb))
+
+    sums = run_batched(n, seed, f"povmlift:q={q!r}", kernel, workers)
+    results = [
+        LiftResult(
+            table=JointTable.from_sums(c.reshape(ka, kb), c.reshape(ka, kb), n, seed, a.labels, b.labels),
+            step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
+            step4_b=McEstimate.from_sums(miss[1], miss[1], n, seed),
+            target=target,
+        )
+        for c, miss, (ka, kb), a, b in zip(sums[::2], sums[1::2], sizes, pa, pb)
+    ]
+    return results[0] if single else results
 
 
 def simulate_barrett(
@@ -505,14 +587,18 @@ def simulate_barrett(
 
 
 def werner_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
-    """Minimizer model in two Haar-random bases against werner_local(d)."""
+    """Minimizer model in two Haar-random bases against werner_local(d),
+    whose d^2 x d^2 matrix is checked against the budget before sampling."""
+    _check_matrix_budget(d)
     pa, pb = random_projective(d, rng), random_projective(d, rng)
     table = simulate_werner(d, pa, pb, n, seed, workers)
     return table, table, born_table(werner_local(d), pa.elements, pb.elements), {}
 
 
 def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
-    """Threshold model in two Haar-random bases against barrett_state(d)."""
+    """Threshold model in two Haar-random bases against barrett_state(d),
+    checked as in werner_trial."""
+    _check_matrix_budget(d)
     pa, pb = random_projective(d, rng), random_projective(d, rng)
     table = simulate_barrett(d, pa, pb, n, seed, workers)
     return table, table, born_table(barrett_state(d), pa.elements, pb.elements), {}
@@ -558,14 +644,23 @@ def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
     return res, res.table, oracle, extra
 
 
-def povm_lift_trial(q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None):
+def povm_lift_trial(
+    q: float, rng: np.random.Generator, n: int, seed: int, workers: int | None = None, pairs: int | None = None
+):
     """Two random three-outcome qubit POVMs on the lift of rho_g(q) with
-    sigma_A = sigma_B = |0><0|."""
+    sigma_A = sigma_B = |0><0|. For an integer `pairs` the trial draws that
+    many POVM pairs in turn, runs them as one stack on one stream and
+    returns a list of their tuples in pair order."""
     sigma = np.diag([1.0, 0.0]).astype(complex)
-    ma, mb = random_povm(3, 2, rng), random_povm(3, 2, rng)
-    res = simulate_povm_lift(q, sigma, sigma, ma, mb, n, seed, workers)
-    extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
-    return res, res.table, born_table(res.target, ma.elements, mb.elements), extra
+    ma, mb = [], []
+    for _ in range(1 if pairs is None else pairs):
+        ma.append(random_povm(3, 2, rng))
+        mb.append(random_povm(3, 2, rng))
+    rows = []
+    for res, a, b in zip(simulate_povm_lift(q, sigma, sigma, ma, mb, n, seed, workers), ma, mb, strict=True):
+        extra = {"step4_rate_a": res.step4_a.mean, "step4_rate_b": res.step4_b.mean}
+        rows.append((res, res.table, born_table(res.target, a.elements, b.elements), extra))
+    return rows[0] if pairs is None else rows
 
 
 # The models of `simulate`, by name. A trial takes its inputs (d, q, x, y,

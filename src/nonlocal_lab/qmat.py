@@ -8,6 +8,7 @@ slow index, so ``tensor(A, B) == np.kron(A, B)``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -54,6 +55,26 @@ def _check_dim(d, what: str = "d") -> int:
         return operator.index(d)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {d!r}") from None
+
+
+# Bytes of the largest d^2 x d^2 complex matrix that a state built from d may
+# take: 256 MiB admits d <= 64 (a d = 48 state is 81 MiB). `witness` holds a
+# few such matrices at once (the state, its partial transpose and the
+# eigensolver's copy), and at d = 200 one alone would be 24 GiB.
+MATRIX_BUDGET = 1 << 28
+
+
+def _check_matrix_budget(d) -> None:
+    """A ValueError, raised before anything is allocated, if d is not an
+    integer (see _check_dim) or a d^2 x d^2 complex matrix would not fit in
+    MATRIX_BUDGET."""
+    d = _check_dim(d)
+    if d > 1 and 16 * d**4 > MATRIX_BUDGET:
+        largest = math.isqrt(math.isqrt(MATRIX_BUDGET // 16))
+        raise ValueError(
+            f"d = {d} needs a {d * d}x{d * d} complex matrix of {16 * d**4 / 2**20:.0f} MiB, "
+            f"above the {MATRIX_BUDGET >> 20} MiB budget (d <= {largest})"
+        )
 
 
 def flip(d: int) -> np.ndarray:

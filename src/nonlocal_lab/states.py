@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import _check_dim, basis_ket, flip, is_density, partial_trace, projector, tensor
+from .qmat import _check_dim, _check_matrix_budget, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 @dataclass
@@ -97,6 +97,7 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
         raise ValueError(f"werner_phi requires d >= 2, got {d}")
     if not -1.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [-1, 1], got {phi}")
+    _check_matrix_budget(d)
     # built in place in V's one array with the bits of the formula: adding
     # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
     w = flip(d)
@@ -137,6 +138,7 @@ def barrett_state(d: int) -> DensityMatrix:
     """
     if d < 2:
         raise ValueError(f"barrett_state requires d >= 2, got {d}")
+    _check_matrix_budget(d)
     alpha = barrett_alpha(d)
     # alpha A / tr(A) + (1 - alpha) I / d^2 for the antisymmetric projector
     # A = (I - V) / 2, built in place in V's one array with the bits of that

@@ -26,7 +26,7 @@ DETAILS = [
     "max deviation 1.72 sigma over 3 direction pairs",
     "max table/marginal deviation 1.54 sigma; acceptance q=0.1: rates 0.4996/0.4999; "
     "q=0.3: rates 0.4994/0.5000; q=0.5: rates 0.5000/0.4994",
-    "max cell deviation 2.57 sigma; fallback-branch rate off 1/2 by 1.37 sigma",
+    "max cell deviation 2.56 sigma; fallback-branch rate off 1/2 by 1.85 sigma",
     "q=0.25: |M-(1+q)|=6.7e-06, |M'-(1+q/4)|=2.3e-05; q=0.5: |M-(1+q)|=2.5e-06, |M'-(1+q/4)|=1.1e-05; "
     "flag-state filter: singlet deviation 1.1e-16, CHSH 2.82842712475",
     "max |err| 8.88e-16 over d=3..8 (tol 1e-10)",
@@ -39,7 +39,7 @@ DETAILS = [
 ]
 REPORT_SHA256 = {
     "barrett_d2_table.csv": "5097bc3b70b93ceb734b9c19db4d53073b290cc4a27e637d330b7042e8e2657d",
-    "report.json": "cb24494eb09bbf06b23dba9e14b1377070a819d9d22c38fa0ebc1333de1e8385",
+    "report.json": "b687999a51017f45154a9b0db58bd491fbe461f1b2ee79f5c8a7373e350b4a33",
     "scan_rho_g_prime_q0.25.csv": "8d8535eb2474bc7d266a2386d9700b52ea2dfa404f0f8d0e1b88f6bf2064e618",
     "scan_rho_g_prime_q0.5.csv": "f0386eba1417f2cd353c1cc0b40320309f96e1d6ea94dae0339c2784da7ffdaf",
     "scan_rho_g_q0.25.csv": "585bf77d51d33a1e296ea3bd83c0ec3ee1a47272dc6be4d0b724007212d7d7c7",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nonlocal_lab import acceptance, cli, lhv, measure, states
+from nonlocal_lab import acceptance, cli, lhv, measure, qmat, states
 from nonlocal_lab.cli import main
 
 
@@ -354,6 +354,35 @@ class TestBadInput:
     @pytest.mark.parametrize("n", ["inf", "1e400"])
     def test_rejects_infinite_count(self, capsys, n):
         self.check(capsys, "simulate", "werner", "--n", n)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "werner", "--d", "200"],
+            ["simulate", "barrett", "--d", "65", "--n", "10"],
+            ["witness", "werner", "--d", "200", "--phi", "0"],
+            ["witness", "werner-local", "--d", "65"],
+            ["witness", "barrett", "--d", "1000"],
+            ["chsh", "werner", "--d", "100", "--phi", "0", "--optimal"],
+        ],
+    )
+    def test_over_budget_d_is_rejected_before_drawing_or_allocating(self, capsys, monkeypatch, argv):
+        """A d whose d^2 x d^2 state exceeds qmat.MATRIX_BUDGET is exit 2 while
+        the samplers and every constructor of that state are patched to fail."""
+
+        def built(*args, **kwargs):
+            raise AssertionError("an over-budget d reached a sampler or constructor")
+
+        for owner, name in [(lhv, "run_batched"), (lhv, "random_projective"), (lhv, "born_table"), (states, "flip")]:
+            monkeypatch.setattr(owner, name, built)
+        assert "256 MiB budget (d <= 64)" in self.check(capsys, *argv)
+
+    def test_matrix_budget_admits_every_d_up_to_64(self):
+        for d in [*range(-2, 65), np.int64(64)]:
+            qmat._check_matrix_budget(d)
+        for d in (65, np.int64(65), 10**6):
+            with pytest.raises(ValueError, match="d <= 64"):
+                qmat._check_matrix_budget(d)
 
     def test_missing_state_file(self, capsys, tmp_path):
         assert "absent.json" in self.check(capsys, "witness", "--state-json", str(tmp_path / "absent.json"))

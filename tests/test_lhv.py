@@ -117,14 +117,15 @@ def hirsch_alice(q: float, v: np.ndarray, lam: np.ndarray, r: float, u1: float, 
 
 class TestSphereSampling:
     def test_r3_moments(self, rng):
-        lam = lhv.sample_sphere_r3(np.random.default_rng(0), 1_000_000)
-        se = 1 / np.sqrt(3 * len(lam))  # component variance is 1/3
-        assert np.max(np.abs(lam.mean(axis=0))) < 5 * se
+        lam = lhv.sample_sphere_r3(np.random.default_rng(0), 1_000_000)  # (3, n) rows
+        n = lam.shape[1]
+        se = 1 / np.sqrt(3 * n)  # component variance is 1/3
+        assert np.max(np.abs(lam.mean(axis=1))) < 5 * se
         x = unit3(rng)
-        proj = lam @ x
-        assert abs(proj.mean()) < 5 * proj.std(ddof=1) / np.sqrt(len(lam))
+        proj = x @ lam
+        assert abs(proj.mean()) < 5 * proj.std(ddof=1) / np.sqrt(n)
         absproj = np.abs(proj)
-        assert abs(absproj.mean() - 0.5) < 5 * absproj.std(ddof=1) / np.sqrt(len(lam))
+        assert abs(absproj.mean() - 0.5) < 5 * absproj.std(ddof=1) / np.sqrt(n)
 
     def test_cd_norms_and_mean_overlap(self, rng):
         for d in (2, 3, 5):
@@ -376,7 +377,7 @@ class TestGdChoice:
         x = unit3(rng)
         l0 = lhv.sample_sphere_r3(gen, n)
         l1 = lhv.sample_sphere_r3(gen, n)
-        a0, a1 = np.abs(l0 @ x), np.abs(l1 @ x)
+        a0, a1 = np.abs(x @ l0), np.abs(x @ l1)
         u = np.where(a0 > a1, a0, a1)
         hist, edges = np.histogram(u, bins=20, range=(0.0, 1.0))
         expected = n * (edges[1:] ** 2 - edges[:-1] ** 2)
@@ -389,7 +390,7 @@ class TestGdChoice:
         x = unit3(rng)
         l0 = lhv.sample_sphere_r3(gen, n)
         l1 = lhv.sample_sphere_r3(gen, n)
-        picked0 = np.abs(l0 @ x) > np.abs(l1 @ x)
+        picked0 = np.abs(x @ l0) > np.abs(x @ l1)
         assert abs(picked0.mean() - 0.5) < 5 * np.sqrt(0.25 / n)
 
 
@@ -684,7 +685,7 @@ def _bob_reads_l0(monkeypatch):
     """Bob ignores the bit and always reads l0: GD's rule, so the one-bit
     model simulates werner2x2(1/2), whose table is (singlet's + 1/4) / 2."""
     real = lhv._choice
-    monkeypatch.setattr(lhv, "_choice", lambda l0, l1, x: (np.ones(len(l0), dtype=bool), real(l0, l1, x)[1]))
+    monkeypatch.setattr(lhv, "_choice", lambda l0, l1, x: (np.ones(l0.shape[1], dtype=bool), real(l0, l1, x)[1]))
 
 
 def _noise_flipped(monkeypatch):
@@ -693,8 +694,8 @@ def _noise_flipped(monkeypatch):
     model then simulates _rho_g_flipped(q); the lift shares her half."""
     real = lhv._hirsch_alice
 
-    def wrong(q, v, lam, r, rng):
-        a_plus, acc = real(q, v, lam, r, rng)
+    def wrong(*args):
+        a_plus, acc = real(*args)
         return a_plus ^ ~acc, acc
 
     monkeypatch.setattr(lhv, "_hirsch_alice", wrong)
@@ -860,6 +861,11 @@ def _simulators():
             "povm-lift",
             lambda n, w: lhv.simulate_povm_lift(0.4, sigma, sigma, pa, pb, n, 6, workers=w),
         ),
+        # three POVM pairs on one stream, as C08 runs its five
+        "povm_lift_stack": (
+            "povm-lift",
+            lambda n, w: lhv.simulate_povm_lift(0.4, sigma, sigma, [pa, pb, pa], [pb, pa, pa], n, 6, workers=w),
+        ),
         "barrett": ("barrett", lambda n, w: lhv.simulate_barrett(3, ma, mb, n, 7, workers=w)),
         # d=8: blocks of the narrowest width, _MIN_BLOCK samples, as at large d
         "werner_d8": ("werner", lambda n, w: lhv.simulate_werner(8, pa8, pb8, n, 8, workers=w)),
@@ -942,6 +948,99 @@ def test_planted_gd_defect_fails_through_the_stacked_path(monkeypatch):
         assert table.max_sigma(expected(t, 2)) <= 5
         assert table.max_sigma(oracle) > 5
     assert not acceptance.criterion_05(0, 3000).passed
+
+
+# -- stacked POVM pairs of the lift: one stream of draws ---------------------
+
+
+def _lift_pairs(gen: np.random.Generator) -> tuple[list[Povm], list[Povm]]:
+    """Three POVM pairs on a qubit with three or four outcomes, one of them
+    projective, so that the pairs' refined and coarse outcome counts differ."""
+    pa = [random_povm(3, 2, gen), obs_from_bloch(unit3(gen)), random_povm(4, 2, gen)]
+    pb = [random_povm(4, 2, gen), random_povm(3, 2, gen), obs_from_bloch(unit3(gen))]
+    return pa, pb
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, mc.BATCH_SIZE + 3, 100_000])
+def test_stacked_lift_pair_equals_its_single_run(n, workers):
+    pa, pb = _lift_pairs(np.random.default_rng(41))
+    sigma_a, sigma_b = projector(basis_ket(2, 0)), np.array([[0.3, 0.2j], [-0.2j, 0.7]])
+    stacked = lhv.simulate_povm_lift(0.4, sigma_a, sigma_b, pa, pb, n, 12, workers=workers)
+    assert isinstance(stacked, list) and len(stacked) == 3
+    for res, a, b in zip(stacked, pa, pb, strict=True):
+        single = lhv.simulate_povm_lift(0.4, sigma_a, sigma_b, a, b, n, 12, workers=workers)
+        assert type(res) is type(single)
+        assert all(np.array_equal(x, y) for x, y in zip(_leaves(res), _leaves(single), strict=True))
+
+
+def test_lift_trial_runs_its_pairs_as_one_stack():
+    """The trial draws its pairs in turn from the generator: its first pair
+    is the single trial's, bit for bit, and every row is that pair's single
+    trial tuple."""
+    rows = lhv.povm_lift_trial(0.4, np.random.default_rng(8), 5000, 3, pairs=3)
+    one = lhv.povm_lift_trial(0.4, np.random.default_rng(8), 5000, 3)
+    assert isinstance(rows, list) and len(rows) == 3
+    res, table, oracle, extra = rows[0]
+    assert all(np.array_equal(x, y) for x, y in zip(_leaves(res), _leaves(one[0]), strict=True))
+    assert table is res.table and np.array_equal(oracle, one[2]) and extra == one[3]
+
+
+def _bad_lift_stacks():
+    gen = np.random.default_rng(42)
+    pa, pb = _lift_pairs(gen)
+    qutrit = random_povm(3, 3, gen)
+    return {
+        "unequal-lengths": (pa, pb[:2]),
+        "empty": ([], []),
+        "single-and-stack": (pa[0], pb[:1]),
+        "wrong-dimension": (pa, [*pb[:2], qutrit]),
+        "not-a-povm": ([pa[0], "povm"], pb[:2]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_lift_stacks()))
+def test_bad_lift_stacks_are_rejected_before_sampling(case, monkeypatch):
+    monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+    sigma = projector(basis_ket(2, 0))
+    with pytest.raises(ValueError, match="POVMs must"):
+        lhv.simulate_povm_lift(0.4, sigma, sigma, *_bad_lift_stacks()[case], 1000, 0)
+
+
+def test_picks_count_the_weights_at_or_below_each_uniform():
+    """The lift's outcome of a distribution is the count of its inner
+    cumulative weights <= u, the rule of the stream test's reference; here
+    with a repeated weight, an empty distribution, a non-monotone one and
+    uniforms equal to, or one ulp either side of, a weight."""
+    gen = np.random.default_rng(3)
+    cdfs = [np.array([0.2, 0.5, 0.5]), np.array([]), np.array([0.5, np.nextafter(0.3, 0), 0.3, 0.9]), np.cumsum(gen.random(6))[:-1] / 3]
+    weights = np.concatenate(cdfs)
+    u = np.concatenate([gen.random(5000), weights, np.nextafter(weights, 0), np.nextafter(weights, 1), [0.0]])
+    place, tables = lhv._picks(cdfs)
+    at = place(u)
+    assert at.dtype == np.uint8
+    for c, table in zip(cdfs, tables, strict=True):
+        assert np.array_equal(table[at], (c[:, None] <= u).sum(axis=0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 24])
+def test_argmin_rows_is_argmin_on_tied_columns(d):
+    """Both rules of _argmin_rows, the strict scan up to _SCAN_ROWS rows and
+    the matching above, against np.argmin(axis=0) over one block: ties go
+    to the lowest row, and a column that holds a NaN gets row 0."""
+    gen = np.random.default_rng(d)
+    m = lhv._block_width(4 * d)
+    u = gen.random((d, m))
+    for _ in range(3):  # a second row at the column minimum
+        cols = gen.random(m) < 0.3
+        u[gen.integers(0, d), cols] = u.min(axis=0)[cols]
+    u[:, gen.random(m) < 0.05] = 0.25  # every row tied
+    assert np.array_equal(lhv._argmin_rows(u), np.argmin(u, axis=0))
+    nan_cols = np.flatnonzero(gen.random(m) < 0.05)
+    u[gen.integers(0, d, len(nan_cols)), nan_cols] = np.nan
+    expected = np.argmin(u, axis=0)
+    expected[nan_cols] = 0
+    assert np.array_equal(lhv._argmin_rows(u), expected)
 
 
 def test_numpy_float_q_keys_the_same_stream():
@@ -1073,21 +1172,26 @@ class TestStreamConsumption:
     BLOCK = 128
 
     def test_r3_sampler_matches_norm_formula(self):
+        """The (n, 3) normals of one draw, normalised, as contiguous (3, n) rows."""
         for seed in (5, 6, 7):
             for n in (1, 7, 50_000):
                 z = np.random.default_rng(seed).standard_normal((n, 3))
                 expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
-                assert np.array_equal(lhv.sample_sphere_r3(np.random.default_rng(seed), n), expected)
+                got = lhv.sample_sphere_r3(np.random.default_rng(seed), n)
+                assert got.flags.c_contiguous and np.array_equal(got, expected.T)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_dot_rows_matches_einsum(self, seed):
-        """The explicit three-term dot sums in einsum's order, bit for bit,
-        for one vector, for row-wise input and for a sum of sphere points."""
+        """The explicit three-term dot on (3, m) rows sums in einsum's order
+        on the (m, 3) points, bit for bit, for one vector, for row-wise input
+        and for a sum of sphere points."""
         gen = np.random.default_rng(seed)
         l0, l1 = lhv.sample_sphere_r3(gen, 50_000), lhv.sample_sphere_r3(gen, 50_000)
-        x = lhv.sample_sphere_r3(gen, 1)[0]
-        for v, w in ((l0, x), (l0, l1), (l0 + l1, x), (gen.standard_normal((999, 3)), gen.standard_normal(3))):
-            assert np.array_equal(lhv._dot_rows(v, w), np.einsum("ij,ij->i", v, np.broadcast_to(w, v.shape)))
+        x = lhv.sample_sphere_r3(gen, 1)[:, 0]
+        for v, w in ((l0, x), (l0, l1), (l0 + l1, x), (gen.standard_normal((999, 3)).T, gen.standard_normal(3))):
+            points = np.ascontiguousarray(v.T)
+            others = np.broadcast_to(w if w.ndim == 1 else np.ascontiguousarray(w.T), points.shape)
+            assert np.array_equal(lhv._dot_rows(v, w), np.einsum("ij,ij->i", points, others))
 
     def test_cd_sampler_matches_complex_formula(self):
         for d in (1, 2, 3, 24):
@@ -1167,8 +1271,8 @@ class TestStreamConsumption:
 
     def _choice_pairs(self, label, n, seed, x):
         rng = mc.batch_rng(seed, label, 0)
-        l0 = lhv.sample_sphere_r3(rng, n)
-        l1 = lhv.sample_sphere_r3(rng, n)
+        l0 = lhv.sample_sphere_r3(rng, n).T  # the (n, 3) points of the (3, n) rows
+        l1 = lhv.sample_sphere_r3(rng, n).T
         ls = np.array([gd_choice(p, q, x) for p, q in zip(l0, l1)])
         return l0, l1, ls
 
@@ -1201,7 +1305,7 @@ class TestStreamConsumption:
         """Draw order: lam, then r, then Alice's accept and noise coins u1, u2."""
         x, y, q, n, seed = unit3(rng), unit3(rng), 0.3, 20_000, 14
         gen = mc.batch_rng(seed, f"hirsch:q={q!r}", 0)
-        lam = lhv.sample_sphere_r3(gen, n)
+        lam = lhv.sample_sphere_r3(gen, n).T  # the (n, 3) points of the (3, n) rows
         r = gen.random(n)
         u1, u2 = gen.random((2, n))
         alice = [hirsch_alice(q, x, *s) for s in zip(lam, r, u1, u2)]
@@ -1239,7 +1343,7 @@ class TestStreamConsumption:
         back_a, bloch_a, pick_a, step4_a = pieces(ma, sigma_a)
         back_b, bloch_b, pick_b, step4_b = pieces(mb, sigma_b)
         gen = mc.batch_rng(seed, f"povmlift:q={q!r}", 0)
-        lam = lhv.sample_sphere_r3(gen, n)
+        lam = lhv.sample_sphere_r3(gen, n).T  # the (n, 3) points of the (3, n) rows
         r = gen.random(n)
         ua = gen.random(n)
         u1, u2 = gen.random((2, n))

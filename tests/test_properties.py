@@ -117,7 +117,7 @@ def test_select_index_is_where_on_integers(kind):
 @given(seed=SEEDS, m=BATCH)
 def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
     rng = np.random.default_rng(seed)
-    x = lhv.sample_sphere_r3(rng, 1)[0]
+    x = lhv.sample_sphere_r3(rng, 1)[:, 0]
     g0, g1 = rng.standard_normal((2, m, 3))
     # some rows of l1 are +-l0, whose overlaps with x have equal magnitude
     tied = rng.random(m) < 0.3
@@ -127,7 +127,7 @@ def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
     x0, x1 = lhv._dot_rows(l0, x), lhv._dot_rows(l1, x)
     assert np.array_equal(pick0, np.abs(x0) > np.abs(x1))
     assert not pick0[tied].any()
-    kept = np.where(pick0[:, None], l0, l1)
+    kept = np.where(pick0, l0, l1)  # (3, m) rows
     assert np.array_equal(a_plus, lhv._dot_rows(kept, x) < 0)
 
 
@@ -135,15 +135,15 @@ def test_choice_keeps_the_larger_overlap_with_ties_to_l1(seed, m):
 @given(seed=SEEDS, m=BATCH, q=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)), rows=st.booleans())
 def test_hirsch_alice_accepts_only_inside_the_protocol(seed, m, q, rows):
     rng = np.random.default_rng(seed)
-    v = lhv.sample_sphere_r3(rng, m) if rows else lhv.sample_sphere_r3(rng, 1)[0]
+    v = lhv.sample_sphere_r3(rng, m) if rows else lhv.sample_sphere_r3(rng, 1)[:, 0]
     lam, r = lhv.sample_sphere_r3(rng, m), rng.random(m)
     u1, u2 = np.random.default_rng(seed + 1).random((2, m))
-    a_plus, acc = lhv._hirsch_alice(q, v, lam, r, np.random.default_rng(seed + 1))
+    a_plus, acc = lhv._hirsch_alice(v, lam, r < 2 * q, u1, u2)
     vl = lhv._dot_rows(lam, v)
     assert np.array_equal(acc, (r < 2 * q) & (u1 < np.abs(vl)))
     assert not (acc & (r >= 2 * q)).any()
     assert np.array_equal(a_plus[acc], vl[acc] < 0)
-    noise = u2 < (1 + v[..., 2]) / 2
+    noise = u2 < (1 + v[2]) / 2
     assert np.array_equal(a_plus[~acc], noise[~acc])
     if q == 0:
         assert not acc.any()
