@@ -264,24 +264,19 @@ def criterion_11(seed: int, n: int, workers=None) -> CriterionResult:
     )
 
 
-# Hidden variables per block of C12's validity check: one piece of all 1e5
-# held 39 MiB of draws, overlaps and responses at once.
-_VALIDITY_BLOCK = 8192
-
-
 def _response_errors(responses, povm: measure.Povm, rng: np.random.Generator, d: int, n_lambda: int) -> list[tuple[float, float]]:
     """(least weight, largest |sum over outcomes - 1|) of each party's
     response to povm, on both sides, over n_lambda hidden variables drawn
-    from rng in blocks of _VALIDITY_BLOCK, which together equal one draw of
-    all n_lambda; folded over the blocks, NaN included. The POVM is refined
-    once, and each block's (k, m) arrays are freed before the next."""
+    from rng in the overlap kernels' blocks (lhv._overlap_blocks), which
+    together equal one draw of all n_lambda; folded over the blocks, NaN
+    included. The POVM is refined once, and each block's (k, m) arrays are
+    freed before the next."""
     _, w, kets = measure.povm_refine(povm)
-    rows = lhv._overlap_rows(kets)
-    per_block = []
-    for s in range(0, n_lambda, _VALIDITY_BLOCK):
-        u = lhv._overlaps(rows, lhv.sample_sphere_cd(rng, d, min(_VALIDITY_BLOCK, n_lambda - s)))
-        per_block.append([(p.min(), np.max(np.abs(p.sum(axis=0) - 1))) for p in responses(u, w, u, w, d)])
-    folded = np.array(per_block)  # (blocks, parties, 2)
+
+    def errors(u: np.ndarray):
+        return [(p.min(), np.max(np.abs(p.sum(axis=0) - 1))) for p in responses(u, w, u, w, d)]
+
+    folded = np.array(list(lhv._overlap_blocks(rng, d, n_lambda, kets, errors)))  # (blocks, parties, 2)
     return [(float(neg), float(err)) for neg, err in zip(folded[..., 0].min(axis=0), folded[..., 1].max(axis=0))]
 
 

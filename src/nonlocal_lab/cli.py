@@ -73,12 +73,18 @@ def _parse_count(text: str) -> int:
     return int(n)
 
 
+_N_HELP = "n has no upper bound, and the time grows linearly in n"
+
+
 def _build_state(args) -> tuple[states.DensityMatrix, str]:
     """The state of --state-json, or the named state of states.STATES with
     its parameters taken from the flags of the same names."""
     if args.state_json:
-        rho = states.DensityMatrix.from_json(Path(args.state_json).read_text())
-        return rho, f"json:{args.state_json}"
+        path = Path(args.state_json)
+        size, limit = path.stat().st_size, states.DensityMatrix.JSON_BYTES
+        if size > limit:  # checked before reading: no state within qmat.MATRIX_BUDGET is longer
+            raise ValueError(f"{path} holds {size} bytes, more than any state within the matrix budget ({limit})")
+        return states.DensityMatrix.from_json(path.read_text()), f"json:{args.state_json}"
     name = args.state
     if name is None:
         raise ValueError("provide a state name or --state-json")
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.4)
     p.add_argument("--x", type=_parse_bloch, default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--y", type=_parse_bloch, default=np.array([0.0, 0.0, 1.0]))
-    p.add_argument("--n", type=_parse_count, default=1_000_000)
+    p.add_argument("--n", type=_parse_count, default=1_000_000, help=f"samples (default 1e6); {_N_HELP}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
@@ -255,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the full verification suite and write a report")
     p.add_argument("--out", default="report")
-    p.add_argument("--n", type=_parse_count, default=acceptance.FULL_POWER_N)
+    p.add_argument(
+        "--n", type=_parse_count, default=acceptance.FULL_POWER_N,
+        help=f"samples per Monte Carlo run (default 1e6, the 5-sigma calibration); {_N_HELP}",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_reproduce)
 

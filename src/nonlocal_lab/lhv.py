@@ -85,6 +85,19 @@ def _overlaps(w: np.ndarray, lam: np.ndarray, out: np.ndarray | None = None) -> 
     return p[:k]
 
 
+def _overlap_blocks(rng: np.random.Generator, d: int, m: int, kets: np.ndarray, f):
+    """f(u) of each _block_width block of m Haar unit vectors lam in C^d, in
+    block order, u the (k, c) |<k|lam>|^2 of the k kets (see _overlaps).
+    Blocks draw in sample order, so they equal one draw of all m. Each reuses
+    one normals buffer and one flat overlaps buffer: f must not keep u."""
+    rows = _overlap_rows(kets)
+    width = _block_width(len(rows))
+    normals, flat = np.empty((width, d, 2)), np.empty(len(rows) * width)
+    for s in range(0, m, width):
+        c = min(width, m - s)
+        yield f(_overlaps(rows, sample_sphere_cd(rng, d, c, normals[:c]), flat[: len(rows) * c].reshape(len(rows), c)))
+
+
 # Rows up to which _argmin_rows scans with a strict "<"; above it, each row
 # holds the minimum of few columns, and matching rows against the minimum
 # is cheaper (see the per-block timings in CHANGES.md).
@@ -160,12 +173,11 @@ def _overlap_table(
     bm_b, yw, kets_b = povm_refine(povm_b)
     if projective and np.max(np.abs(np.concatenate([xw, yw]) - 1.0)) > 1e-9:
         raise ValueError("measurement is not projective: an element has an eigenvalue other than 0 or 1")
-    w = _overlap_rows(np.concatenate([kets_a, kets_b]))
+    kets = np.concatenate([kets_a, kets_b])
     sum_a = outcome_sum(bm_a, len(povm_a.elements))
     sum_b = outcome_sum(bm_b, len(povm_b.elements))
 
-    def block(lam: np.ndarray, p: np.ndarray):
-        u = _overlaps(w, lam, p)
+    def block(u: np.ndarray):
         pa, pb = responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
         pa, pb = sum_a(pa), sum_b(pb)
         sums = pa @ pb.T
@@ -175,19 +187,8 @@ def _overlap_table(
         pb *= pb
         return sums, pa @ pb.T
 
-    width = _block_width(len(w))
-
     def kernel(rng: np.random.Generator, m: int):
-        # each block draws its samples in sample order, so the stream does not
-        # depend on the width; a flat buffer keeps a partial block's (rows, c)
-        # overlaps contiguous; the block tuples are summed in block order
-        normals, flat = np.empty((width, d, 2)), np.empty(len(w) * width)
-
-        def drawn(s: int):
-            c = min(width, m - s)
-            return block(sample_sphere_cd(rng, d, c, normals[:c]), flat[: len(w) * c].reshape(len(w), c))
-
-        return ordered_sum(drawn(s) for s in range(0, m, width))
+        return ordered_sum(_overlap_blocks(rng, d, m, kets, block))  # summed in block order
 
     sums, sumsq = run_batched(n, seed, label, kernel, workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)
@@ -218,7 +219,8 @@ def simplex_integral_mc(
     a is the minimizer; the exact value is 1/d^3 for every rank-1 projective
     measurement. It is cell (a, a) of the Werner model with Bob measuring in
     Alice's basis: each sample adds u_a [argmin = a]."""
-    if not (isinstance(a, (int, np.integer)) and 0 <= a < d):
+    d, a = _check_dim(d), _check_dim(a, "outcome index a")  # before any sampling: True is 1
+    if not 0 <= a < d:
         raise ValueError(f"outcome index a must be an integer in range({d}), got {a!r}")
     if any(abs(np.trace(p).real - 1.0) > 1e-10 for p in proj.elements):
         raise ValueError("simplex integral requires a rank-1 measurement")
@@ -294,23 +296,36 @@ def _choice(l0: np.ndarray, l1: np.ndarray, x: np.ndarray):
     return pick0, _select(pick0, plus0, plus1)
 
 
-def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: int | None):
-    """Run the choice rule on one direction pair x, y, or on each pair of
-    (k, 3) stacks of them. Each batch draws the (3, m) rows l0 and l1 once,
-    outputs(l0, l1) makes what the batch's pairs share, and the function it
-    returns, pair(pick0, a_plus, x_i, y_i), gives pair i's partials. Returns
-    result(*sums) of the pair, or for stacks the list of them in pair order;
-    pair i reads the draws of a single run on (x_i, y_i), so its result is
-    that run's, bit for bit."""
+def _stack(a, b, one, what: str):
+    """The pairs of a and b, one item each (one(item) holds) or equal-length,
+    non-empty stacks (lists, tuples, arrays) of items, as two stacks, and a
+    function that unpacks their results in pair order: the one result, or
+    the list. Anything else is a ValueError that starts with `what`."""
+    single = one(a) and one(b)
+    xs, ys = ([a], [b]) if single else (a, b)
+    if not (min(np.ndim(xs), np.ndim(ys)) > 0 and len(xs) == len(ys) > 0 and all(one(v) for v in (*xs, *ys))):
+        raise ValueError(f"{what} or equal-length, non-empty stacks of them")
+    return xs, ys, lambda results: results[0] if single else results
+
+
+def _directions(x, y):
+    """_stack on unit 3-vectors or (k, 3) stacks of them, each checked."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    single = x.ndim == y.ndim == 1
-    xs, ys = (x[None], y[None]) if single else (x, y)
-    if not (xs.ndim == ys.ndim == 2 and len(xs) == len(ys) > 0):
-        raise ValueError(
-            f"directions must be unit 3-vectors or equal-length, non-empty stacks of them, got shapes {x.shape} and {y.shape}"
-        )
+    xs, ys, unpack = _stack(x, y, lambda v: v.ndim == 1, "directions must be unit 3-vectors")
     for v in (*xs, *ys):
         unit_bloch(v, "direction")
+    return xs, ys, unpack
+
+
+def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: int | None):
+    """Run the choice rule on the direction pairs of x and y (see
+    _directions). Each batch draws the (3, m) rows l0 and l1 once,
+    outputs(l0, l1) makes what the batch's pairs share, and the function it
+    returns, pair(pick0, a_plus, x_i, y_i), gives pair i's partials. Returns
+    result(*sums) of each pair, unpacked by _stack; pair i reads the draws
+    of a single run on (x_i, y_i), so its result is that run's, bit for
+    bit."""
+    xs, ys, unpack = _directions(x, y)
 
     def kernel(rng: np.random.Generator, m: int):
         l0 = sample_sphere_r3(rng, m)
@@ -320,8 +335,7 @@ def _run_choice(x, y, n: int, seed: int, label: str, outputs, result, workers: i
         return tuple(np.stack(p) for p in zip(*parts))
 
     sums = run_batched(n, seed, label, kernel, workers)
-    results = [result(*(s[i] for s in sums)) for i in range(len(xs))]
-    return results[0] if single else results
+    return unpack([result(*(s[i] for s in sums)) for i in range(len(xs))])
 
 
 def simulate_epr_one_bit(x, y, n: int, seed: int, workers: int | None = None) -> SpinResult | list[SpinResult]:
@@ -380,10 +394,12 @@ class HirschResult(SpinResult):
     accept_rate: McEstimate | None
 
 
-def _check_q(q: float) -> None:
-    """The singlet/|0> mixture model is local only for q in [0, 1/2]."""
+def _check_q(q: float) -> float:
+    """q as a float for the stream labels' repr(q), checked to lie in
+    [0, 1/2], where the singlet/|0> mixture model is local."""
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
+    return float(q)
 
 
 def _hirsch_alice(v: np.ndarray, lam: np.ndarray, inside: np.ndarray, u1: np.ndarray, u2: np.ndarray):
@@ -410,8 +426,7 @@ def simulate_hirsch_projective(
     Alice accepts the shared sphere point with probability |x . lambda|.
     accept_rate estimates that acceptance frequency (None when q = 0).
     """
-    _check_q(q)
-    q = float(q)  # the stream label holds repr(q), which differs for a numpy float
+    q = _check_q(q)
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
@@ -504,24 +519,15 @@ def simulate_povm_lift(
     tr(M_a' sigma). The estimated table targets the Born probabilities of
     lift_state(rho_g(q), sigma_a, sigma_b).
 
-    povm_a and povm_b may also be equal-length lists of POVMs. Each batch
-    then draws lam, r and every uniform once, in a single run's order, and
-    applies them to every pair in turn, and the result is a list of
-    LiftResults in pair order; pair i is the single run on
-    (povm_a[i], povm_b[i]), bit for bit.
+    povm_a and povm_b may also be equal-length stacks of POVMs (see
+    _stack). Each batch then draws lam, r and every uniform once, in a
+    single run's order, and applies them to every pair in turn, and the
+    result is a list of LiftResults in pair order; pair i is the single run
+    on (povm_a[i], povm_b[i]), bit for bit.
     """
-    _check_q(q)
-    q = float(q)  # the stream label holds repr(q), which differs for a numpy float
+    q = _check_q(q)
     d = 2
-    single = isinstance(povm_a, Povm) and isinstance(povm_b, Povm)
-    pa, pb = ([povm_a], [povm_b]) if single else (povm_a, povm_b)
-    if not (
-        isinstance(pa, (list, tuple)) and isinstance(pb, (list, tuple)) and len(pa) == len(pb) > 0
-        and all(isinstance(p, Povm) for p in (*pa, *pb))
-    ):
-        raise ValueError("POVMs must be two Povm objects or equal-length, non-empty lists of them")
-    if any(p.dim != d for p in (*pa, *pb)):
-        raise ValueError(f"POVMs must act on dimension {d}")
+    pa, pb, unpack = _stack(povm_a, povm_b, lambda p: isinstance(p, Povm) and p.dim == d, f"POVMs must be two Povm objects on C^{d}")
     target = lift_state(rho_g(q), sigma_a, sigma_b)  # checks both sigmas before any sampling
     place_a, place4_a, step_a = _lift_side(pa, np.asarray(sigma_a, dtype=complex), d)
     place_b, place4_b, step_b = _lift_side(pb, np.asarray(sigma_b, dtype=complex), d)
@@ -549,7 +555,7 @@ def simulate_povm_lift(
         return tuple(part for i, (ka, kb) in enumerate(sizes) for part in pair(i, ka, kb))
 
     sums = run_batched(n, seed, f"povmlift:q={q!r}", kernel, workers)
-    results = [
+    return unpack([
         LiftResult(
             table=JointTable.from_sums(c.reshape(ka, kb), c.reshape(ka, kb), n, seed, a.labels, b.labels),
             step4_a=McEstimate.from_sums(miss[0], miss[0], n, seed),
@@ -557,8 +563,7 @@ def simulate_povm_lift(
             target=target,
         )
         for c, miss, (ka, kb), a, b in zip(sums[::2], sums[1::2], sizes, pa, pb)
-    ]
-    return results[0] if single else results
+    ])
 
 
 def simulate_barrett(
@@ -604,24 +609,23 @@ def barrett_trial(d: int, rng: np.random.Generator, n: int, seed: int, workers: 
     return table, table, born_table(barrett_state(d), pa.elements, pb.elements), {}
 
 
-def _spin_trial(res, state: DensityMatrix, x, y, extra):
-    """(res, its table, the Born table of state on spins along x and y,
-    extra(res, x . y)); for stacks x, y and the results of a stacked run,
-    the list of these in pair order."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if isinstance(res, list):
-        return [_spin_trial(r, state, xi, yi, extra) for r, xi, yi in zip(res, x, y)]
-    oracle = born_table(state, obs_from_bloch(x).elements, obs_from_bloch(y).elements)
-    return res, res.table, oracle, extra(res, float(x @ y))
+def _spin_trial(run, state: DensityMatrix, x, y, extra):
+    """For each result res of run(xs, ys) on the direction pairs of x and y
+    (see _directions): (res, its table, the Born table of state on spins
+    along x_i and y_i, extra(res, x_i . y_i)), unpacked by _stack."""
+    xs, ys, unpack = _directions(x, y)
+    return unpack([
+        (res, res.table, born_table(state, obs_from_bloch(xi).elements, obs_from_bloch(yi).elements), extra(res, float(xi @ yi)))
+        for res, xi, yi in zip(run(xs, ys), xs, ys, strict=True)
+    ])
 
 
 def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
     """Choice-method model on spins along x and y against werner2x2(1/2),
     whose E(AB) is -(x.y)/2. For (k, 3) stacks x and y all pairs run on one
     stream, and the trial returns a list of k tuples in pair order."""
-    res = simulate_gd_w2x2(x, y, n, seed, workers)
     return _spin_trial(
-        res, werner2x2(0.5), x, y,
+        lambda xs, ys: simulate_gd_w2x2(xs, ys, n, seed, workers), werner2x2(0.5), x, y,
         lambda r, xy: {"E_AB": r.e_ab.mean, "E_AB_target": -xy / 2, "rewrite_agreement": r.rewrite_agreement},
     )
 
@@ -629,19 +633,23 @@ def gd_trial(x, y, n: int, seed: int, workers: int | None = None):
 def epr1bit_trial(x, y, n: int, seed: int, workers: int | None = None):
     """One-bit-assisted simulation on spins along x and y against the
     singlet, whose E(AB) is -x.y. Stacks x and y run as in gd_trial."""
-    res = simulate_epr_one_bit(x, y, n, seed, workers)
-    return _spin_trial(res, singlet(), x, y, lambda r, xy: {"E_AB": r.e_ab.mean, "E_AB_target": -xy})
+    return _spin_trial(
+        lambda xs, ys: simulate_epr_one_bit(xs, ys, n, seed, workers), singlet(), x, y,
+        lambda r, xy: {"E_AB": r.e_ab.mean, "E_AB_target": -xy},
+    )
 
 
 def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
     """Singlet/|0> mixture model on spins along x and y against rho_g(q),
-    whose E(A) is (1-q) x_z."""
-    res = simulate_hirsch_projective(q, x, y, n, seed, workers)
-    oracle = born_table(rho_g(q), obs_from_bloch(x).elements, obs_from_bloch(y).elements)
-    extra = {"E_A": res.e_a.mean, "E_A_target": (1 - q) * float(x[2])}
-    if res.accept_rate is not None:
-        extra["accept_rate"] = res.accept_rate.mean
-    return res, res.table, oracle, extra
+    whose E(A) is (1-q) x_z. The simulator runs one pair and rejects
+    stacks."""
+    q = _check_q(q)  # before rho_g(q), which admits q up to 1
+
+    def extra(r, xy):
+        rate = {} if r.accept_rate is None else {"accept_rate": r.accept_rate.mean}
+        return {"E_A": r.e_a.mean, "E_A_target": (1 - q) * float(x[2]), **rate}
+
+    return _spin_trial(lambda xs, ys: [simulate_hirsch_projective(q, x, y, n, seed, workers)], rho_g(q), x, y, extra)
 
 
 def povm_lift_trial(

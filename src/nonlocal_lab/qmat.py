@@ -25,11 +25,6 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
 
-def ket(*amps) -> np.ndarray:
-    """Column vector from amplitudes, as a 1-D complex array."""
-    return np.asarray(amps, dtype=complex)
-
-
 def basis_ket(d: int, i: int) -> np.ndarray:
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .qmat import _check_dim, _check_matrix_budget, basis_ket, flip, is_density, partial_trace, projector, tensor
+from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 @dataclass
@@ -51,6 +52,11 @@ class DensityMatrix:
         traced = "B" if side == "A" else "A"
         return partial_trace(self.mat, self.d_a, self.d_b, side=traced)
 
+    # Bytes of the longest text that to_json writes for a state within
+    # qmat.MATRIX_BUDGET: a header, and per entry ", [re, im]" with floats of
+    # the longest repr, 24 characters as in -2.2250738585072014e-308.
+    JSON_BYTES = 64 + MATRIX_BUDGET // 16 * len(", [-2.2250738585072014e-308, -2.2250738585072014e-308]")
+
     def to_json(self) -> str:
         """{"dA": int, "dB": int, "entries": [[re, im], ...]}, the entries of
         the matrix in row-major order."""
@@ -59,20 +65,24 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityMatrix":
-        """The state that to_json wrote; any other text is a ValueError."""
+        """The state that to_json wrote; any other text is a ValueError. dA
+        and dB are checked against qmat.MATRIX_BUDGET before the entries
+        are decoded."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or not obj.keys() >= {"dA", "dB", "entries"}:
             raise ValueError("expected a JSON object with the keys dA, dB, entries")
         d_a, d_b = obj["dA"], obj["dB"]
+        if type(d_a) is not int or type(d_b) is not int or min(d_a, d_b) < 1:
+            raise ValueError(f"expected positive integers dA, dB, got {d_a!r}, {d_b!r}")
+        d = d_a * d_b
+        if 16 * d * d > MATRIX_BUDGET:
+            raise ValueError(f"dA*dB = {d} needs a {d}x{d} complex matrix, above the {MATRIX_BUDGET >> 20} MiB budget")
         try:
             flat = np.array([complex(re, im) for re, im in obj["entries"]])
         except (TypeError, ValueError):
             raise ValueError("matrix entries must be a list of [re, im] number pairs") from None
-        d = int(round(np.sqrt(flat.size)))
-        if d * d != flat.size:
-            raise ValueError(f"expected a square matrix, got {flat.size} entries")
-        if type(d_a) is not int or type(d_b) is not int or d != d_a * d_b:
-            raise ValueError(f"expected integers dA, dB with (dA*dB)^2 entries, got {d_a!r}, {d_b!r}, {flat.size}")
+        if flat.size != d * d:
+            raise ValueError(f"expected (dA*dB)^2 = {d * d} entries, got {flat.size}")
         return cls(flat.reshape(d, d), d_a, d_b)
 
 
@@ -93,10 +103,11 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
 
     W = [(d - phi) I + (d phi - 1) V] / (d^3 - d), phi in [-1, 1].
     """
+    d = _check_dim(d)
     if d < 2:
         raise ValueError(f"werner_phi requires d >= 2, got {d}")
-    if not -1.0 <= phi <= 1.0:
-        raise ValueError(f"phi must lie in [-1, 1], got {phi}")
+    if not (isinstance(phi, numbers.Real) and -1.0 <= phi <= 1.0):
+        raise ValueError(f"phi must lie in [-1, 1], got {phi!r}")
     _check_matrix_budget(d)
     # built in place in V's one array with the bits of the formula: adding
     # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
@@ -115,6 +126,9 @@ def werner_local_phi(d: int) -> float:
 
 def werner_local(d: int) -> DensityMatrix:
     """The entangled Werner state with phi = -1 + (1+d)/d^2."""
+    d = _check_dim(d)
+    if d < 2:  # before phi, which divides by d^2
+        raise ValueError(f"werner_local requires d >= 2, got {d}")
     return werner_phi(d, werner_local_phi(d))
 
 
@@ -136,6 +150,7 @@ def barrett_state(d: int) -> DensityMatrix:
     The antisymmetric weight is (d-1)^(d-1) (3d-1) / ((d+1) d^d); the state
     is entangled for every d >= 2 (weight above 1/(1+d)).
     """
+    d = _check_dim(d)
     if d < 2:
         raise ValueError(f"barrett_state requires d >= 2, got {d}")
     _check_matrix_budget(d)
@@ -216,6 +231,7 @@ def rho_g_prime(q: float) -> DensityMatrix:
 
 def embed_local(rho: DensityMatrix, d_a: int, d_b: int) -> DensityMatrix:
     """Zero-pad each party into a larger local space (original levels first)."""
+    d_a, d_b = _check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")
     if d_a < rho.d_a or d_b < rho.d_b:
         raise ValueError("embedding dimensions must not shrink")
     out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
@@ -226,8 +242,13 @@ def embed_local(rho: DensityMatrix, d_a: int, d_b: int) -> DensityMatrix:
 def restrict_block(rho: DensityMatrix, keep_a: tuple[int, ...], keep_b: tuple[int, ...]) -> DensityMatrix:
     """Restrict to the given local levels and renormalize.
 
-    Raises if the kept block carries (almost) no weight.
+    Each party's levels must be distinct integers in range of its dimension;
+    raises if the kept block carries (almost) no weight.
     """
+    for keep, d, who in ((keep_a, rho.d_a, "Alice"), (keep_b, rho.d_b, "Bob")):
+        levels = [_check_dim(k, f"{who}'s level") for k in keep]
+        if len(set(levels)) < len(levels) or not all(0 <= k < d for k in levels):
+            raise ValueError(f"{who}'s levels must be distinct and in range({d}), got {tuple(keep)!r}")
     idx = [a * rho.d_b + b for a in keep_a for b in keep_b]
     sub = rho.mat[np.ix_(idx, idx)]
     tr = np.trace(sub).real

@@ -384,6 +384,31 @@ class TestBadInput:
             with pytest.raises(ValueError, match="d <= 64"):
                 qmat._check_matrix_budget(d)
 
+    @pytest.mark.parametrize("command", ["witness", "chsh"])
+    def test_werner_local_below_d_two(self, capsys, command):
+        assert "werner_local requires d >= 2, got 0" in self.check(capsys, command, "werner-local", "--d", "0")
+
+    def test_state_file_longer_than_any_state_within_budget_is_not_read(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        with open(path, "wb") as f:
+            f.truncate(states.DensityMatrix.JSON_BYTES + 1)  # sparse: no block is written
+
+        def read(*args, **kwargs):
+            raise AssertionError("an over-long state file was read")
+
+        monkeypatch.setattr(cli.Path, "read_text", read)
+        assert "more than any state within the matrix budget" in self.check(capsys, "witness", "--state-json", str(path))
+
+    def test_state_file_declaring_an_over_budget_state_is_not_decoded(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        path.write_text('{"dA": 65, "dB": 65, "entries": [[1, 0]]}')
+
+        def decoded(*args, **kwargs):
+            raise AssertionError("the entries were decoded")
+
+        monkeypatch.setattr(states, "complex", decoded, raising=False)  # each entry is decoded by complex()
+        assert "4225x4225 complex matrix, above the 256 MiB budget" in self.check(capsys, "chsh", "--state-json", str(path), "--optimal")
+
     def test_missing_state_file(self, capsys, tmp_path):
         assert "absent.json" in self.check(capsys, "witness", "--state-json", str(tmp_path / "absent.json"))
 

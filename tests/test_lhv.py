@@ -286,6 +286,13 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"outcome index a must be an integer in range\(3\)"):
             lhv.simplex_integral_mc(3, a, random_projective(3, rng), 1000, 0)
 
+    def test_simplex_reads_a_boolean_outcome_as_its_integer(self, rng):
+        """a passes through _check_dim before sampling, so True is outcome 1
+        rather than a boolean index into the table after every draw."""
+        pa = random_projective(3, rng)
+        flagged, one = lhv.simplex_integral_mc(3, True, pa, 2000, 0), lhv.simplex_integral_mc(3, 1, pa, 2000, 0)
+        assert (flagged.mean, flagged.stderr) == (one.mean, one.stderr)
+
     @pytest.mark.parametrize("q", [-0.1, 0.6, float("nan")])
     @pytest.mark.parametrize("simulator", ["hirsch", "povm_lift"])
     def test_mixture_models_reject_q_outside_zero_to_half_before_sampling(self, simulator, q, monkeypatch):
@@ -1005,6 +1012,75 @@ def test_bad_lift_stacks_are_rejected_before_sampling(case, monkeypatch):
     sigma = projector(basis_ket(2, 0))
     with pytest.raises(ValueError, match="POVMs must"):
         lhv.simulate_povm_lift(0.4, sigma, sigma, *_bad_lift_stacks()[case], 1000, 0)
+
+
+# -- _stack: the one front end for a pair or a stack of pairs ----------------
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, [2]), ([1], 2), ([], []), ((), ()), ([1, 2], [3]), ((1,), [2, 3]), ([1, "2"], [3, 4]), ("12", "34"), (None, None)],
+    ids=["single-and-stack", "stack-and-single", "empty-lists", "empty-tuples", "unequal", "unequal-tuple-and-list",
+         "foreign-item", "strings", "nones"],
+)
+def test_stack_rejects_mixed_empty_unequal_and_foreign_pairs(a, b):
+    with pytest.raises(ValueError, match=r"^ints or equal-length, non-empty stacks of them$"):
+        lhv._stack(a, b, _is_int, "ints")
+
+
+def test_stack_unpacks_one_result_or_the_list():
+    xs, ys, unpack = lhv._stack(1, 2, _is_int, "ints")
+    assert (xs, ys) == ([1], [2]) and unpack(["r"]) == "r"
+    for a, b in (([1], [2]), ((1, 2), [3, 4]), (np.array([1, 2]), (3, 4))):
+        xs, ys, unpack = lhv._stack(a, b, lambda v: isinstance(v, (int, np.integer)), "ints")
+        assert xs is a and ys is b and unpack(["r"] * len(a)) == ["r"] * len(a)
+
+
+_ODD_DIRECTIONS = {
+    "0-d": (np.array(1.0), np.array(1.0)),
+    "3-d": (np.array([[_X]]), np.array([[_Y]])),
+    "pair-of-two-components": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    "stack-against-3-d": (np.array([_X]), np.array([[_Y]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted({**_BAD_STACKS, **_ODD_DIRECTIONS}))
+@pytest.mark.parametrize("model", sorted(_CHOICE_MODELS))
+def test_simulators_and_trials_reject_odd_directions_before_sampling(model, case, monkeypatch):
+    monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+    for run in (_CHOICE_MODELS[model], lhv.MODELS[model]):
+        with pytest.raises(ValueError, match="direction"):
+            run(*{**_BAD_STACKS, **_ODD_DIRECTIONS}[case], 1000, 0)
+
+
+@pytest.mark.parametrize("x, y", [(np.array([_X]), np.array([_Y])), (np.array([_X, _Y]), np.array([_Y, _X]))])
+def test_hirsch_trial_rejects_stacks_before_sampling(x, y, monkeypatch):
+    """Its simulator runs one pair."""
+    monkeypatch.setattr(lhv, "run_batched", _no_sampling)
+    with pytest.raises(ValueError, match="direction"):
+        lhv.hirsch_trial(0.3, x, y, 1000, 0)
+
+
+def test_hirsch_trial_is_its_single_run():
+    res, table, oracle, extra = lhv.hirsch_trial(np.float64(0.3), _X, _Y, 5000, 4)
+    one = lhv.simulate_hirsch_projective(0.3, _X, _Y, 5000, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(_leaves(res), _leaves(one), strict=True))
+    assert table is res.table
+    assert np.array_equal(oracle, born_table(states.rho_g(0.3), obs_from_bloch(_X).elements, obs_from_bloch(_Y).elements))
+    assert extra == {"E_A": one.e_a.mean, "E_A_target": (1 - 0.3) * _X[2], "accept_rate": one.accept_rate.mean}
+
+
+def test_tuples_of_povms_run_as_stacks():
+    pa, pb = _lift_pairs(np.random.default_rng(43))
+    sigma = projector(basis_ket(2, 0))
+    as_lists = lhv.simulate_povm_lift(0.4, sigma, sigma, pa, pb, 5000, 12)
+    as_tuples = lhv.simulate_povm_lift(0.4, sigma, sigma, tuple(pa), tuple(pb), 5000, 12)
+    assert isinstance(as_tuples, list) and len(as_tuples) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(_leaves(as_lists), _leaves(as_tuples), strict=True))
 
 
 def test_picks_count_the_weights_at_or_below_each_uniform():

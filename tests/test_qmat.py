@@ -10,7 +10,6 @@ from nonlocal_lab.qmat import (
     flip,
     hermitian_eig,
     is_density,
-    ket,
     partial_trace,
     partial_transpose,
     projector,
@@ -42,7 +41,7 @@ class TestTensor:
         # oracle: sigma_z (x) sigma_z written out by hand in the product basis
         zz = np.diag([1, -1, -1, 1]).astype(complex)
         assert np.allclose(tensor(SZ, SZ), zz)
-        ket01 = ket(0, 1, 0, 0)
+        ket01 = basis_ket(4, 1)
         assert np.allclose(tensor(SZ, SZ) @ ket01, -ket01)
 
     def test_bilinear(self):
@@ -70,8 +69,8 @@ class TestFlip:
             assert np.isclose(np.trace(v @ tensor(a, b)), np.trace(a @ b), atol=1e-12)
 
     def test_defining_action(self):
-        ket01 = ket(0, 1, 0, 0)
-        ket10 = ket(0, 0, 1, 0)
+        ket01 = basis_ket(4, 1)
+        ket10 = basis_ket(4, 2)
         assert np.array_equal(flip(2) @ ket01, ket10)
 
     def test_involution_and_hermitian(self):
@@ -95,7 +94,7 @@ class TestFlip:
 
 class TestPartialTrace:
     def test_singlet_reduced_is_maximally_mixed(self):
-        psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
+        psi = (basis_ket(4, 1) - basis_ket(4, 2)) / np.sqrt(2)
         reduced = partial_trace(projector(psi), 2, 2, side="B")
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
@@ -108,7 +107,7 @@ class TestPartialTrace:
     def test_singlet_noise_mixture_reduced(self):
         # term-by-term oracle: q tr_B(singlet) + (1-q) |0><0| tr(I/2)
         q = 0.37
-        psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
+        psi = (basis_ket(4, 1) - basis_ket(4, 2)) / np.sqrt(2)
         m = q * projector(psi) + (1 - q) * tensor(projector(basis_ket(2, 0)), np.eye(2) / 2)
         expected = q * np.eye(2) / 2 + (1 - q) * projector(basis_ket(2, 0))
         assert np.allclose(partial_trace(m, 2, 2, "B"), expected, atol=1e-12)
@@ -125,7 +124,7 @@ class TestPartialTrace:
 class TestPartialTranspose:
     def test_singlet(self):
         # oracle: hand-transposed 4x4 matrix of the singlet projector
-        psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
+        psi = (basis_ket(4, 1) - basis_ket(4, 2)) / np.sqrt(2)
         expected = 0.5 * np.array(
             [
                 [0, 0, 0, -1],
@@ -147,7 +146,7 @@ class TestPartialTranspose:
 
     def test_singlet_noise_mixture_is_npt(self):
         q = 0.2
-        psi = (ket(0, 1, 0, 0) - ket(0, 0, 1, 0)) / np.sqrt(2)
+        psi = (basis_ket(4, 1) - basis_ket(4, 2)) / np.sqrt(2)
         m = q * projector(psi) + (1 - q) * tensor(projector(basis_ket(2, 0)), np.eye(2) / 2)
         assert np.linalg.eigvalsh(partial_transpose(m, 2, 2, "B")).min() < 0
 
@@ -161,7 +160,7 @@ class TestHermitianEig:
     def test_sigma_x(self):
         vals, vecs = hermitian_eig(SX)
         assert np.allclose(vals, [1, -1])
-        plus = ket(1, 1) / np.sqrt(2)
+        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         # eigenvectors defined up to phase: compare projectors
         assert np.allclose(projector(vecs[:, 0]), projector(plus), atol=1e-12)
 

@@ -1,11 +1,12 @@
 import inspect
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nonlocal_lab import measure, states
+from nonlocal_lab import measure, qmat, states
 from nonlocal_lab.qmat import basis_ket, flip, is_density, projector, tensor
 from nonlocal_lab.states import (
     DensityMatrix,
@@ -362,6 +363,94 @@ class TestValidation:
     def test_restrict_block_rejects_empty(self):
         with pytest.raises(ValueError):
             states.restrict_block(rho_e(1.0), (2,), (0, 1))
+
+
+class TestArgumentsBeforeComparisons:
+    """The type of an argument is checked before it is compared, so a wrong
+    type is a ValueError, not a TypeError from the comparison."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: werner_phi("3", 0.0), lambda: barrett_state("3"), lambda: werner_local("3")],
+        ids=["werner_phi", "barrett_state", "werner_local"],
+    )
+    def test_string_dimension(self, build):
+        with pytest.raises(ValueError, match="d must be an integer, got '3'"):
+            build()
+
+    @pytest.mark.parametrize("phi", [None, "0.5", 0.5j])
+    def test_phi_that_is_not_a_real_number(self, phi):
+        with pytest.raises(ValueError, match=r"phi must lie in \[-1, 1\]"):
+            werner_phi(3, phi)
+
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_werner_local_rejects_d_below_two_before_its_phi(self, d):
+        # werner_local_phi(0) divides by d^2
+        with pytest.raises(ValueError, match="werner_local requires d >= 2"):
+            werner_local(d)
+
+    def test_embed_local_dimension(self):
+        with pytest.raises(ValueError, match="d_a must be an integer, got 2.5"):
+            embed_local(singlet(), 2.5, 2)
+
+
+class TestRestrictBlock:
+    """Levels are checked before any index is formed."""
+
+    RHO = states.random_density(2, 3, np.random.default_rng(23))
+
+    def test_bob_level_beyond_his_dimension_is_not_read_as_alices_next(self):
+        # unchecked, (Alice 0, Bob 3) is index 0 * 3 + 3, which is (Alice 1, Bob 0)
+        with pytest.raises(ValueError, match=r"Bob's levels must be distinct and in range\(3\), got \(0, 3\)"):
+            states.restrict_block(self.RHO, (0,), (0, 3))
+
+    @pytest.mark.parametrize(
+        "keep_a, keep_b, who", [((-1,), (0,), "Alice"), ((0, 2), (0,), "Alice"), ((0,), (1, 1), "Bob"), ((0, 0), (1,), "Alice")]
+    )
+    def test_negative_out_of_range_and_repeated_levels(self, keep_a, keep_b, who):
+        with pytest.raises(ValueError, match=f"{who}'s levels must be distinct and in range"):
+            states.restrict_block(self.RHO, keep_a, keep_b)
+
+    def test_non_integer_level(self):
+        with pytest.raises(ValueError, match="Bob's level must be an integer, got 0.5"):
+            states.restrict_block(self.RHO, (0,), (0.5,))
+
+    def test_numpy_integer_levels_read_the_same_block(self):
+        block = states.restrict_block(self.RHO, (np.int64(1),), (np.int64(0), 2))
+        assert np.array_equal(block.mat, states.restrict_block(self.RHO, (1,), (0, 2)).mat)
+
+
+class TestStateJsonBudget:
+    """dA and dB are checked against qmat.MATRIX_BUDGET before the entries
+    are decoded; the decoder is patched to fail, so nothing is allocated."""
+
+    @pytest.fixture
+    def no_decoding(self, monkeypatch):
+        def decoded(*args, **kwargs):
+            raise AssertionError("the entries were decoded")
+
+        monkeypatch.setattr(states, "complex", decoded, raising=False)  # each entry is decoded by complex()
+
+    @pytest.mark.parametrize("d_a, d_b", [(65, 65), (4097, 1), (1, 10**9)])
+    def test_over_budget_dimensions(self, no_decoding, d_a, d_b):
+        with pytest.raises(ValueError, match="above the 256 MiB budget"):
+            DensityMatrix.from_json(json.dumps({"dA": d_a, "dB": d_b, "entries": [[1, 0]]}))
+
+    def test_the_largest_state_within_budget_reaches_the_decoder(self, no_decoding):
+        with pytest.raises(AssertionError, match="decoded"):
+            DensityMatrix.from_json('{"dA": 64, "dB": 64, "entries": [[1, 0]]}')
+
+    @pytest.mark.parametrize("d_a, d_b", [(0, 2), (2, -1), (2.0, 2), (True, 2)])
+    def test_dimensions_that_are_not_positive_integers(self, no_decoding, d_a, d_b):
+        with pytest.raises(ValueError, match="expected positive integers dA, dB"):
+            DensityMatrix.from_json(json.dumps({"dA": d_a, "dB": d_b, "entries": [[1, 0]]}))
+
+    def test_json_bytes_bound_the_longest_text_to_json_writes(self):
+        """Per entry ", [re, im]" with two floats of the longest repr, and a
+        header with the widest dimensions that fit the budget."""
+        worst = -2.2250738585072014e-308 * (1 + 1j)
+        rho = DensityMatrix._trusted(np.full((2, 2), worst), 4096, 4096)
+        assert len(rho.to_json()) <= 64 + 4 * 54
+        assert DensityMatrix.JSON_BYTES == 64 + (qmat.MATRIX_BUDGET // 16) * 54
 
 
 def _closed_form_states():
