@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, tensor
+from .qmat import _check_dim, _check_real, tensor
 from .states import STATES, DensityMatrix, singlet
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -64,10 +65,7 @@ def hirsch_filters(epsilon: float, q: float) -> LocalFilter:
     filters are defined up to scale, so the post-state is unchanged and
     only the success probability shifts.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
+    epsilon, q = _check_real(epsilon, 0, math.inf, "epsilon", "()"), _check_real(q, 0, 1, "q", "(]")
     delta = epsilon / np.sqrt(q)
     f_a = np.diag([epsilon, 1.0]).astype(complex)
     f_b = np.diag([delta, 1.0]).astype(complex)
@@ -95,9 +93,7 @@ def popescu_protocol(d: int) -> PopescuResult:
     The block state is (d/(d+2)) (I/(2d) + |Psi-><Psi-|) and its CHSH value
     at the standard settings is 2 sqrt(2) d/(d+2), exceeding 2 for d >= 5.
     """
-    d = _check_dim(d)
-    if d < 3:
-        raise ValueError(f"popescu_protocol requires d >= 3, got {d}")
+    d = _check_dim(d, lo=3)
     c = d / (d + 2)
     w_prime = DensityMatrix(c * (np.eye(4) / (2 * d)) + c * singlet().mat, 2, 2)
     success_prob = 2 * (d + 2) / d**3
@@ -135,9 +131,7 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
     name = family.replace("_", "-")
     if name not in _SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {list(_SCAN_FAMILIES)} ('_' may stand for '-')")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    state = STATES[name](q)
+    state = STATES[name](q)  # checks q
     rows = []
     for eps in epsilons:
         # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1

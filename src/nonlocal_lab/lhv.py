@@ -16,7 +16,7 @@ import numpy as np
 from .mc import BATCH_SIZE, JointTable, McEstimate, ordered_sum, run_batched
 from .measure import Povm, born_table, obs_from_bloch, outcome_sum, povm_refine
 from .measure import random_povm, random_projective, unit_bloch
-from .qmat import _check_dim, _check_matrix_budget, projector
+from .qmat import _check_dim, _check_matrix_budget, _check_real, projector
 from .states import DensityMatrix, barrett_state, lift_state, rho_g, singlet, werner2x2, werner_local
 
 
@@ -164,9 +164,7 @@ def _overlap_table(
     probability rather than a count.
     `projective` requires every refined weight to be 1, that is elements
     with eigenvalues in {0, 1}: orthogonal projectors."""
-    d = _check_dim(d)
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = _check_dim(d, lo=2)
     if povm_a.dim != d or povm_b.dim != d:
         raise ValueError("measurement dimensions must equal d")
     bm_a, xw, kets_a = povm_refine(povm_a)
@@ -394,14 +392,6 @@ class HirschResult(SpinResult):
     accept_rate: McEstimate | None
 
 
-def _check_q(q: float) -> float:
-    """q as a float for the stream labels' repr(q), checked to lie in
-    [0, 1/2], where the singlet/|0> mixture model is local."""
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"model is only valid for q in [0, 1/2], got {q}")
-    return float(q)
-
-
 def _hirsch_alice(v: np.ndarray, lam: np.ndarray, inside: np.ndarray, u1: np.ndarray, u2: np.ndarray):
     """Alice's half of the singlet/|0> mixture model along v (one direction
     or (3, m) rows of them) on the shared (3, m) rows of sphere points lam
@@ -426,7 +416,7 @@ def simulate_hirsch_projective(
     Alice accepts the shared sphere point with probability |x . lambda|.
     accept_rate estimates that acceptance frequency (None when q = 0).
     """
-    q = _check_q(q)
+    q = _check_real(q, 0, 0.5, "q")  # where the mixture model is local; a float, for the label
     x, y = unit_bloch(x, "direction"), unit_bloch(y, "direction")
 
     def kernel(rng: np.random.Generator, m: int):
@@ -525,7 +515,7 @@ def simulate_povm_lift(
     result is a list of LiftResults in pair order; pair i is the single run
     on (povm_a[i], povm_b[i]), bit for bit.
     """
-    q = _check_q(q)
+    q = _check_real(q, 0, 0.5, "q")  # where the mixture model is local; a float, for the label
     d = 2
     pa, pb, unpack = _stack(povm_a, povm_b, lambda p: isinstance(p, Povm) and p.dim == d, f"POVMs must be two Povm objects on C^{d}")
     target = lift_state(rho_g(q), sigma_a, sigma_b)  # checks both sigmas before any sampling
@@ -643,7 +633,7 @@ def hirsch_trial(q: float, x, y, n: int, seed: int, workers: int | None = None):
     """Singlet/|0> mixture model on spins along x and y against rho_g(q),
     whose E(A) is (1-q) x_z. The simulator runs one pair and rejects
     stacks."""
-    q = _check_q(q)  # before rho_g(q), which admits q up to 1
+    q = _check_real(q, 0, 0.5, "q")  # before rho_g(q), which admits q up to 1
 
     def extra(r, xy):
         rate = {} if r.accept_rate is None else {"accept_rate": r.accept_rate.mean}

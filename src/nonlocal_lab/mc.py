@@ -106,10 +106,7 @@ def worker_count(workers: int | None = None) -> int:
     platform has none). The count never changes a result; a `workers` or
     NONLOCAL_LAB_THREADS that is not a positive integer is a ValueError."""
     if workers is not None:
-        count = _check_dim(workers, "workers")
-        if count < 1:
-            raise ValueError(f"workers must be a positive integer, got {workers!r}")
-        return count
+        return _check_dim(workers, "workers", 1)
     env = os.environ.get("NONLOCAL_LAB_THREADS")
     if env is None:
         try:
@@ -151,9 +148,7 @@ def run_batched(
     batch order regardless of which worker computed them. A non-integer n or
     seed (1000.0, NaN) is a ValueError before the first draw.
     """
-    n, seed = _check_dim(n, "sample count"), _check_dim(seed, "seed")
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    n, seed = _check_dim(n, "sample count", 1), _check_dim(seed, "seed")
     counts = [min(BATCH_SIZE, n - j * BATCH_SIZE) for j in range((n + BATCH_SIZE - 1) // BATCH_SIZE)]
 
     def one(j: int) -> tuple[np.ndarray, ...]:

@@ -9,6 +9,7 @@ slow index, so ``tensor(A, B) == np.kron(A, B)``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -42,14 +43,31 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _check_dim(d, what: str = "d") -> int:
+def _check_dim(d, what: str = "d", lo: int | None = None) -> int:
     """An integer argument (a dimension, a sample count, a seed) as an int:
     numpy integers pass, anything without __index__ (2.5, 2.0, NaN) is a
-    ValueError."""
+    ValueError, and so is an integer below the floor lo, if one is given."""
     try:
-        return operator.index(d)
+        d = operator.index(d)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {d!r}") from None
+    if lo is not None and d < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {d}")
+    return d
+
+
+def _check_real(x, lo, hi, what: str, ends: str = "[]") -> float:
+    """A real argument (a mixing weight, a flip parameter) as a float,
+    checked to lie in the interval from lo to hi, whose ends are closed or
+    open as the brackets `ends` say: "(]" is lo < x <= hi. A string, None,
+    NaN or a value outside is a ValueError."""
+    if not (
+        isinstance(x, numbers.Real)
+        and (lo < x if ends[0] == "(" else lo <= x)
+        and (x < hi if ends[1] == ")" else x <= hi)
+    ):
+        raise ValueError(f"{what} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
+    return float(x)
 
 
 # Bytes of the largest d^2 x d^2 complex matrix that a state built from d may
@@ -74,9 +92,7 @@ def _check_matrix_budget(d) -> None:
 
 def flip(d: int) -> np.ndarray:
     """Swap operator V|ij> = |ji> on C^d (x) C^d. Hermitian, V^2 = I."""
-    d = _check_dim(d)
-    if d < 2:
-        raise ValueError(f"flip requires d >= 2, got {d}")
+    d = _check_dim(d, lo=2)
     # V[(j, i), (i, j)] = 1: one scatter of ones into zeros, column c = (i, j)
     v = np.zeros((d * d, d * d), dtype=complex)
     c = np.arange(d * d)

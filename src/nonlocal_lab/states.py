@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, basis_ket, flip, is_density, partial_trace, projector, tensor
+from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, _check_real, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 @dataclass
@@ -29,7 +28,7 @@ class DensityMatrix:
                 f"{check.hermiticity_error:.3e}, min eigenvalue {check.min_eigenvalue:.3e}, "
                 f"trace error {check.trace_error:.3e}"
             )
-        self.d_a, self.d_b = _check_dim(self.d_a, "d_a"), _check_dim(self.d_b, "d_b")
+        self.d_a, self.d_b = _check_dim(self.d_a, "d_a", 1), _check_dim(self.d_b, "d_b", 1)
         if self.mat.shape[0] != self.d_a * self.d_b:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.mat.shape[0]}-dimensional, dA*dB = {self.d_a * self.d_b}"
@@ -103,11 +102,7 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
 
     W = [(d - phi) I + (d phi - 1) V] / (d^3 - d), phi in [-1, 1].
     """
-    d = _check_dim(d)
-    if d < 2:
-        raise ValueError(f"werner_phi requires d >= 2, got {d}")
-    if not (isinstance(phi, numbers.Real) and -1.0 <= phi <= 1.0):
-        raise ValueError(f"phi must lie in [-1, 1], got {phi!r}")
+    d, phi = _check_dim(d, lo=2), _check_real(phi, -1, 1, "phi")
     _check_matrix_budget(d)
     # built in place in V's one array with the bits of the formula: adding
     # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
@@ -121,21 +116,18 @@ def werner_phi(d: int, phi: float) -> DensityMatrix:
 
 def werner_local_phi(d: int) -> float:
     """Flip parameter of the Werner state simulated by the minimizer model."""
+    d = _check_dim(d, lo=2)
     return -1.0 + (1.0 + d) / d**2
 
 
 def werner_local(d: int) -> DensityMatrix:
     """The entangled Werner state with phi = -1 + (1+d)/d^2."""
-    d = _check_dim(d)
-    if d < 2:  # before phi, which divides by d^2
-        raise ValueError(f"werner_local requires d >= 2, got {d}")
     return werner_phi(d, werner_local_phi(d))
 
 
 def werner2x2(alpha: float) -> DensityMatrix:
     """alpha |Psi-><Psi-| + (1 - alpha) I/4 on two qubits."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _check_real(alpha, 0, 1, "alpha")
     w = alpha * singlet().mat + (1 - alpha) * np.eye(4) / 4
     return DensityMatrix._trusted(w, 2, 2)
 
@@ -150,9 +142,7 @@ def barrett_state(d: int) -> DensityMatrix:
     The antisymmetric weight is (d-1)^(d-1) (3d-1) / ((d+1) d^d); the state
     is entangled for every d >= 2 (weight above 1/(1+d)).
     """
-    d = _check_dim(d)
-    if d < 2:
-        raise ValueError(f"barrett_state requires d >= 2, got {d}")
+    d = _check_dim(d, lo=2)
     _check_matrix_budget(d)
     alpha = barrett_alpha(d)
     # alpha A / tr(A) + (1 - alpha) I / d^2 for the antisymmetric projector
@@ -170,8 +160,7 @@ def barrett_state(d: int) -> DensityMatrix:
 
 def rho_g(q: float) -> DensityMatrix:
     """q |Psi-><Psi-| + (1-q) |0><0| (x) I/2 on two qubits."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    q = _check_real(q, 0, 1, "q")
     noise = tensor(projector(basis_ket(2, 0)), np.eye(2) / 2)
     return DensityMatrix._trusted(q * singlet().mat + (1 - q) * noise, 2, 2)
 
@@ -182,8 +171,7 @@ def rho_e(q: float) -> DensityMatrix:
     The singlet lives in the span of the first two qutrit levels; |2> is
     the flag level that local filtering removes.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    q = _check_real(q, 0, 1, "q")
     psi = singlet_ket(3, 2)
     noise = tensor(projector(basis_ket(3, 2)), np.eye(2) / 2)
     return DensityMatrix._trusted(q * projector(psi) + (1 - q) * noise, 3, 2)
@@ -231,9 +219,7 @@ def rho_g_prime(q: float) -> DensityMatrix:
 
 def embed_local(rho: DensityMatrix, d_a: int, d_b: int) -> DensityMatrix:
     """Zero-pad each party into a larger local space (original levels first)."""
-    d_a, d_b = _check_dim(d_a, "d_a"), _check_dim(d_b, "d_b")
-    if d_a < rho.d_a or d_b < rho.d_b:
-        raise ValueError("embedding dimensions must not shrink")
+    d_a, d_b = _check_dim(d_a, "d_a", rho.d_a), _check_dim(d_b, "d_b", rho.d_b)  # no shrinking
     out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
     out[: rho.d_a, : rho.d_b, : rho.d_a, : rho.d_b] = rho.mat.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
     return DensityMatrix(out.reshape(d_a * d_b, d_a * d_b), d_a, d_b)
@@ -246,7 +232,10 @@ def restrict_block(rho: DensityMatrix, keep_a: tuple[int, ...], keep_b: tuple[in
     raises if the kept block carries (almost) no weight.
     """
     for keep, d, who in ((keep_a, rho.d_a, "Alice"), (keep_b, rho.d_b, "Bob")):
-        levels = [_check_dim(k, f"{who}'s level") for k in keep]
+        try:
+            levels = [_check_dim(k, f"{who}'s level") for k in keep]
+        except TypeError:  # keep is not iterable
+            raise ValueError(f"{who}'s levels must be a sequence of integers, got {keep!r}") from None
         if len(set(levels)) < len(levels) or not all(0 <= k < d for k in levels):
             raise ValueError(f"{who}'s levels must be distinct and in range({d}), got {tuple(keep)!r}")
     idx = [a * rho.d_b + b for a in keep_a for b in keep_b]

@@ -19,7 +19,7 @@ CRITERION_IDS = list(range(1, 14))
 # shared with the CLI; a change to any of them is logged in CHANGES.md.
 DETAILS = [
     "value 2.82842712475, |err| 8.88e-16 (tol 1e-10)",
-    "max excess -0.0257 (tol 1e-9), max shortfall 4.44e-16 (tol 1e-6)",
+    "max excess -0.0257 (tol 1e-9), max shortfall <= 1e-12 (tol 1e-6)",
     "max cell deviation 2.72 sigma over 10 runs (tol 5.0)",
     "estimate 0.036942109 vs 1/27 = 0.037037037, 1.37 sigma",
     "max deviation 2.32 sigma over 10 direction pairs; rewrite mismatches 0",
@@ -31,15 +31,15 @@ DETAILS = [
     "flag-state filter: singlet deviation 1.1e-16, CHSH 2.82842712475",
     "max |err| 8.88e-16 over d=3..8 (tol 1e-10)",
     "max formula error 3.3e-16; min witness over 100 separable states 0.0678",
-    "determinism ok; d=2 minimizer: min 0.0e+00, norm err 0.0e+00; d=2 quantum: min 6.5e-06, norm err 1.0e-15; "
-    "d=2 threshold: min 1.0e-04, norm err 6.7e-16; d=2 inverted: min 2.5e-09, norm err 1.6e-15; "
-    "d=3 minimizer: min 0.0e+00, norm err 0.0e+00; d=3 quantum: min 4.9e-07, norm err 1.2e-15; "
-    "d=3 threshold: min 2.4e-06, norm err 6.7e-16; d=3 inverted: min 1.6e-06, norm err 1.8e-15",
+    "determinism ok; d=2 minimizer: min 0.0e+00, norm err <= 1e-12; d=2 quantum: min 6.5e-06, norm err <= 1e-12; "
+    "d=2 threshold: min 1.0e-04, norm err <= 1e-12; d=2 inverted: min 2.5e-09, norm err <= 1e-12; "
+    "d=3 minimizer: min 0.0e+00, norm err <= 1e-12; d=3 quantum: min 4.9e-07, norm err <= 1e-12; "
+    "d=3 threshold: min 2.4e-06, norm err <= 1e-12; d=3 inverted: min 1.6e-06, norm err <= 1e-12",
     "max cell deviation 1.92 sigma (tol 5.0)",
 ]
 REPORT_SHA256 = {
     "barrett_d2_table.csv": "5097bc3b70b93ceb734b9c19db4d53073b290cc4a27e637d330b7042e8e2657d",
-    "report.json": "b687999a51017f45154a9b0db58bd491fbe461f1b2ee79f5c8a7373e350b4a33",
+    "report.json": "fff508d6b5e3076fda1fb3db28d7c15f16fe914b18a19d4dd92c222616b1d45a",
     "scan_rho_g_prime_q0.25.csv": "8d8535eb2474bc7d266a2386d9700b52ea2dfa404f0f8d0e1b88f6bf2064e618",
     "scan_rho_g_prime_q0.5.csv": "f0386eba1417f2cd353c1cc0b40320309f96e1d6ea94dae0339c2784da7ffdaf",
     "scan_rho_g_q0.25.csv": "585bf77d51d33a1e296ea3bd83c0ec3ee1a47272dc6be4d0b724007212d7d7c7",
@@ -76,10 +76,21 @@ def test_detail_is_golden(results, cid):
     assert results[cid].detail == DETAILS[cid - 1]
 
 
-def test_report_bytes_are_golden(results, tmp_path):
-    acceptance.write_report([results[cid] for cid in CRITERION_IDS], tmp_path, 0, acceptance.FULL_POWER_N)
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert written == REPORT_SHA256
+@pytest.fixture(scope="module")
+def written(results, tmp_path_factory):
+    """sha256 of each file that write_report writes, by name."""
+    out = tmp_path_factory.mktemp("report")
+    acceptance.write_report([results[cid] for cid in CRITERION_IDS], out, 0, acceptance.FULL_POWER_N)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def test_report_writes_the_golden_files(written):
+    assert sorted(written) == sorted(REPORT_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_are_golden(written, name):
+    assert written[name] == REPORT_SHA256[name]
 
 
 def _one_shot_validity(seed: int, n_lambda: int) -> list[tuple[str, float, float]]:

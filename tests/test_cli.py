@@ -141,7 +141,7 @@ class TestSimulate:
     def test_hirsch_out_of_range_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "simulate", "hirsch", "--q", "0.6")
         assert code == 2
-        assert "q in [0, 1/2]" in err
+        assert "q must lie in [0, 0.5], got 0.6" in err
 
     def test_hirsch_runs(self, capsys):
         code, out, _ = run(capsys, "simulate", "hirsch", "--q", "0.3", "--x", "0,0,1", "--y", "1,0,0", "--n", "1e5", "--seed", "2")
@@ -386,7 +386,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["witness", "chsh"])
     def test_werner_local_below_d_two(self, capsys, command):
-        assert "werner_local requires d >= 2, got 0" in self.check(capsys, command, "werner-local", "--d", "0")
+        assert "d must be >= 2, got 0" in self.check(capsys, command, "werner-local", "--d", "0")
 
     def test_state_file_longer_than_any_state_within_budget_is_not_read(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "state.json"
@@ -441,13 +441,13 @@ class TestBadInput:
     @pytest.mark.parametrize("q", ["0.3", "0"])
     def test_non_finite_epsilon(self, capsys, q, eps):
         err = self.check(capsys, "filter-scan", "rho-g", "--q", q, "--eps-grid", f"1e-2,{eps}")
-        assert "epsilon must be positive and finite" in err
+        assert f"epsilon must lie in (0, inf), got {float(eps)!r}" in err
 
     @pytest.mark.parametrize("eps", ["-0.1", "0"])
     @pytest.mark.parametrize("q", ["0.3", "0"])
     def test_non_positive_epsilon(self, capsys, q, eps):
         err = self.check(capsys, "filter-scan", "rho-g", "--q", q, "--eps-grid", f"1e-2,{eps}")
-        assert "epsilon must be positive and finite" in err
+        assert f"epsilon must lie in (0, inf), got {float(eps)!r}" in err
 
     def test_filter_that_never_succeeds(self, capsys):
         # on rho_g(0) = |0><0| (x) I/2 the success probability is eps^2 (1 + eps^2) / 2

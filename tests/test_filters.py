@@ -86,11 +86,26 @@ class TestHirschFilters:
         assert np.max(np.abs(a.post_state.mat - b.post_state.mat)) < 1e-12
         assert not np.isclose(a.success_prob, b.success_prob)
 
+    @pytest.mark.parametrize(
+        "epsilon, q, message",
+        [("0.1", 0.3, r"epsilon must lie in \(0, inf\), got '0.1'"), (0.1, "0.3", r"q must lie in \(0, 1\], got '0.3'"),
+         (None, 0.3, r"epsilon must lie in \(0, inf\), got None"), (0.1, None, r"q must lie in \(0, 1\], got None")],
+        ids=["epsilon-str", "q-str", "epsilon-None", "q-None"],
+    )
+    def test_arguments_that_are_not_real_numbers(self, epsilon, q, message):
+        with pytest.raises(ValueError, match=message):
+            hirsch_filters(epsilon, q)
+
+    @pytest.mark.parametrize("family", ["rho-g", "rho-g-prime"])
+    def test_scan_q_that_is_not_a_real_number(self, family):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\], got '0.3'"):
+            hidden_nonlocality_scan(family, "0.3")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             hirsch_filters(0.0, 0.5)
         for eps in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=rf"epsilon must lie in \(0, inf\), got {eps}"):
                 hirsch_filters(eps, 0.5)
         with pytest.raises(ValueError):
             hirsch_filters(1e-3, 0.0)

@@ -10,10 +10,14 @@ the new digest.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nonlocal_lab import cli, states
+from nonlocal_lab import cli, mc, states
 
 # Parameters of every named state, as `witness` takes them.
 STATE_ARGS = {
@@ -143,3 +147,33 @@ def test_every_named_state_has_a_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_bytes(case):
     assert list(digest(CASES[case])) == GOLDEN[case]
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+# C13's Haar bases come from a LAPACK QR whose last bits follow the BLAS
+# kernel, and its table's abs_diff column, 12 digits of |mean - oracle|,
+# shows an ulp of the oracle: under the Haswell kernels one cell reads
+# 4.3295859284e-05 in place of 4.32958592841e-05. Every other byte holds.
+_KERNEL_DEPENDENT = ["tests/test_acceptance.py::test_report_bytes_are_golden[barrett_d2_table.csv]"]
+
+
+@pytest.mark.skipif(mc._OPENBLAS is None or not _has_avx2(), reason="needs numpy's bundled OpenBLAS and an AVX2 CPU")
+def test_goldens_hold_under_the_haswell_kernels():
+    """The CLI digests, the C-details and the report files, replayed in a
+    child process whose OpenBLAS loads its Haswell kernels, in place of the
+    ones it picks for this CPU: a golden byte that depends on the kernel
+    fails here on any AVX2 host."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(map(str, sys.path))}
+    itself = f"tests/test_golden.py::{test_goldens_hold_under_the_haswell_kernels.__name__}"
+    deselect = [f"--deselect={case}" for case in (itself, *_KERNEL_DEPENDENT)]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *deselect, "tests/test_golden.py", "tests/test_acceptance.py"]
+    run = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:]

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -293,16 +294,17 @@ class TestInputChecks:
         flagged, one = lhv.simplex_integral_mc(3, True, pa, 2000, 0), lhv.simplex_integral_mc(3, 1, pa, 2000, 0)
         assert (flagged.mean, flagged.stderr) == (one.mean, one.stderr)
 
-    @pytest.mark.parametrize("q", [-0.1, 0.6, float("nan")])
-    @pytest.mark.parametrize("simulator", ["hirsch", "povm_lift"])
+    @pytest.mark.parametrize("q", [-0.1, 0.6, float("nan"), "0.3", None])
+    @pytest.mark.parametrize("simulator", ["hirsch", "povm_lift", "hirsch_trial"])
     def test_mixture_models_reject_q_outside_zero_to_half_before_sampling(self, simulator, q, monkeypatch):
         monkeypatch.setattr(lhv, "run_batched", _no_sampling)
         x, sigma = np.array([0.0, 0.0, 1.0]), projector(basis_ket(2, 0))
         run = {
             "hirsch": lambda: lhv.simulate_hirsch_projective(q, x, x, 1000, 0),
             "povm_lift": lambda: lhv.simulate_povm_lift(q, sigma, sigma, obs_from_bloch(x), obs_from_bloch(x), 1000, 0),
+            "hirsch_trial": lambda: lhv.hirsch_trial(q, x, x, 1000, 0),
         }[simulator]
-        with pytest.raises(ValueError, match=r"q in \[0, 1/2\]"):
+        with pytest.raises(ValueError, match=rf"q must lie in \[0, 0.5\], got {re.escape(repr(q))}"):
             run()
 
     @pytest.mark.parametrize(
@@ -708,6 +710,34 @@ def _noise_flipped(monkeypatch):
     monkeypatch.setattr(lhv, "_hirsch_alice", wrong)
 
 
+def _acceptance_cut(monkeypatch):
+    """Alice rejects a tenth of the samples she would accept, by her noise
+    uniform u2, and leaves her outputs alone: the mixture model's table
+    holds and only its acceptance rate falls, to 0.45."""
+    real = lhv._hirsch_alice
+
+    def wrong(v, lam, inside, u1, u2):
+        a_plus, acc = real(v, lam, inside, u1, u2)
+        return a_plus, acc & (u2 < 0.9)
+
+    monkeypatch.setattr(lhv, "_hirsch_alice", wrong)
+
+
+def _fallback_on_equal_picks(monkeypatch):
+    """A lift sample whose step-4 pick equals its first pick counts as a
+    fallback even where the base model hit. Its outcome is that pick either
+    way, so the table holds and only the fallback rate moves. The hit mask
+    is cleared in place, because the step returns that same array for the
+    count."""
+    real = lhv._select_index
+
+    def wrong(mask, a, b):
+        mask &= a != b
+        return real(mask, a, b)
+
+    monkeypatch.setattr(lhv, "_select_index", wrong)
+
+
 def _rho_g_flipped(q: float) -> states.DensityMatrix:
     """q |Psi-><Psi-| + (1-q) |1><1| (x) I/2: rho_g(q) with the flag on |1>."""
     noise = np.kron(projector(basis_ket(2, 1)), np.eye(2) / 2)
@@ -785,7 +815,11 @@ def _threshold_shifted(monkeypatch):
 # form, and C13 reads 6.43 sigma on it only at n = 2e5 (5.01 at 1e5), far
 # above the n <= 2000 that test_planted_defect_fails_the_gate keeps.
 # Alice's argmax fails C03 but passes C12: her row is still one-hot, so
-# every response stays normalised and only the table moves.
+# every response stays normalised and only the table moves. The C07 and C08
+# defects move a rate alone: at n = 3000 C07's table reads 2.62 sigma with
+# or without the cut, and C08's 3.30 sigma while its fallback rate reads
+# 1.02 sigma off 1/2, and 31.00 with the defect. Bob's scaling reads 14.51
+# sigma in C04, 0.20 on the sound code.
 _CRITERION_DEFECTS = {
     "bob-over-d-c12": (_bob_over_d, acceptance.criterion_12, 300),
     "bob-over-d-c13": (_bob_over_d, acceptance.criterion_13, 300),
@@ -793,6 +827,9 @@ _CRITERION_DEFECTS = {
     "werner-bob-scaled-c03": (_werner_bob_scaled, acceptance.criterion_03, 300),
     "werner-alice-argmax-c03": (_alice_argmax, acceptance.criterion_03, 300),
     "threshold-shifted-c13": (_threshold_shifted, acceptance.criterion_13, 200_000),
+    "werner-bob-scaled-c04": (_werner_bob_scaled, acceptance.criterion_04, 3000),
+    "acceptance-cut-c07": (_acceptance_cut, acceptance.criterion_07, 3000),
+    "fallback-on-equal-picks-c08": (_fallback_on_equal_picks, acceptance.criterion_08, 3000),
 }
 
 
@@ -802,6 +839,16 @@ def test_planted_defect_fails_its_criterion(case, monkeypatch):
     assert criterion(0, n).passed
     patch(monkeypatch)
     assert not criterion(0, n).passed
+
+
+@pytest.mark.parametrize("case", ["acceptance-cut-c07", "fallback-on-equal-picks-c08"])
+def test_rate_defect_leaves_the_table(case, monkeypatch):
+    """The detail's first figure, the table's worst deviation, is the sound
+    code's: the gate that fails is the rate's."""
+    patch, criterion, n = _CRITERION_DEFECTS[case]
+    table = criterion(0, n).detail.split(";")[0]
+    patch(monkeypatch)
+    assert criterion(0, n).detail.split(";")[0] == table
 
 
 @pytest.mark.parametrize("model", sorted(lhv.MODELS))

@@ -28,6 +28,44 @@ def rand_herm(d):
     return a + a.conj().T
 
 
+class TestArgumentChecks:
+    """The two helpers that check every integer and bounded real argument."""
+
+    @pytest.mark.parametrize("d", [2, np.int64(2), True, 7])
+    def test_integer_at_or_above_the_floor(self, d):
+        assert qmat._check_dim(d, lo=1) == int(d)
+
+    @pytest.mark.parametrize("d", [1, 0, -3, np.int64(1), False])
+    def test_integer_below_the_floor(self, d):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {int(d)}"):
+            qmat._check_dim(d, "n", 2)
+
+    @pytest.mark.parametrize("d", [2.0, "2", None, float("nan")])
+    def test_non_integer_is_named_before_the_floor(self, d):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {d!r}"):
+            qmat._check_dim(d, "n", 2)
+
+    @pytest.mark.parametrize("x", [0, 0.25, 1, np.float64(0.5), np.int64(1), True])
+    def test_real_in_a_closed_interval(self, x):
+        out = qmat._check_real(x, 0, 1, "q")
+        assert type(out) is float and out == x
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5, float("nan"), float("inf"), "0.5", None, 0.5j, np.array([0.5])])
+    def test_anything_else_against_a_closed_interval(self, x):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\], got "):
+            qmat._check_real(x, 0, 1, "q")
+
+    @pytest.mark.parametrize(
+        "ends, inside, outside", [("(]", [1, 0.5], [0]), ("[)", [0, 0.5], [1]), ("()", [0.5, 1e-300], [0, 1])]
+    )
+    def test_open_ends(self, ends, inside, outside):
+        for x in inside:
+            assert qmat._check_real(x, 0, 1, "q", ends) == x
+        for x in outside:
+            with pytest.raises(ValueError, match=rf"q must lie in \{ends[0]}0, 1\{ends[1]}, got {x}"):
+                qmat._check_real(x, 0, 1, "q", ends)
+
+
 class TestTensor:
     def test_identity(self):
         assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))

@@ -385,8 +385,33 @@ class TestArgumentsBeforeComparisons:
     @pytest.mark.parametrize("d", [-1, 0, 1])
     def test_werner_local_rejects_d_below_two_before_its_phi(self, d):
         # werner_local_phi(0) divides by d^2
-        with pytest.raises(ValueError, match="werner_local requires d >= 2"):
+        with pytest.raises(ValueError, match=f"d must be >= 2, got {d}"):
             werner_local(d)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: rho_g("0.3"), r"q must lie in \[0, 1\], got '0.3'"),
+            (lambda: rho_e("0.3"), r"q must lie in \[0, 1\], got '0.3'"),
+            (lambda: rho_g_prime(None), r"q must lie in \[0, 1\], got None"),
+            (lambda: werner2x2(None), r"alpha must lie in \[0, 1\], got None"),
+            (lambda: werner_local_phi(0), "d must be >= 2, got 0"),  # it divides by d^2
+        ],
+        ids=["rho_g", "rho_e", "rho_g_prime", "werner2x2", "werner_local_phi"],
+    )
+    def test_state_parameters(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("d_a, d_b, who", [(-2, -2, "d_a"), (4, 0, "d_b"), (1, -4, "d_b")])
+    def test_density_matrix_dimensions_below_one(self, d_a, d_b, who):
+        # the product d_a d_b = 4 matches the matrix, so only the floor rejects them
+        with pytest.raises(ValueError, match=f"{who} must be >= 1"):
+            DensityMatrix(np.eye(4) / 4, d_a, d_b)
+
+    def test_embed_local_does_not_shrink(self):
+        with pytest.raises(ValueError, match="d_b must be >= 2, got 1"):
+            embed_local(singlet(), 2, 1)
 
     def test_embed_local_dimension(self):
         with pytest.raises(ValueError, match="d_a must be an integer, got 2.5"):
@@ -413,6 +438,11 @@ class TestRestrictBlock:
     def test_non_integer_level(self):
         with pytest.raises(ValueError, match="Bob's level must be an integer, got 0.5"):
             states.restrict_block(self.RHO, (0,), (0.5,))
+
+    @pytest.mark.parametrize("keep_a, keep_b, who", [(0, (0,), "Alice"), ((0,), None, "Bob")])
+    def test_levels_that_are_not_a_sequence(self, keep_a, keep_b, who):
+        with pytest.raises(ValueError, match=f"{who}'s levels must be a sequence of integers, got {keep_a if who == 'Alice' else keep_b}"):
+            states.restrict_block(self.RHO, keep_a, keep_b)
 
     def test_numpy_integer_levels_read_the_same_block(self):
         block = states.restrict_block(self.RHO, (np.int64(1),), (np.int64(0), 2))
