@@ -29,8 +29,9 @@ def _fmt(x: float) -> str:
 
 def _dump_json(obj) -> str:
     """json.dumps(obj, indent=2) with every float rounded to 12 significant
-    digits, written in one walk: with an indent, json runs its pure-Python
-    encoder, which would walk the payload a second time."""
+    digits and a non-finite one, which JSON cannot hold, as null; written
+    in one walk: with an indent, json runs its pure-Python encoder, which
+    would walk the payload a second time."""
     return _json12(obj, "\n")
 
 
@@ -39,7 +40,7 @@ def _json12(obj, pad: str) -> str:
     and two spaces per level)."""
     if isinstance(obj, float):
         r = float(f"{obj:.12g}")
-        return repr(r) if math.isfinite(r) else json.dumps(r)
+        return repr(r) if math.isfinite(r) else "null"
     if type(obj) is int:
         return repr(obj)
     if isinstance(obj, str):

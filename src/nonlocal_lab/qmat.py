@@ -77,15 +77,19 @@ def _check_real(x, lo, hi, what: str, ends: str = "[]") -> float:
 MATRIX_BUDGET = 1 << 28
 
 
-def _check_matrix_budget(d) -> None:
+def _check_matrix_budget(d, d_b=None) -> None:
     """A ValueError, raised before anything is allocated, if d is not an
-    integer (see _check_dim) or a d^2 x d^2 complex matrix would not fit in
-    MATRIX_BUDGET."""
+    integer (see _check_dim) or a state's complex matrix would not fit in
+    MATRIX_BUDGET: d^2 x d^2 for the local dimension d, or, given d_b,
+    (d d_b) x (d d_b) for the local dimensions d and d_b."""
     d = _check_dim(d)
-    if d > 1 and 16 * d**4 > MATRIX_BUDGET:
+    side = d * d if d_b is None else d * _check_dim(d_b)
+    if d > 0 and 16 * side * side > MATRIX_BUDGET:
+        if d_b is not None:
+            raise ValueError(f"dA*dB = {side} needs a {side}x{side} complex matrix, above the {MATRIX_BUDGET >> 20} MiB budget")
         largest = math.isqrt(math.isqrt(MATRIX_BUDGET // 16))
         raise ValueError(
-            f"d = {d} needs a {d * d}x{d * d} complex matrix of {16 * d**4 / 2**20:.0f} MiB, "
+            f"d = {d} needs a {side}x{side} complex matrix of {16 * side**2 / 2**20:.0f} MiB, "
             f"above the {MATRIX_BUDGET >> 20} MiB budget (d <= {largest})"
         )
 

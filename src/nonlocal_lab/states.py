@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,12 @@ class DensityMatrix:
         traced = "B" if side == "A" else "A"
         return partial_trace(self.mat, self.d_a, self.d_b, side=traced)
 
-    # Bytes of the longest text that to_json writes for a state within
-    # qmat.MATRIX_BUDGET: a header, and per entry ", [re, im]" with floats of
-    # the longest repr, 24 characters as in -2.2250738585072014e-308.
-    JSON_BYTES = 64 + MATRIX_BUDGET // 16 * len(", [-2.2250738585072014e-308, -2.2250738585072014e-308]")
+    # Characters of the longest text that to_json writes for a state of k
+    # entries: 64 + k * _ENTRY_CHARS, a header and per entry ", [re, im]" with
+    # floats of the longest repr, 24 characters as in -2.2250738585072014e-308.
+    # JSON_BYTES is that bound for the largest state within qmat.MATRIX_BUDGET.
+    _ENTRY_CHARS = len(", [-2.2250738585072014e-308, -2.2250738585072014e-308]")
+    JSON_BYTES = 64 + MATRIX_BUDGET // 16 * _ENTRY_CHARS
 
     def to_json(self) -> str:
         """{"dA": int, "dB": int, "entries": [[re, im], ...]}, the entries of
@@ -64,20 +67,26 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityMatrix":
-        """The state that to_json wrote; any other text is a ValueError. dA
-        and dB are checked against qmat.MATRIX_BUDGET before the entries
-        are decoded."""
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or not obj.keys() >= {"dA", "dB", "entries"}:
-            raise ValueError("expected a JSON object with the keys dA, dB, entries")
-        d_a, d_b = obj["dA"], obj["dB"]
-        if type(d_a) is not int or type(d_b) is not int or min(d_a, d_b) < 1:
-            raise ValueError(f"expected positive integers dA, dB, got {d_a!r}, {d_b!r}")
+        """The state that to_json wrote; any other text is a ValueError.
+        Before any of it is decoded, dA and dB, the only integer-valued keys,
+        are read from the text and checked against qmat.MATRIX_BUDGET, and
+        the text may hold no more characters besides whitespace than the
+        longest text that to_json writes for a dA x dB state."""
+        dims = dict(re.findall(r'"d([AB])"\s*:\s*([^\s,}\]]*)', text))
+        tokens = dims.get("A"), dims.get("B")
+        if not all(re.fullmatch("[1-9][0-9]*", t or "") for t in tokens):
+            raise ValueError(f"expected positive integers dA, dB, got {tokens[0]}, {tokens[1]}")
+        d_a, d_b = map(int, tokens)
+        _check_matrix_budget(d_a, d_b)
         d = d_a * d_b
-        if 16 * d * d > MATRIX_BUDGET:
-            raise ValueError(f"dA*dB = {d} needs a {d}x{d} complex matrix, above the {MATRIX_BUDGET >> 20} MiB budget")
+        chars, limit = len(text) - sum(map(text.count, " \t\n\r")), 64 + d * d * cls._ENTRY_CHARS
+        if chars > limit:
+            raise ValueError(f"{chars} characters besides whitespace, more than any {d_a}x{d_b} state's JSON ({limit})")
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or "entries" not in obj or (obj.get("dA"), obj.get("dB")) != (d_a, d_b):
+            raise ValueError("expected a JSON object with the keys dA, dB, entries")
         try:
-            flat = np.array([complex(re, im) for re, im in obj["entries"]])
+            flat = np.array([complex(x, y) for x, y in obj["entries"]])
         except (TypeError, ValueError):
             raise ValueError("matrix entries must be a list of [re, im] number pairs") from None
         if flat.size != d * d:

@@ -183,6 +183,21 @@ class TestSimulate:
         assert "Traceback" not in err
         assert "NaN" not in out
 
+    @pytest.mark.parametrize("model", sorted(lhv.MODELS))
+    def test_json_at_one_sample_is_strict_json(self, capsys, model):
+        """At n = 1 a cell of standard error 0 misses its oracle, so max_sigma
+        is inf: JSON cannot hold it, so it is null, and the verdict stays in
+        within_5_sigma and the exit code."""
+        code, out, _ = run(capsys, "simulate", model, "--n", "1", "--format", "json")
+
+        def constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        payload = json.loads(out, parse_constant=constant)
+        assert code == 1
+        assert payload["max_sigma"] is None
+        assert payload["within_5_sigma"] is False
+
     @pytest.mark.parametrize("model", ["werner", "barrett"])
     def test_large_dimension(self, capsys, model):
         code, out, _ = run(capsys, "simulate", model, "--d", "32", "--n", "1e4", "--seed", "0", "--format", "json")
@@ -255,9 +270,11 @@ class TestSimulate:
 
 
 def _round12(obj):
-    """Reference rounding: every float to 12 significant digits."""
+    """Reference rounding: every float to 12 significant digits, and a
+    non-finite one to None, which JSON writes as null."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        r = float(f"{obj:.12g}")
+        return r if np.isfinite(r) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -455,6 +472,20 @@ class TestBadInput:
 
 
 class TestReproduce:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", ["1", "2", "3"])
+    def test_tiny_n_fails_without_a_traceback(self, capsys, tmp_path, n):
+        """At n = 1 and 2 some C07 run has no sample inside the protocol, so
+        no acceptance rate: C07 fails and says so. No rate comparison divides
+        by a zero standard error (a RuntimeWarning is an error here)."""
+        code, out, err = run(capsys, "reproduce", "--n", n, "--out", str(tmp_path))
+        assert code == 1
+        assert "FAILED criteria" in err
+        assert "FAIL  C07" in out
+        assert ("no rate" in out) == (n != "3")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_passed"] is False
+
     def test_small_run_warns_and_is_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "r1"
         code, stdout, stderr = run(capsys, "reproduce", "--n", "2e4", "--seed", "0", "--out", str(out1))

@@ -450,8 +450,10 @@ class TestRestrictBlock:
 
 
 class TestStateJsonBudget:
-    """dA and dB are checked against qmat.MATRIX_BUDGET before the entries
-    are decoded; the decoder is patched to fail, so nothing is allocated."""
+    """dA and dB are checked against qmat.MATRIX_BUDGET, and the text's
+    length against their size, before the text is parsed or the entries are
+    decoded; the parser or decoder is patched to fail, so nothing is
+    allocated."""
 
     @pytest.fixture
     def no_decoding(self, monkeypatch):
@@ -473,6 +475,34 @@ class TestStateJsonBudget:
     def test_dimensions_that_are_not_positive_integers(self, no_decoding, d_a, d_b):
         with pytest.raises(ValueError, match="expected positive integers dA, dB"):
             DensityMatrix.from_json(json.dumps({"dA": d_a, "dB": d_b, "entries": [[1, 0]]}))
+
+    @pytest.fixture
+    def no_parsing(self, monkeypatch):
+        def parsed(*args, **kwargs):
+            raise AssertionError("the text was parsed")
+
+        monkeypatch.setattr(states.json, "loads", parsed)
+
+    def test_more_entries_than_the_declared_size_are_not_parsed(self, no_parsing):
+        text = json.dumps({"dA": 2, "dB": 2, "entries": [[0.25, 0.0]] * 10**5})
+        with pytest.raises(ValueError, match=r"more than any 2x2 state's JSON \(928\)"):
+            DensityMatrix.from_json(text)
+
+    def test_an_over_budget_size_is_not_parsed(self, no_parsing):
+        with pytest.raises(ValueError, match=r"dA\*dB = 4225 needs a 4225x4225 complex matrix, above the 256 MiB budget"):
+            DensityMatrix.from_json('{"dA": 65, "dB": 65, "entries": [[1, 0]]}')
+
+    def test_the_longest_text_of_a_size_reaches_the_parser(self, no_parsing):
+        worst = -2.2250738585072014e-308 * (1 + 1j)
+        with pytest.raises(AssertionError, match="parsed"):
+            DensityMatrix.from_json(DensityMatrix._trusted(np.full((4, 4), worst), 2, 2).to_json())
+
+    def test_key_order_and_whitespace_are_free(self):
+        rho = states.random_density(2, 3, np.random.default_rng(8))
+        text = json.dumps({"entries": json.loads(rho.to_json())["entries"], "dB": 3, "dA": 2}, indent="\t")
+        again = DensityMatrix.from_json(text.replace('"dA":', '"dA" \n :'))
+        assert np.array_equal(again.mat, DensityMatrix.from_json(rho.to_json()).mat)
+        assert (again.d_a, again.d_b) == (2, 3)
 
     def test_json_bytes_bound_the_longest_text_to_json_writes(self):
         """Per entry ", [re, im]" with two floats of the longest repr, and a
