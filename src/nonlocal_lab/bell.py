@@ -55,15 +55,18 @@ class ChshResult:
         }
 
 
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows."""
-    if (rho.d_a, rho.d_b) != (2, 2):
-        raise ValueError(f"two-qubit state required, got {rho.d_a}x{rho.d_b}")
+def correlation_matrix(rho: DensityMatrix | list[DensityMatrix]) -> np.ndarray:
+    """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows;
+    for a list of states, their (k, 3, 3) stack from the same one product."""
+    for r in rho if isinstance(rho, list) else [rho]:
+        if (r.d_a, r.d_b) != (2, 2):
+            raise ValueError(f"two-qubit state required, got {r.d_a}x{r.d_b}")
+    m = np.array([r.mat for r in rho]).reshape(-1, 4, 4) if isinstance(rho, list) else rho.mat
     # realigned R[(a, c), (b, d)] = rho[(a, b), (c, d)] and one product: the
     # latency path; measure.born_table contracts slab by slab for memory
-    r = rho.mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    r = m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
     t = (_PAULI_ROWS @ r @ _PAULI_ROWS.T).real
-    if np.abs(t).max() > 1 + 1e-9:
+    if np.abs(t).max(initial=0.0) > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t
 
@@ -153,15 +156,19 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
     return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k]
 
 
-def horodecki_m(rho: DensityMatrix, settings: ChshSettings | None = None) -> ChshResult:
+def horodecki_m(rho: DensityMatrix | list[DensityMatrix], settings: ChshSettings | None = None) -> ChshResult | list[ChshResult]:
     """M(rho) = sum of the two largest eigenvalues of T^T T, together with
     settings that attain the maximal CHSH value 2 sqrt(M(rho)), or with the
-    CHSH value at the given settings."""
+    CHSH value at the given settings. A list of states gives a list of
+    results from one stacked product and one eigh; one state is the stack
+    of one and gives its result alone."""
     t = correlation_matrix(rho)
-    vals, vecs = np.linalg.eigh(t.T @ t)
-    if settings is None:
-        settings, value = _optimal_settings_from_t(t, vecs)
-    else:
-        value = chsh_value_from_t(t, settings.x, settings.x2, settings.y, settings.y2)
-    u, u_tilde = float(vals[2]), float(vals[1])
-    return ChshResult(value=value, m_rho=u + u_tilde, settings=settings, eigen_pair=(u, u_tilde))
+    vals, vecs = np.linalg.eigh(t.swapaxes(-1, -2) @ t)
+    ts, vecs, results = t.reshape(-1, 3, 3), vecs.reshape(-1, 3, 3), []
+    for i, (_, u_tilde, u) in enumerate(vals.reshape(-1, 3).tolist()):  # indexed: iterating an array costs an IndexError
+        if settings is None:
+            s, value = _optimal_settings_from_t(ts[i], vecs[i])
+        else:
+            s, value = settings, chsh_value_from_t(ts[i], settings.x, settings.x2, settings.y, settings.y2)
+        results.append(ChshResult(value=value, m_rho=u + u_tilde, settings=s, eigen_pair=(u, u_tilde)))
+    return results if isinstance(rho, list) else results[0]

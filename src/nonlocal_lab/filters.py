@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, _check_real, tensor
-from .states import STATES, DensityMatrix, singlet
+from .qmat import _check_dim, _check_real
+from .states import STATES, DensityMatrix, _check_density, singlet
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _DEGENERATE_TOL = 1e-12
@@ -17,10 +17,11 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass
 class LocalFilter:
-    """Success branches K_A, K_B of one local two-outcome measurement each.
+    """Success branches K_A, K_B of one local two-outcome measurement each,
+    or equal-length stacks (k, n, n) of them, one filter per item.
 
     Valid when K^dag K <= I on both sides, so each extends to a measurement
-    {K, completion}.
+    {K, completion}; a stack reports its worst item.
     """
 
     k_a: np.ndarray
@@ -29,9 +30,12 @@ class LocalFilter:
     def __post_init__(self) -> None:
         self.k_a = np.asarray(self.k_a, dtype=complex)
         self.k_b = np.asarray(self.k_b, dtype=complex)
+        for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
+            if k.ndim not in (2, 3) or k.shape[-1] != k.shape[-2] or k.shape[:-2] != self.k_a.shape[:-2]:
+                raise ValueError(f"k_a and k_b must be square matrices or equal-length stacks of them, got {name} of shape {k.shape}")
         with np.errstate(invalid="ignore"):  # a non-finite K gives a NaN top, rejected below
             for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
-                top = np.linalg.eigvalsh(k.conj().T @ k).max()
+                top = np.linalg.eigvalsh(k.conj().swapaxes(-1, -2) @ k).max(initial=0.0)
                 if not top <= 1 + 1e-10:
                     raise ValueError(f"{name} is not a valid filter: max eigenvalue of K^dag K is {top}")
 
@@ -44,35 +48,42 @@ class FilterOutcome:
     success_prob: float
 
 
-def apply_filters(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
-    """Conditional state (K_A (x) K_B) rho (.)^dag / p on filter success."""
-    if f.k_a.shape != (rho.d_a, rho.d_a) or f.k_b.shape != (rho.d_b, rho.d_b):
-        raise ValueError(
-            f"filter shapes {f.k_a.shape}, {f.k_b.shape} do not match state ({rho.d_a}, {rho.d_b})"
-        )
-    k = tensor(f.k_a, f.k_b)
-    unnorm = k @ rho.mat @ k.conj().T
-    p = np.trace(unnorm).real
-    if p < _DEGENERATE_TOL:
-        return FilterOutcome(None, max(p, 0.0))
-    return FilterOutcome(DensityMatrix(unnorm / p, rho.d_a, rho.d_b), float(p))
+def apply_filters(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome | list[FilterOutcome]:
+    """Conditional state (K_A (x) K_B) rho (.)^dag / p on filter success. A
+    stack of filters gives a list of outcomes from one matmul chain and one
+    density check; one filter is the stack of one and gives its outcome."""
+    d_a, d_b = rho.d_a, rho.d_b
+    if f.k_a.shape[-2:] != (d_a, d_a) or f.k_b.shape[-2:] != (d_b, d_b):
+        raise ValueError(f"filter shapes {f.k_a.shape}, {f.k_b.shape} do not match state ({d_a}, {d_b})")
+    # tensor(K_A, K_B) of each pair, qmat.tensor's broadcast product
+    k = (f.k_a.reshape(-1, d_a, 1, d_a, 1) * f.k_b.reshape(-1, 1, d_b, 1, d_b)).reshape(-1, rho.dim, rho.dim)
+    unnorm = k @ rho.mat @ k.conj().transpose(0, 2, 1)
+    p = np.trace(unnorm, axis1=1, axis2=2).real
+    live = ~(p < _DEGENERATE_TOL)
+    post = unnorm[live] / p[live, None, None]
+    _check_density(post)
+    probs = p.tolist()
+    outcomes = [FilterOutcome(None, max(pk, 0.0)) for pk in probs]
+    for j, i in enumerate(np.flatnonzero(live).tolist()):
+        outcomes[i] = FilterOutcome(DensityMatrix._trusted(post[j], d_a, d_b), probs[i])
+    return outcomes if f.k_a.ndim == 3 else outcomes[0]
 
 
-def hirsch_filters(epsilon: float, q: float) -> LocalFilter:
-    """F_A = eps|0><0| + |1><1| and F_B with delta = eps/sqrt(q).
+def hirsch_filters(epsilon, q: float) -> LocalFilter:
+    """F_A = eps|0><0| + |1><1| and F_B with delta = eps/sqrt(q), for one eps
+    or, as a stack, for each eps of a 1-D grid.
 
-    When delta would exceed 1 both filters are rescaled by 1/delta: pure
+    Both filters are divided by max(delta, 1), exact when delta <= 1: pure
     filters are defined up to scale, so the post-state is unchanged and
     only the success probability shifts.
     """
-    epsilon, q = _check_real(epsilon, 0, math.inf, "epsilon", "()"), _check_real(q, 0, 1, "q", "(]")
-    delta = epsilon / np.sqrt(q)
-    f_a = np.diag([epsilon, 1.0]).astype(complex)
-    f_b = np.diag([delta, 1.0]).astype(complex)
-    if delta > 1.0:
-        f_a /= delta
-        f_b /= delta
-    return LocalFilter(f_a, f_b)
+    grid = epsilon if np.ndim(epsilon) else [epsilon]  # a grid of rows fails the check of its first row
+    eps = np.array([_check_real(e, 0, math.inf, "epsilon", "()") for e in grid]).reshape(np.shape(epsilon))
+    q = _check_real(q, 0, 1, "q", "(]")
+    delta = eps / np.sqrt(q)
+    f = np.zeros((2, *eps.shape, 2, 2), dtype=complex)  # F_A, F_B
+    f[..., 0, 0], f[..., 1, 1] = (eps, delta), 1.0
+    return LocalFilter(*(f / np.maximum(delta, 1.0)[..., None, None]))
 
 
 @dataclass
@@ -121,7 +132,8 @@ _SCAN_FAMILIES = ("rho-g", "rho-g-prime")
 
 
 def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) -> list[ScanRow]:
-    """Filter the chosen singlet/noise family over an epsilon grid.
+    """Filter the chosen singlet/noise family over a 1-D epsilon grid, as one
+    stack, after checking every epsilon.
 
     Each row reports the filter success probability, M of the post-state,
     the bound 2 sqrt(M), and the CHSH value at the constructed optimal
@@ -132,15 +144,24 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
     if name not in _SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {list(_SCAN_FAMILIES)} ('_' may stand for '-')")
     state = STATES[name](q)  # checks q
-    rows = []
-    for eps in epsilons:
-        # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1
-        outcome = apply_filters(state, hirsch_filters(eps, q if q > 0 else 1.0))
+    if np.ndim(epsilons) != 1:
+        raise ValueError(f"the epsilon grid must be 1-D, got {epsilons!r}")
+    grid = [_check_real(eps, 0, math.inf, "epsilon", "()") for eps in epsilons]
+    q_b = q if q > 0 else 1.0  # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1
+    try:
+        outcomes = apply_filters(state, hirsch_filters(grid, q_b))
+    except ValueError:  # a check failed inside the stack: name the first epsilon that fails it alone
+        for eps in grid:
+            try:
+                apply_filters(state, hirsch_filters(eps, q_b))
+            except ValueError as err:
+                raise ValueError(f"at epsilon {eps}: {err}") from None
+        raise
+    for eps, outcome in zip(grid, outcomes):
         if outcome.post_state is None:
             raise ValueError(f"the filters at epsilon {eps} never succeed on this state")
-        res: ChshResult = horodecki_m(outcome.post_state)
-        rows.append(ScanRow(float(eps), outcome.success_prob, res.m_rho, float(2 * np.sqrt(res.m_rho)), res.value))
-    return rows
+    results: list[ChshResult] = horodecki_m([outcome.post_state for outcome in outcomes])
+    return [ScanRow(eps, out.success_prob, res.m_rho, float(2 * np.sqrt(res.m_rho)), res.value) for eps, out, res in zip(grid, outcomes, results)]
 
 
 def scan_to_csv(rows: list[ScanRow]) -> str:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for small bipartite systems.
 
 Everything here works on plain numpy arrays (complex128). Kets are
-1-D arrays, operators are square 2-D arrays. The computational product
+1-D arrays, operators are square 2-D arrays, and the density checks also
+take a stack (..., n, n) of operators. The computational product
 basis is ordered |00>, |01>, ..., with the left (Alice) factor as the
 slow index, so ``tensor(A, B) == np.kron(A, B)``.
 """
@@ -39,8 +40,13 @@ def projector(v: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor as the slow (Alice) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two kets or two operators, the left factor as the
+    slow (Alice) index: np.kron's one broadcast product, so np.kron's bytes."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if not 1 <= a.ndim == b.ndim <= 2:
+        raise ValueError(f"tensor takes two kets or two operators, got shapes {a.shape} and {b.shape}")
+    shape = [i * j for i, j in zip(a.shape, b.shape)]
+    return (a[:, None] * b if a.ndim == 1 else a[:, None, :, None] * b[:, None, :]).reshape(shape)
 
 
 def _check_dim(d, what: str = "d", lo: int | None = None) -> int:
@@ -141,10 +147,10 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.
 
 
 def hermiticity_error(m: np.ndarray) -> float:
-    """max |m - m^dag|, NaN for a non-finite m: checks read `not err <= tol`."""
+    """max |m - m^dag| over a matrix or a stack (..., n, n), NaN for a non-finite m: checks read `not err <= tol`."""
     m = np.asarray(m)
     with np.errstate(invalid="ignore"):
-        return float(np.abs(m - m.conj().T).max())
+        return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +183,17 @@ class DensityCheck:
 
 
 def is_density(m: np.ndarray) -> DensityCheck:
-    """Check Hermiticity, positivity (eigenvalues >= -1e-9) and unit trace;
-    a matrix that is not Hermitian, or not finite, is checked no further."""
+    """Check Hermiticity, positivity (eigenvalues >= -1e-9) and unit trace of a matrix or a
+    stack (..., n, n) with its worst item's figures (an empty one passes); a matrix or stack
+    that is not Hermitian, or not finite, is checked no further."""
     m = np.asarray(m, dtype=complex)
     herm = hermiticity_error(m)
     if not herm <= HERM_TOL:
         return DensityCheck(False, herm, float("nan"), float("nan"))
-    tr_err = abs(m.trace() - 1.0)
-    min_eig = float(np.linalg.eigvalsh(m).min())
+    tr_err = float(max(map(abs, (m.trace(axis1=-2, axis2=-1) - 1.0).flat), default=0.0))  # abs(), not np.abs: its bits differ
+    min_eig = float(np.linalg.eigvalsh(m).min(initial=math.inf))
     ok = bool(min_eig >= -PSD_TOL and tr_err <= TRACE_TOL)
-    return DensityCheck(ok, herm, min_eig, float(tr_err))
+    return DensityCheck(ok, herm, min_eig, tr_err)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

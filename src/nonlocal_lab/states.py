@@ -12,6 +12,17 @@ from . import qmat
 from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, _check_real, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
+def _check_density(mat: np.ndarray) -> None:
+    """A ValueError unless mat, or each item of a stack, is a density matrix."""
+    check = is_density(mat)
+    if not check:
+        raise ValueError(
+            "not a density matrix: hermiticity error "
+            f"{check.hermiticity_error:.3e}, min eigenvalue {check.min_eigenvalue:.3e}, "
+            f"trace error {check.trace_error:.3e}"
+        )
+
+
 @dataclass
 class DensityMatrix:
     """Positive unit-trace matrix with bipartite dimension metadata."""
@@ -22,13 +33,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
-        check = is_density(self.mat)
-        if not check:
-            raise ValueError(
-                "not a density matrix: hermiticity error "
-                f"{check.hermiticity_error:.3e}, min eigenvalue {check.min_eigenvalue:.3e}, "
-                f"trace error {check.trace_error:.3e}"
-            )
+        _check_density(self.mat)
         self.d_a, self.d_b = _check_dim(self.d_a, "d_a", 1), _check_dim(self.d_b, "d_b", 1)
         if self.mat.shape[0] != self.d_a * self.d_b:
             raise ValueError(

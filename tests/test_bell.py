@@ -16,7 +16,7 @@ from nonlocal_lab.bell import (
     optimal_settings,
 )
 from nonlocal_lab.measure import born_table, obs_from_bloch
-from nonlocal_lab.qmat import basis_ket, flip, haar_unitary, projector, tensor
+from nonlocal_lab.qmat import basis_ket, flip, haar_unitary, is_density, projector, tensor
 from nonlocal_lab.states import DensityMatrix
 
 rng = np.random.default_rng(99)
@@ -328,3 +328,36 @@ class TestOptimalSettingsDifferential:
         # a sign-flipped candidate win
         assert sum(seen[b] for b in ("canonical", "rank-1", "full")) >= 2000
         assert seen["canonical"] >= 2 and seen["rank-1"] >= 100 and seen["flipped"] >= 100
+
+
+class TestStackOfOne:
+    """A single state goes through the stacked path as a stack of one, and a
+    stack of one gives the single call's bytes."""
+
+    def test_differential_states(self):
+        stack = list(differential_states())
+        singles = [horodecki_m(rho) for rho in stack]
+        for rho, single in zip(stack, singles):
+            assert repr(is_density(rho.mat[None])) == repr(is_density(rho.mat))
+            assert correlation_matrix([rho]).tobytes() == correlation_matrix(rho)[None].tobytes()
+            (one,) = horodecki_m([rho])
+            assert _result_bytes(one) == _result_bytes(single)
+        assert [_result_bytes(r) for r in horodecki_m(stack)] == [_result_bytes(r) for r in singles]
+
+    def test_given_settings(self):
+        s = example_chsh_settings()
+        batch = [states.rho_g(q) for q in (0.0, 0.3, 1.0)]
+        assert [_result_bytes(r) for r in horodecki_m(batch, s)] == [_result_bytes(horodecki_m(rho, s)) for rho in batch]
+
+    def test_empty_list(self):
+        assert horodecki_m([]) == []
+        assert correlation_matrix([]).shape == (0, 3, 3)
+
+    def test_a_stack_names_no_other_dimension(self):
+        with pytest.raises(ValueError, match="two-qubit state required, got 3x2"):
+            horodecki_m([states.rho_g(0.3), states.rho_e(0.3)])
+
+
+def _result_bytes(res):
+    s = res.settings
+    return (float(res.value).hex(), float(res.m_rho).hex(), tuple(float(u).hex() for u in res.eigen_pair), s.x.tobytes(), s.x2.tobytes(), s.y.tobytes(), s.y2.tobytes())

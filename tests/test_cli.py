@@ -351,6 +351,13 @@ class TestFilterScan:
         assert code == 0
         assert out.splitlines()[1].split(",")[0] == "2"
 
+    @pytest.mark.parametrize("family", ["rho-g", "rho-g-prime"])
+    def test_grid_prints_the_rows_of_one_epsilon_scans(self, capsys, family):
+        code, out, _ = run(capsys, "filter-scan", family, "--q", "0.3", "--eps-grid", "1e-1,3e-2,1e-2")
+        assert code == 0
+        ones = [run(capsys, "filter-scan", family, "--q", "0.3", "--eps-grid", eps)[1].splitlines() for eps in ("1e-1", "3e-2", "1e-2")]
+        assert out.splitlines() == ones[0][:1] + [lines[1] for lines in ones]
+
     def test_requires_q(self, capsys):
         code, _, err = run(capsys, "filter-scan", "rho-g")
         assert code == 2

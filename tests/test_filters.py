@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from nonlocal_lab import states
+from nonlocal_lab import filters, qmat, states
 from nonlocal_lab.bell import chsh_value, horodecki_m, optimal_settings
 from nonlocal_lab.filters import (
     DEFAULT_EPS_GRID,
@@ -206,3 +208,158 @@ class TestScan:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             hidden_nonlocality_scan("werner", 0.5, [1e-2])
+
+
+class TestLocalFilterShapes:
+    """Each K is checked to be a square matrix, or an equal-length stack of
+    them, before any eigensolve."""
+
+    @pytest.mark.parametrize(
+        "k_a, k_b, message",
+        [
+            (np.ones(3), np.eye(2), r"got k_a of shape \(3,\)"),
+            (np.eye(2), np.ones((2, 3)) / 3, r"got k_b of shape \(2, 3\)"),
+            (np.ones((1, 1, 2, 2)), np.eye(2), r"got k_a of shape \(1, 1, 2, 2\)"),
+            (1.0, np.eye(2), r"got k_a of shape \(\)"),
+            (np.array([np.eye(2)] * 3), np.array([np.eye(2)] * 2), r"got k_b of shape \(2, 2, 2\)"),
+            (np.array([np.eye(2)] * 3), np.eye(2), r"got k_b of shape \(2, 2\)"),
+        ],
+        ids=["ket", "rectangular", "rank-4", "scalar", "stack-lengths", "stack-and-matrix"],
+    )
+    def test_rejected_before_any_eigensolve(self, monkeypatch, k_a, k_b, message):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the shape check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(ValueError, match="^k_a and k_b must be square matrices or equal-length stacks of them, " + message + "$"):
+            LocalFilter(k_a, k_b)
+
+    def test_stack_reports_its_worst_item(self):
+        ks = np.array([np.eye(2), 1.5 * np.eye(2), 2 * np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=r"k_b is not a valid filter: max eigenvalue of K\^dag K is 4\.0"):
+            LocalFilter(np.array([np.eye(2)] * 4), ks)
+
+
+def _row_bytes(row):
+    return tuple(float(x).hex() for x in (row.epsilon, row.success_prob, row.m, row.chsh_bound, row.chsh_at_optimal))
+
+
+class TestScanStack:
+    """The scan filters and diagnoses its grid as one stack; each row holds
+    the bits of apply_filters and horodecki_m at that epsilon alone."""
+
+    GRIDS = [
+        [0.7],
+        list(DEFAULT_EPS_GRID),
+        # delta > 1 rescales at small q, and a repeated epsilon
+        [2.0, 0.9, 0.5, 0.3, 1e-1, 0.3, 1e-2, 1e-3, 1e-4],
+    ]
+    QS = [0.0, 0.25, 0.5, 1.0, *np.random.default_rng(31).uniform(0, 1, 4)]
+
+    @pytest.mark.parametrize("family", ["rho-g", "rho-g-prime"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["E=1", "E=5", "E=9"])
+    def test_rows_equal_one_epsilon_at_a_time(self, family, grid):
+        for q in self.QS:
+            state = states.STATES[family](q)
+            want = []
+            for eps in grid:
+                out = apply_filters(state, hirsch_filters(eps, q if q > 0 else 1.0))
+                res = horodecki_m(out.post_state)
+                want.append(tuple(float(x).hex() for x in (eps, out.success_prob, res.m_rho, 2 * np.sqrt(res.m_rho), res.value)))
+            got = [_row_bytes(r) for r in hidden_nonlocality_scan(family, q, grid)]
+            assert got == want, (family, q)
+
+    def test_stacked_outcomes_and_results_equal_single_calls(self):
+        q, grid = 0.04, [2.0, 0.3, 1e-2, 0.3]
+        stacked = apply_filters(rho_g(q), hirsch_filters(grid, q))
+        assert isinstance(stacked, list) and len(stacked) == len(grid)
+        results = horodecki_m([out.post_state for out in stacked])
+        for eps, out, res in zip(grid, stacked, results):
+            single = apply_filters(rho_g(q), hirsch_filters(eps, q))
+            assert out.post_state.mat.tobytes() == single.post_state.mat.tobytes()
+            assert float(out.success_prob).hex() == float(single.success_prob).hex()
+            alone = horodecki_m(single.post_state)
+            assert (res.value, res.m_rho, res.eigen_pair) == (alone.value, alone.m_rho, alone.eigen_pair)
+            for name in ("x", "x2", "y", "y2"):
+                assert getattr(res.settings, name).tobytes() == getattr(alone.settings, name).tobytes()
+
+    def test_grid_filters_equal_one_epsilon_filters(self):
+        grid = [3.0, 0.5, 1e-3]
+        f = hirsch_filters(grid, 0.09)  # delta = 10, 5/3 and 1/300
+        assert f.k_a.shape == f.k_b.shape == (3, 2, 2)
+        for i, eps in enumerate(grid):
+            one = hirsch_filters(eps, 0.09)
+            assert f.k_a[i].tobytes() == one.k_a.tobytes() and f.k_b[i].tobytes() == one.k_b.tobytes()
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize(
+        "grid", [0.01, np.float64(0.01), "0.01", [[0.1, 0.01]], np.ones((2, 2)) / 10], ids=["float", "numpy-float", "str", "nested", "2-D"]
+    )
+    def test_a_grid_that_is_not_1d(self, grid):
+        with pytest.raises(ValueError, match="the epsilon grid must be 1-D, got"):
+            hidden_nonlocality_scan("rho_g", 0.3, grid)
+
+    def test_hirsch_filters_take_one_epsilon_or_a_1d_grid(self):
+        assert hirsch_filters(0.1, 0.3).k_a.shape == (2, 2) and hirsch_filters([0.1], 0.3).k_a.shape == (1, 2, 2)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, inf\), got \[0.1, 0.01\]"):
+            hirsch_filters([[0.1, 0.01]], 0.3)
+
+    @pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    @pytest.mark.parametrize("family", ["rho_g", "rho_g_prime"])
+    def test_empty_grid(self, family, grid):
+        """An empty grid runs the stacked path with no items and gives no rows."""
+        assert hidden_nonlocality_scan(family, 0.3, grid) == []
+        assert apply_filters(rho_g(0.3), hirsch_filters(grid, 0.3)) == []
+
+    @pytest.mark.parametrize("bad, shown", [(-0.1, "-0.1"), (float("nan"), "nan"), ("0.1", "'0.1'"), (0.0, "0.0")])
+    def test_bad_epsilon_in_mid_grid_before_any_filtering(self, monkeypatch, bad, shown):
+        def no_filtering(*args, **kwargs):
+            raise AssertionError("filtered before the grid was checked")
+
+        monkeypatch.setattr(filters, "apply_filters", no_filtering)
+        monkeypatch.setattr(filters, "hirsch_filters", no_filtering)
+        with pytest.raises(ValueError, match=rf"epsilon must lie in \(0, inf\), got {re.escape(shown)}$"):
+            hidden_nonlocality_scan("rho_g", 0.3, [1e-1, 1e-2, bad, 1e-3])
+
+
+class TestScanChecksInsideTheStack:
+    """A check that fails inside the stack names the first failing epsilon."""
+
+    def test_degenerate_success_mid_grid(self):
+        # on rho_g(0) = |0><0| (x) I/2 the success probability is eps^2 (1 + eps^2) / 2
+        with pytest.raises(ValueError, match=r"^the filters at epsilon 1e-07 never succeed on this state$"):
+            hidden_nonlocality_scan("rho_g", 0.0, [1e-1, 1e-2, 1e-7, 1e-8, 1e-3])
+        outcomes = apply_filters(rho_g(0.0), hirsch_filters([1e-1, 1e-7, 1e-2], 1.0))
+        assert [out.post_state is None for out in outcomes] == [False, True, False]
+        assert 0 <= outcomes[1].success_prob < 1e-12
+
+    def test_post_state_check(self, monkeypatch):
+        q, grid = 0.3, [1e-1, 3e-2, 1e-2, 3e-2]
+        state = rho_g(q)
+        target = apply_filters(state, hirsch_filters(3e-2, q)).post_state.mat
+        real = states.is_density
+
+        def fails_on_target(m):
+            m = np.asarray(m)
+            if any(np.array_equal(x, target) for x in m.reshape(-1, *m.shape[-2:])):
+                return qmat.DensityCheck(False, 0.5, float("nan"), float("nan"))
+            return real(m)
+
+        monkeypatch.setattr(states, "is_density", fails_on_target)
+        with pytest.raises(ValueError, match=r"^not a density matrix: hermiticity error 5\.000e-01"):
+            apply_filters(state, hirsch_filters(grid, q))
+        with pytest.raises(ValueError, match=r"^at epsilon 0\.03: not a density matrix: hermiticity error 5\.000e-01"):
+            hidden_nonlocality_scan("rho_g", q, grid)
+
+    def test_filter_bound(self, monkeypatch):
+        real = filters.hirsch_filters
+
+        def doubled_at_one_percent(epsilon, q):
+            f = real(epsilon, q)
+            s = np.where(np.asarray(epsilon) == 1e-2, 2.0, 1.0)[..., None, None]
+            return LocalFilter(f.k_a * s, f.k_b * s)
+
+        monkeypatch.setattr(filters, "hirsch_filters", doubled_at_one_percent)
+        with pytest.raises(ValueError, match=r"^at epsilon 0\.01: k_a is not a valid filter: max eigenvalue of K\^dag K is 4\.0$"):
+            hidden_nonlocality_scan("rho_g_prime", 0.5, [1e-1, 3e-2, 1e-2, 3e-3, 1e-2])

@@ -94,6 +94,26 @@ class TestTensor:
         rhs = tensor(a, tensor(b, c))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("shapes", [((3,), (2,)), ((1,), (4,)), ((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 3), (4, 1)), ((1, 5), (3, 2))])
+    def test_bytes_equal_kron(self, shapes):
+        """Both form each entry as the one product a_ij b_kl; signed zeros,
+        in either part of either factor, come out as np.kron's."""
+        for _ in range(50):
+            a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+            for m in (a, b):
+                m.real[rng.random(m.shape) < 0.3] = -0.0
+                m.imag[rng.random(m.shape) < 0.3] = -0.0
+                m.imag[rng.random(m.shape) < 0.2] = 0.0
+            assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert tensor(a, b).shape == np.kron(a, b).shape
+        real = (-np.eye(2), np.eye(2))  # real factors with -0.0 entries, taken as complex
+        assert tensor(*real).tobytes() == np.kron(*(np.asarray(m, dtype=complex) for m in real)).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (np.eye(2), np.ones(2)), (np.ones(2), np.eye(2)), (np.ones((2, 2, 2)), np.ones((2, 2, 2))), (np.eye(2), 3.0)])
+    def test_other_ranks_are_rejected(self, a, b):
+        with pytest.raises(ValueError, match="tensor takes two kets or two operators, got shapes"):
+            tensor(a, b)
+
 
 class TestFlip:
     def test_trace_is_d(self):
@@ -266,3 +286,23 @@ class TestIsDensity:
         check = is_density(bad)
         assert not check
         assert np.isnan(check.hermiticity_error)
+
+    def test_stack_reports_its_worst_item(self):
+        good, low, trace = np.eye(2) / 2, np.diag([1.2, -0.2]), np.diag([0.5, 0.6])
+        assert is_density(np.array([good, good]))
+        check = is_density(np.array([good, low, trace, good]))
+        assert not check
+        assert check.min_eigenvalue == -0.2
+        assert check.trace_error == abs(1.1 - 1.0)
+        skew = good + np.array([[0, 1e-6], [0, 0]])
+        assert qmat.hermiticity_error(np.array([good, skew, good])) == 1e-6
+        assert np.isnan(is_density(np.array([good, np.full((2, 2), np.nan)])).hermiticity_error)
+        assert is_density(np.zeros((0, 2, 2)))  # no item fails
+
+    def test_stack_of_one_is_the_single_check(self):
+        for _ in range(200):
+            g = rand_c(4)
+            m = g @ g.conj().T
+            m = m / np.trace(m) + 1e-9 * rand_herm(4)
+            single, stacked = is_density(m), is_density(m[None])
+            assert repr(single) == repr(stacked)
