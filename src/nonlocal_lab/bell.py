@@ -8,16 +8,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import unit_bloch
-from .qmat import PAULIS
+from .qmat import PAULIS, _check_dim
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
 _PAULI_ROWS = np.array(PAULIS).transpose(0, 2, 1).reshape(3, 4)  # rows sigma_n.T.ravel()
+_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))  # the sign choices (s, s') of optimal settings, in order
 
 
 @dataclass
 class ChshSettings:
-    """Two Bloch directions per party: Alice measures x or x2, Bob y or y2."""
+    """Two Bloch directions per party: Alice measures x or x2, Bob y or y2,
+    each held as a read-only array (see measure.unit_bloch)."""
 
     x: np.ndarray
     x2: np.ndarray
@@ -25,16 +27,11 @@ class ChshSettings:
     y2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "x2", "y", "y2"):
-            setattr(self, name, unit_bloch(getattr(self, name), f"setting {name}"))
+        self.x, self.x2 = unit_bloch(self.x, "setting x"), unit_bloch(self.x2, "setting x2")
+        self.y, self.y2 = unit_bloch(self.y, "setting y"), unit_bloch(self.y2, "setting y2")
 
     def to_dict(self) -> dict:
-        return {
-            "x": [float(c) for c in self.x],
-            "x'": [float(c) for c in self.x2],
-            "y": [float(c) for c in self.y],
-            "y'": [float(c) for c in self.y2],
-        }
+        return {"x": self.x.tolist(), "x'": self.x2.tolist(), "y": self.y.tolist(), "y'": self.y2.tolist()}
 
 
 @dataclass
@@ -66,7 +63,7 @@ def correlation_matrix(rho: DensityMatrix | list[DensityMatrix]) -> np.ndarray:
     # latency path; measure.born_table contracts slab by slab for memory
     r = m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
     t = (_PAULI_ROWS @ r @ _PAULI_ROWS.T).real
-    if np.abs(t).max(initial=0.0) > 1 + 1e-9:
+    if max(map(abs, t.ravel().tolist()), default=0.0) > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
     return t
 
@@ -78,12 +75,15 @@ def chsh_value(rho: DensityMatrix, s: ChshSettings) -> float:
 
 
 def chsh_value_from_t(t: np.ndarray, x, x2, y, y2) -> float:
-    """The CHSH combination through the correlation matrix t, E(a, b) = a.T t b."""
-    return float(x @ t @ y + x2 @ t @ y + x2 @ t @ y2 - x @ t @ y2)
+    """The CHSH combination through the correlation matrix t, E(a, b) = a.T t b,
+    each a.T t taken once: @ binds to the left, so these are its bits."""
+    xt, x2t = x @ t, x2 @ t
+    return float(xt @ y + x2t @ y + x2t @ y2 - xt @ y2)
 
 
 def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
     """Best CHSH value over n_settings random setting quadruples."""
+    n_settings = _check_dim(n_settings, "n_settings", 1)
     t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((4, n_settings, 3))
@@ -141,19 +141,19 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
         za, zb = s1 * z, s2 * zp
         xa = t @ za / na if na > _RANK_TOL else np.array([1.0, 0.0, 0.0])
         xb = t @ zb / nb if nb > _RANK_TOL else np.array([1.0, 0.0, 0.0])
-        return xb, xa, cos * za + sin * zb, cos * za - sin * zb
+        ca, sb = cos * za, sin * zb
+        return xb, xa, ca + sb, ca - sb
 
     first = xb, xa, a, b = candidate(1.0, 1.0)
     tb, ta = xb @ t, xa @ t
     on_a, on_b = (float(tb @ a), float(ta @ a)), (float(tb @ b), float(ta @ b))
-    signs = [(s1, s2) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
     values = []
-    for s1, s2 in signs:
+    for s1, s2 in _SIGNS:
         (pb, pa), (qb, qa) = (on_a, on_b) if s1 == s2 else (on_b, on_a)
         gb, ga = s1 * (s2 if nb > _RANK_TOL else 1.0), s1 * (s1 if na > _RANK_TOL else 1.0)
         values.append(gb * pb + ga * pa + ga * qa - gb * qb)
     k = values.index(max(values))
-    return ChshSettings(*(first if k == 0 else candidate(*signs[k]))), values[k]
+    return ChshSettings(*(first if k == 0 else candidate(*_SIGNS[k]))), values[k]
 
 
 def horodecki_m(rho: DensityMatrix | list[DensityMatrix], settings: ChshSettings | None = None) -> ChshResult | list[ChshResult]:
@@ -164,11 +164,9 @@ def horodecki_m(rho: DensityMatrix | list[DensityMatrix], settings: ChshSettings
     of one and gives its result alone."""
     t = correlation_matrix(rho)
     vals, vecs = np.linalg.eigh(t.swapaxes(-1, -2) @ t)
-    ts, vecs, results = t.reshape(-1, 3, 3), vecs.reshape(-1, 3, 3), []
-    for i, (_, u_tilde, u) in enumerate(vals.reshape(-1, 3).tolist()):  # indexed: iterating an array costs an IndexError
-        if settings is None:
-            s, value = _optimal_settings_from_t(ts[i], vecs[i])
-        else:
-            s, value = settings, chsh_value_from_t(ts[i], settings.x, settings.x2, settings.y, settings.y2)
+    results = []
+    # the list leads the zip, so it stops there and never asks an array for an item past its end
+    for (_, u_tilde, u), ti, vi in zip(vals.reshape(-1, 3).tolist(), t.reshape(-1, 3, 3), vecs.reshape(-1, 3, 3)):
+        s, value = _optimal_settings_from_t(ti, vi) if settings is None else (settings, chsh_value_from_t(ti, settings.x, settings.x2, settings.y, settings.y2))
         results.append(ChshResult(value=value, m_rho=u + u_tilde, settings=s, eigen_pair=(u, u_tilde)))
     return results if isinstance(rho, list) else results[0]

@@ -74,6 +74,13 @@ def _parse_count(text: str) -> int:
     return int(n)
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _N_HELP = "n has no upper bound, and the time grows linearly in n"
 
 
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_bloch, default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--y", type=_parse_bloch, default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--n", type=_parse_count, default=1_000_000, help=f"samples (default 1e6); {_N_HELP}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_parse_count, default=acceptance.FULL_POWER_N,
         help=f"samples per Monte Carlo run (default 1e6, the 5-sigma calibration); {_N_HELP}",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

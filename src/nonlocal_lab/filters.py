@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, _check_real
+from .qmat import _check_dim, _check_operator, _check_real, _frozen
 from .states import STATES, DensityMatrix, _check_density, singlet
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -21,18 +21,17 @@ class LocalFilter:
     or equal-length stacks (k, n, n) of them, one filter per item.
 
     Valid when K^dag K <= I on both sides, so each extends to a measurement
-    {K, completion}; a stack reports its worst item.
+    {K, completion}; a stack reports its worst item. Both are held read-only.
     """
 
     k_a: np.ndarray
     k_b: np.ndarray
 
     def __post_init__(self) -> None:
-        self.k_a = np.asarray(self.k_a, dtype=complex)
-        self.k_b = np.asarray(self.k_b, dtype=complex)
-        for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
-            if k.ndim not in (2, 3) or k.shape[-1] != k.shape[-2] or k.shape[:-2] != self.k_a.shape[:-2]:
-                raise ValueError(f"k_a and k_b must be square matrices or equal-length stacks of them, got {name} of shape {k.shape}")
+        self.k_a = _frozen(_check_operator(self.k_a, "k_a", stack=True), self.k_a)
+        self.k_b = _frozen(_check_operator(self.k_b, "k_b", stack=True), self.k_b)
+        if self.k_a.shape[:-2] != self.k_b.shape[:-2]:
+            raise ValueError(f"k_a and k_b must be one matrix each or equal-length stacks, got shapes {self.k_a.shape} and {self.k_b.shape}")
         with np.errstate(invalid="ignore"):  # a non-finite K gives a NaN top, rejected below
             for name, k in (("k_a", self.k_a), ("k_b", self.k_b)):
                 top = np.linalg.eigvalsh(k.conj().swapaxes(-1, -2) @ k).max(initial=0.0)
@@ -53,10 +52,9 @@ def apply_filters(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome | list[Fi
     stack of filters gives a list of outcomes from one matmul chain and one
     density check; one filter is the stack of one and gives its outcome."""
     d_a, d_b = rho.d_a, rho.d_b
-    if f.k_a.shape[-2:] != (d_a, d_a) or f.k_b.shape[-2:] != (d_b, d_b):
-        raise ValueError(f"filter shapes {f.k_a.shape}, {f.k_b.shape} do not match state ({d_a}, {d_b})")
+    k_a, k_b = _check_operator(f.k_a, "k_a", d_a, stack=True), _check_operator(f.k_b, "k_b", d_b, stack=True)
     # tensor(K_A, K_B) of each pair, qmat.tensor's broadcast product
-    k = (f.k_a.reshape(-1, d_a, 1, d_a, 1) * f.k_b.reshape(-1, 1, d_b, 1, d_b)).reshape(-1, rho.dim, rho.dim)
+    k = (k_a.reshape(-1, d_a, 1, d_a, 1) * k_b.reshape(-1, 1, d_b, 1, d_b)).reshape(-1, rho.dim, rho.dim)
     unnorm = k @ rho.mat @ k.conj().transpose(0, 2, 1)
     p = np.trace(unnorm, axis1=1, axis2=2).real
     live = ~(p < _DEGENERATE_TOL)
@@ -107,16 +105,8 @@ def popescu_protocol(d: int) -> PopescuResult:
     d = _check_dim(d, lo=3)
     c = d / (d + 2)
     w_prime = DensityMatrix(c * (np.eye(4) / (2 * d)) + c * singlet().mat, 2, 2)
-    success_prob = 2 * (d + 2) / d**3
-    value = chsh_value(w_prime, example_chsh_settings())
     hor = horodecki_m(w_prime)
-    return PopescuResult(
-        w_prime=w_prime,
-        chsh=value,
-        success_prob=success_prob,
-        m_rho=hor.m_rho,
-        chsh_horodecki=hor.value,
-    )
+    return PopescuResult(w_prime, chsh_value(w_prime, example_chsh_settings()), 2 * (d + 2) / d**3, hor.m_rho, hor.value)
 
 
 @dataclass

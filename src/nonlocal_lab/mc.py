@@ -113,13 +113,9 @@ def worker_count(workers: int | None = None) -> int:
             return len(os.sched_getaffinity(0))
         except AttributeError:
             return os.cpu_count() or 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
+    if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"NONLOCAL_LAB_THREADS must be a positive integer, got {env!r}")
-    return count
+    return int(env)
 
 
 def batch_rng(seed: int, label: str, batch: int) -> np.random.Generator:
@@ -235,27 +231,31 @@ class JointTable:
     def cell(self, a: int, b: int) -> McEstimate:
         return McEstimate(float(self.means[a, b]), float(self.stderrs[a, b]), self.n, self.seed)
 
+    def _deviations(self, oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|mean - oracle| of each cell and its ratio to the stderr; an oracle of another shape is a ValueError."""
+        if np.shape(oracle) != self.means.shape:
+            raise ValueError(f"oracle of shape {np.shape(oracle)} does not match the table's shape {self.means.shape}")
+        diffs = np.abs(self.means - oracle)
+        return diffs, _sigma_ratios(diffs, self.stderrs)
+
     def max_sigma(self, oracle: np.ndarray) -> float:
         """Largest |mean - oracle| / stderr over all cells."""
-        return float(_sigma_ratios(np.abs(self.means - np.asarray(oracle)), self.stderrs).max())
+        return float(self._deviations(oracle)[1].max())
 
     def to_dict(self) -> dict:
         """The JSON payload: one {a, b, mean, stderr} cell per outcome pair, n and seed."""
         cells = [
             {"a": self.labels_a[i], "b": self.labels_b[j], "mean": float(self.means[i, j]), "stderr": float(self.stderrs[i, j])}
-            for i in range(self.means.shape[0])
-            for j in range(self.means.shape[1])
+            for i, j in np.ndindex(self.means.shape)
         ]
         return {"cells": cells, "n": self.n, "seed": self.seed}
 
     def to_csv(self, oracle: np.ndarray) -> str:
-        diffs = np.abs(self.means - oracle)
-        ratios = _sigma_ratios(diffs, self.stderrs)
+        diffs, ratios = self._deviations(oracle)
         lines = ["a,b,mean,stderr,oracle,abs_diff,sigma_ratio"]
-        for i in range(self.means.shape[0]):
-            for j in range(self.means.shape[1]):
-                lines.append(
-                    f"{self.labels_a[i]},{self.labels_b[j]},{self.means[i, j]:.12g},{self.stderrs[i, j]:.12g},"
-                    f"{oracle[i, j]:.12g},{diffs[i, j]:.12g},{ratios[i, j]:.12g}"
-                )
+        for i, j in np.ndindex(self.means.shape):
+            lines.append(
+                f"{self.labels_a[i]},{self.labels_b[j]},{self.means[i, j]:.12g},{self.stderrs[i, j]:.12g},"
+                f"{oracle[i, j]:.12g},{diffs[i, j]:.12g},{ratios[i, j]:.12g}"
+            )
         return "\n".join(lines) + "\n"

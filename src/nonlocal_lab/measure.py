@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, haar_unitary, hermitian_eig, hermiticity_error, projector
+from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, _check_dim, _check_operator, _frozen, haar_unitary, hermitian_eig, projector
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -16,45 +16,44 @@ PROB_TOL = 1e-10
 
 
 def unit_bloch(v, what: str = "Bloch vector") -> np.ndarray:
-    """v as a float array, checked to be a finite real unit 3-vector."""
-    v = np.asarray(v, dtype=float)
-    # sqrt(v.v) is np.linalg.norm's formula for a real vector; NaN fails the <=
-    if v.shape != (3,) or not abs(math.sqrt(v.dot(v)) - 1.0) <= 1e-12:
-        raise ValueError(f"{what} must be a finite unit 3-vector, got {v}")
-    return v
+    """v as a read-only float array (see qmat._frozen), checked to be a finite real unit 3-vector."""
+    a = np.asarray(v, dtype=float)
+    # sqrt(a.a) is np.linalg.norm's formula for a real vector; NaN fails the <=
+    if a.shape != (3,) or not abs(math.sqrt(a.dot(a)) - 1.0) <= 1e-12:
+        raise ValueError(f"{what} must be a finite unit 3-vector, got {a}")
+    return _frozen(a, v)
 
 
 @dataclass
 class Povm:
-    """Positive elements summing to the identity, with opaque outcome labels."""
+    """Positive elements summing to the identity, with opaque outcome labels. The elements are checked
+    as one (k, n, n) stack, a matrix being the stack of one, and kept as read-only views of it."""
 
     elements: list[np.ndarray]
     labels: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
-        if not self.elements:
+        if not len(self.elements):
             raise ValueError("a POVM needs at least one element")
-        if not self.labels:
-            self.labels = list(range(len(self.elements)))
-        if len(self.elements) != len(self.labels):
+        stack = _frozen(_check_operator(self.elements, "POVM elements", stack=True), self.elements)
+        stack = stack.reshape(-1, *stack.shape[-2:])
+        self.elements, self.labels = list(stack), self.labels or list(range(len(stack)))
+        if len(stack) != len(self.labels):
             raise ValueError("one label per element required")
-        if not np.isfinite(np.array(self.elements)).all():
+        if not np.isfinite(stack).all():
             raise ValueError("POVM elements must be finite")
-        d = self.elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, e in enumerate(self.elements):
-            if hermiticity_error(e) > HERM_TOL:
-                raise ValueError(f"POVM element {i} is not Hermitian")
-            if np.linalg.eigvalsh(e).min() < -PSD_TOL:
-                raise ValueError(f"POVM element {i} is not positive semi-definite")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+        bad = np.flatnonzero(np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2)) > HERM_TOL)
+        if bad.size:
+            raise ValueError(f"POVM element {bad[0]} is not Hermitian")
+        bad = np.flatnonzero(np.linalg.eigvalsh(stack).min(axis=1) < -PSD_TOL)
+        if bad.size:
+            raise ValueError(f"POVM element {bad[0]} is not positive semi-definite")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(len(stack[0])))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return len(self.elements[0])
 
 
 def obs_from_bloch(v) -> Povm:
@@ -68,31 +67,29 @@ def obs_from_bloch(v) -> Povm:
 def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: list[np.ndarray]) -> np.ndarray:
     """Matrix of joint Born probabilities tr(rho A_i (x) B_j), clamped to [0, 1].
 
-    The elements must be positive operators on the respective local spaces;
+    Each party's elements are a list or a (k, n, n) stack of positive
+    operators on its local space, a single matrix being the stack of one;
     non-finite or non-real values, and values outside [-1e-10, 1 + 1e-10],
     are rejected as invalid input.
     """
-    if not all(np.isfinite(m).all() for m in (*elements_a, *elements_b)):
-        raise ValueError("measurement operator is not finite")
     da, db = rho.d_a, rho.d_b
-    a = [np.asarray(m, dtype=complex) for m in elements_a]
-    b = [np.asarray(m, dtype=complex) for m in elements_b]
-    shape_a = next((m.shape for m in a if m.shape != (da, da)), (da, da))
-    shape_b = next((m.shape for m in b if m.shape != (db, db)), (db, db))
-    if shape_a != (da, da) or shape_b != (db, db):
-        raise ValueError(f"operator dimensions {shape_a}, {shape_b} do not match state ({da}, {db})")
     # tr(rho A_i (x) B_j) = rows_a R rows_b^T over operator rows A.T.ravel(),
     # with R[(x, u), (y, v)] = rho[(x, y), (u, v)]: O(k d^4) in place of a
     # d^2 x d^2 Kronecker product and matmul per pair. R is never built: for
     # each Alice index x, the (d_b, d_a, d_b) slab rho[(x, .), .] transposed is
     # rows x d_a .. (x + 1) d_a of R, and rows_a R is summed slab by slab, so
     # the state is copied one slab, 1/d_a of it, at a time
-    rows_a = np.array(a).reshape(len(a), da, da).transpose(0, 2, 1).reshape(len(a), da * da)
-    left = np.zeros((len(a), db * db), dtype=complex)
+    rows_a, rows_b = (
+        _check_operator(e, what, n, stack=True).reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
+        for e, what, n in ((elements_a, "elements_a", da), (elements_b, "elements_b", db))
+    )
+    if not (np.isfinite(rows_a).all() and np.isfinite(rows_b).all()):
+        raise ValueError("measurement operator is not finite")
+    left = np.zeros((len(rows_a), db * db), dtype=complex)
     for x in range(da):
         slab = rho.mat[x * db : (x + 1) * db].reshape(db, da, db).transpose(1, 0, 2)
         left += rows_a[:, x * da : (x + 1) * da] @ slab.reshape(da, db * db)
-    vals = left @ np.array(b).reshape(len(b), db, db).transpose(0, 2, 1).reshape(len(b), db * db).T
+    vals = left @ rows_b.T
     if not np.isfinite(vals).all():
         raise ValueError("joint probability is not finite")
     nonreal = vals[np.abs(vals.imag) > PROB_TOL]
@@ -173,10 +170,9 @@ def random_projective(d: int, rng: np.random.Generator) -> Povm:
 def random_povm(n_outcomes: int, d: int, rng: np.random.Generator) -> Povm:
     """Random POVM from normalized Wishart blocks."""
     blocks = []
-    for _ in range(n_outcomes):
+    for _ in range(_check_dim(n_outcomes, "n_outcomes", 1)):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    vals, vecs = np.linalg.eigh(total)
+    vals, vecs = np.linalg.eigh(sum(blocks))
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
     return Povm([inv_sqrt @ b @ inv_sqrt for b in blocks])

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small bipartite systems.
 
 Everything here works on plain numpy arrays (complex128). Kets are
-1-D arrays, operators are square 2-D arrays, and the density checks also
-take a stack (..., n, n) of operators. The computational product
-basis is ordered |00>, |01>, ..., with the left (Alice) factor as the
-slow index, so ``tensor(A, B) == np.kron(A, B)``.
+1-D arrays, operators are square 2-D arrays (see _check_operator), and the
+density checks also take a stack (k, n, n) of operators. The computational
+product basis is ordered |00>, |01>, ..., with the left (Alice) factor as
+the slow index, so ``tensor(A, B) == np.kron(A, B)``.
 """
 
 from __future__ import annotations
@@ -76,6 +76,35 @@ def _check_real(x, lo, hi, what: str, ends: str = "[]") -> float:
     return float(x)
 
 
+def _check_operator(m, what: str, side: int | None = None, stack: bool = False) -> np.ndarray:
+    """m as a complex array, checked to be a square matrix, side x side if side is given, or with
+    stack also a (k, n, n) stack of them; any other shape is a ValueError naming what and the shape."""
+    try:
+        a = np.asarray(m, dtype=complex)
+        shape = a.shape
+    except (TypeError, ValueError):  # a ragged list, or entries that are not numbers
+        shape = ()
+    if not (len(shape) == 2 or stack and len(shape) == 3) or not 0 < shape[-1] == shape[-2] or side not in (None, shape[-1]):
+        n = "n" if side is None else side
+        raise ValueError(f"{what} must be an array of numbers of shape ({n}, {n}){f' or (k, {n}, {n})' if stack else ''}, got shape {_shape(m)}")
+    return a
+
+
+def _shape(m):
+    """np.shape(m), or for a ragged list its items' shapes."""
+    try:
+        return np.shape(m)
+    except ValueError:
+        return [_shape(x) for x in m]
+
+
+def _frozen(a: np.ndarray, source) -> np.ndarray:
+    """a = np.asarray(source) made read-only for a validated value to hold, copied first where it aliases source."""
+    a = a.copy() if a is source or a.base is not None else a
+    a.setflags(write=False)
+    return a
+
+
 # Bytes of the largest d^2 x d^2 complex matrix that a state built from d may
 # take: 256 MiB admits d <= 64 (a d = 48 state is 81 MiB). `witness` holds a
 # few such matrices at once (the state, its partial transpose and the
@@ -110,22 +139,12 @@ def flip(d: int) -> np.ndarray:
     return v
 
 
-def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] != d_a * d_b:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[0]}, dA*dB = {d_a * d_b}")
-    return m
-
-
 def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.ndarray:
     """Trace out one subsystem; returns the reduced operator on the other.
 
     side="B" keeps Alice, side="A" keeps Bob.
     """
-    m = _check_bipartite(m, d_a, d_b)
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = _check_operator(m, "m", d_a * d_b).reshape(d_a, d_b, d_a, d_b)
     if side == "B":
         return np.trace(t, axis1=1, axis2=3)
     if side == "A":
@@ -135,8 +154,7 @@ def partial_trace(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.ndar
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.ndarray:
     """Block-wise transpose on the chosen subsystem."""
-    m = _check_bipartite(m, d_a, d_b)
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = _check_operator(m, "m", d_a * d_b).reshape(d_a, d_b, d_a, d_b)
     if side == "B":
         out = t.transpose(0, 3, 2, 1)
     elif side == "A":
@@ -147,9 +165,9 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int, side: str = "B") -> np.
 
 
 def hermiticity_error(m: np.ndarray) -> float:
-    """max |m - m^dag| over a matrix or a stack (..., n, n), NaN for a non-finite m: checks read `not err <= tol`."""
+    """max |m - m^dag| over a matrix or a stack (..., n, n), NaN or inf for a non-finite or overflowing m: checks read `not err <= tol`."""
     m = np.asarray(m)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
@@ -160,7 +178,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     descending order and eigenvectors as the matching orthonormal columns.
     Degenerate subspaces come back with an arbitrary orthonormal basis.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _check_operator(m, "m")
     err = hermiticity_error(m)
     if not err <= HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {err:.3e})")
@@ -184,9 +202,9 @@ class DensityCheck:
 
 def is_density(m: np.ndarray) -> DensityCheck:
     """Check Hermiticity, positivity (eigenvalues >= -1e-9) and unit trace of a matrix or a
-    stack (..., n, n) with its worst item's figures (an empty one passes); a matrix or stack
+    stack (k, n, n) with its worst item's figures (an empty one passes); a matrix or stack
     that is not Hermitian, or not finite, is checked no further."""
-    m = np.asarray(m, dtype=complex)
+    m = _check_operator(m, "m", stack=True)
     herm = hermiticity_error(m)
     if not herm <= HERM_TOL:
         return DensityCheck(False, herm, float("nan"), float("nan"))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, _check_real, basis_ket, flip, is_density, partial_trace, projector, tensor
+from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, _check_operator, _check_real, _frozen, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 def _check_density(mat: np.ndarray) -> None:
@@ -25,32 +25,29 @@ def _check_density(mat: np.ndarray) -> None:
 
 @dataclass
 class DensityMatrix:
-    """Positive unit-trace matrix with bipartite dimension metadata."""
+    """Positive unit-trace matrix with bipartite dimension metadata, held read-only (see qmat._frozen)."""
 
     mat: np.ndarray
     d_a: int
     d_b: int
 
     def __post_init__(self) -> None:
-        self.mat = np.asarray(self.mat, dtype=complex)
-        _check_density(self.mat)
         self.d_a, self.d_b = _check_dim(self.d_a, "d_a", 1), _check_dim(self.d_b, "d_b", 1)
-        if self.mat.shape[0] != self.d_a * self.d_b:
-            raise ValueError(
-                f"dimension mismatch: matrix is {self.mat.shape[0]}-dimensional, dA*dB = {self.d_a * self.d_b}"
-            )
+        self.mat = _frozen(_check_operator(self.mat, "mat", self.d_a * self.d_b), self.mat)
+        _check_density(self.mat)
 
     @classmethod
     def _trusted(cls, mat: np.ndarray, d_a: int, d_b: int) -> "DensityMatrix":
-        """A closed-form state that is a density matrix by construction; skips
+        """A closed-form state that is a density matrix by construction, frozen without a copy; skips
         the eigensolve that checks matrices from outside (O(dim^3))."""
         rho = object.__new__(cls)
         rho.mat, rho.d_a, rho.d_b = np.asarray(mat, dtype=complex), d_a, d_b
+        rho.mat.setflags(write=False)
         return rho
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self.mat)
 
     def reduced(self, side: str = "A") -> np.ndarray:
         """Reduced operator of one party (side='A' keeps Alice)."""
@@ -191,15 +188,6 @@ def rho_e(q: float) -> DensityMatrix:
     return DensityMatrix._trusted(q * projector(psi) + (1 - q) * noise, 3, 2)
 
 
-def _local_state(sigma, d: int) -> np.ndarray:
-    m = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    if m.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} single-party state, got shape {m.shape}")
-    if not is_density(m):
-        raise ValueError("sigma is not a valid state")
-    return m
-
-
 def lift_state(rho0: DensityMatrix, sigma_a, sigma_b) -> DensityMatrix:
     """Noise-dilution map that turns a projective-local base state into a
     POVM-simulable one:
@@ -213,10 +201,10 @@ def lift_state(rho0: DensityMatrix, sigma_a, sigma_b) -> DensityMatrix:
     d = rho0.d_a
     if rho0.d_b != d:
         raise ValueError(f"lift_state needs equal local dimensions, got {rho0.d_a}x{rho0.d_b}")
-    sa = _local_state(sigma_a, d)
-    sb = _local_state(sigma_b, d)
-    red_a = rho0.reduced("A")
-    red_b = rho0.reduced("B")
+    sa, sb = (_check_operator(s.mat if isinstance(s, DensityMatrix) else s, "sigma", d) for s in (sigma_a, sigma_b))
+    if not (is_density(sa) and is_density(sb)):
+        raise ValueError("sigma is not a valid state")
+    red_a, red_b = rho0.reduced("A"), rho0.reduced("B")
     m = (
         rho0.mat
         + (d - 1) * (tensor(red_a, sb) + tensor(sa, red_b))
@@ -307,7 +295,7 @@ STATES = {
 
 def random_density(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state G G^dag / tr(G G^dag) with Ginibre G."""
-    dim = d_a * d_b
+    dim = _check_dim(d_a, "d_a", 1) * _check_dim(d_b, "d_b", 1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, d_a, d_b)

@@ -361,3 +361,35 @@ class TestStackOfOne:
 def _result_bytes(res):
     s = res.settings
     return (float(res.value).hex(), float(res.m_rho).hex(), tuple(float(u).hex() for u in res.eigen_pair), s.x.tobytes(), s.x2.tobytes(), s.y.tobytes(), s.y2.tobytes())
+
+
+class TestSettingsReadOnly:
+    """ChshSettings keep read-only copies of the caller's directions, so the
+    CHSH value cannot leave Tsirelson's bound after the check."""
+
+    def test_a_write_to_a_callers_direction_does_not_reach_the_settings(self):
+        x, y = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        s = ChshSettings(x, y, y, x)
+        before = chsh_value(states.singlet(), s)
+        x[2] = 5.0
+        assert chsh_value(states.singlet(), s) == before and abs(before) <= 2 * np.sqrt(2)
+        for v in (s.x, s.x2, s.y, s.y2):
+            assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.x[0] = 1.0
+
+    def test_rows_of_one_array_are_copied(self):
+        dirs = np.eye(3)
+        s = ChshSettings(*dirs, dirs[0])
+        assert not any(np.shares_memory(v, dirs) for v in (s.x, s.x2, s.y, s.y2))
+
+    def test_optimal_settings_are_read_only(self):
+        s = horodecki_m(states.singlet()).settings
+        assert not any(v.flags.writeable for v in (s.x, s.x2, s.y, s.y2))
+        assert s.to_dict() == {k: [float(c) for c in v] for k, v in zip(("x", "x'", "y", "y'"), (s.x, s.x2, s.y, s.y2))}
+
+
+@pytest.mark.parametrize("n_settings", [0, -1])
+def test_chsh_max_random_needs_a_setting(n_settings):
+    with pytest.raises(ValueError, match=f"^n_settings must be >= 1, got {n_settings}$"):
+        chsh_max_random(states.singlet(), n_settings, 1)

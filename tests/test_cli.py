@@ -450,6 +450,29 @@ class TestBadInput:
         path.write_text(text)
         self.check(capsys, "witness", "--state-json", str(path))
 
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(["simulate", "werner", "--seed", "-1"], "-1"), (["reproduce", "--seed", "-3"], "-3"), (["simulate", "gd", "--seed", "1.5"], "1.5")],
+    )
+    def test_a_seed_that_is_not_a_non_negative_integer_is_named(self, capsys, monkeypatch, tmp_path, argv, seed):
+        def ran(*args, **kwargs):
+            raise AssertionError("a bad seed reached a run")
+
+        monkeypatch.setattr(acceptance, "run_all", ran)
+        monkeypatch.setattr(lhv, "run_batched", ran)
+        err = self.check(capsys, *argv)
+        assert f"argument --seed: seed must be a non-negative integer, got '{seed}'" in err
+        assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["witness", "chsh"])
+    def test_state_whose_hermiticity_error_overflows(self, capsys, tmp_path, command):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dA": 1, "dB": 1, "entries": [[0.25, 1e308]]}))
+        extra = ["--optimal"] if command == "chsh" else []
+        err = self.check(capsys, command, "--state-json", str(path), *extra)
+        assert "not a density matrix: hermiticity error inf" in err and "Warning" not in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["witness", "chsh"])
     def test_state_with_symmetric_infinities(self, capsys, tmp_path, command):

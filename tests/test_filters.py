@@ -217,12 +217,16 @@ class TestLocalFilterShapes:
     @pytest.mark.parametrize(
         "k_a, k_b, message",
         [
-            (np.ones(3), np.eye(2), r"got k_a of shape \(3,\)"),
-            (np.eye(2), np.ones((2, 3)) / 3, r"got k_b of shape \(2, 3\)"),
-            (np.ones((1, 1, 2, 2)), np.eye(2), r"got k_a of shape \(1, 1, 2, 2\)"),
-            (1.0, np.eye(2), r"got k_a of shape \(\)"),
-            (np.array([np.eye(2)] * 3), np.array([np.eye(2)] * 2), r"got k_b of shape \(2, 2, 2\)"),
-            (np.array([np.eye(2)] * 3), np.eye(2), r"got k_b of shape \(2, 2\)"),
+            (np.ones(3), np.eye(2), r"k_a must be an array of numbers of shape \(n, n\) or \(k, n, n\), got shape \(3,\)"),
+            (np.eye(2), np.ones((2, 3)) / 3, r"k_b must be an array of numbers of shape \(n, n\) or \(k, n, n\), got shape \(2, 3\)"),
+            (np.ones((1, 1, 2, 2)), np.eye(2), r"k_a must be an array of numbers of shape \(n, n\) or \(k, n, n\), got shape \(1, 1, 2, 2\)"),
+            (1.0, np.eye(2), r"k_a must be an array of numbers of shape \(n, n\) or \(k, n, n\), got shape \(\)"),
+            (
+                np.array([np.eye(2)] * 3),
+                np.array([np.eye(2)] * 2),
+                r"k_a and k_b must be one matrix each or equal-length stacks, got shapes \(3, 2, 2\) and \(2, 2, 2\)",
+            ),
+            (np.array([np.eye(2)] * 3), np.eye(2), r"k_a and k_b must be one matrix each or equal-length stacks, got shapes \(3, 2, 2\) and \(2, 2\)"),
         ],
         ids=["ket", "rectangular", "rank-4", "scalar", "stack-lengths", "stack-and-matrix"],
     )
@@ -231,7 +235,7 @@ class TestLocalFilterShapes:
             raise AssertionError("eigensolve before the shape check")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        with pytest.raises(ValueError, match="^k_a and k_b must be square matrices or equal-length stacks of them, " + message + "$"):
+        with pytest.raises(ValueError, match="^" + message + "$"):
             LocalFilter(k_a, k_b)
 
     def test_stack_reports_its_worst_item(self):
@@ -363,3 +367,23 @@ class TestScanChecksInsideTheStack:
         monkeypatch.setattr(filters, "hirsch_filters", doubled_at_one_percent)
         with pytest.raises(ValueError, match=r"^at epsilon 0\.01: k_a is not a valid filter: max eigenvalue of K\^dag K is 4\.0$"):
             hidden_nonlocality_scan("rho_g_prime", 0.5, [1e-1, 3e-2, 1e-2, 3e-3, 1e-2])
+
+
+class TestFilterReadOnly:
+    """A LocalFilter keeps read-only copies of the caller's complex arrays."""
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_a_write_to_the_callers_array_does_not_reach_the_filter(self, stack):
+        k = np.array([np.eye(2, dtype=complex)] * 3) if stack else np.eye(2, dtype=complex)
+        f = LocalFilter(k, k.copy())
+        k[..., 0, 0] = 5.0
+        assert np.all(f.k_a[..., 0, 0] == 1.0)
+        assert not f.k_a.flags.writeable and not f.k_b.flags.writeable
+        outcomes = apply_filters(singlet(), f)
+        for out in outcomes if stack else [outcomes]:
+            assert out.success_prob == pytest.approx(1.0) and not out.post_state.mat.flags.writeable
+
+    def test_hirsch_filters_are_read_only(self):
+        f = hirsch_filters([0.1, 0.2], 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            f.k_a[0, 0, 0] = 1.0

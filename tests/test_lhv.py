@@ -309,7 +309,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "sigma, message",
-        [(np.full((2, 2), np.nan), "sigma is not a valid state"), (np.eye(3) / 3, "expected a 2x2 single-party state")],
+        [(np.full((2, 2), np.nan), "sigma is not a valid state"), (np.eye(3) / 3, r"^sigma must be an array of numbers of shape \(2, 2\), got shape \(3, 3\)$")],
     )
     @pytest.mark.parametrize("party", ["a", "b"])
     def test_lift_rejects_a_bad_sigma_before_sampling(self, sigma, message, party, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import platform
 import zlib
 
@@ -178,6 +179,15 @@ class TestJointTable:
         assert t.max_sigma(oracle) == 0.0
         oracle[0, 0] += 10 * t.stderrs[0, 0]
         assert t.max_sigma(oracle) > 9
+
+    @pytest.mark.parametrize("oracle", [np.full((1, 2), 0.25), np.full((2, 3), 0.25), np.full(4, 0.25), 0.25, [[0.25, 0.25]]])
+    def test_an_oracle_of_another_shape_is_named(self, oracle):
+        t = self.make()
+        message = rf"^oracle of shape {re.escape(str(np.shape(oracle)))} does not match the table's shape \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            t.max_sigma(oracle)
+        with pytest.raises(ValueError, match=message):
+            t.to_csv(oracle)
 
 
 def test_importing_the_package_pins_numpys_openblas_to_one_thread():

@@ -212,8 +212,8 @@ class TestBornTable:
             ([np.eye(2)], [np.eye(2) / 2, np.full((2, 2), np.inf)], "not finite"),
             ([1j * np.eye(2)], [np.eye(2)], "non-real"),
             ([2 * np.eye(2)], [np.eye(2)], "outside"),
-            ([np.eye(2) / 2, np.eye(3)], [np.eye(2)], "do not match state"),
-            ([np.eye(2)], [np.eye(2), np.eye(4)], "do not match state"),
+            ([np.eye(2) / 2, np.eye(3)], [np.eye(2)], r"^elements_a must be .* of shape \(2, 2\) or \(k, 2, 2\), got shape \[\(2, 2\), \(3, 3\)\]$"),
+            ([np.eye(2)], [np.eye(2), np.eye(4)], r"^elements_b must be .* of shape \(2, 2\) or \(k, 2, 2\), got shape \[\(2, 2\), \(4, 4\)\]$"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -418,3 +418,65 @@ class TestValidation:
     def test_povm_rejects_negative(self):
         with pytest.raises(ValueError):
             Povm([1.5 * np.eye(2), -0.5 * np.eye(2)])
+
+
+class TestPovmStack:
+    """A Povm checks its elements as one (k, n, n) stack and keeps them as a
+    list of read-only views of it."""
+
+    def test_elements_are_read_only_views_of_one_stack(self):
+        p = random_projective(3, np.random.default_rng(3))
+        assert isinstance(p.elements, list) and len(p.elements) == 3
+        base = p.elements[0].base
+        assert base is not None and all(e.base is base for e in p.elements)
+        assert not any(e.flags.writeable for e in p.elements)
+        with pytest.raises(ValueError, match="read-only"):
+            p.elements[0][0, 0] = 1.0
+        assert len(p.elements + p.elements) == 6 and p.elements[-1].shape == (3, 3)
+
+    @pytest.mark.parametrize("as_stack", [False, True])
+    def test_a_write_to_the_callers_elements_does_not_reach_the_povm(self, as_stack):
+        e = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        given = np.array(e) if as_stack else e
+        p = Povm(given)
+        for g in given:
+            g[0, 0] = 5.0
+        assert p.elements[0][0, 0] == 1.0 and p.elements[1][0, 0] == 0.0
+        assert born_table(states.singlet(), p.elements, p.elements).sum() == pytest.approx(1.0)
+
+    def test_a_matrix_is_the_stack_of_one(self):
+        p = Povm(np.eye(2))
+        assert len(p.elements) == 1 and p.labels == [0] and p.dim == 2
+        table = born_table(states.singlet(), np.eye(2), np.eye(2))
+        assert table.shape == (1, 1) and table[0, 0] == pytest.approx(1.0)
+
+    def test_a_stack_gives_the_table_of_its_list(self):
+        gen = np.random.default_rng(4)
+        rho, pa, pb = states.random_density(2, 3, gen), random_povm(3, 2, gen), random_povm(4, 3, gen)
+        listed = born_table(rho, pa.elements, pb.elements)
+        assert born_table(rho, np.array(pa.elements), np.array(pb.elements)).tobytes() == listed.tobytes()
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([np.eye(2) / 2, np.array([[0.5, 0.1], [0.0, 0.5]])], "POVM element 1 is not Hermitian"),
+            ([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], "POVM element 1 is not positive semi-definite"),
+            ([np.diag([1.0, 0.5]), np.diag([0.0, 0.5]), np.diag([0.0, 0.0]) + 1e-3 * np.array([[0, 1], [0, 0]])], "POVM element 2 is not Hermitian"),
+        ],
+    )
+    def test_each_check_names_its_first_failing_element(self, elements, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Povm(elements)
+
+    def test_random_povm_needs_an_outcome(self):
+        with pytest.raises(ValueError, match="^n_outcomes must be >= 1, got 0$"):
+            random_povm(0, 2, np.random.default_rng(0))
+
+
+def test_unit_bloch_keeps_no_callers_array():
+    dirs = np.eye(3)
+    v = unit_bloch(dirs[0])
+    dirs[0, 0] = 5.0
+    assert v[0] == 1.0 and not v.flags.writeable
+    w = np.array([0.0, 0.0, 1.0])
+    assert not np.shares_memory(unit_bloch(w), w)

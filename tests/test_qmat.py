@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from nonlocal_lab import qmat
+from nonlocal_lab import filters, measure, qmat, states
 from nonlocal_lab.qmat import (
     SX,
     SY,
@@ -64,6 +66,111 @@ class TestArgumentChecks:
         for x in outside:
             with pytest.raises(ValueError, match=rf"q must lie in \{ends[0]}0, 1\{ends[1]}, got {x}"):
                 qmat._check_real(x, 0, 1, "q", ends)
+
+
+def _rule(what, want, got):
+    """The message of qmat._check_operator, as a full-match regex."""
+    return "^" + re.escape(f"{what} must be an array of numbers of shape {want}, got shape {got}") + "$"
+
+
+class TestCheckOperator:
+    """The third input rule: every matrix argument is a square matrix, of a
+    given side if one is named, or with stack also a (k, n, n) stack."""
+
+    @pytest.mark.parametrize("m", [np.eye(3), [[1, 0], [0, 1]], np.ones((1, 1)), np.eye(2, dtype=np.float32)])
+    def test_square_matrices_pass_as_complex(self, m):
+        a = qmat._check_operator(m, "m")
+        assert a.dtype == complex and a.shape == np.shape(m)
+        assert np.array_equal(a, np.asarray(m))
+
+    def test_a_complex_array_is_returned_as_is(self):
+        m = np.eye(2, dtype=complex)
+        assert qmat._check_operator(m, "m") is m
+        assert qmat._check_operator(np.array([m, m]), "m", 2, stack=True).shape == (2, 2, 2)
+        assert qmat._check_operator(np.zeros((0, 2, 2)), "m", stack=True).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize(
+        "m, side, stack, want, got",
+        [
+            (np.ones(3), None, False, "(n, n)", "(3,)"),
+            (np.ones((2, 3)), None, False, "(n, n)", "(2, 3)"),
+            (np.ones((2, 2, 2)), None, False, "(n, n)", "(2, 2, 2)"),
+            (np.ones((1, 1, 2, 2)), None, True, "(n, n) or (k, n, n)", "(1, 1, 2, 2)"),
+            (np.ones((0, 0)), None, False, "(n, n)", "(0, 0)"),
+            (5.0, None, False, "(n, n)", "()"),
+            (None, None, False, "(n, n)", "()"),
+            (np.eye(3), 2, False, "(2, 2)", "(3, 3)"),
+            (np.ones((2, 3, 3)), 2, True, "(2, 2) or (k, 2, 2)", "(2, 3, 3)"),
+            ([np.eye(2), np.eye(3)], None, True, "(n, n) or (k, n, n)", "[(2, 2), (3, 3)]"),
+            ([np.eye(2), [[1, 0], [0]]], None, True, "(n, n) or (k, n, n)", "[(2, 2), [(2,), (1,)]]"),
+            ([["a", "b"], ["c", "d"]], None, False, "(n, n)", "(2, 2)"),
+        ],
+        ids=["ket", "rectangular", "stack-not-allowed", "rank-4", "empty", "scalar", "None", "side", "stack-side", "ragged",
+             "ragged-within", "not-numbers"],
+    )
+    def test_anything_else_is_named(self, m, side, stack, want, got):
+        with pytest.raises(ValueError, match=_rule("k_a", want, got)):
+            qmat._check_operator(m, "k_a", side, stack)
+
+    @pytest.mark.parametrize(
+        "call, what, want, got",
+        [
+            (lambda: hermitian_eig(np.ones((2, 3))), "m", "(n, n)", "(2, 3)"),
+            (lambda: is_density(np.ones(3)), "m", "(n, n) or (k, n, n)", "(3,)"),
+            (lambda: partial_trace(np.eye(4), 2, 3), "m", "(6, 6)", "(4, 4)"),
+            (lambda: partial_transpose(np.ones((6, 6, 1)), 2, 3), "m", "(6, 6)", "(6, 6, 1)"),
+            (lambda: states.DensityMatrix(np.ones(4) / 4, 2, 2), "mat", "(4, 4)", "(4,)"),
+            (lambda: states.DensityMatrix(np.eye(4)[None] / 4, 2, 2), "mat", "(4, 4)", "(1, 4, 4)"),
+            (lambda: states.lift_state(states.singlet(), np.eye(3) / 3, np.eye(2) / 2), "sigma", "(2, 2)", "(3, 3)"),
+            (lambda: measure.Povm([1.0]), "POVM elements", "(n, n) or (k, n, n)", "(1,)"),
+            (lambda: measure.Povm([np.ones((2, 3))]), "POVM elements", "(n, n) or (k, n, n)", "(1, 2, 3)"),
+            (lambda: measure.Povm([np.eye(2), np.eye(3)]), "POVM elements", "(n, n) or (k, n, n)", "[(2, 2), (3, 3)]"),
+            (lambda: measure.born_table(states.singlet(), [np.eye(3)], [np.eye(2)]), "elements_a", "(2, 2) or (k, 2, 2)", "(1, 3, 3)"),
+            (lambda: measure.born_table(states.singlet(), np.eye(2), np.ones(2)), "elements_b", "(2, 2) or (k, 2, 2)", "(2,)"),
+            (lambda: filters.LocalFilter(np.eye(2), np.ones((2, 3))), "k_b", "(n, n) or (k, n, n)", "(2, 3)"),
+            (lambda: filters.apply_filters(states.rho_e(0.5), filters.LocalFilter(np.eye(2), np.eye(2))), "k_a", "(3, 3) or (k, 3, 3)", "(2, 2)"),
+        ],
+        ids=["hermitian_eig", "is_density", "partial_trace", "partial_transpose", "DensityMatrix", "DensityMatrix-stack",
+             "lift_state", "Povm-scalar", "Povm-rectangular", "Povm-ragged", "born_table-side", "born_table-ket",
+             "LocalFilter", "apply_filters"],
+    )
+    def test_every_matrix_argument_goes_through_it(self, call, what, want, got):
+        with pytest.raises(ValueError, match=_rule(what, want, got)):
+            call()
+
+    def test_a_shape_is_checked_before_any_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the shape check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        for call in (lambda: hermitian_eig(np.ones((2, 3))), lambda: is_density(np.ones(3)), lambda: measure.Povm([np.ones((2, 3))]),
+                     lambda: states.DensityMatrix(np.ones(4) / 4, 2, 2)):
+            with pytest.raises(ValueError, match="must be an array of numbers of shape"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_hermiticity_error_is_inf_without_a_warning(self):
+        m = np.array([[0.25 + 1e308j]])
+        assert qmat.hermiticity_error(m) == np.inf
+        assert not is_density(m)
+
+
+class TestFrozen:
+    """What a validated value holds is read-only, and a copy only where
+    np.asarray would hand back the caller's memory."""
+
+    def test_the_callers_array_is_copied(self):
+        for m in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[:2, :2]):
+            a = qmat._frozen(np.asarray(m, dtype=complex), m)
+            assert not a.flags.writeable and not np.shares_memory(a, m)
+            m[0, 0] = 7
+            assert a[0, 0] == 1
+
+    def test_a_converted_array_is_kept_without_a_copy(self):
+        for m in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2)):
+            a = np.asarray(m, dtype=complex)
+            assert qmat._frozen(a, m) is a and not a.flags.writeable
 
 
 class TestTensor:

@@ -540,3 +540,50 @@ def test_caller_supplied_matrices_keep_the_check():
         DensityMatrix.from_json(DensityMatrix(np.eye(4) / 4, 2, 2).to_json().replace("0.25", "-0.25", 1))
     with pytest.raises(ValueError, match="sigma is not a valid state"):
         lift_state(rho_g(0.3), -np.eye(2) / 2, np.eye(2) / 2)
+
+
+class TestReadOnly:
+    """A state's matrix cannot change after it was checked: it is read-only,
+    and a copy wherever np.asarray would have kept the caller's array."""
+
+    def test_a_named_state_cannot_be_written(self):
+        s = singlet()
+        with pytest.raises(ValueError, match="read-only"):
+            s.mat[0, 0] = 7
+        assert flip_witness(s) == flip_witness(singlet()) < -0.99
+
+    def test_a_write_to_the_callers_matrix_does_not_reach_the_state(self):
+        from nonlocal_lab.bell import horodecki_m
+
+        m = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix(m, 2, 2)
+        m[0, 0] = np.nan
+        assert not rho.mat.flags.writeable and rho.mat[0, 0] == 0.25
+        assert horodecki_m(rho).m_rho == 0.0
+
+    @pytest.mark.parametrize("m", [np.eye(4) / 4, (np.eye(4) / 4).tolist(), np.eye(8, dtype=complex)[::2, ::2] / 4])
+    def test_every_input_is_held_read_only(self, m):
+        rho = DensityMatrix(m, 2, 2)
+        assert not rho.mat.flags.writeable and not np.shares_memory(rho.mat, np.asarray(m))
+
+    @pytest.mark.parametrize("build", [werner_local, barrett_state])
+    def test_in_place_builders_freeze_their_one_matrix(self, build):
+        rho = build(24)
+        assert not rho.mat.flags.writeable and rho.mat.base is None
+        m = np.eye(4, dtype=complex) / 4
+        assert DensityMatrix._trusted(m, 2, 2).mat is m and not m.flags.writeable
+
+    @pytest.mark.parametrize("rho", [pytest.param(rho, id=name) for name, rho in _closed_form_states()[:12]])
+    def test_closed_form_states_are_read_only(self, rho):
+        assert not rho.mat.flags.writeable
+
+    def test_derived_states_are_read_only(self):
+        for rho in (lift_state(rho_g(0.3), np.eye(2) / 2, np.eye(2) / 2), embed_local(singlet(), 3, 3), twirl(singlet()),
+                    states.random_density(2, 3, rng), DensityMatrix.from_json(singlet().to_json())):
+            assert not rho.mat.flags.writeable
+
+
+@pytest.mark.parametrize("d_a, d_b, what", [(0, 2, "d_a"), (2, 0, "d_b"), (-1, 2, "d_a")])
+def test_random_density_counts_levels_from_one(d_a, d_b, what):
+    with pytest.raises(ValueError, match=f"^{what} must be >= 1, got {min(d_a, d_b)}$"):
+        states.random_density(d_a, d_b, np.random.default_rng(0))
