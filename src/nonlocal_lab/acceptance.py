@@ -177,10 +177,8 @@ def criterion_08(seed: int, n: int, workers=None) -> CriterionResult:
     runs = lhv.povm_lift_trial(0.4, rng, n, _seed(seed, 8, 1), workers, pairs=5)  # one stream for all 5 pairs
     worst = _worst(runs)
     rate_worst = max(abs(est.sigma_ratio(0.5)) for res, *_ in runs for est in (res.step4_a, res.step4_b))
-    # every trial lifts rho_g(q) with |0><0| on both sides: rho_g'(q), here in closed form
-    q, p0, half = 0.4, np.diag([1.0, 0.0]), np.eye(2) / 2
-    closed = (q * states.singlet().mat + (2 - q) * (np.kron(p0, half) + np.kron(p0, p0)) + q * np.kron(half, p0)) / 4
-    target_check = np.max(np.abs(runs[-1][0].target.mat - closed))
+    # every trial lifts rho_g(q) with |0><0| on both sides: rho_g'(q), whose builder is a closed form
+    target_check = np.max(np.abs(runs[-1][0].target.mat - states.rho_g_prime(0.4).mat))
     ok = worst <= SIGMA and rate_worst <= SIGMA and target_check <= 1e-12
     return CriterionResult(
         8,

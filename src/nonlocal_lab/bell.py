@@ -136,15 +136,17 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
         return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1])
     theta = np.arctan2(nb, na)  # not math.atan2: the two differ in the last bit on some inputs
     cos, sin = math.cos(theta), math.sin(theta)
+    e0 = np.array([1.0, 0.0, 0.0])  # Alice's direction where T z or T z' vanishes
 
     def candidate(s1: float, s2: float) -> tuple:  # built, not negated: zero signs reach the JSON
         za, zb = s1 * z, s2 * zp
-        xa = t @ za / na if na > _RANK_TOL else np.array([1.0, 0.0, 0.0])
-        xb = t @ zb / nb if nb > _RANK_TOL else np.array([1.0, 0.0, 0.0])
+        xa = t @ za / na if na > _RANK_TOL else e0
+        xb = t @ zb / nb if nb > _RANK_TOL else e0
         ca, sb = cos * za, sin * zb
         return xb, xa, ca + sb, ca - sb
 
-    first = xb, xa, a, b = candidate(1.0, 1.0)
+    ca, sb = cos * z, sin * zp  # candidate(1.0, 1.0) from the products above: 1.0 * v is v, bit for bit
+    first = xb, xa, a, b = (tzp / nb if nb > _RANK_TOL else e0), (tz / na if na > _RANK_TOL else e0), ca + sb, ca - sb
     tb, ta = xb @ t, xa @ t
     on_a, on_b = (float(tb @ a), float(ta @ a)), (float(tb @ b), float(ta @ b))
     values = []

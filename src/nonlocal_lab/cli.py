@@ -119,7 +119,7 @@ def cmd_witness(args) -> int:
         verdict = "not applicable (unequal local dimensions)"
     elif w < -_WITNESS_NEG_TOL:
         verdict = "entangled"
-    elif args.state in ("werner", "werner-local") and not args.state_json:
+    elif args.state in states.WERNER_STATES and not args.state_json:
         verdict = "separable"
     else:
         verdict = "inconclusive (witness non-negative)"

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
 from .qmat import _check_dim, _check_operator, _check_real, _frozen
-from .states import STATES, DensityMatrix, _check_density, singlet
+from .states import STATES, DensityMatrix, _check_density, werner2x2
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _DEGENERATE_TOL = 1e-12
@@ -99,12 +99,11 @@ def popescu_protocol(d: int) -> PopescuResult:
     """Project both sides of the entangled local Werner state onto the first
     two levels and evaluate CHSH on the surviving two-qubit block.
 
-    The block state is (d/(d+2)) (I/(2d) + |Psi-><Psi-|) and its CHSH value
-    at the standard settings is 2 sqrt(2) d/(d+2), exceeding 2 for d >= 5.
+    The block state werner2x2(d/(d+2)) = (d/(d+2)) (I/(2d) + |Psi-><Psi-|)
+    has CHSH value 2 sqrt(2) d/(d+2) at the standard settings, above 2 for d >= 5.
     """
     d = _check_dim(d, lo=3)
-    c = d / (d + 2)
-    w_prime = DensityMatrix(c * (np.eye(4) / (2 * d)) + c * singlet().mat, 2, 2)
+    w_prime = werner2x2(d / (d + 2))
     hor = horodecki_m(w_prime)
     return PopescuResult(w_prime, chsh_value(w_prime, example_chsh_settings()), 2 * (d + 2) / d**3, hor.m_rho, hor.value)
 

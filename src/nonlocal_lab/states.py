@@ -137,10 +137,9 @@ def werner_local(d: int) -> DensityMatrix:
 
 
 def werner2x2(alpha: float) -> DensityMatrix:
-    """alpha |Psi-><Psi-| + (1 - alpha) I/4 on two qubits."""
+    """alpha |Psi-><Psi-| + (1 - alpha) I/4 on two qubits, the Werner state with phi = (1 - 3 alpha)/2."""
     alpha = _check_real(alpha, 0, 1, "alpha")
-    w = alpha * singlet().mat + (1 - alpha) * np.eye(4) / 4
-    return DensityMatrix._trusted(w, 2, 2)
+    return werner_phi(2, (1 - 3 * alpha) / 2)
 
 
 def barrett_alpha(d: int) -> float:
@@ -148,25 +147,14 @@ def barrett_alpha(d: int) -> float:
 
 
 def barrett_state(d: int) -> DensityMatrix:
-    """Mixture of the normalized antisymmetric projector and white noise.
-
-    The antisymmetric weight is (d-1)^(d-1) (3d-1) / ((d+1) d^d); the state
-    is entangled for every d >= 2 (weight above 1/(1+d)).
-    """
+    """alpha A/tr(A) + (1 - alpha) I/d^2 for the antisymmetric projector
+    A = (I - V)/2, the Werner state with phi = -alpha + (1 - alpha)/d. The
+    weight alpha = (d-1)^(d-1) (3d-1) / ((d+1) d^d) is above 1/(1+d), so the
+    state is entangled for every d >= 2."""
     d = _check_dim(d, lo=2)
-    _check_matrix_budget(d)
+    _check_matrix_budget(d)  # before barrett_alpha's integer powers, of about d log2(d) bits
     alpha = barrett_alpha(d)
-    # alpha A / tr(A) + (1 - alpha) I / d^2 for the antisymmetric projector
-    # A = (I - V) / 2, built in place in V's one array with the bits of that
-    # formula; the last += 0.0 clears the signed zeros the scaling left
-    w = flip(d)
-    w *= -0.5
-    w.reshape(-1)[:: d * d + 1] += 0.5
-    w *= alpha
-    w /= d * (d - 1) / 2  # tr(A), the dimension of the antisymmetric subspace
-    w += 0.0
-    w.reshape(-1)[:: d * d + 1] += (1 - alpha) / d**2
-    return DensityMatrix._trusted(w, d, d)
+    return werner_phi(d, -alpha + (1 - alpha) / d)
 
 
 def rho_g(q: float) -> DensityMatrix:
@@ -214,9 +202,12 @@ def lift_state(rho0: DensityMatrix, sigma_a, sigma_b) -> DensityMatrix:
 
 
 def rho_g_prime(q: float) -> DensityMatrix:
-    """Lift of rho_g(q) with sigma_A = sigma_B = |0><0|."""
-    sig = projector(basis_ket(2, 0))
-    return lift_state(rho_g(q), sig, sig)
+    """lift_state(rho_g(q), P0, P0) for P0 = |0><0|, in closed form:
+    [q |Psi-><Psi-| + (2-q) (P0 (x) I/2 + P0 (x) P0) + q (I/2 (x) P0)] / 4."""
+    q = _check_real(q, 0, 1, "q")
+    p0, half = projector(basis_ket(2, 0)), np.eye(2) / 2
+    m = (q * singlet().mat + (2 - q) * (tensor(p0, half) + tensor(p0, p0)) + q * tensor(half, p0)) / 4
+    return DensityMatrix._trusted(m, 2, 2)
 
 
 def embed_local(rho: DensityMatrix, d_a: int, d_b: int) -> DensityMatrix:
@@ -289,6 +280,8 @@ STATES = {
     "rho-g-prime": rho_g_prime,
     "rho-e": rho_e,
 }
+# The named Werner states (the singlet is phi = -1 at d = 2): the witness sign decides separability.
+WERNER_STATES = ("singlet", "werner", "werner-local", "werner2x2", "barrett")
 
 
 # Random-state generators used by the verification suites.

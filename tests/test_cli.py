@@ -35,6 +35,13 @@ class TestWitness:
         assert code == 0
         assert "witness_verdict: separable" in out
 
+    def test_separable_werner2x2(self, capsys):
+        # werner2x2 is a Werner state, so a non-negative witness decides it
+        code, out, _ = run(capsys, "witness", "werner2x2", "--alpha", "0.2")
+        assert code == 0
+        assert "flip_witness: 0.2" in out
+        assert "witness_verdict: separable" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "witness", "singlet", "--format", "json")
         assert code == 0

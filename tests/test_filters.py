@@ -127,8 +127,13 @@ class TestPopescu:
             block = restrict_block(outcome.post_state, (0, 1), (0, 1))
             assert np.max(np.abs(res.w_prime.mat - block.mat)) < 1e-12
             assert abs(res.success_prob - outcome.success_prob) < 1e-12
+
+    def test_block_is_the_formula_it_replaced(self):
+        """The block is werner2x2(d/(d+2)), which is c I/(2d) + c |Psi-><Psi-|
+        with c = d/(d+2)."""
+        for d in range(3, 40):
             c = d / (d + 2)
-            assert np.max(np.abs(res.w_prime.mat - (c * np.eye(4) / (2 * d) + c * singlet().mat))) < 1e-12
+            assert np.max(np.abs(popescu_protocol(d).w_prime.mat - (c * np.eye(4) / (2 * d) + c * singlet().mat))) <= 5e-16
 
     def test_chsh_values(self):
         for d, expect_violation in ((3, False), (4, False), (5, True), (8, True)):

@@ -66,7 +66,7 @@ for d in ("5", "20"):
     CASES[f"filter-scan popescu {d}"] = ["filter-scan", "popescu", "--d", d]
 
 GOLDEN = {
-    "chsh barrett optimal": [0, "93505f2b7f095496caffe1e0f0902351e502052a31ba876c50dba4cabc52e08c"],
+    "chsh barrett optimal": [0, "41ffdbba6488999053d1d5dc8f8c399e2394a1dc04f6f110c1861115c7090067"],
     "chsh barrett settings": [0, "341da74ca8e849739c8a7d1f8ad32f213f11315995704ec2c0841d36d0224655"],
     "chsh rho-g --q 0 optimal": [0, "5d672f0272c02c45a00ffead16c87bf61b3a8a279d92696f84711b283fa86ccc"],
     "chsh rho-g optimal": [0, "424bcf2bddb5bd8c6183ecbf1a23d5cc09deb223c4415ca4c7e41d3b32094acd"],
@@ -88,7 +88,7 @@ GOLDEN = {
     "filter-scan rho-g-prime": [0, "b7ae1811f959777d16aee86faaa4db71195fe5dab50d6efbc958c767aea56856"],
     "simulate barrett --d 2 csv": [0, "46b7be7b247f3602c0500d0d3ad7dd8649527201e11ee19c57807006a9f7ac0b"],
     "simulate barrett --d 2 json": [0, "4b72af1feda0471fc0fa70cbfaf2be7e5933ffb0a2fa372e6df40e8aaeb90434"],
-    "simulate barrett --d 3 csv": [0, "f454cd8a6054ce465fe06ffe35c454619630908114f2cb2b832440a148a1c767"],
+    "simulate barrett --d 3 csv": [0, "945eb6197c3ee26080d9545f3fad4efa105ba2301fb998c3e2dcaa69b69adab5"],
     "simulate barrett --d 3 json": [0, "cbe18fd8c4974c69373191b7cf0bca96221505b853f7ce63ae1015eb3c21141b"],
     "simulate barrett --d 8 csv": [0, "d8554929dfe33dfb859504f1ab9122d9815996964aa2f01eea7a280d54b2ff6d"],
     "simulate barrett --d 8 json": [0, "91c824c3dee3a556e878fbfcb698cf9fc8dbc1e5ae48051dac48d2f7f22c3089"],
@@ -144,9 +144,18 @@ def test_every_named_state_has_a_case():
     assert set(QUBIT_ARGS) == {name for name in states.STATES if name != "rho-e"}
 
 
+# The digests whose bytes follow the BLAS kernel, as they read under the
+# Haswell kernels (OPENBLAS_CORETYPE=Haswell). Barrett's d = 3 oracle at the
+# Haar bases of the LAPACK QR moves by an ulp, and the CSV's 12 digits of
+# |mean - oracle| show it in one cell: 0.000399170622021 in place of
+# 0.000399170622022.
+HASWELL_GOLDEN = {"simulate barrett --d 3 csv": [0, "f454cd8a6054ce465fe06ffe35c454619630908114f2cb2b832440a148a1c767"]}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_bytes(case):
-    assert list(digest(CASES[case])) == GOLDEN[case]
+    haswell = os.environ.get("OPENBLAS_CORETYPE") == "Haswell"
+    assert list(digest(CASES[case])) == (HASWELL_GOLDEN.get(case, GOLDEN[case]) if haswell else GOLDEN[case])
 
 
 def _has_avx2() -> bool:

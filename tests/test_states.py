@@ -129,9 +129,9 @@ class TestBarrett:
 
 
 class TestInPlaceConstruction:
-    """werner_phi and barrett_state build the state in flip's one d^2 x d^2
-    array: the bytes of the plain formulas, signed zeros included, at the
-    memory of one matrix."""
+    """werner_phi builds the state in flip's one d^2 x d^2 array: the bytes
+    of the plain formula, signed zeros included, at the memory of one
+    matrix. barrett_state is a werner_phi, so it peaks at one matrix too."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
     def test_bytes_of_the_plain_formulas(self, d):
@@ -139,10 +139,6 @@ class TestInPlaceConstruction:
         for phi in (werner_local_phi(d), 0.3, -1.0, 1.0):
             plain = ((d - phi) * np.eye(d * d) + (d * phi - 1) * v) / (d**3 - d)
             assert werner_phi(d, phi).mat.tobytes() == plain.tobytes()
-        alpha = barrett_alpha(d)
-        anti = (np.eye(d * d) - v) / 2
-        plain = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
-        assert barrett_state(d).mat.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("build", [werner_local, barrett_state])
     def test_peak_is_one_matrix(self, build):
@@ -154,6 +150,46 @@ class TestInPlaceConstruction:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 16 * d**4
+
+
+class TestOneFormulaPerState:
+    """Each Werner-family state is werner_phi(d, phi) and rho_g' is a closed
+    form: each matches the formula it replaced, kept here as the reference."""
+
+    @pytest.mark.parametrize("d", range(2, 25))
+    def test_barrett_is_the_antisymmetric_mixture(self, d):
+        alpha = barrett_alpha(d)
+        anti = (np.eye(d * d) - flip(d)) / 2
+        plain = alpha * anti / np.trace(anti).real + (1 - alpha) * np.eye(d * d) / d**2
+        assert np.max(np.abs(barrett_state(d).mat - plain)) <= 1e-16
+
+    def test_werner2x2_is_the_singlet_mixture(self):
+        for alpha in np.linspace(0, 1, 41):
+            plain = alpha * SINGLET_MAT + (1 - alpha) * np.eye(4) / 4
+            assert np.max(np.abs(werner2x2(alpha).mat - plain)) <= 5e-16
+
+    def test_rho_g_prime_is_the_lift_of_rho_g(self):
+        p0 = projector(basis_ket(2, 0))
+        for q in np.linspace(0, 1, 41):
+            lifted = lift_state(rho_g(q), p0, p0)
+            assert np.max(np.abs(rho_g_prime(q).mat - lifted.mat)) <= 5e-16
+
+    def test_flip_witness_is_phi(self):
+        members = [(werner_phi(d, phi), phi) for d in (2, 3, 5) for phi in (-1.0, -0.4, 0.0, 0.7, 1.0)]
+        members += [(werner_local(d), werner_local_phi(d)) for d in range(2, 9)]
+        members += [(werner2x2(alpha), (1 - 3 * alpha) / 2) for alpha in np.linspace(0, 1, 21)]
+        members += [(barrett_state(d), -barrett_alpha(d) + (1 - barrett_alpha(d)) / d) for d in range(2, 9)]
+        for rho, phi in members:
+            assert abs(flip_witness(rho) - phi) <= 1e-15
+
+    def test_werner_states_are_the_werner_family(self):
+        """The named states in WERNER_STATES, and only those, are fixed by
+        the twirl onto span{I, V}."""
+        args = {"d": 3, "phi": 0.3, "alpha": 0.6, "q": 0.4}
+        for name, make in states.STATES.items():
+            rho = make(**{p: args[p] for p in inspect.signature(make).parameters})
+            fixed = rho.d_a == rho.d_b and np.max(np.abs(twirl(rho).mat - rho.mat)) < 1e-12
+            assert fixed == (name in states.WERNER_STATES), name
 
 
 class TestRhoG:
@@ -180,7 +216,7 @@ class TestLiftState:
             + q * tensor(np.eye(2) / 2, p0)
             + (2 - q) * tensor(p0, p0)
         ) / 4
-        assert np.max(np.abs(rho_g_prime(q).mat - expected)) < 1e-12
+        assert np.max(np.abs(lift_state(rho_g(q), p0, p0).mat - expected)) < 1e-12
 
     def test_lift_of_product_state_stays_unwitnessed(self):
         rho0 = states.random_pure_product(2, 2, rng)
@@ -394,10 +430,11 @@ class TestArgumentsBeforeComparisons:
             (lambda: rho_g("0.3"), r"q must lie in \[0, 1\], got '0.3'"),
             (lambda: rho_e("0.3"), r"q must lie in \[0, 1\], got '0.3'"),
             (lambda: rho_g_prime(None), r"q must lie in \[0, 1\], got None"),
+            (lambda: rho_g_prime(1.5), r"q must lie in \[0, 1\], got 1.5"),  # checked by the closed form itself
             (lambda: werner2x2(None), r"alpha must lie in \[0, 1\], got None"),
             (lambda: werner_local_phi(0), "d must be >= 2, got 0"),  # it divides by d^2
         ],
-        ids=["rho_g", "rho_e", "rho_g_prime", "werner2x2", "werner_local_phi"],
+        ids=["rho_g", "rho_e", "rho_g_prime", "rho_g_prime_range", "werner2x2", "werner_local_phi"],
     )
     def test_state_parameters(self, build, message):
         with pytest.raises(ValueError, match=message):
