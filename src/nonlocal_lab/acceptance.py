@@ -278,7 +278,7 @@ def _response_validity(seed: int, n_lambda: int) -> list[tuple[str, float, float
             p = lhv._werner_responses(u[:k], pw, u[:k], pw, d) + lhv._barrett_responses(u[k:], w, u[k:], w, d)
             return [(q.min(), np.max(np.abs(q.sum(axis=0) - 1))) for q in p]
 
-        folded = np.array(list(lhv._overlap_blocks(rng, d, n_lambda, np.concatenate([proj, povm]), errors)))  # (blocks, 4, 2)
+        folded = np.array(list(map(errors, lhv._overlap_blocks(rng, d, n_lambda, np.concatenate([proj, povm])))))  # (blocks, 4, 2)
         negs, errs = folded[..., 0].min(axis=0), folded[..., 1].max(axis=0)
         for name, neg, err in zip(("minimizer", "quantum", "threshold", "inverted"), negs, errs):
             rows.append((f"d={d} {name}", float(neg), float(err)))

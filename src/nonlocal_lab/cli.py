@@ -69,8 +69,8 @@ def _parse_bloch(text: str) -> np.ndarray:
 
 def _parse_count(text: str) -> int:
     n = float(text)
-    if not 1 <= n < math.inf:
-        raise ValueError(f"sample count must be a finite number >= 1, got {text!r}")
+    if not (1 <= n < math.inf and n.is_integer()):
+        raise argparse.ArgumentTypeError(f"sample count must be a finite whole number >= 1, got {text!r}")
     return int(n)
 
 
@@ -82,6 +82,7 @@ def _parse_seed(text: str) -> int:
 
 
 _N_HELP = "n has no upper bound, and the time grows linearly in n"
+_PPT_HELP = "The PPT check eigensolves the whole partial transpose, of side dA*dB, so its time grows as (dA*dB)^3 up to the 256 MiB matrix budget (dA*dB <= 4096)."
 
 
 def _build_state(args) -> tuple[states.DensityMatrix, str]:
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nonlocal-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witness", help="flip witness + partial-transpose check of a state")
+    p = sub.add_parser("witness", help="flip witness + partial-transpose check of a state", description=_PPT_HELP)
     _add_state_args(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, _check_operator, _check_real, _frozen
+from .qmat import _check_dim, _check_operator, _check_real, _frozen, tensor
 from .states import STATES, DensityMatrix, _check_density, werner2x2
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -53,8 +53,7 @@ def apply_filters(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome | list[Fi
     density check; one filter is the stack of one and gives its outcome."""
     d_a, d_b = rho.d_a, rho.d_b
     k_a, k_b = _check_operator(f.k_a, "k_a", d_a, stack=True), _check_operator(f.k_b, "k_b", d_b, stack=True)
-    # tensor(K_A, K_B) of each pair, qmat.tensor's broadcast product
-    k = (k_a.reshape(-1, d_a, 1, d_a, 1) * k_b.reshape(-1, 1, d_b, 1, d_b)).reshape(-1, rho.dim, rho.dim)
+    k = tensor(k_a, k_b).reshape(-1, rho.dim, rho.dim)
     unnorm = k @ rho.mat @ k.conj().transpose(0, 2, 1)
     p = np.trace(unnorm, axis1=1, axis2=2).real
     live = ~(p < _DEGENERATE_TOL)

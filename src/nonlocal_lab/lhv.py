@@ -36,13 +36,12 @@ def sample_sphere_r3(rng: np.random.Generator, n: int) -> np.ndarray:
     return v
 
 
-def sample_sphere_cd(rng: np.random.Generator, d: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def sample_sphere_cd(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """n Haar-uniform unit vectors in C^d as normalized complex Gaussians: the
     (n, d, 2) real/imaginary normals, normalised in place, viewed as complex.
-    The normals fill `out`, a C-contiguous (n, d, 2) float array, if given.
     SFC64 fills its normals in sequence and each row's norm is summed alone,
     so n samples drawn in consecutive pieces equal one draw of all n."""
-    z = rng.standard_normal((n, d, 2)) if out is None else rng.standard_normal(out=out)
+    z = rng.standard_normal((n, d, 2))
     flat = z.reshape(n, 2 * d)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return z.view(np.complex128)[..., 0]
@@ -74,28 +73,26 @@ def _overlap_rows(kets: np.ndarray) -> np.ndarray:
     return np.concatenate([kets, 1j * kets]).view(float)
 
 
-def _overlaps(w: np.ndarray, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _overlaps(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """|<k|lam>|^2 for the kets of w, outcome-major (k, m): a real GEMM on the
-    float view of the (m, d) samples, written into `out` (2k, m) if given,
-    squared and summed as re^2 + im^2."""
-    p = np.matmul(w, lam.view(float).T, out=out)
+    float view of the (m, d) samples, squared and summed as re^2 + im^2."""
+    p = w @ lam.view(float).T
     p *= p
     k = len(p) // 2
     p[:k] += p[k:]
     return p[:k]
 
 
-def _overlap_blocks(rng: np.random.Generator, d: int, m: int, kets: np.ndarray, f):
-    """f(u) of each _block_width block of m Haar unit vectors lam in C^d, in
-    block order, u the (k, c) |<k|lam>|^2 of the k kets (see _overlaps).
-    Blocks draw in sample order, so they equal one draw of all m. Each reuses
-    one normals buffer and one flat overlaps buffer: f must not keep u."""
+def _overlap_blocks(rng: np.random.Generator, d: int, m: int, kets: np.ndarray):
+    """The (k, c) |<k|lam>|^2 of the k kets (see _overlaps) for each
+    _block_width block of m Haar unit vectors lam in C^d, in block order.
+    Blocks draw in sample order, so they equal one draw of all m. Each block
+    is a fresh array, which the caller may keep or overwrite; with mc's
+    malloc pins each reuses the memory of the block before it."""
     rows = _overlap_rows(kets)
     width = _block_width(len(rows))
-    normals, flat = np.empty((width, d, 2)), np.empty(len(rows) * width)
     for s in range(0, m, width):
-        c = min(width, m - s)
-        yield f(_overlaps(rows, sample_sphere_cd(rng, d, c, normals[:c]), flat[: len(rows) * c].reshape(len(rows), c)))
+        yield _overlaps(rows, sample_sphere_cd(rng, d, min(width, m - s)))
 
 
 # Rows up to which _argmin_rows scans with a strict "<"; above it, each row
@@ -179,14 +176,13 @@ def _overlap_table(
         pa, pb = responses(u[: len(kets_a)], xw, u[len(kets_a) :], yw, d)
         pa, pb = sum_a(pa), sum_b(pb)
         sums = pa @ pb.T
-        # squared in place: at d = 24 two more (k, m) temporaries per block,
-        # each fresh from the allocator, doubled the block's time
+        # squared in place, which saves two (k, m) temporaries per block
         pa *= pa
         pb *= pb
         return sums, pa @ pb.T
 
     def kernel(rng: np.random.Generator, m: int):
-        return ordered_sum(_overlap_blocks(rng, d, m, kets, block))  # summed in block order
+        return ordered_sum(map(block, _overlap_blocks(rng, d, m, kets)))  # summed in block order
 
     sums, sumsq = run_batched(n, seed, label, kernel, workers)
     return JointTable.from_sums(sums, sumsq, n, seed, povm_a.labels, povm_b.labels)

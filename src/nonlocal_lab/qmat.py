@@ -40,13 +40,14 @@ def projector(v: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two kets or two operators, the left factor as the
-    slow (Alice) index: np.kron's one broadcast product, so np.kron's bytes."""
+    """Kronecker product of two kets, two operators or, pair by pair, two
+    equal-length (k, n, m) stacks of operators, the left factor as the slow
+    (Alice) index: np.kron's one broadcast product, so np.kron's bytes."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if not 1 <= a.ndim == b.ndim <= 2:
-        raise ValueError(f"tensor takes two kets or two operators, got shapes {a.shape} and {b.shape}")
-    shape = [i * j for i, j in zip(a.shape, b.shape)]
-    return (a[:, None] * b if a.ndim == 1 else a[:, None, :, None] * b[:, None, :]).reshape(shape)
+    if not (1 <= a.ndim == b.ndim <= 3 and a.shape[:-2] == b.shape[:-2]):
+        raise ValueError(f"tensor takes two kets, two operators or two equal-length stacks of operators, got shapes {a.shape} and {b.shape}")
+    shape = a.shape[:-2] + tuple(i * j for i, j in zip(a.shape[-2:], b.shape[-2:]))
+    return (a[:, None] * b if a.ndim == 1 else a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape)
 
 
 def _check_dim(d, what: str = "d", lo: int | None = None) -> int:

@@ -143,6 +143,7 @@ def werner2x2(alpha: float) -> DensityMatrix:
 
 
 def barrett_alpha(d: int) -> float:
+    d = _check_dim(d, lo=2)
     return (d - 1) ** (d - 1) * (3 * d - 1) / ((d + 1) * d**d)
 
 
@@ -151,7 +152,6 @@ def barrett_state(d: int) -> DensityMatrix:
     A = (I - V)/2, the Werner state with phi = -alpha + (1 - alpha)/d. The
     weight alpha = (d-1)^(d-1) (3d-1) / ((d+1) d^d) is above 1/(1+d), so the
     state is entangled for every d >= 2."""
-    d = _check_dim(d, lo=2)
     _check_matrix_budget(d)  # before barrett_alpha's integer powers, of about d log2(d) bits
     alpha = barrett_alpha(d)
     return werner_phi(d, -alpha + (1 - alpha) / d)
@@ -302,6 +302,7 @@ def random_pure_product(d_a: int, d_b: int, rng: np.random.Generator) -> Density
 
 def random_separable(d_a: int, d_b: int, rng: np.random.Generator, max_terms: int = 8) -> DensityMatrix:
     """Convex mixture of up to max_terms Haar-random pure product states."""
+    max_terms = _check_dim(max_terms, "max_terms", 1)
     k = int(rng.integers(1, max_terms + 1))
     weights = rng.random(k)
     weights /= weights.sum()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nonlocal_lab import acceptance, cli, lhv, measure, qmat, states
+from nonlocal_lab import acceptance, cli, lhv, mc, measure, qmat, states
 from nonlocal_lab.cli import main
 
 
@@ -456,6 +456,21 @@ class TestBadInput:
         path = tmp_path / "state.json"
         path.write_text(text)
         self.check(capsys, "witness", "--state-json", str(path))
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [(["simulate", "werner"], "2.5"), (["simulate", "barrett", "--d", "3"], "999.9"), (["reproduce"], "2000.5")],
+    )
+    def test_a_count_that_is_not_a_whole_number_is_named(self, capsys, monkeypatch, argv, n):
+        """A fractional --n is exit 2 before any run; it used to be truncated."""
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a fractional count reached a run")
+
+        for owner in (mc, lhv):
+            monkeypatch.setattr(owner, "run_batched", ran)
+        monkeypatch.setattr(acceptance, "run_all", ran)
+        assert repr(n) in self.check(capsys, *argv, "--n", n)
 
     @pytest.mark.parametrize(
         "argv, seed",

@@ -216,9 +216,29 @@ class TestTensor:
         real = (-np.eye(2), np.eye(2))  # real factors with -0.0 entries, taken as complex
         assert tensor(*real).tobytes() == np.kron(*(np.asarray(m, dtype=complex) for m in real)).tobytes()
 
-    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (np.eye(2), np.ones(2)), (np.ones(2), np.eye(2)), (np.ones((2, 2, 2)), np.ones((2, 2, 2))), (np.eye(2), 3.0)])
+    @pytest.mark.parametrize("shapes", [((3, 2, 2), (3, 2, 2)), ((4, 3, 3), (4, 2, 2)), ((2, 2, 3), (2, 4, 1)), ((1, 5, 5), (1, 3, 3))])
+    def test_stacks_give_the_bytes_of_each_pairs_kron(self, shapes):
+        """Two equal-length stacks give np.kron of each pair, signed zeros
+        included, as one (k, ., .) stack."""
+        for _ in range(50):
+            a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+            for m in (a, b):
+                m.real[rng.random(m.shape) < 0.3] = -0.0
+                m.imag[rng.random(m.shape) < 0.3] = -0.0
+            got = tensor(a, b)
+            assert got.shape == (len(a), *np.kron(a[0], b[0]).shape)
+            assert got.tobytes() == np.stack([np.kron(x, y) for x, y in zip(a, b)]).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1.0, 2.0), (np.eye(2), np.ones(2)), (np.ones(2), np.eye(2)), (np.eye(2), 3.0),
+            (np.ones((2, 2, 2)), np.ones((3, 2, 2))), (np.ones((2, 2, 2)), np.eye(2)), (np.eye(2), np.ones((1, 2, 2))),
+            (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2))),
+        ],
+    )
     def test_other_ranks_are_rejected(self, a, b):
-        with pytest.raises(ValueError, match="tensor takes two kets or two operators, got shapes"):
+        with pytest.raises(ValueError, match="tensor takes two kets, two operators or two equal-length stacks of operators, got shapes"):
             tensor(a, b)
 
 

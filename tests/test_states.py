@@ -127,6 +127,12 @@ class TestBarrett:
             assert barrett_alpha(d) > 1 / (1 + d)
             assert flip_witness(barrett_state(d)) < 0
 
+    @pytest.mark.parametrize("d, message", [(-1, "d must be >= 2, got -1"), (1, "d must be >= 2, got 1"), (0, ">= 2"), (2.5, "integer"), ("x", "integer"), (None, "integer")])
+    def test_alpha_rejects_what_barrett_state_rejects(self, d, message):
+        for build in (barrett_alpha, barrett_state):
+            with pytest.raises(ValueError, match=message):
+                build(d)
+
 
 class TestInPlaceConstruction:
     """werner_phi builds the state in flip's one d^2 x d^2 array: the bytes
@@ -387,10 +393,16 @@ class TestValidation:
         two = np.int64(2)
         assert np.array_equal(werner_phi(two, 0.3).mat, werner_phi(2, 0.3).mat)
         assert np.array_equal(barrett_state(np.int64(3)).mat, barrett_state(3).mat)
+        assert barrett_alpha(np.int64(30)) == barrett_alpha(30)  # exact integer powers: 29**29 overflows an int64
         rho = DensityMatrix(np.eye(4) / 4, two, two)
         assert (type(rho.d_a), type(rho.d_b)) == (int, int)
         assert flip_witness(rho) == 0.5
         assert DensityMatrix.from_json(rho.to_json()).d_a == 2
+
+    @pytest.mark.parametrize("max_terms, message", [(0, "max_terms must be >= 1, got 0"), (-3, ">= 1"), (2.0, "max_terms must be an integer")])
+    def test_random_separable_needs_a_term(self, max_terms, message):
+        with pytest.raises(ValueError, match=message):
+            states.random_separable(2, 2, np.random.default_rng(0), max_terms=max_terms)
 
     def test_restrict_block_renormalizes(self):
         block = states.restrict_block(rho_e(1.0), (0, 1), (0, 1))
