@@ -13,7 +13,6 @@ from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
 _PAULI_ROWS = np.array(PAULIS).transpose(0, 2, 1).reshape(3, 4)  # rows sigma_n.T.ravel()
-_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))  # the sign choices (s, s') of optimal settings, in order
 
 
 @dataclass
@@ -83,7 +82,7 @@ def chsh_value_from_t(t: np.ndarray, x, x2, y, y2) -> float:
 
 def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
     """Best CHSH value over n_settings random setting quadruples."""
-    n_settings = _check_dim(n_settings, "n_settings", 1)
+    n_settings, seed = _check_dim(n_settings, "n_settings", 1), _check_dim(seed, "seed", 0)
     t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((4, n_settings, 3))
@@ -112,50 +111,27 @@ def optimal_settings(rho: DensityMatrix) -> ChshSettings:
 
     Built from the top two eigenvectors z, z' of T^T T: Alice's directions
     along T z and T z', Bob's y, y' = cos(theta) z +- sin(theta) z' with
-    tan(theta) = |T z'| / |T z|. The four sign choices for (z, z') all give
-    2 sqrt(|T z|^2 + |T z'|^2) in exact arithmetic; the first strict maximum
-    of the rounded values, in the order (+, +), (+, -), (-, +), (-, -), wins.
+    tan(theta) = |T z'| / |T z|. z and z' keep the signs eigh gives them:
+    every sign choice attains 2 sqrt(|T z|^2 + |T z'|^2) in exact arithmetic.
     """
     return horodecki_m(rho).settings
 
 
 def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSettings, float]:
     """optimal_settings for the correlation matrix t, given the eigenvectors
-    of T^T T in ascending order of eigenvalue, and their CHSH value. Sign
-    flips are exact in IEEE arithmetic: E(+-v, +-w) = +-E(v, w) for
-    E(v, w) = (v @ t) @ w. Choice (s, s') has x = s' x_b, x' = s x_a (a
-    fallback row is not flipped) and (y, y') = s (A, B) if s = s' else
-    s (B, A), A, B = cos(theta) z +- sin(theta) z', so four dots E(x_b, A),
-    E(x_a, A), E(x_a, B), E(x_b, B), signed and summed in chsh_value_from_t's
-    order, give each choice's value bit for bit."""
+    of T^T T in ascending order of eigenvalue, and their CHSH value."""
     z, zp = vecs[:, 2], vecs[:, 1]
     tz, tzp = t @ z, t @ zp
     na, nb = math.sqrt(tz.dot(tz)), math.sqrt(tzp.dot(tzp))  # np.linalg.norm's formula
     if na < _RANK_TOL and nb < _RANK_TOL:  # T = 0 to rounding: any settings will do
         e = np.eye(3)
-        return ChshSettings(e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1])
-    theta = np.arctan2(nb, na)  # not math.atan2: the two differ in the last bit on some inputs
-    cos, sin = math.cos(theta), math.sin(theta)
-    e0 = np.array([1.0, 0.0, 0.0])  # Alice's direction where T z or T z' vanishes
-
-    def candidate(s1: float, s2: float) -> tuple:  # built, not negated: zero signs reach the JSON
-        za, zb = s1 * z, s2 * zp
-        xa = t @ za / na if na > _RANK_TOL else e0
-        xb = t @ zb / nb if nb > _RANK_TOL else e0
-        ca, sb = cos * za, sin * zb
-        return xb, xa, ca + sb, ca - sb
-
-    ca, sb = cos * z, sin * zp  # candidate(1.0, 1.0) from the products above: 1.0 * v is v, bit for bit
-    first = xb, xa, a, b = (tzp / nb if nb > _RANK_TOL else e0), (tz / na if na > _RANK_TOL else e0), ca + sb, ca - sb
-    tb, ta = xb @ t, xa @ t
-    on_a, on_b = (float(tb @ a), float(ta @ a)), (float(tb @ b), float(ta @ b))
-    values = []
-    for s1, s2 in _SIGNS:
-        (pb, pa), (qb, qa) = (on_a, on_b) if s1 == s2 else (on_b, on_a)
-        gb, ga = s1 * (s2 if nb > _RANK_TOL else 1.0), s1 * (s1 if na > _RANK_TOL else 1.0)
-        values.append(gb * pb + ga * pa + ga * qa - gb * qb)
-    k = values.index(max(values))
-    return ChshSettings(*(first if k == 0 else candidate(*_SIGNS[k]))), values[k]
+        x, x2, y, y2 = e[0], e[1], e[0], e[1]
+    else:
+        theta = np.arctan2(nb, na)  # not math.atan2: the two differ in the last bit on some inputs
+        ca, sb = math.cos(theta) * z, math.sin(theta) * zp
+        e0 = np.array([1.0, 0.0, 0.0])  # Alice's direction where T z or T z' vanishes
+        x, x2, y, y2 = (tzp / nb if nb > _RANK_TOL else e0), (tz / na if na > _RANK_TOL else e0), ca + sb, ca - sb
+    return ChshSettings(x, x2, y, y2), chsh_value_from_t(t, x, x2, y, y2)
 
 
 def horodecki_m(rho: DensityMatrix | list[DensityMatrix], settings: ChshSettings | None = None) -> ChshResult | list[ChshResult]:

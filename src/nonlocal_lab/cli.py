@@ -68,8 +68,9 @@ def _parse_bloch(text: str) -> np.ndarray:
 
 
 def _parse_count(text: str) -> int:
-    n = float(text)
-    if not (1 <= n < math.inf and n.is_integer()):
+    """A --n value: integer digits are parsed exactly, any other form (1e6) as a float."""
+    n = int(text) if text.strip().isdecimal() else float(text)
+    if not (1 <= n < math.inf and n % 1 == 0):
         raise argparse.ArgumentTypeError(f"sample count must be a finite whole number >= 1, got {text!r}")
     return int(n)
 

@@ -169,7 +169,7 @@ def random_projective(d: int, rng: np.random.Generator) -> Povm:
 
 def random_povm(n_outcomes: int, d: int, rng: np.random.Generator) -> Povm:
     """Random POVM from normalized Wishart blocks."""
-    blocks = []
+    d, blocks = _check_dim(d, lo=1), []
     for _ in range(_check_dim(n_outcomes, "n_outcomes", 1)):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append(g @ g.conj().T)

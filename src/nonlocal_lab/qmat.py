@@ -28,6 +28,10 @@ PAULIS = (SX, SY, SZ)
 
 
 def basis_ket(d: int, i: int) -> np.ndarray:
+    """|i> in C^d, for 0 <= i < d."""
+    d, i = _check_dim(d, lo=1), _check_dim(i, "i", 0)
+    if i >= d:
+        raise ValueError(f"i must be < d = {d}, got {i}")
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0
     return v
@@ -217,6 +221,7 @@ def is_density(m: np.ndarray) -> DensityCheck:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a complex Ginibre matrix)."""
+    d = _check_dim(d, lo=1)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r)
@@ -225,5 +230,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_ket(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit vector in C^d."""
+    d = _check_dim(d, lo=1)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)

@@ -295,6 +295,7 @@ def random_density(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatri
 
 
 def random_pure_product(d_a: int, d_b: int, rng: np.random.Generator) -> DensityMatrix:
+    d_a, d_b = _check_dim(d_a, "d_a", 1), _check_dim(d_b, "d_b", 1)
     a = qmat.haar_ket(d_a, rng)
     b = qmat.haar_ket(d_b, rng)
     return DensityMatrix(tensor(projector(a), projector(b)), d_a, d_b)

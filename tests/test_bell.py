@@ -258,32 +258,25 @@ class TestOptimalSettings:
         assert set(payload["settings"]) == {"x", "x'", "y", "y'"}
 
 
-def four_candidate_spec(t):
-    """The optimal settings by the plain rule: build each sign candidate for
-    (z, z') in the order (+, +), (+, -), (-, +), (-, -), value it with
-    chsh_value_from_t and keep the first strict maximum. Returns the
-    settings, their value, M, the branch taken and the winning signs."""
+def one_candidate_spec(t, signs=(1.0, 1.0)):
+    """The optimal settings by the plain rule for the sign choice (s, s') of
+    the top two eigenvectors z, z' of T^T T: Alice along T s'z' and T s z
+    (e0 where one vanishes), Bob along cos(theta) s z +- sin(theta) s'z'.
+    The default (+, +) keeps eigh's signs, as optimal_settings does.
+    Returns the settings, their value, M and the branch taken."""
     vals, vecs = np.linalg.eigh(t.T @ t)
-    z, zp = vecs[:, 2], vecs[:, 1]
+    z, zp = signs[0] * vecs[:, 2], signs[1] * vecs[:, 1]
     m = float(vals[2]) + float(vals[1])
-    if np.linalg.norm(t @ z) < _RANK_TOL and np.linalg.norm(t @ zp) < _RANK_TOL:
+    na, nb = np.linalg.norm(t @ z), np.linalg.norm(t @ zp)
+    if na < _RANK_TOL and nb < _RANK_TOL:
         e = np.eye(3)
-        return (e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1]), m, "canonical", None
-    best = None
+        return (e[0], e[1], e[0], e[1]), chsh_value_from_t(t, e[0], e[1], e[0], e[1]), m, "canonical"
     fallback = np.array([1.0, 0.0, 0.0])
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            za, zb = s1 * z, s2 * zp
-            ta, tb = t @ za, t @ zb
-            na, nb = np.linalg.norm(ta), np.linalg.norm(tb)
-            xa = ta / na if na > _RANK_TOL else fallback
-            xb = tb / nb if nb > _RANK_TOL else fallback
-            theta = np.arctan2(nb, na)
-            cand = (xb, xa, np.cos(theta) * za + np.sin(theta) * zb, np.cos(theta) * za - np.sin(theta) * zb)
-            val = chsh_value_from_t(t, *cand)
-            if best is None or val > best[0]:
-                best = (val, cand, (s1, s2))
-    return best[1], best[0], m, "rank-1" if nb <= _RANK_TOL else "full", best[2]
+    xa = t @ z / na if na > _RANK_TOL else fallback
+    xb = t @ zp / nb if nb > _RANK_TOL else fallback
+    theta = np.arctan2(nb, na)
+    settings = (xb, xa, np.cos(theta) * z + np.sin(theta) * zp, np.cos(theta) * z - np.sin(theta) * zp)
+    return settings, chsh_value_from_t(t, *settings), m, "rank-1" if nb <= _RANK_TOL else "full"
 
 
 def differential_states():
@@ -307,13 +300,13 @@ def differential_states():
 
 
 class TestOptimalSettingsDifferential:
-    def test_bit_identical_to_the_four_candidate_rule(self):
+    def test_bit_identical_to_the_one_candidate_rule(self):
         # the bytes are compared, not just the values: the sign of a zero
         # component reaches the JSON that chsh --optimal prints
         seen = collections.Counter()
         for rho in differential_states():
             t = correlation_matrix(rho)
-            spec, spec_value, spec_m, branch, signs = four_candidate_spec(t)
+            spec, spec_value, spec_m, branch = one_candidate_spec(t)
             res = horodecki_m(rho)
             got = (res.settings.x, res.settings.x2, res.settings.y, res.settings.y2)
             assert all(np.array_equal(g, e) and g.tobytes() == e.tobytes() for g, e in zip(got, spec))
@@ -321,13 +314,14 @@ class TestOptimalSettingsDifferential:
             assert res.value == spec_value
             assert res.m_rho == spec_m
             assert res.value == chsh_value(rho, res.settings)
+            # why no sign is searched: every choice attains the same value to rounding
+            for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                assert abs(one_candidate_spec(t, signs)[1] - res.value) <= 1e-15
             seen[branch] += 1
-            seen["flipped"] += signs not in (None, (1.0, 1.0))
-        # every branch is reached: I/4 and rho_g(0) are canonical, product
-        # states and rho_g_prime(0) have rank-1 T, and rounding often makes
-        # a sign-flipped candidate win
-        assert sum(seen[b] for b in ("canonical", "rank-1", "full")) >= 2000
-        assert seen["canonical"] >= 2 and seen["rank-1"] >= 100 and seen["flipped"] >= 100
+        # every branch is reached: I/4 and rho_g(0) are canonical, and
+        # product states and rho_g_prime(0) have rank-1 T
+        assert sum(seen.values()) >= 2000
+        assert seen["canonical"] >= 2 and seen["rank-1"] >= 100
 
 
 class TestStackOfOne:
@@ -393,3 +387,9 @@ class TestSettingsReadOnly:
 def test_chsh_max_random_needs_a_setting(n_settings):
     with pytest.raises(ValueError, match=f"^n_settings must be >= 1, got {n_settings}$"):
         chsh_max_random(states.singlet(), n_settings, 1)
+
+
+@pytest.mark.parametrize("seed, message", [(1.5, "seed must be an integer, got 1.5"), (-1, "seed must be >= 0, got -1"), ("7", "seed must be an integer, got '7'")])
+def test_chsh_max_random_seed(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        chsh_max_random(states.singlet(), 10, seed)

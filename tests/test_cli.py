@@ -472,6 +472,19 @@ class TestBadInput:
         monkeypatch.setattr(acceptance, "run_all", ran)
         assert repr(n) in self.check(capsys, *argv, "--n", n)
 
+    def test_a_count_in_integer_digits_is_parsed_exactly(self, capsys, monkeypatch):
+        """2**53 + 1 has no float; --n used to reach the run as 2**53."""
+        seen = []
+
+        def ran(n, *args, **kwargs):
+            seen.append(n)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(lhv, "run_batched", ran)
+        assert "recorded" in self.check(capsys, "simulate", "werner", "--n", " 9007199254740993 ")
+        assert seen == [9007199254740993] and type(seen[0]) is int
+        assert [cli._parse_count(t) for t in ("9007199254740993", "1e6", "2000.0", "7")] == [2**53 + 1, 10**6, 2000, 7]
+
     @pytest.mark.parametrize(
         "argv, seed",
         [(["simulate", "werner", "--seed", "-1"], "-1"), (["reproduce", "--seed", "-3"], "-3"), (["simulate", "gd", "--seed", "1.5"], "1.5")],

@@ -472,6 +472,21 @@ class TestPovmStack:
         with pytest.raises(ValueError, match="^n_outcomes must be >= 1, got 0$"):
             random_povm(0, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda rng: random_projective(2.5, rng), "^d must be an integer, got 2.5$"),
+            (lambda rng: random_povm(3, 2.5, rng), "^d must be an integer, got 2.5$"),
+            (lambda rng: random_povm(3, 0, rng), "^d must be >= 1, got 0$"),
+        ],
+        ids=["projective_fraction", "povm_fraction", "povm_empty"],
+    )
+    def test_random_measurement_dimension(self, call, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            call(rng)
+        assert rng.random() == np.random.default_rng(0).random()  # rejected before any draw
+
 
 def test_unit_bloch_keeps_no_callers_array():
     dirs = np.eye(3)

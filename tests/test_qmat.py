@@ -47,6 +47,31 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match=f"n must be an integer, got {d!r}"):
             qmat._check_dim(d, "n", 2)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: qmat.haar_ket(0, np.random.default_rng(0)), "^d must be >= 1, got 0$"),
+            (lambda: qmat.haar_ket(2.5, np.random.default_rng(0)), "^d must be an integer, got 2.5$"),
+            (lambda: qmat.haar_unitary(2.5, np.random.default_rng(0)), "^d must be an integer, got 2.5$"),
+            (lambda: qmat.haar_unitary(-1, np.random.default_rng(0)), "^d must be >= 1, got -1$"),
+            (lambda: qmat.basis_ket(2, -1), "^i must be >= 0, got -1$"),
+            (lambda: qmat.basis_ket(2, 5), "^i must be < d = 2, got 5$"),
+            (lambda: qmat.basis_ket(2, 2), "^i must be < d = 2, got 2$"),
+            (lambda: qmat.basis_ket(2, 1.0), "^i must be an integer, got 1.0$"),
+            (lambda: qmat.basis_ket(0, 0), "^d must be >= 1, got 0$"),
+        ],
+        ids=["haar_ket_empty", "haar_ket_fraction", "haar_unitary_fraction", "haar_unitary_negative", "basis_ket_negative", "basis_ket_past_the_end", "basis_ket_at_the_end", "basis_ket_float", "basis_ket_empty"],
+    )
+    def test_builder_integers(self, call, message):
+        """A bad integer argument of a builder is a ValueError, never an
+        empty array, a wrapped-around index or an IndexError."""
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_builders_take_numpy_integers(self):
+        assert np.array_equal(qmat.basis_ket(np.int64(3), np.int64(2)), [0, 0, 1])
+        assert qmat.haar_ket(np.int64(3), np.random.default_rng(5)).tobytes() == qmat.haar_ket(3, np.random.default_rng(5)).tobytes()
+
     @pytest.mark.parametrize("x", [0, 0.25, 1, np.float64(0.5), np.int64(1), True])
     def test_real_in_a_closed_interval(self, x):
         out = qmat._check_real(x, 0, 1, "q")

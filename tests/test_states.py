@@ -636,3 +636,11 @@ class TestReadOnly:
 def test_random_density_counts_levels_from_one(d_a, d_b, what):
     with pytest.raises(ValueError, match=f"^{what} must be >= 1, got {min(d_a, d_b)}$"):
         states.random_density(d_a, d_b, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d_a, d_b, message", [(2.5, 2, "d_a must be an integer, got 2.5"), (2, 0, "d_b must be >= 1, got 0"), (2, 2.0, "d_b must be an integer, got 2.0")])
+def test_random_pure_product_checks_both_dimensions_before_a_draw(d_a, d_b, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        states.random_pure_product(d_a, d_b, rng)
+    assert rng.random() == np.random.default_rng(0).random()
