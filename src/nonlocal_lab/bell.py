@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import unit_bloch
-from .qmat import PAULIS, _check_dim
+from .qmat import PAULIS, _Holder, _check_dim, _constant
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
@@ -16,7 +16,7 @@ _PAULI_ROWS = np.array(PAULIS).transpose(0, 2, 1).reshape(3, 4)  # rows sigma_n.
 
 
 @dataclass
-class ChshSettings:
+class ChshSettings(_Holder):
     """Two Bloch directions per party: Alice measures x or x2, Bob y or y2,
     each held as a read-only array (see measure.unit_bloch)."""
 
@@ -53,17 +53,25 @@ class ChshResult:
 
 def correlation_matrix(rho: DensityMatrix | list[DensityMatrix]) -> np.ndarray:
     """3x3 matrix t[n, m] = tr(rho sigma_n (x) sigma_m) from the Pauli rows;
-    for a list of states, their (k, 3, 3) stack from the same one product."""
-    for r in rho if isinstance(rho, list) else [rho]:
+    for a list of states, their (k, 3, 3) stack from the same one product.
+    One state's T is computed once and kept on it read-only, for as long as
+    the state holds the same matrix: rebinding rho.mat computes it again."""
+    one = not isinstance(rho, list)
+    for r in [rho] if one else rho:
         if (r.d_a, r.d_b) != (2, 2):
             raise ValueError(f"two-qubit state required, got {r.d_a}x{r.d_b}")
-    m = np.array([r.mat for r in rho]).reshape(-1, 4, 4) if isinstance(rho, list) else rho.mat
+    if one and rho._t[0] is rho.mat:
+        return rho._t[1]
+    m = rho.mat if one else np.array([r.mat for r in rho]).reshape(-1, 4, 4)
     # realigned R[(a, c), (b, d)] = rho[(a, b), (c, d)] and one product: the
     # latency path; measure.born_table contracts slab by slab for memory
     r = m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
     t = (_PAULI_ROWS @ r @ _PAULI_ROWS.T).real
     if max(map(abs, t.ravel().tolist()), default=0.0) > 1 + 1e-9:
         raise ValueError("correlation entries outside [-1, 1]")
+    if one:
+        t.setflags(write=False)
+        rho._t = (rho.mat, t)
     return t
 
 
@@ -94,16 +102,15 @@ def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
     return float(vals.max())
 
 
+# The directions of example_chsh_settings, z, x, -(z+x)/sqrt(2) and (z-x)/sqrt(2), built once, read-only
+_EXAMPLE = tuple(map(_constant, np.array([[0, 0, 1], [1, 0, 0], [-1, 0, -1], [-1, 0, 1]]) / np.sqrt([[1], [1], [2], [2]])))
+
+
 def example_chsh_settings() -> ChshSettings:
     """Maximal-violation settings for the singlet: Alice measures spin along
-    z and x, Bob along -(z+x)/sqrt(2) and (z-x)/sqrt(2)."""
-    s = 1 / np.sqrt(2)
-    return ChshSettings(
-        x=np.array([0.0, 0.0, 1.0]),
-        x2=np.array([1.0, 0.0, 0.0]),
-        y=np.array([-s, 0.0, -s]),
-        y2=np.array([-s, 0.0, s]),
-    )
+    z and x, Bob along -(z+x)/sqrt(2) and (z-x)/sqrt(2). A fresh holder on
+    each call, over arrays that every call shares."""
+    return ChshSettings._trusted(*_EXAMPLE)
 
 
 def optimal_settings(rho: DensityMatrix) -> ChshSettings:
@@ -131,7 +138,7 @@ def _optimal_settings_from_t(t: np.ndarray, vecs: np.ndarray) -> tuple[ChshSetti
         ca, sb = math.cos(theta) * z, math.sin(theta) * zp
         e0 = np.array([1.0, 0.0, 0.0])  # Alice's direction where T z or T z' vanishes
         x, x2, y, y2 = (tzp / nb if nb > _RANK_TOL else e0), (tz / na if na > _RANK_TOL else e0), ca + sb, ca - sb
-    return ChshSettings(x, x2, y, y2), chsh_value_from_t(t, x, x2, y, y2)
+    return ChshSettings._trusted(x, x2, y, y2), chsh_value_from_t(t, x, x2, y, y2)
 
 
 def horodecki_m(rho: DensityMatrix | list[DensityMatrix], settings: ChshSettings | None = None) -> ChshResult | list[ChshResult]:

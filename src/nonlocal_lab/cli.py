@@ -82,7 +82,7 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-_N_HELP = "n has no upper bound, and the time grows linearly in n"
+_N_HELP = "n is at most 2^53 (about 9.0e15), where float64 counts stay exact, and the time grows linearly in n"
 _PPT_HELP = "The PPT check eigensolves the whole partial transpose, of side dA*dB, so its time grows as (dA*dB)^3 up to the 256 MiB matrix budget (dA*dB <= 4096)."
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import ChshResult, chsh_value, example_chsh_settings, horodecki_m
-from .qmat import _check_dim, _check_operator, _check_real, _frozen, tensor
+from .qmat import _Holder, _check_dim, _check_operator, _check_real, _frozen, tensor
 from .states import STATES, DensityMatrix, _check_density, werner2x2
 
 DEFAULT_EPS_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -16,7 +16,7 @@ _DEGENERATE_TOL = 1e-12
 
 
 @dataclass
-class LocalFilter:
+class LocalFilter(_Holder):
     """Success branches K_A, K_B of one local two-outcome measurement each,
     or equal-length stacks (k, n, n) of them, one filter per item.
 
@@ -72,15 +72,23 @@ def hirsch_filters(epsilon, q: float) -> LocalFilter:
 
     Both filters are divided by max(delta, 1), exact when delta <= 1: pure
     filters are defined up to scale, so the post-state is unchanged and
-    only the success probability shifts.
+    only the success probability shifts. Both are diagonal, so LocalFilter's
+    K^dag K <= I holds iff every |entry|^2 <= 1 + 1e-10, checked here in
+    place of its eigensolves. A delta past the largest float overflows to
+    inf and leaves F_B NaN: a ValueError.
     """
     grid = epsilon if np.ndim(epsilon) else [epsilon]  # a grid of rows fails the check of its first row
     eps = np.array([_check_real(e, 0, math.inf, "epsilon", "()") for e in grid]).reshape(np.shape(epsilon))
     q = _check_real(q, 0, 1, "q", "(]")
-    delta = eps / np.sqrt(q)
     f = np.zeros((2, *eps.shape, 2, 2), dtype=complex)  # F_A, F_B
-    f[..., 0, 0], f[..., 1, 1] = (eps, delta), 1.0
-    return LocalFilter(*(f / np.maximum(delta, 1.0)[..., None, None]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, and inf / inf, are rejected below
+        delta = eps / np.sqrt(q)
+        f[..., 0, 0], f[..., 1, 1] = (eps, delta), 1.0
+        f /= np.maximum(delta, 1.0)[..., None, None]
+    for name, top in zip(("k_a", "k_b"), (np.abs(f) ** 2).reshape(2, -1).max(axis=1, initial=0.0).tolist()):
+        if not top <= 1 + 1e-10:
+            raise ValueError(f"{name} is not a valid filter: max eigenvalue of K^dag K is {top}")
+    return LocalFilter._trusted(*f)
 
 
 @dataclass

@@ -49,6 +49,8 @@ import numpy as np
 from .qmat import _check_dim
 
 BATCH_SIZE = 1 << 15
+# Largest sample count: tables count in float64, exact for integers up to 2^53
+MAX_SAMPLES = 1 << 53
 
 Kernel = Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
 
@@ -142,19 +144,22 @@ def run_batched(
     The kernel receives (rng, count) and must return a tuple of float
     arrays whose shapes do not depend on count. Partials are summed in
     batch order regardless of which worker computed them. A non-integer n or
-    seed (1000.0, NaN) is a ValueError before the first draw.
+    seed (1000.0, NaN), or an n above MAX_SAMPLES, is a ValueError before
+    the first draw.
     """
     n, seed = _check_dim(n, "sample count", 1), _check_dim(seed, "seed")
-    counts = [min(BATCH_SIZE, n - j * BATCH_SIZE) for j in range((n + BATCH_SIZE - 1) // BATCH_SIZE)]
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count must be <= 2^53, where float64 counts stay exact, got {n}")
+    batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
 
     def one(j: int) -> tuple[np.ndarray, ...]:
-        return kernel(batch_rng(seed, label, j), counts[j])
+        return kernel(batch_rng(seed, label, j), min(BATCH_SIZE, n - j * BATCH_SIZE))
 
     nw = worker_count(workers)
-    if nw == 1 or len(counts) == 1:
-        return ordered_sum(one(j) for j in range(len(counts)))
+    if nw == 1 or batches == 1:
+        return ordered_sum(map(one, range(batches)))
     with ThreadPoolExecutor(max_workers=nw) as pool:
-        return ordered_sum(pool.map(one, range(len(counts))))
+        return ordered_sum(pool.map(one, range(batches)))
 
 
 def ordered_sum(parts: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:

@@ -33,7 +33,7 @@ class Povm:
     labels: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not len(self.elements):
+        if isinstance(self.elements, (list, tuple)) and not self.elements:  # any other value goes to the shape check
             raise ValueError("a POVM needs at least one element")
         stack = _frozen(_check_operator(self.elements, "POVM elements", stack=True), self.elements)
         stack = stack.reshape(-1, *stack.shape[-2:])
@@ -48,7 +48,7 @@ class Povm:
         bad = np.flatnonzero(np.linalg.eigvalsh(stack).min(axis=1) < -PSD_TOL)
         if bad.size:
             raise ValueError(f"POVM element {bad[0]} is not positive semi-definite")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(len(stack[0])))) > COMPLETENESS_TOL:
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))) > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property

@@ -38,9 +38,14 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 
 
 def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| for a unit vector v."""
+    """Rank-1 projector |v><v| for a unit vector v; a v that is not finite, or too large for its
+    projector to be, is a ValueError."""
     v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 and overflow give entries rejected below
+        p = np.outer(v, v.conj())
+    if not np.isfinite(p).all():
+        raise ValueError(f"projector needs a finite vector whose projector is finite, got {v}")
+    return p
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,6 +115,30 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
     return a
 
 
+def _constant(a) -> np.ndarray:
+    """a copied onto immutable bytes, for a module constant that every caller shares: read-only for
+    good, since no setflags can make it writeable again."""
+    a = np.asarray(a)
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
+class _Holder:
+    """Base of the validated holders (DensityMatrix, LocalFilter, ChshSettings): each checks its
+    fields in __post_init__ and holds its arrays read-only."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The holder of values that are valid by construction, given in field order, each array
+        frozen in place without a copy: skips the checks of __post_init__ (for a state, the
+        O(dim^3) eigensolve that checks matrices from outside)."""
+        held = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            setattr(held, name, value)
+        return held
+
+
 # Bytes of the largest d^2 x d^2 complex matrix that a state built from d may
 # take: 256 MiB admits d <= 64 (a d = 48 state is 81 MiB). `witness` holds a
 # few such matrices at once (the state, its partial transpose and the
@@ -129,7 +158,7 @@ def _check_matrix_budget(d, d_b=None) -> None:
             raise ValueError(f"dA*dB = {side} needs a {side}x{side} complex matrix, above the {MATRIX_BUDGET >> 20} MiB budget")
         largest = math.isqrt(math.isqrt(MATRIX_BUDGET // 16))
         raise ValueError(
-            f"d = {d} needs a {side}x{side} complex matrix of {16 * side**2 / 2**20:.0f} MiB, "
+            f"d = {d} needs a {side}x{side} complex matrix of {(16 * side**2 + 2**19) >> 20} MiB, "  # rounded, in integers: no float overflow
             f"above the {MATRIX_BUDGET >> 20} MiB budget (d <= {largest})"
         )
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import MATRIX_BUDGET, _check_dim, _check_matrix_budget, _check_operator, _check_real, _frozen, basis_ket, flip, is_density, partial_trace, projector, tensor
+from .qmat import MATRIX_BUDGET, _Holder, _check_dim, _check_matrix_budget, _check_operator, _check_real, _constant, _frozen, basis_ket, flip, is_density, partial_trace, projector, tensor
 
 
 def _check_density(mat: np.ndarray) -> None:
@@ -24,26 +24,19 @@ def _check_density(mat: np.ndarray) -> None:
 
 
 @dataclass
-class DensityMatrix:
+class DensityMatrix(_Holder):
     """Positive unit-trace matrix with bipartite dimension metadata, held read-only (see qmat._frozen)."""
 
     mat: np.ndarray
     d_a: int
     d_b: int
+    # (mat, T) of bell.correlation_matrix: T is kept for as long as the state holds that same mat
+    _t = (None, None)
 
     def __post_init__(self) -> None:
         self.d_a, self.d_b = _check_dim(self.d_a, "d_a", 1), _check_dim(self.d_b, "d_b", 1)
         self.mat = _frozen(_check_operator(self.mat, "mat", self.d_a * self.d_b), self.mat)
         _check_density(self.mat)
-
-    @classmethod
-    def _trusted(cls, mat: np.ndarray, d_a: int, d_b: int) -> "DensityMatrix":
-        """A closed-form state that is a density matrix by construction, frozen without a copy; skips
-        the eigensolve that checks matrices from outside (O(dim^3))."""
-        rho = object.__new__(cls)
-        rho.mat, rho.d_a, rho.d_b = np.asarray(mat, dtype=complex), d_a, d_b
-        rho.mat.setflags(write=False)
-        return rho
 
     @property
     def dim(self) -> int:
@@ -96,16 +89,26 @@ class DensityMatrix:
         return cls(flat.reshape(d, d), d_a, d_b)
 
 
-def singlet() -> DensityMatrix:
-    """|Psi-><Psi-| with |Psi-> = (|01> - |10>)/sqrt(2)."""
-    return DensityMatrix._trusted(projector(singlet_ket()), 2, 2)
-
-
 def singlet_ket(d_a: int = 2, d_b: int = 2) -> np.ndarray:
     """(|01> - |10>)/sqrt(2), supported on the first two local levels."""
+    d_a, d_b = _check_dim(d_a, "d_a", 2), _check_dim(d_b, "d_b", 2)
+    _check_matrix_budget(d_a, d_b)
     psi = np.zeros(d_a * d_b, dtype=complex)
     psi[1], psi[d_b] = 1.0, -1.0  # |01> and |10> in the product basis
     return psi / np.sqrt(2)
+
+
+# The operators of the closed-form qubit states, built once, read-only: |Psi-><Psi-|, and for
+# P0 = |0><0| the noise terms P0 (x) I/2, P0 (x) I/2 + P0 (x) P0 and I/2 (x) P0
+_P0, _HALF = _constant(projector(basis_ket(2, 0))), _constant(np.eye(2) / 2)
+_SINGLET, _P0_HALF, _P0_HALF_P0_P0, _HALF_P0 = map(
+    _constant, (projector(singlet_ket()), tensor(_P0, _HALF), tensor(_P0, _HALF) + tensor(_P0, _P0), tensor(_HALF, _P0))
+)
+
+
+def singlet() -> DensityMatrix:
+    """|Psi-><Psi-| with |Psi-> = (|01> - |10>)/sqrt(2)."""
+    return DensityMatrix._trusted(_SINGLET, 2, 2)
 
 
 def werner_phi(d: int, phi: float) -> DensityMatrix:
@@ -144,6 +147,7 @@ def werner2x2(alpha: float) -> DensityMatrix:
 
 def barrett_alpha(d: int) -> float:
     d = _check_dim(d, lo=2)
+    _check_matrix_budget(d)  # before the integer powers, of about d log2(d) bits
     return (d - 1) ** (d - 1) * (3 * d - 1) / ((d + 1) * d**d)
 
 
@@ -152,7 +156,6 @@ def barrett_state(d: int) -> DensityMatrix:
     A = (I - V)/2, the Werner state with phi = -alpha + (1 - alpha)/d. The
     weight alpha = (d-1)^(d-1) (3d-1) / ((d+1) d^d) is above 1/(1+d), so the
     state is entangled for every d >= 2."""
-    _check_matrix_budget(d)  # before barrett_alpha's integer powers, of about d log2(d) bits
     alpha = barrett_alpha(d)
     return werner_phi(d, -alpha + (1 - alpha) / d)
 
@@ -160,8 +163,7 @@ def barrett_state(d: int) -> DensityMatrix:
 def rho_g(q: float) -> DensityMatrix:
     """q |Psi-><Psi-| + (1-q) |0><0| (x) I/2 on two qubits."""
     q = _check_real(q, 0, 1, "q")
-    noise = tensor(projector(basis_ket(2, 0)), np.eye(2) / 2)
-    return DensityMatrix._trusted(q * singlet().mat + (1 - q) * noise, 2, 2)
+    return DensityMatrix._trusted(q * _SINGLET + (1 - q) * _P0_HALF, 2, 2)
 
 
 def rho_e(q: float) -> DensityMatrix:
@@ -205,9 +207,7 @@ def rho_g_prime(q: float) -> DensityMatrix:
     """lift_state(rho_g(q), P0, P0) for P0 = |0><0|, in closed form:
     [q |Psi-><Psi-| + (2-q) (P0 (x) I/2 + P0 (x) P0) + q (I/2 (x) P0)] / 4."""
     q = _check_real(q, 0, 1, "q")
-    p0, half = projector(basis_ket(2, 0)), np.eye(2) / 2
-    m = (q * singlet().mat + (2 - q) * (tensor(p0, half) + tensor(p0, p0)) + q * tensor(half, p0)) / 4
-    return DensityMatrix._trusted(m, 2, 2)
+    return DensityMatrix._trusted((q * _SINGLET + (2 - q) * _P0_HALF_P0_P0 + q * _HALF_P0) / 4, 2, 2)
 
 
 def embed_local(rho: DensityMatrix, d_a: int, d_b: int) -> DensityMatrix:

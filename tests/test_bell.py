@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from nonlocal_lab import filters, states
+from nonlocal_lab import bell, filters, states
 from nonlocal_lab.bell import (
     _RANK_TOL,
     ChshSettings,
@@ -393,3 +393,103 @@ def test_chsh_max_random_needs_a_setting(n_settings):
 def test_chsh_max_random_seed(seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         chsh_max_random(states.singlet(), 10, seed)
+
+
+class TestCorrelationMatrixOncePerState:
+    """One state's T is computed once, kept read-only on the state, and
+    computed again when the state's matrix is rebound: never stale."""
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        rho = states.random_density(2, 2, rng)
+        t = correlation_matrix(rho)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 1.0
+        products = []
+        monkeypatch.setattr(bell, "_PAULI_ROWS", _Spy(bell._PAULI_ROWS, products))
+        assert correlation_matrix(rho) is t
+        res = horodecki_m(rho)
+        s = rand_settings()
+        assert chsh_value(rho, s) == chsh_value_from_t(t, s.x, s.x2, s.y, s.y2)
+        assert products == [] and res.m_rho == horodecki_m(DensityMatrix(rho.mat, 2, 2)).m_rho
+
+    def test_it_has_the_bits_of_a_fresh_state(self):
+        for rho in differential_states():
+            fresh = DensityMatrix(rho.mat, rho.d_a, rho.d_b)
+            first = _result_bytes(horodecki_m(rho))
+            s = rand_settings()
+            assert chsh_value(rho, s) == chsh_value(fresh, s)
+            assert _result_bytes(horodecki_m(rho)) == first == _result_bytes(horodecki_m(fresh))
+            assert correlation_matrix(rho).tobytes() == correlation_matrix([fresh])[0].tobytes()
+
+    def test_a_rebound_matrix_is_never_stale(self):
+        rho, other = states.singlet(), states.rho_g(0.3)
+        assert np.allclose(correlation_matrix(rho), -np.eye(3), atol=1e-15)
+        rho.mat = other.mat
+        assert correlation_matrix(rho).tobytes() == correlation_matrix(other).tobytes()
+        assert _result_bytes(horodecki_m(rho)) == _result_bytes(horodecki_m(other))
+        rho.d_a = 3
+        with pytest.raises(ValueError, match="two-qubit state required, got 3x2"):
+            correlation_matrix(rho)
+
+    def test_each_state_keeps_its_own(self):
+        a, b = states.singlet(), states.singlet()  # one shared read-only matrix
+        assert a.mat is b.mat and correlation_matrix(a) is not correlation_matrix(b)
+
+
+class _Spy:
+    """_PAULI_ROWS that records each product it takes part in."""
+
+    def __init__(self, rows, log):
+        self.rows, self.log, self.T = rows, log, rows.T
+
+    def __matmul__(self, other):
+        self.log.append(other)
+        return self.rows @ other
+
+
+class TestConstructedSettings:
+    """Settings built from T skip ChshSettings' checks: over the named states
+    and the scan's post-states, each direction passes unit_bloch unchanged."""
+
+    @staticmethod
+    def _named_states():
+        yield states.singlet()
+        for v in (-1.0, -0.6, -0.2, 0.0, 0.5, 1.0):
+            yield states.werner_phi(2, v)
+        for v in (0.0, 0.1, 1 / 3, 0.7, 1.0):
+            yield states.werner2x2(v)
+        yield states.werner_local(2)
+        yield states.barrett_state(2)
+        for q in (0.0, 1e-300, 0.2, 0.5, 0.9, 1.0):
+            yield states.rho_g(q)
+            yield states.rho_g_prime(q)
+        for eps in (1e-1, 1e-3, 1e-5):
+            for q in (0.1, 0.6):
+                yield filters.apply_filters(states.rho_g(q), filters.hirsch_filters(eps, q)).post_state
+
+    def test_every_direction_is_a_unit_bloch_vector(self):
+        from nonlocal_lab.measure import unit_bloch
+
+        named = list(self._named_states())
+        for res in [horodecki_m(rho) for rho in named] + horodecki_m(named):
+            s = res.settings
+            for v in (s.x, s.x2, s.y, s.y2):
+                assert np.array_equal(unit_bloch(v), v) and not v.flags.writeable
+
+
+class TestExampleSettings:
+    def test_a_fresh_holder_over_shared_read_only_arrays(self):
+        a, b = example_chsh_settings(), example_chsh_settings()
+        assert a is not b and a.x is b.x
+        a.x = np.array([1.0, 0.0, 0.0])
+        assert b.x.tolist() == [0.0, 0.0, 1.0] and example_chsh_settings().x.tolist() == [0.0, 0.0, 1.0]
+        for v in (b.x, b.x2, b.y, b.y2):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                v.setflags(write=True)
+
+    def test_the_bytes_of_the_checked_construction(self):
+        s = 1 / np.sqrt(2)
+        want = ChshSettings(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([-s, 0.0, -s]), np.array([-s, 0.0, s]))
+        got = example_chsh_settings()
+        assert [v.tobytes() for v in (got.x, got.x2, got.y, got.y2)] == [v.tobytes() for v in (want.x, want.x2, want.y, want.y2)]

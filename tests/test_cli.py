@@ -408,6 +408,31 @@ class TestBadInput:
             monkeypatch.setattr(owner, name, built)
         assert "256 MiB budget (d <= 64)" in self.check(capsys, *argv)
 
+    @pytest.mark.parametrize("argv", [[*args, "--n", n] for args in (["simulate", model] for model in sorted(lhv.MODELS)) for n in ("1e16", str(2**53 + 1))]
+                             + [["reproduce", "--n", "1e16", "--out", "report"]])
+    def test_a_count_above_2_to_the_53_is_rejected_before_sampling(self, capsys, monkeypatch, tmp_path, argv):
+        """Batches are patched to 2^52 samples, so a run that kept a count per
+        batch would fail here, not exhaust memory."""
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1 << 52)
+        monkeypatch.setattr(mc, "batch_rng", sampled)
+        monkeypatch.chdir(tmp_path)
+        assert "sample count must be <= 2^53" in self.check(capsys, *argv)
+
+    def test_the_help_states_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "at most 2^53" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["rho-g", "rho-g-prime"])
+    def test_an_overflowing_filter_is_rejected_without_a_warning(self, capsys, family):
+        err = self.check(capsys, "filter-scan", family, "--q", "1e-300", "--eps-grid", "1e300")
+        assert err == "error: at epsilon 1e+300: k_b is not a valid filter: max eigenvalue of K^dag K is nan\n"
+
     def test_matrix_budget_admits_every_d_up_to_64(self):
         for d in [*range(-2, 65), np.int64(64)]:
             qmat._check_matrix_budget(d)

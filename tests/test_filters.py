@@ -392,3 +392,67 @@ class TestFilterReadOnly:
         f = hirsch_filters([0.1, 0.2], 0.5)
         with pytest.raises(ValueError, match="read-only"):
             f.k_a[0, 0, 0] = 1.0
+
+
+# epsilon and q at the edges: subnormal, tiny and huge epsilon, q -> 0,
+# the last float below 1, and the overflowing delta of (1e300, 1e-300)
+_EPS_EDGES = [5e-324, 1e-320, 1e-300, 1e-10, 1e-3, 0.3, 1 - 2**-53, 1.0, 1 + 2**-52, 2.0, 1e10, 1e150, 1e300, 1e308, 1.7976931348623157e308]
+_Q_EDGES = [5e-324, 1e-320, 1e-300, 1e-150, 1e-10, 0.09, 0.3, 1 - 2**-53, 1.0]
+
+
+def _validated_hirsch(eps, q):
+    """hirsch_filters' arithmetic through a validated LocalFilter, with its
+    eigensolves: the arrays, or the ValueError it raises."""
+    with np.errstate(all="ignore"):
+        delta = eps / np.sqrt(q)
+        f = np.zeros((2, 2, 2), dtype=complex)
+        f[:, 0, 0], f[:, 1, 1] = (eps, delta), 1.0
+        try:
+            return LocalFilter(*(f / max(delta, 1.0)))
+        except ValueError as err:
+            return err
+
+
+class TestHirschClosedFormCheck:
+    """hirsch_filters checks K^dag K <= I on its diagonal closed form, in
+    place of LocalFilter's eigensolves: it accepts and rejects what they do,
+    with the same bytes, and never returns a non-finite filter."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", _Q_EDGES)
+    def test_it_accepts_and_rejects_what_the_eigensolve_does(self, q):
+        for eps in _EPS_EDGES:
+            want = _validated_hirsch(eps, q)
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError, match=re.escape(str(want))):
+                    hirsch_filters(eps, q)
+                continue
+            got = hirsch_filters(eps, q)
+            assert got.k_a.tobytes() == want.k_a.tobytes() and got.k_b.tobytes() == want.k_b.tobytes(), (eps, q)
+            assert np.isfinite(got.k_a).all() and np.isfinite(got.k_b).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_grid_has_the_bytes_of_its_epsilons_alone(self):
+        for q in _Q_EDGES:
+            grid = [eps for eps in _EPS_EDGES if not isinstance(_validated_hirsch(eps, q), ValueError)]
+            f = hirsch_filters(grid, q)
+            for i, eps in enumerate(grid):
+                one = hirsch_filters(eps, q)
+                assert f.k_a[i].tobytes() == one.k_a.tobytes() and f.k_b[i].tobytes() == one.k_b.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_delta_is_a_value_error_without_a_warning(self):
+        with pytest.raises(ValueError, match="k_b is not a valid filter: max eigenvalue of K\\^dag K is nan"):
+            hirsch_filters(1e300, 1e-300)
+        with pytest.raises(ValueError, match="k_b is not a valid filter"):
+            hirsch_filters([0.1, 1e300], 1e-300)
+        with pytest.raises(ValueError, match="^at epsilon 1e\\+300: k_b is not a valid filter"):
+            hidden_nonlocality_scan("rho-g", 1e-300, [0.1, 1e300])
+
+    def test_no_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("hirsch_filters eigensolved")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        f = hirsch_filters([0.1, 0.5], 0.09)
+        assert not f.k_a.flags.writeable and not f.k_b.flags.writeable

@@ -2,12 +2,14 @@ import json
 import os
 import re
 import platform
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from nonlocal_lab.mc import BATCH_SIZE, EXACT_TOL, JointTable, McEstimate, _sigma_ratios, batch_rng, ordered_sum
+from nonlocal_lab import mc
+from nonlocal_lab.mc import BATCH_SIZE, EXACT_TOL, MAX_SAMPLES, JointTable, McEstimate, _sigma_ratios, batch_rng, ordered_sum
 from nonlocal_lab.mc import run_batched, worker_count
 
 
@@ -79,6 +81,59 @@ class TestRunBatched:
         assert s[0] == (1e16 + 1.0) - 1e16
         assert np.array_equal(t, [4.5, 6.5])
         assert parts[0][1].tolist() == [1.0, 2.0]  # the first part is copied, not summed into
+
+
+class _Sampled(Exception):
+    """Raised by a kernel patched to fail: nothing may be sampled."""
+
+
+def _failing_kernel(rng, m):
+    raise _Sampled(m)
+
+
+class TestCountsFromTheBatchIndex:
+    """Each batch's count is computed from its index, and a count above 2^53,
+    where float64 counts stop being exact, is a ValueError before any draw.
+    BATCH_SIZE is patched large where n is huge, so that a run that keeps a
+    count per batch fails the test instead of exhausting memory."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_more_than_2_to_the_53_is_rejected_before_any_draw(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1 << 52)
+        for n in (MAX_SAMPLES + 1, 10**16, 10**30):
+            with pytest.raises(ValueError, match=f"^sample count must be <= 2\\^53, where float64 counts stay exact, got {n}$"):
+                run_batched(n, 0, "t", _failing_kernel, workers=workers)
+
+    def test_2_to_the_53_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1 << 52)
+        with pytest.raises(_Sampled, match=f"^{1 << 52}$"):
+            run_batched(MAX_SAMPLES, 0, "t", _failing_kernel, workers=1)
+        assert MAX_SAMPLES == 2**53 and float(MAX_SAMPLES) + 1 == MAX_SAMPLES
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_batch_gets_its_count(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 4)
+        seen = []
+
+        def kernel(rng, m):
+            seen.append(m)
+            return (np.array([float(m)]),)
+
+        assert run_batched(10, 3, "t", kernel, workers=workers)[0].tolist() == [10.0]
+        assert sorted(seen) == [2, 4, 4]
+
+    def test_memory_does_not_grow_with_the_batch_count_at_one_worker(self, monkeypatch):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1)
+        monkeypatch.setattr(mc, "batch_rng", lambda seed, label, batch: None)
+        one = (np.ones(1),)
+        tracemalloc.start()
+        try:
+            sums = run_batched(100_000, 0, "t", lambda rng, m: one, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums[0].tolist() == [100_000.0]
+        assert peak < 64 << 10, f"peak {peak} bytes over 10^5 batches"
 
 
 def first_draws(seed: int, label: str, batch: int) -> np.ndarray:

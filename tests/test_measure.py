@@ -404,6 +404,13 @@ class TestValidation:
     def test_empty_measurements_are_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             Povm([])
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            Povm(np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [3, 2.5, np.float64(1.0), np.array(3.0), None])
+    def test_a_scalar_is_named_by_the_shape_rule(self, bad):
+        with pytest.raises(ValueError, match=r"POVM elements must be an array of numbers of shape \(n, n\) or \(k, n, n\), got shape \(\)"):
+            Povm(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_povm_rejects_non_finite(self, bad):

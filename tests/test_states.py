@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import json
+import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -644,3 +646,88 @@ def test_random_pure_product_checks_both_dimensions_before_a_draw(d_a, d_b, mess
     with pytest.raises(ValueError, match=f"^{message}$"):
         states.random_pure_product(d_a, d_b, rng)
     assert rng.random() == np.random.default_rng(0).random()
+
+
+# q grid of the closed-form qubit states: both ends, the smallest normal and
+# subnormal weights, the last float below 1 and an even grid between
+_Q_GRID = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-16, *np.linspace(0, 1, 41)[1:-1], 1 - 2**-53, 1.0]
+
+
+class TestClosedFormConstants:
+    """singlet, rho_g and rho_g_prime read operators built once at import.
+    They do the arithmetic of the projector/tensor construction on arrays of
+    the same bits, so every state has the construction's bytes."""
+
+    @staticmethod
+    def _built(q):
+        psi = np.zeros(4, dtype=complex)
+        psi[1], psi[2] = 1.0, -1.0
+        s = projector(psi / np.sqrt(2))
+        p0, half = projector(basis_ket(2, 0)), np.eye(2) / 2
+        g = q * s + (1 - q) * tensor(p0, half)
+        g_prime = (q * s + (2 - q) * (tensor(p0, half) + tensor(p0, p0)) + q * tensor(half, p0)) / 4
+        return s, g, g_prime
+
+    @pytest.mark.parametrize("q", _Q_GRID)
+    def test_each_state_has_the_bytes_of_the_construction(self, q):
+        s, g, g_prime = self._built(q)
+        for rho, want in ((singlet(), s), (rho_g(q), g), (rho_g_prime(q), g_prime)):
+            assert rho.mat.dtype == want.dtype and rho.mat.tobytes() == want.tobytes()
+            assert (rho.d_a, rho.d_b) == (2, 2) and not rho.mat.flags.writeable
+
+    def test_the_shared_operators_cannot_be_written(self):
+        """Every singlet() holds the one shared operator, so no caller may
+        make it writeable again, as setflags can for an array of its own."""
+        for m in (states._SINGLET, states._P0_HALF, states._P0_HALF_P0_P0, states._HALF_P0, singlet().mat):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                m.setflags(write=True)
+
+
+class TestHostileArguments:
+    """Values that escaped as TypeError, IndexError, a warning or a hang."""
+
+    @pytest.mark.parametrize("d_a, d_b, message", [
+        (0, 2, "d_a must be >= 2, got 0"), (True, 2, "d_a must be >= 2, got 1"), (2, 1, "d_b must be >= 2, got 1"),
+        (2.5, 2, "d_a must be an integer, got 2.5"), (2, "2", "d_b must be an integer"),
+        (4096, 4096, "above the 256 MiB budget"),
+    ])
+    def test_singlet_ket_checks_its_dimensions(self, d_a, d_b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            states.singlet_ket(d_a, d_b)
+
+    def test_singlet_ket_of_numpy_dimensions(self):
+        assert states.singlet_ket(np.int64(3), np.int8(2)).tobytes() == states.singlet_ket(3, 2).tobytes()
+
+    @pytest.mark.parametrize("v", [[np.inf, 0], [np.nan, 1], [1e200, 0], [1, 1j * np.inf]])
+    @pytest.mark.filterwarnings("error")
+    def test_projector_rejects_what_has_no_finite_projector(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            projector(v)
+
+    @pytest.mark.parametrize("d", [65, 10**6])
+    def test_barrett_alpha_bounds_d_before_its_powers(self, d):
+        """(d-1)^(d-1) at d = 10^6 has 2e7 bits and ran for seconds; the
+        alarm fails the test instead of letting it hang."""
+
+        def hang(*_):
+            raise TimeoutError(f"barrett_alpha({d}) still running after 3 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(3)
+        try:
+            for build in (barrett_alpha, barrett_state):
+                with pytest.raises(ValueError, match="above the 256 MiB budget"):
+                    build(d)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert barrett_alpha(64) == 63**63 * 191 / (65 * 64**64)
+
+    def test_a_budget_message_needs_no_float_of_the_size(self):
+        """The size in MiB is rounded in integers: 16 d^4 / 2^20 as a float overflowed at d = 10^100."""
+        with pytest.raises(ValueError, match=r"complex matrix of 272 MiB, above the 256 MiB budget \(d <= 64\)"):
+            werner_phi(65, 0.0)
+        with pytest.raises(ValueError, match="above the 256 MiB budget"):
+            werner_phi(10**100, 0.0)
