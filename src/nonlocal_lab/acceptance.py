@@ -290,7 +290,7 @@ def criterion_12(seed: int, n: int, workers=None) -> CriterionResult:
     validity = _response_validity(_seed(seed, 12), 100_000)
     valid = all(neg >= -1e-12 and norm_err <= 1e-12 for _, neg, norm_err in validity)
     detail = "; ".join(f"{label}: min {neg:.1e}, norm err {_noise(norm_err, '.1e')}" for label, neg, norm_err in validity)
-    n_small = min(n, 2 * mc.BATCH_SIZE)  # two batches, so four workers still split each run
+    n_small = min(n, 2 * mc.BATCH_SIZE)  # eight batches of 8192 (see mc.batch_size), so four workers still split each run
     deterministic = True
     for k, trial in enumerate(lhv.MODELS.values()):
         runs = []

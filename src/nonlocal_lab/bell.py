@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import unit_bloch
-from .qmat import PAULIS, _Holder, _check_dim, _constant
+from .qmat import MATRIX_BUDGET, PAULIS, _Holder, _check_dim, _constant
 from .states import DensityMatrix
 
 _RANK_TOL = 1e-12
@@ -89,8 +89,12 @@ def chsh_value_from_t(t: np.ndarray, x, x2, y, y2) -> float:
 
 
 def chsh_max_random(rho: DensityMatrix, n_settings: int, seed: int) -> float:
-    """Best CHSH value over n_settings random setting quadruples."""
+    """Best CHSH value over n_settings random setting quadruples. The draws,
+    96 bytes per quadruple, are held at once: an n_settings whose draws would
+    exceed qmat.MATRIX_BUDGET is a ValueError before anything is drawn."""
     n_settings, seed = _check_dim(n_settings, "n_settings", 1), _check_dim(seed, "seed", 0)
+    if 96 * n_settings > MATRIX_BUDGET:
+        raise ValueError(f"n_settings must be <= {MATRIX_BUDGET // 96}, whose draws fit in the {MATRIX_BUDGET >> 20} MiB budget, got {n_settings}")
     t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((4, n_settings, 3))

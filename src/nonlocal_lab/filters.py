@@ -79,7 +79,11 @@ def hirsch_filters(epsilon, q: float) -> LocalFilter:
     """
     grid = epsilon if np.ndim(epsilon) else [epsilon]  # a grid of rows fails the check of its first row
     eps = np.array([_check_real(e, 0, math.inf, "epsilon", "()") for e in grid]).reshape(np.shape(epsilon))
-    q = _check_real(q, 0, 1, "q", "(]")
+    return _hirsch_filters(eps, _check_real(q, 0, 1, "q", "(]"))
+
+
+def _hirsch_filters(eps: np.ndarray, q: float) -> LocalFilter:
+    """hirsch_filters of an array of checked epsilons and a checked q."""
     f = np.zeros((2, *eps.shape, 2, 2), dtype=complex)  # F_A, F_B
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow, and inf / inf, are rejected below
         delta = eps / np.sqrt(q)
@@ -139,17 +143,17 @@ def hidden_nonlocality_scan(family: str, q: float, epsilons=DEFAULT_EPS_GRID) ->
     name = family.replace("_", "-")
     if name not in _SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {list(_SCAN_FAMILIES)} ('_' may stand for '-')")
-    state = STATES[name](q)  # checks q
+    state = STATES[name](q)  # checks q, in [0, 1]
     if np.ndim(epsilons) != 1:
         raise ValueError(f"the epsilon grid must be 1-D, got {epsilons!r}")
     grid = [_check_real(eps, 0, math.inf, "epsilon", "()") for eps in epsilons]
-    q_b = q if q > 0 else 1.0  # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1
+    q_b = float(q) if q > 0 else 1.0  # at q = 0 Bob's filter equals Alice's, which is hirsch_filters at q = 1
     try:
-        outcomes = apply_filters(state, hirsch_filters(grid, q_b))
+        outcomes = apply_filters(state, _hirsch_filters(np.array(grid), q_b))
     except ValueError:  # a check failed inside the stack: name the first epsilon that fails it alone
         for eps in grid:
             try:
-                apply_filters(state, hirsch_filters(eps, q_b))
+                apply_filters(state, _hirsch_filters(np.array(eps), q_b))
             except ValueError as err:
                 raise ValueError(f"at epsilon {eps}: {err}") from None
         raise

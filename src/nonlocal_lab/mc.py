@@ -1,13 +1,15 @@
 """Deterministic Monte Carlo plumbing.
 
-Samples are processed in fixed-size batches. Batch j of a run draws from
-its own SFC64 stream keyed by (seed, label, j) (see batch_rng), so the
-value of every sample depends only on (seed, n) and never on scheduling.
-Per-batch partial sums are reduced in batch order, which makes results
-bit-identical across worker counts.
+Samples are processed in batches whose size depends on n alone (see
+batch_size). Batch j of a run draws from its own SFC64 stream keyed by
+(seed, label, j) (see batch_rng), so the value of every sample depends
+only on (seed, n) and never on scheduling. Per-batch partial sums are
+reduced in batch order, which makes results bit-identical across worker
+counts.
 
-Batches run on a thread pool with one worker per usable core by default;
-numpy releases the GIL in the SFC64 draws and array arithmetic. Importing
+Batches run on a thread pool with one worker per usable core by default,
+at most IN_FLIGHT_PER_WORKER of them per worker submitted ahead of the
+fold; numpy releases the GIL in the SFC64 draws and array arithmetic. Importing
 this module sets numpy's bundled OpenBLAS to one thread for the whole
 process, so the pool's workers, not BLAS threads, occupy the cores: a
 threaded product, such as the complex GEMM of one Born table at d >= 12,
@@ -40,7 +42,8 @@ import ctypes
 import glob
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -49,6 +52,9 @@ import numpy as np
 from .qmat import _check_dim
 
 BATCH_SIZE = 1 << 15
+# Batches submitted to the pool and not yet folded, per worker: enough to keep
+# every worker busy while the fold waits on the oldest, and memory bounded in n
+IN_FLIGHT_PER_WORKER = 2
 # Largest sample count: tables count in float64, exact for integers up to 2^53
 MAX_SAMPLES = 1 << 53
 
@@ -132,6 +138,16 @@ def batch_rng(seed: int, label: str, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
+def batch_size(n: int) -> int:
+    """Samples per batch of a run of n samples: n/8 rounded up, clamped to
+    [BATCH_SIZE/8, BATCH_SIZE]. A run of up to BATCH_SIZE/8 samples is one
+    batch, and one of 8 BATCH_SIZE or more is cut into full BATCH_SIZE
+    batches. From BATCH_SIZE to 8 BATCH_SIZE samples a run is eight even
+    batches, the last up to 7 samples short, so that 1, 2, 4 or 8 workers
+    finish together (n = 1e5 is 8 x 12500, not 3 x 2^15 and one of 1696)."""
+    return min(BATCH_SIZE, max(BATCH_SIZE // 8, -(-n // 8)))
+
+
 def run_batched(
     n: int,
     seed: int,
@@ -139,7 +155,7 @@ def run_batched(
     kernel: Kernel,
     workers: int | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """Accumulate kernel partials over ceil(n / BATCH_SIZE) batches.
+    """Accumulate kernel partials over ceil(n / batch_size(n)) batches.
 
     The kernel receives (rng, count) and must return a tuple of float
     arrays whose shapes do not depend on count. Partials are summed in
@@ -150,16 +166,35 @@ def run_batched(
     n, seed = _check_dim(n, "sample count", 1), _check_dim(seed, "seed")
     if n > MAX_SAMPLES:
         raise ValueError(f"sample count must be <= 2^53, where float64 counts stay exact, got {n}")
-    batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
+    size = batch_size(n)
+    batches = (n + size - 1) // size
 
     def one(j: int) -> tuple[np.ndarray, ...]:
-        return kernel(batch_rng(seed, label, j), min(BATCH_SIZE, n - j * BATCH_SIZE))
+        return kernel(batch_rng(seed, label, j), min(size, n - j * size))
 
     nw = worker_count(workers)
     if nw == 1 or batches == 1:
         return ordered_sum(map(one, range(batches)))
     with ThreadPoolExecutor(max_workers=nw) as pool:
-        return ordered_sum(pool.map(one, range(batches)))
+        return ordered_sum(_in_order(pool, one, batches, IN_FLIGHT_PER_WORKER * nw))
+
+
+def _in_order(pool: Executor, fn: Callable, count: int, window: int) -> Iterable:
+    """fn(0), ..., fn(count - 1) run on pool and yielded in index order, with
+    at most `window` calls submitted and not yet yielded, so memory does not
+    grow with count (Executor.map submits every call up front). The calls
+    not yet started are cancelled when the consumer stops or a call raises."""
+    pending: deque = deque()
+    try:
+        for j in range(count):
+            pending.append(pool.submit(fn, j))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def ordered_sum(parts: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:

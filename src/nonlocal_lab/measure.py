@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, _check_dim, _check_operator, _frozen, haar_unitary, hermitian_eig, projector
-from .states import DensityMatrix
+from .qmat import PAULIS, I2, HERM_TOL, PSD_TOL, _Holder, _check_dim, _check_operator, _frozen, haar_unitary, hermitian_eig, projector
+from .states import DensityMatrix, _Werner
 
 COMPLETENESS_TOL = 1e-10
 ZERO_WEIGHT_TOL = 1e-12
@@ -25,7 +25,7 @@ def unit_bloch(v, what: str = "Bloch vector") -> np.ndarray:
 
 
 @dataclass
-class Povm:
+class Povm(_Holder):
     """Positive elements summing to the identity, with opaque outcome labels. The elements are checked
     as one (k, n, n) stack, a matrix being the stack of one, and kept as read-only views of it."""
 
@@ -70,26 +70,37 @@ def born_table(rho: DensityMatrix, elements_a: list[np.ndarray], elements_b: lis
     Each party's elements are a list or a (k, n, n) stack of positive
     operators on its local space, a single matrix being the stack of one;
     non-finite or non-real values, and values outside [-1e-10, 1 + 1e-10],
-    are rejected as invalid input.
+    are rejected as invalid input. A Werner state of werner_phi gives its
+    table in closed form from (d, phi), through the same checks.
     """
     da, db = rho.d_a, rho.d_b
-    # tr(rho A_i (x) B_j) = rows_a R rows_b^T over operator rows A.T.ravel(),
-    # with R[(x, u), (y, v)] = rho[(x, y), (u, v)]: O(k d^4) in place of a
-    # d^2 x d^2 Kronecker product and matmul per pair. R is never built: for
-    # each Alice index x, the (d_b, d_a, d_b) slab rho[(x, .), .] transposed is
-    # rows x d_a .. (x + 1) d_a of R, and rows_a R is summed slab by slab, so
-    # the state is copied one slab, 1/d_a of it, at a time
     rows_a, rows_b = (
         _check_operator(e, what, n, stack=True).reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n)
         for e, what, n in ((elements_a, "elements_a", da), (elements_b, "elements_b", db))
     )
     if not (np.isfinite(rows_a).all() and np.isfinite(rows_b).all()):
         raise ValueError("measurement operator is not finite")
-    left = np.zeros((len(rows_a), db * db), dtype=complex)
-    for x in range(da):
-        slab = rho.mat[x * db : (x + 1) * db].reshape(db, da, db).transpose(1, 0, 2)
-        left += rows_a[:, x * da : (x + 1) * da] @ slab.reshape(da, db * db)
-    vals = left @ rows_b.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives entries rejected below
+        if isinstance(rho, _Werner):
+            # tr(W A (x) B) = [(d - phi) tr A tr B + (d phi - 1) tr(AB)] / (d^3 - d), as
+            # tr(V A (x) B) = tr(AB), the A.ravel() rows against the B.T.ravel() rows:
+            # O(k_a k_b d^2), and no d^2 x d^2 matrix
+            d, phi = da, rho.phi
+            flat_a = rows_a.reshape(-1, d, d).transpose(0, 2, 1).reshape(len(rows_a), -1)
+            traces = np.outer(rows_a[:, :: d + 1].sum(axis=1), rows_b[:, :: d + 1].sum(axis=1))
+            vals = ((d - phi) * traces + (d * phi - 1) * (flat_a @ rows_b.T)) / (d**3 - d)
+        else:
+            # tr(rho A_i (x) B_j) = rows_a R rows_b^T over operator rows A.T.ravel(),
+            # with R[(x, u), (y, v)] = rho[(x, y), (u, v)]: O(k d^4) in place of a
+            # d^2 x d^2 Kronecker product and matmul per pair. R is never built: for
+            # each Alice index x, the (d_b, d_a, d_b) slab rho[(x, .), .] transposed is
+            # rows x d_a .. (x + 1) d_a of R, and rows_a R is summed slab by slab, so
+            # the state is copied one slab, 1/d_a of it, at a time
+            left = np.zeros((len(rows_a), db * db), dtype=complex)
+            for x in range(da):
+                slab = rho.mat[x * db : (x + 1) * db].reshape(db, da, db).transpose(1, 0, 2)
+                left += rows_a[:, x * da : (x + 1) * da] @ slab.reshape(da, db * db)
+            vals = left @ rows_b.T
     if not np.isfinite(vals).all():
         raise ValueError("joint probability is not finite")
     nonreal = vals[np.abs(vals.imag) > PROB_TOL]
@@ -163,8 +174,12 @@ def outcome_sum(back_map: list[int], k: int):
 
 
 def random_projective(d: int, rng: np.random.Generator) -> Povm:
-    """Rank-1 projective measurement in a Haar-random basis, labels 0..d-1."""
-    return Povm([projector(c) for c in haar_unitary(d, rng).T])
+    """Rank-1 projective measurement in a Haar-random basis, labels 0..d-1:
+    the projectors of a unitary's columns, valid by construction, so held
+    read-only as one stack without Povm's eigensolves."""
+    stack = np.array([projector(c) for c in haar_unitary(d, rng).T])
+    stack.setflags(write=False)
+    return Povm._trusted(list(stack), list(range(len(stack))))
 
 
 def random_povm(n_outcomes: int, d: int, rng: np.random.Generator) -> Povm:

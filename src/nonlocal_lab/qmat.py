@@ -123,8 +123,8 @@ def _constant(a) -> np.ndarray:
 
 
 class _Holder:
-    """Base of the validated holders (DensityMatrix, LocalFilter, ChshSettings): each checks its
-    fields in __post_init__ and holds its arrays read-only."""
+    """Base of the validated holders (DensityMatrix, Povm, LocalFilter, ChshSettings): each checks
+    its fields in __post_init__ and holds its arrays read-only."""
 
     @classmethod
     def _trusted(cls, *values):

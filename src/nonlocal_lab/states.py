@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,18 +115,35 @@ def singlet() -> DensityMatrix:
 def werner_phi(d: int, phi: float) -> DensityMatrix:
     """Werner state on C^d (x) C^d with tr(V W) = phi.
 
-    W = [(d - phi) I + (d phi - 1) V] / (d^3 - d), phi in [-1, 1].
+    W = [(d - phi) I + (d phi - 1) V] / (d^3 - d), phi in [-1, 1]. The state
+    carries phi, and builds its d^2 x d^2 matrix when .mat is first read.
     """
     d, phi = _check_dim(d, lo=2), _check_real(phi, -1, 1, "phi")
     _check_matrix_budget(d)
-    # built in place in V's one array with the bits of the formula: adding
-    # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
-    w = flip(d)
-    w *= d * phi - 1
-    w += 0.0
-    w.reshape(-1)[:: d * d + 1] += d - phi
-    w /= d**3 - d
-    return DensityMatrix._trusted(w, d, d)
+    return _Werner(d, phi)
+
+
+class _Werner(DensityMatrix):
+    """The Werner state of (d, phi) that werner_phi checked: measure.born_table
+    reads its tables from (d, phi) alone, so its matrix is built only where a
+    caller reads .mat, once, read-only."""
+
+    def __init__(self, d: int, phi: float) -> None:
+        self.d_a = self.d_b = d
+        self.phi = phi
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        d, phi = self.d_a, self.phi
+        # built in place in V's one array with the bits of the formula: adding
+        # 0.0 everywhere, as the sum's zero entries of I did, clears signed zeros
+        w = flip(d)
+        w *= d * phi - 1
+        w += 0.0
+        w.reshape(-1)[:: d * d + 1] += d - phi
+        w /= d**3 - d
+        w.setflags(write=False)
+        return w
 
 
 def werner_local_phi(d: int) -> float:

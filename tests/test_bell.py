@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from nonlocal_lab import bell, filters, states
+from nonlocal_lab import bell, filters, qmat, states
 from nonlocal_lab.bell import (
     _RANK_TOL,
     ChshSettings,
@@ -387,6 +387,27 @@ class TestSettingsReadOnly:
 def test_chsh_max_random_needs_a_setting(n_settings):
     with pytest.raises(ValueError, match=f"^n_settings must be >= 1, got {n_settings}$"):
         chsh_max_random(states.singlet(), n_settings, 1)
+
+
+class _NoDraws:
+    """A generator whose draws fail the test: nothing may be drawn."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("settings were drawn")
+
+
+@pytest.mark.parametrize("n_settings", [qmat.MATRIX_BUDGET // 96 + 1, 10**9, 10**30])
+def test_chsh_max_random_rejects_draws_that_cannot_fit_before_drawing(monkeypatch, n_settings):
+    """96 bytes of normals per setting quadruple, held at once: 10^9 of them
+    would ask for 96 GB."""
+    monkeypatch.setattr(np.random, "default_rng", _NoDraws)
+    with pytest.raises(ValueError, match=f"^n_settings must be <= {qmat.MATRIX_BUDGET // 96}, whose draws fit in the 256 MiB budget, got {n_settings}$"):
+        chsh_max_random(states.singlet(), n_settings, 1)
+    with pytest.raises(AssertionError, match="settings were drawn"):
+        chsh_max_random(states.singlet(), qmat.MATRIX_BUDGET // 96, 1)
 
 
 @pytest.mark.parametrize("seed, message", [(1.5, "seed must be an integer, got 1.5"), (-1, "seed must be >= 0, got -1"), ("7", "seed must be an integer, got '7'")])

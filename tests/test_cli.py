@@ -289,6 +289,21 @@ def _round12(obj):
     return obj
 
 
+@pytest.mark.parametrize("model", ["werner", "barrett"])
+def test_large_d_simulate_builds_no_werner_matrix(capsys, monkeypatch, model):
+    """The oracle of simulate werner|barrett comes from (d, phi): the d^2 x d^2
+    Werner matrix, which states.flip starts, is never built."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("the Werner matrix was built")
+
+    monkeypatch.setattr(states, "flip", built)
+    code, out, err = run(capsys, "simulate", model, "--d", "24", "--n", "2000", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(np.sum(payload["oracle"]) - 1) <= 1e-9 and payload["max_sigma"] <= 5
+
+
 class TestDumpJson:
     """cli._dump_json writes the bytes of json.dumps(_round12(obj), indent=2)."""
 

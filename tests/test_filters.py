@@ -174,6 +174,27 @@ class TestPopescu:
 
 
 class TestScan:
+    @pytest.mark.parametrize("family", ["rho-g", "rho-g-prime"])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1])
+    def test_checks_each_epsilon_and_q_once(self, monkeypatch, family, q):
+        """One check per epsilon and one of q, the state's; the rows are those
+        of the public hirsch_filters, which checks both again."""
+        real, checked = qmat._check_real, []
+
+        def counting(x, *args, **kwargs):
+            checked.append(x)
+            return real(x, *args, **kwargs)
+
+        expected = []
+        for eps in DEFAULT_EPS_GRID:
+            out = filters.apply_filters(states.STATES[family](q), filters.hirsch_filters(eps, q if q > 0 else 1.0))
+            expected.append((out.success_prob, horodecki_m(out.post_state).m_rho))
+        for module in (filters, states):
+            monkeypatch.setattr(module, "_check_real", counting)
+        rows = hidden_nonlocality_scan(family, q)
+        assert checked == [q, *DEFAULT_EPS_GRID]
+        assert [(r.success_prob, r.m) for r in rows] == expected
+
     def test_base_family_converges_to_one_plus_q(self):
         q = 0.25
         rows = hidden_nonlocality_scan("rho_g", q, DEFAULT_EPS_GRID)
@@ -362,14 +383,14 @@ class TestScanChecksInsideTheStack:
             hidden_nonlocality_scan("rho_g", q, grid)
 
     def test_filter_bound(self, monkeypatch):
-        real = filters.hirsch_filters
+        real = filters._hirsch_filters  # the scan's builder, which takes checked values
 
         def doubled_at_one_percent(epsilon, q):
             f = real(epsilon, q)
             s = np.where(np.asarray(epsilon) == 1e-2, 2.0, 1.0)[..., None, None]
             return LocalFilter(f.k_a * s, f.k_b * s)
 
-        monkeypatch.setattr(filters, "hirsch_filters", doubled_at_one_percent)
+        monkeypatch.setattr(filters, "_hirsch_filters", doubled_at_one_percent)
         with pytest.raises(ValueError, match=r"^at epsilon 0\.01: k_a is not a valid filter: max eigenvalue of K\^dag K is 4\.0$"):
             hidden_nonlocality_scan("rho_g_prime", 0.5, [1e-1, 3e-2, 1e-2, 3e-3, 1e-2])
 

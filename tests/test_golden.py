@@ -88,7 +88,7 @@ GOLDEN = {
     "filter-scan rho-g-prime": [0, "b7ae1811f959777d16aee86faaa4db71195fe5dab50d6efbc958c767aea56856"],
     "simulate barrett --d 2 csv": [0, "46b7be7b247f3602c0500d0d3ad7dd8649527201e11ee19c57807006a9f7ac0b"],
     "simulate barrett --d 2 json": [0, "4b72af1feda0471fc0fa70cbfaf2be7e5933ffb0a2fa372e6df40e8aaeb90434"],
-    "simulate barrett --d 3 csv": [0, "945eb6197c3ee26080d9545f3fad4efa105ba2301fb998c3e2dcaa69b69adab5"],
+    "simulate barrett --d 3 csv": [0, "f454cd8a6054ce465fe06ffe35c454619630908114f2cb2b832440a148a1c767"],
     "simulate barrett --d 3 json": [0, "cbe18fd8c4974c69373191b7cf0bca96221505b853f7ce63ae1015eb3c21141b"],
     "simulate barrett --d 8 csv": [0, "d8554929dfe33dfb859504f1ab9122d9815996964aa2f01eea7a280d54b2ff6d"],
     "simulate barrett --d 8 json": [0, "91c824c3dee3a556e878fbfcb698cf9fc8dbc1e5ae48051dac48d2f7f22c3089"],
@@ -145,11 +145,11 @@ def test_every_named_state_has_a_case():
 
 
 # The digests whose bytes follow the BLAS kernel, as they read under the
-# Haswell kernels (OPENBLAS_CORETYPE=Haswell). Barrett's d = 3 oracle at the
-# Haar bases of the LAPACK QR moves by an ulp, and the CSV's 12 digits of
-# |mean - oracle| show it in one cell: 0.000399170622021 in place of
-# 0.000399170622022.
-HASWELL_GOLDEN = {"simulate barrett --d 3 csv": [0, "f454cd8a6054ce465fe06ffe35c454619630908114f2cb2b832440a148a1c767"]}
+# Haswell kernels (OPENBLAS_CORETYPE=Haswell). The Werner d = 3 oracle, in
+# closed form at the Haar bases of the LAPACK QR, moves by an ulp, and the
+# CSV's 12 digits of |mean - oracle| show it in one cell: 0.000848355872519
+# in place of 0.00084835587252.
+HASWELL_GOLDEN = {"simulate werner --d 3 csv": [0, "8ac80341ebb855cce4fca10df9312955f90c3df8aa4266df1ecd6b947248a826"]}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

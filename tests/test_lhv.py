@@ -1215,8 +1215,8 @@ def test_overlap_kernel_blocks_only_move_rounding(model, monkeypatch):
 def test_overlap_kernel_draws_do_not_depend_on_the_width(model, d, monkeypatch):
     """At block widths 128, 2048 and the default the kernel sees, bit for
     bit, the samples of one whole-batch draw from the same batch streams,
-    over one sample, partial batches that end in a partial block, and two
-    batches."""
+    over one sample, partial batches that end in a partial block, and the
+    eight batches that mc.batch_size cuts a run of BATCH_SIZE + 3 into."""
     gen = np.random.default_rng(70 + d)
     pa, pb = random_projective(d, gen), random_projective(d, gen)
     simulate = {"werner": lhv.simulate_werner, "barrett": lhv.simulate_barrett}[model]
@@ -1228,7 +1228,8 @@ def test_overlap_kernel_draws_do_not_depend_on_the_width(model, d, monkeypatch):
 
     monkeypatch.setattr(lhv, "_overlaps", recording)
     for n in (1, 2047, 2049, mc.BATCH_SIZE + 3):
-        counts = [min(mc.BATCH_SIZE, n - s) for s in range(0, n, mc.BATCH_SIZE)]
+        size = mc.batch_size(n)
+        counts = [min(size, n - s) for s in range(0, n, size)]
         rngs = [mc.batch_rng(5, f"{model}:d={d}", j) for j in range(len(counts))]
         whole = np.concatenate([lhv.sample_sphere_cd(r, d, c) for r, c in zip(rngs, counts)])
         for width in (128, 2048, None):
@@ -1303,13 +1304,23 @@ class TestSlicedProducts:
 
 
 class TestStreamConsumption:
-    """One batch of each rewritten kernel against a test-side recomputation
-    from the public samplers on the same batch stream (mc.batch_rng: SFC64
-    seeded through SeedSequence from four fixed-width words) and the scalar
-    reference responses. The overlap kernels run with narrow column blocks,
-    so each batch spans several blocks and ends in a partial one."""
+    """Each rewritten kernel against a test-side recomputation from the
+    public samplers on the same batch streams (mc.batch_rng: SFC64 seeded
+    through SeedSequence from four fixed-width words), one per batch of
+    mc.batch_size, and the scalar reference responses. The overlap kernels
+    run one batch with narrow column blocks, so it spans several blocks and
+    ends in a partial one."""
 
     BLOCK = 128
+
+    @staticmethod
+    def _per_batch(draw, label, n, seed):
+        """The arrays draw(rng, count) returns on each batch's stream of a run
+        of n samples, cut as mc.run_batched cuts it, each joined over the
+        batches along its sample axis 0."""
+        size = mc.batch_size(n)
+        parts = [draw(mc.batch_rng(seed, label, j), min(size, n - s)) for j, s in enumerate(range(0, n, size))]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def test_r3_sampler_matches_norm_formula(self):
         """The (n, 3) normals of one draw, normalised, as contiguous (3, n) rows."""
@@ -1410,9 +1421,8 @@ class TestStreamConsumption:
         assert np.max(np.abs(table.stderrs - ref.stderrs)) <= 1e-12
 
     def _choice_pairs(self, label, n, seed, x):
-        rng = mc.batch_rng(seed, label, 0)
-        l0 = lhv.sample_sphere_r3(rng, n).T  # the (n, 3) points of the (3, n) rows
-        l1 = lhv.sample_sphere_r3(rng, n).T
+        # the (m, 3) points of the (3, m) rows of each batch: l0, then l1
+        l0, l1 = self._per_batch(lambda rng, m: (lhv.sample_sphere_r3(rng, m).T, lhv.sample_sphere_r3(rng, m).T), label, n, seed)
         ls = np.array([gd_choice(p, q, x) for p, q in zip(l0, l1)])
         return l0, l1, ls
 
@@ -1444,10 +1454,13 @@ class TestStreamConsumption:
     def test_hirsch(self, rng):
         """Draw order: lam, then r, then Alice's accept and noise coins u1, u2."""
         x, y, q, n, seed = unit3(rng), unit3(rng), 0.3, 20_000, 14
-        gen = mc.batch_rng(seed, f"hirsch:q={q!r}", 0)
-        lam = lhv.sample_sphere_r3(gen, n).T  # the (n, 3) points of the (3, n) rows
-        r = gen.random(n)
-        u1, u2 = gen.random((2, n))
+
+        def draw(gen, m):
+            lam = lhv.sample_sphere_r3(gen, m).T  # the (m, 3) points of the (3, m) rows
+            r = gen.random(m)
+            return (lam, r, *gen.random((2, m)))
+
+        lam, r, u1, u2 = self._per_batch(draw, f"hirsch:q={q!r}", n, seed)
         alice = [hirsch_alice(q, x, *s) for s in zip(lam, r, u1, u2)]
         a = np.array([1.0 if plus else -1.0 for plus, _ in alice])
         b = np.where(lam @ y >= 0, 1.0, -1.0)
@@ -1482,12 +1495,15 @@ class TestStreamConsumption:
 
         back_a, bloch_a, pick_a, step4_a = pieces(ma, sigma_a)
         back_b, bloch_b, pick_b, step4_b = pieces(mb, sigma_b)
-        gen = mc.batch_rng(seed, f"povmlift:q={q!r}", 0)
-        lam = lhv.sample_sphere_r3(gen, n).T  # the (n, 3) points of the (3, n) rows
-        r = gen.random(n)
-        ua = gen.random(n)
-        u1, u2 = gen.random((2, n))
-        ua4, ub, ub4 = gen.random(n), gen.random(n), gen.random(n)
+
+        def draw(gen, m):
+            lam = lhv.sample_sphere_r3(gen, m).T  # the (m, 3) points of the (3, m) rows
+            r = gen.random(m)
+            ua = gen.random(m)
+            u1, u2 = gen.random((2, m))
+            return lam, r, ua, u1, u2, gen.random(m), gen.random(m), gen.random(m)
+
+        lam, r, ua, u1, u2, ua4, ub, ub4 = self._per_batch(draw, f"povmlift:q={q!r}", n, seed)
         cells = np.zeros((len(ma.elements), len(mb.elements)))
         miss_a = miss_b = 0
         for s in range(n):

@@ -106,13 +106,13 @@ class TestCountsFromTheBatchIndex:
 
     def test_2_to_the_53_is_accepted(self, monkeypatch):
         monkeypatch.setattr(mc, "BATCH_SIZE", 1 << 52)
-        with pytest.raises(_Sampled, match=f"^{1 << 52}$"):
+        with pytest.raises(_Sampled, match=f"^{mc.batch_size(MAX_SAMPLES)}$"):
             run_batched(MAX_SAMPLES, 0, "t", _failing_kernel, workers=1)
         assert MAX_SAMPLES == 2**53 and float(MAX_SAMPLES) + 1 == MAX_SAMPLES
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_each_batch_gets_its_count(self, monkeypatch, workers):
-        monkeypatch.setattr(mc, "BATCH_SIZE", 4)
+        monkeypatch.setattr(mc, "batch_size", lambda n: 4)
         seen = []
 
         def kernel(rng, m):
@@ -134,6 +134,102 @@ class TestCountsFromTheBatchIndex:
             tracemalloc.stop()
         assert sums[0].tolist() == [100_000.0]
         assert peak < 64 << 10, f"peak {peak} bytes over 10^5 batches"
+
+    def test_memory_does_not_grow_with_the_batch_count_at_two_workers(self, monkeypatch):
+        """At most IN_FLIGHT_PER_WORKER x workers batches are submitted ahead
+        of the fold. Executor.map, which submits every batch up front, peaked
+        at 16 MiB over these 10^4 batches (171.6 MiB over 10^5); the window
+        keeps about 19 KiB. A batch costs some 130 us here under tracemalloc,
+        so 10^5 of them would add 13 s to the suite and show nothing more."""
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1)
+        monkeypatch.setattr(mc, "batch_rng", lambda seed, label, batch: None)
+        one = (np.ones(1),)
+        tracemalloc.start()
+        try:
+            sums = run_batched(10_000, 0, "t", lambda rng, m: one, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums[0].tolist() == [10_000.0]
+        assert peak < 64 << 10, f"peak {peak} bytes over 10^4 batches"
+
+
+class TestBatchSize:
+    """One partition rule: n/8 rounded up, clamped to [BATCH_SIZE/8, BATCH_SIZE]."""
+
+    @pytest.mark.parametrize(
+        "n, size, batches",
+        [(1, 4096, 1), (3000, 4096, 1), (4096, 4096, 1), (4097, 4096, 2), (32768, 4096, 8),
+         (100_000, 12_500, 8), (1 << 18, 32768, 8), (10**6, 32768, 31), (1 << 53, 32768, 1 << 38)],
+    )
+    def test_pinned(self, n, size, batches):
+        assert BATCH_SIZE == 1 << 15
+        assert mc.batch_size(n) == size and -(-n // size) == batches
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_batched_cuts_its_run_by_it(self, workers):
+        for n, counts in ((3000, [3000]), (100_000, [12_500] * 8), (99_999, [12_500] * 7 + [12_499]), (300_000, [32768] * 9 + [5088])):
+            seen = []
+
+            def kernel(rng, m):
+                seen.append(m)
+                return (np.array([float(m)]),)
+
+            assert run_batched(n, 0, "t", kernel, workers=workers)[0].tolist() == [float(n)]
+            assert sorted(seen, reverse=True) == counts
+
+
+class TestWindow:
+    """At two or more workers, run_batched submits a batch only once all but
+    IN_FLIGHT_PER_WORKER x workers - 1 of the batches before it are folded,
+    and folds them in batch order, so no bit depends on the window."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_batches_ahead_of_the_fold_stay_in_the_window(self, monkeypatch, workers):
+        count = 200
+        monkeypatch.setattr(mc, "IN_FLIGHT_PER_WORKER", 1)  # a window of one batch per worker
+        monkeypatch.setattr(mc, "batch_size", lambda n: 1)
+        monkeypatch.setattr(mc, "batch_rng", lambda seed, label, batch: batch)  # the kernel gets the batch index
+        fold, folded, ahead = mc.ordered_sum, [0], {}
+
+        def counted(parts):
+            def each():
+                for part in parts:
+                    folded[0] += 1
+                    yield part
+            return fold(each())
+
+        def value(j):  # terms whose sum depends on the order they are added in
+            return (-1.0) ** j * 1e16 if j % 3 == 0 else j / 7
+
+        def kernel(j, m):
+            ahead[j] = j - folded[0]
+            return (np.array([value(j)]),)
+
+        monkeypatch.setattr(mc, "ordered_sum", counted)
+        sums = run_batched(count, 0, "t", kernel, workers=workers)
+        expected = value(0)
+        for j in range(1, count):
+            expected += value(j)
+        assert sums[0].tolist() == [expected]
+        assert sorted(ahead) == list(range(count)) and folded[0] == count
+        assert max(ahead.values()) < workers
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_a_failing_batch_stops_the_run(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "batch_size", lambda n: 1)
+        monkeypatch.setattr(mc, "batch_rng", lambda seed, label, batch: batch)
+        started = []
+
+        def kernel(j, m):
+            started.append(j)
+            if j == 3:
+                raise _Sampled(j)
+            return (np.ones(1),)
+
+        with pytest.raises(_Sampled):
+            run_batched(10_000, 0, "t", kernel, workers=workers)
+        assert len(started) < 3 + 2 * mc.IN_FLIGHT_PER_WORKER * workers
 
 
 def first_draws(seed: int, label: str, batch: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from nonlocal_lab.measure import (
     random_projective,
     unit_bloch,
 )
-from nonlocal_lab.qmat import PAULIS, SZ, basis_ket, haar_ket, hermitian_eig, projector, tensor
+from nonlocal_lab.qmat import PAULIS, SZ, basis_ket, haar_ket, haar_unitary, hermitian_eig, projector, tensor
 
 rng = np.random.default_rng(515)
 
@@ -191,10 +192,11 @@ class TestBornTable:
             assert np.max(np.abs(table - realigned(rho, ma.elements, mb.elements))) <= 1e-15
 
     def test_holds_no_realigned_copy(self):
-        # the state is built first; the table's own arrays stay below a quarter
-        # of one d^2 x d^2 complex matrix, which a realigned copy would fill
+        # the state is built first, as a plain matrix, so that the table takes
+        # the matrix path; its own arrays stay below a quarter of one d^2 x d^2
+        # complex matrix, which a realigned copy would fill
         d = 24
-        rho = states.werner_local(d)
+        rho = states.DensityMatrix._trusted(states.werner_local(d).mat, d, d)
         gen = np.random.default_rng(519)
         ma, mb = random_projective(d, gen), random_projective(d, gen)
         tracemalloc.start()
@@ -220,6 +222,88 @@ class TestBornTable:
     def test_rejects_invalid_tables(self, elements_a, elements_b, match):
         with pytest.raises(ValueError, match=match):
             born_table(states.singlet(), elements_a, elements_b)
+
+
+def _plain(rho):
+    """The state as a plain DensityMatrix, whose table takes the matrix path."""
+    return states.DensityMatrix._trusted(rho.mat, rho.d_a, rho.d_b)
+
+
+class TestWernerClosedForm:
+    """born_table of a werner_phi state is [(d - phi) tr A tr B + (d phi - 1)
+    tr(AB)] / (d^3 - d), from (d, phi) alone, through the checks of the
+    matrix path."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_the_matrix_path(self, d):
+        gen = np.random.default_rng(600 + d)
+        phis = (-1.0, states.werner_local_phi(d), -0.3, 0.0, 0.5, 1.0)
+        for phi in (*phis, states.barrett_state(d).phi):
+            rho = states.werner_phi(d, phi)
+            pairs = [
+                (random_projective(d, gen), random_projective(d, gen)),
+                (random_povm(3, d, gen), random_povm(d + 1, d, gen)),
+                (random_projective(d, gen), random_povm(2, d, gen)),
+            ]
+            closed = [born_table(rho, ma.elements, mb.elements) for ma, mb in pairs]
+            assert "mat" not in vars(rho)  # no table built the matrix
+            for table, (ma, mb) in zip(closed, pairs):
+                assert np.max(np.abs(table - born_table(_plain(rho), ma.elements, mb.elements))) <= 1e-15
+
+    def test_builds_no_matrix(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the d^2 x d^2 matrix was built")
+
+        gen = np.random.default_rng(624)
+        ma, mb = random_projective(24, gen), random_projective(24, gen)
+        monkeypatch.setattr(states, "flip", built)
+        for rho in (states.werner_local(24), states.barrett_state(24)):
+            table = born_table(rho, ma.elements, mb.elements)
+            assert table.shape == (24, 24) and abs(table.sum() - 1) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phi", [-1.0, 0.2, 1.0])
+    def test_rejects_what_the_matrix_path_rejects(self, phi):
+        """The same error, but for the digits of a value, on elements that are
+        not finite, overflow, give non-real or out-of-range probabilities, or
+        have the wrong shape."""
+        half, big = np.eye(2) / 2, np.full((2, 2), 1e300)
+        cases = [
+            ([half, np.full((2, 2), np.nan)], [np.eye(2)]),
+            ([np.eye(2)], [half, np.full((2, 2), -np.inf)]),
+            ([big], [big]),
+            ([1j * np.eye(2)], [np.eye(2)]),
+            ([np.array([[0.0, 1.0], [0.0, 0.0]])], [np.array([[0.0, 0.0], [1j, 0.0]])]),
+            ([3 * np.eye(2)], [np.eye(2)]),
+            ([-3 * np.eye(2)], [np.eye(2)]),
+            ([half, np.eye(3)], [np.eye(2)]),
+            ([np.eye(2)], np.eye(4)),
+            ([np.eye(2)], []),
+        ]
+        rho = states.werner_phi(2, phi)
+
+        def error(state, ea, eb):
+            with pytest.raises(ValueError) as err:
+                born_table(state, ea, eb)
+            return re.sub(r"\(?-?\d[\d.e+-]*j?\)?", "#", str(err.value))
+
+        for ea, eb in cases:
+            assert error(rho, ea, eb) == error(_plain(rho), ea, eb)
+
+
+class TestRandomProjective:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 24])
+    def test_is_the_checked_construction_bit_for_bit(self, d):
+        """The projectors of the Haar basis' columns, the checked Povm's bytes
+        and labels, held read-only without Povm's checks."""
+        got = random_projective(d, np.random.default_rng(d))
+        ref = Povm([projector(c) for c in haar_unitary(d, np.random.default_rng(d)).T])
+        assert type(got) is Povm and got.labels == ref.labels == list(range(d))
+        assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in ref.elements]
+        for e in got.elements:
+            assert not e.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                e[0, 0] = 0.0
 
 
 class TestExpectationJoint:

@@ -153,11 +153,48 @@ class TestInPlaceConstruction:
         d = 24
         tracemalloc.start()
         try:
-            build(d)
+            build(d).mat  # the matrix is built when first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 16 * d**4
+
+
+class TestWernerMatrixOnRead:
+    """werner_phi(d, phi) carries phi and builds its matrix only when .mat is
+    first read, once, read-only, in the bytes of the in-place build it had
+    when it built the matrix at once."""
+
+    @staticmethod
+    def _eager(d, phi):
+        w = flip(d)
+        w *= d * phi - 1
+        w += 0.0
+        w.reshape(-1)[:: d * d + 1] += d - phi
+        w /= d**3 - d
+        return w
+
+    @pytest.mark.parametrize("d", [*range(2, 11), 16, 24])
+    def test_bytes_of_the_eager_build(self, d):
+        for phi in (*np.linspace(-1, 1, 9), werner_local_phi(d), barrett_state(d).phi, -0.0):
+            rho = werner_phi(d, phi)
+            assert rho.phi == phi and rho.d_a == rho.d_b == d
+            assert rho.mat.tobytes() == self._eager(d, float(phi)).tobytes()
+
+    def test_built_once_on_first_read(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(states, "flip", built)
+        rho = werner_phi(24, -0.3)
+        assert "mat" not in vars(rho)
+        with pytest.raises(AssertionError, match="the matrix was built"):
+            rho.mat
+        monkeypatch.undo()
+        mat = rho.mat
+        assert rho.mat is mat and not mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
 
 
 class TestOneFormulaPerState:
@@ -317,6 +354,7 @@ class TestFlipWitness:
 
     def test_reads_the_witness_without_building_v(self, monkeypatch):
         w = werner_phi(5, -0.3)
+        w.mat  # the state builds its matrix, from V, when it is first read
         monkeypatch.setattr(states, "flip", None)
         assert abs(flip_witness(w) + 0.3) < 1e-12
 
